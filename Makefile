@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-dedup bench-dedup-record bench-typed bench-typed-record bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke check
+.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-dedup bench-dedup-record bench-typed bench-typed-record bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke bench-test check
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
 # BENCH_step.json): generation cost, front extraction, and the
@@ -147,4 +147,11 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck /tmp/trace_smoke.jsonl
 	$(GO) run ./cmd/tracestat -json /tmp/trace_smoke.jsonl > /dev/null
 
-check: build vet fmt lint race bench-smoke bench-dedup bench-typed bench-dist dist-smoke trace-smoke
+# The end-to-end benchmark (bench/, see bench/README.md) is a module of
+# its own, so the root go test ./... never builds it. Vet and test it
+# here, so that a change to a public call it makes cannot break it
+# unnoticed.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet fmt lint race bench-test bench-smoke bench-dedup bench-typed bench-dist dist-smoke trace-smoke

@@ -128,18 +128,6 @@ func TestBaselinesLieWithinNSGA2ObjectiveSpace(t *testing.T) {
 	}
 }
 
-func TestTwoStageMinFirstMatchesMinMin(t *testing.T) {
-	// buildTwoStage(minFirst=true) must agree with the seeding Min-Min.
-	e := newEval(t, 60)
-	a := buildTwoStage(e, true)
-	b := BuildMinMin(e)
-	for i := range a.Machine {
-		if a.Machine[i] != b.Machine[i] || a.Order[i] != b.Order[i] {
-			t.Fatalf("two-stage min-first diverges from BuildMinMin at task %d", i)
-		}
-	}
-}
-
 func BenchmarkSufferage250(b *testing.B) {
 	e := newEval(b, 250)
 	b.ResetTimer()

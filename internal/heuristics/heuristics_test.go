@@ -212,8 +212,9 @@ func BenchmarkMinEnergy250(b *testing.B) { benchHeuristic(b, MinEnergy, 250) }
 func BenchmarkMaxUtility250(b *testing.B) {
 	benchHeuristic(b, MaxUtility, 250)
 }
-func BenchmarkMinMin250(b *testing.B)  { benchHeuristic(b, MinMin, 250) }
-func BenchmarkMinMin1000(b *testing.B) { benchHeuristic(b, MinMin, 1000) }
+func BenchmarkMinMin250(b *testing.B)   { benchHeuristic(b, MinMin, 250) }
+func BenchmarkMinMin1000(b *testing.B)  { benchHeuristic(b, MinMin, 1000) }
+func BenchmarkMinMin10000(b *testing.B) { benchHeuristic(b, MinMin, 10000) }
 
 func benchHeuristic(b *testing.B, h Heuristic, n int) {
 	e := newEval(b, n)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -371,6 +372,7 @@ func (l *loader) loadDir(dir string) ([]*Unit, error) {
 			external = append(external, f)
 		}
 	}
+	var testPkg *types.Package
 	if len(inPkg) > 0 {
 		all := append(append([]*ast.File{}, lib...), inPkg...)
 		info := newInfo()
@@ -378,6 +380,7 @@ func (l *loader) loadDir(dir string) ([]*Unit, error) {
 		if err != nil {
 			return nil, err
 		}
+		testPkg = pkg
 		units = append(units, &Unit{
 			PkgPath:  pkgPath + " [tests]",
 			RelDir:   relDir,
@@ -388,6 +391,24 @@ func (l *loader) loadDir(dir string) ([]*Unit, error) {
 		})
 	}
 	if len(external) > 0 {
+		// As under go test, the external package sees what the in-package
+		// test files declare (the export_test.go idiom): while it is
+		// checked, pkgPath resolves to the test-augmented package. Its
+		// other imports are loaded first, so none binds to that variant.
+		if testPkg != nil {
+			for _, f := range external {
+				for _, imp := range f.Imports {
+					if p, err := strconv.Unquote(imp.Path.Value); err == nil && p != pkgPath {
+						if _, err := l.Import(p); err != nil {
+							return nil, err
+						}
+					}
+				}
+			}
+			libPkg := l.pkgs[pkgPath]
+			l.pkgs[pkgPath] = testPkg
+			defer func() { l.pkgs[pkgPath] = libPkg }()
+		}
 		info := newInfo()
 		pkg, err := l.check(pkgPath+"_test", external, info)
 		if err != nil {

@@ -154,6 +154,36 @@ func TestLoadDirThreeUnits(t *testing.T) {
 	}
 }
 
+// TestLoadModuleExportTest: an external test package sees what an
+// in-package test file declares (the export_test.go idiom), while the
+// library unit, and a package the external test imports that itself
+// imports the library, still see only the library.
+func TestLoadModuleExportTest(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":            "module exmod\n",
+		"ex/ex.go":          "package ex\n\nfunc half(n int) int { return n / 2 }\n\n// Two is exported.\nfunc Two() int { return half(4) }\n",
+		"ex/export_test.go": "package ex\n\nvar Half = half\n",
+		"ex/ex_test.go":     "package ex_test\n\nimport (\n\t\"exmod/ex\"\n\t\"exmod/user\"\n)\n\nvar _ = ex.Half(user.Four())\n",
+		"user/user.go":      "package user\n\nimport \"exmod/ex\"\n\n// Four is exported.\nfunc Four() int { return 2 * ex.Two() }\n",
+		"user/user_test.go": "package user\n\nvar _ = Four()\n",
+	})
+	mod, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	want := []string{"exmod/ex", "exmod/ex [tests]", "exmod/ex_test", "exmod/user", "exmod/user [tests]"}
+	if got := pkgPaths(mod); !equalStrings(got, want) {
+		t.Fatalf("units = %v, want %v", got, want)
+	}
+	lib, user := mod.Units[0].Pkg, mod.Units[3].Pkg
+	if lib.Scope().Lookup("Half") != nil {
+		t.Error("library unit sees the in-package test file's Half")
+	}
+	if imps := user.Imports(); len(imps) != 1 || imps[0] != lib {
+		t.Errorf("user imports %v, want the library instance of ex", imps)
+	}
+}
+
 // TestLoadDirRecursive: LoadDir loads the whole subtree, so
 // multi-package fixture trees (a conf package plus a cmd/ main) land in
 // one Module with cross-package imports resolved to shared objects.

@@ -528,6 +528,7 @@ type Engine struct {
 	generation int
 
 	sessions []*sched.DeltaSession // one per worker
+	panics   []any                 // per-worker recovered panic, see fanout
 
 	// Steady-state scratch (lazily sized on first Step).
 	ranker      *moea.Ranker
@@ -633,6 +634,7 @@ func New(eval *sched.Evaluator, cfg Config, src *rng.Source) (*Engine, error) {
 		e.sessions[i] = eval.NewDeltaSession()
 		e.sessions[i].SetKernel(cfg.Kernel)
 	}
+	e.panics = make([]any, cfg.Workers)
 	e.arena.init(eval, e.space.Dim(), 2*cfg.PopulationSize)
 	if cfg.CacheCapacity > 0 {
 		e.cache = newFitCache(cfg.CacheCapacity, &e.arena)
@@ -1293,7 +1295,10 @@ func (e *Engine) mutateWith(a *sched.Allocation, slots []uint64, counts []int32,
 }
 
 // fanout partitions [0, count) across the configured workers and invokes
-// fn once per non-empty chunk with a dedicated worker id.
+// fn once per non-empty chunk with a dedicated worker id. A panic in a
+// worker goroutine is recovered there and re-raised on the caller once
+// every worker has finished (the lowest-numbered worker's value wins),
+// so callers can recover it as they would on the serial path.
 func (e *Engine) fanout(count int, fn func(worker, lo, hi int)) {
 	workers := e.cfg.Workers
 	if workers > count {
@@ -1317,10 +1322,21 @@ func (e *Engine) fanout(count int, fn func(worker, lo, hi int)) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
+			defer func() { e.panics[w] = recover() }()
 			fn(w, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
+	var first any
+	for w, p := range e.panics {
+		if first == nil {
+			first = p
+		}
+		e.panics[w] = nil
+	}
+	if first != nil {
+		panic(first)
+	}
 }
 
 // probeCache looks every offspring's fingerprint up in the fitness

@@ -153,6 +153,28 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFanoutRepanicsOnCaller requires a worker goroutine's panic to
+// reach the fanout caller, recoverable, with the lowest-numbered
+// panicking worker's value, and to leave no stale value behind for the
+// next fan-out.
+func TestFanoutRepanicsOnCaller(t *testing.T) {
+	eng := newEngine(t, 40, Config{PopulationSize: 8, Workers: 4}, 3)
+	recovered := func() (got any) {
+		defer func() { got = recover() }()
+		eng.fanout(8, func(w, lo, hi int) {
+			if w >= 1 {
+				panic(w)
+			}
+		})
+		return nil
+	}()
+	if recovered != 1 {
+		t.Fatalf("recovered %v, want worker 1's panic value", recovered)
+	}
+	eng.fanout(8, func(w, lo, hi int) {})
+	eng.Run(2)
+}
+
 func TestElitismExtremesNeverRegress(t *testing.T) {
 	eng := newEngine(t, 60, Config{PopulationSize: 20, MutationRate: 0.3}, 9)
 	bestU, bestE := math.Inf(-1), math.Inf(1)
