@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-dedup bench-dedup-record bench-typed bench-typed-record bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke bench-test check
+.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke bench-test check
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
-# BENCH_step.json): generation cost, front extraction, and the
+# BENCH_step.json): generation cost (including the typed/scalar kernel
+# twins and the 50k-task generation), front extraction, and the
 # evaluation kernels.
-BENCH_GATE = BenchmarkStep|BenchmarkParetoFront|BenchmarkEvaluate
+BENCH_GATE = BenchmarkStep|BenchmarkTypedStep|BenchmarkParetoFront|BenchmarkEvaluate
 
 all: check
 
@@ -60,36 +61,6 @@ bench-diff:
 bench-evaluate:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate' -benchtime 500ms -count 3 -benchmem . > /tmp/bench_eval.txt
 	$(GO) run ./cmd/benchdiff -stat median BENCH_step.json /tmp/bench_eval.txt
-
-# Fitness-memoization slice of the regression gate (DESIGN.md §11):
-# cached vs uncached generation cost in the regimes where the
-# fingerprint cache matters, compared against BENCH_dedup.json. The
-# looser threshold absorbs host-level variance on shared runners while
-# still catching structural regressions (an allocation reintroduced on
-# the insert path, a probe-window blowup).
-bench-dedup:
-	$(GO) test -run '^$$' -bench BenchmarkDedup -benchtime 300ms -count 3 -benchmem . > /tmp/bench_dedup.txt
-	$(GO) run ./cmd/benchdiff -stat median -threshold 0.30 BENCH_dedup.json /tmp/bench_dedup.txt
-
-# Typed-kernel slice of the regression gate (DESIGN.md §12): the
-# kernel/machine-cache ablation twins plus the datagen-synthesized
-# 50k-task generation, compared against BENCH_typed.json. benchdiff's
-# -bench filter scopes the diff to this slice so the shared exit-code
-# contract still applies; the threshold matches bench-dedup's for the
-# same shared-runner-variance reason.
-bench-typed:
-	$(GO) test -run '^$$' -bench BenchmarkTypedStep -benchtime 300ms -count 3 -benchmem . > /tmp/bench_typed.txt
-	$(GO) run ./cmd/benchdiff -stat median -threshold 0.30 -bench BenchmarkTypedStep BENCH_typed.json /tmp/bench_typed.txt
-
-# Refresh the typed-kernel baseline after an intentional kernel change.
-bench-typed-record:
-	$(GO) test -run '^$$' -bench BenchmarkTypedStep -benchtime 300ms -count 3 -benchmem . | tee /tmp/bench_typed.txt
-	$(GO) run ./cmd/benchdiff -bench BenchmarkTypedStep -record BENCH_typed.json /tmp/bench_typed.txt
-
-# Refresh the dedup baseline after an intentional cache change.
-bench-dedup-record:
-	$(GO) test -run '^$$' -bench BenchmarkDedup -benchtime 300ms -count 3 -benchmem . | tee /tmp/bench_dedup.txt
-	$(GO) run ./cmd/benchdiff -record BENCH_dedup.json /tmp/bench_dedup.txt
 
 # Scale slice of the regression gate: paper-sized populations stepping
 # over datagen-synthesized 50k/200k-task instances plus the 200k-point
@@ -154,4 +125,4 @@ trace-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt lint race bench-test bench-smoke bench-dedup bench-typed bench-dist dist-smoke trace-smoke
+check: build vet fmt lint race bench-test bench-smoke bench-dist dist-smoke trace-smoke

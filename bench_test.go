@@ -270,12 +270,11 @@ func benchStepLarge(b *testing.B, dsNum int) {
 	}
 }
 
-// Typed-kernel and machine-cache ablation twins on the 4000-task trace:
-// the same generation loop as BenchmarkStepPop100Tasks4000 with each
-// level toggled independently, so benchdiff can attribute a regression
-// to the kernel or to the bucket cache rather than to the step as a
-// whole. All four configurations produce bit-identical populations —
-// only the speed may differ.
+// Typed-kernel ablation twins on the 4000-task trace: the same
+// generation loop as BenchmarkStepPop100Tasks4000 under each simulation
+// kernel, so benchdiff can attribute a regression to the kernel rather
+// than to the step as a whole. Both configurations produce
+// bit-identical populations — only the speed may differ.
 func BenchmarkTypedStepKernelTyped(b *testing.B) {
 	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.Kernel = sched.KernelTyped })
 }
@@ -284,19 +283,10 @@ func BenchmarkTypedStepKernelScalar(b *testing.B) {
 	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.Kernel = sched.KernelScalar })
 }
 
-func BenchmarkTypedStepMachineCacheOn(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.MachineCacheCapacity = 0 })
-}
-
-func BenchmarkTypedStepMachineCacheOff(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.MachineCacheCapacity = -1 })
-}
-
 // BenchmarkTypedStep50kTasks measures one generation over a
 // datagen-synthesized 50 000-task trace on an enlarged heterogeneous
 // system — the scale where the typed kernel's run-length compression
-// and the machine-bucket cache have long queues to work with, unlike
-// the paper traces' short ones. Skipped under -short: building the
+// has long queues to work with, unlike the paper traces' short ones. Skipped under -short: building the
 // trace and one warm-up generation cost seconds.
 func BenchmarkTypedStep50kTasks(b *testing.B) {
 	if testing.Short() {

@@ -18,12 +18,9 @@
 // -trace streams per-generation JSONL telemetry to a file and
 // -metrics-addr serves the run's metric registry as Prometheus text on
 // /metrics; neither changes any result. -cpuprofile and -memprofile
-// write pprof profiles of the whole invocation, and -cache-capacity
-// sizes the engines' fitness-memoization cache (negative disables it)
-// without changing any front. -machine-cache-capacity likewise sizes the
-// machine-bucket memoization cache beneath it, and -kernel selects the
+// write pprof profiles of the whole invocation, and -kernel selects the
 // typed (run-length compressed) or scalar per-machine simulation kernel;
-// all settings are bit-identical.
+// both are bit-identical.
 package main
 
 import (
@@ -65,8 +62,6 @@ var (
 	phaseProf   = flag.Bool("phase-profile", false, "time the engines' generation phases and print a summary after the run")
 	flightRec   = flag.Int("flight-recorder", 0, "retain the last N telemetry events for SIGUSR1/panic dumps (0 = off)")
 	flightDump  = flag.String("flight-dump", "", "write flight-recorder dumps to this file (default stderr)")
-	cacheCap    = flag.Int("cache-capacity", 0, "fitness-memoization cache entries per engine (0 = 4x population, negative = off)")
-	mcacheCap   = flag.Int("machine-cache-capacity", 0, "machine-bucket memoization cache entries per engine (0 = default, negative = off)")
 	kernelName  = flag.String("kernel", "typed", "per-machine simulation kernel: typed or scalar (bit-identical)")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -142,16 +137,14 @@ func dispatch(observer obs.Observer, phase *obs.PhaseTimer) {
 		fatal(fmt.Errorf("unknown -kernel %q (want typed or scalar)", *kernelName))
 	}
 	baseCfg := experiments.RunConfig{
-		PopulationSize:       *pop,
-		MutationRate:         *mutation,
-		Scale:                *scale,
-		Seed:                 *seed,
-		Workers:              *workersN,
-		CacheCapacity:        *cacheCap,
-		MachineCacheCapacity: *mcacheCap,
-		Kernel:               kernel,
-		Observer:             observer,
-		PhaseTimer:           phase,
+		PopulationSize: *pop,
+		MutationRate:   *mutation,
+		Scale:          *scale,
+		Seed:           *seed,
+		Workers:        *workersN,
+		Kernel:         kernel,
+		Observer:       observer,
+		PhaseTimer:     phase,
 	}
 
 	if *matrices {

@@ -9,7 +9,7 @@
 //	         [-seeds min-energy,max-utility] [-seed 1] \
 //	         [-csv front.csv] [-svg front.svg] [-system system.json] \
 //	         [-trace run.jsonl] [-metrics-addr :9090] \
-//	         [-cache-capacity 400] [-cpuprofile cpu.pprof]
+//	         [-kernel typed] [-cpuprofile cpu.pprof]
 //
 // -trace streams one JSON object per generation (front points,
 // convergence indicators, evaluation counters) to a file; -metrics-addr
@@ -17,7 +17,7 @@
 // JSON on /metrics.json. Neither changes the optimization result.
 //
 // -phase-profile times the engine's generation phases (selection,
-// variation, cache probe/insert, evaluation, sort, archive, migration)
+// variation, evaluation, sort, archive, migration)
 // and prints a per-phase summary after the run; with -trace the
 // per-generation phase breakdown lands in each generation record.
 // -flight-recorder N retains the last N telemetry events in memory;
@@ -36,11 +36,8 @@
 // the front's own extent — essential at 10^5+ tasks, where raw fronts
 // hold thousands of near-duplicate points.
 //
-// -cache-capacity bounds the fitness-memoization cache (0 picks the
-// default of 4x the population, negative disables it) and
-// -machine-cache-capacity bounds the machine-bucket memoization cache
-// beneath it; -kernel selects the typed (run-length compressed) or
-// scalar per-machine simulation kernel, and -evaluation the delta
+// -kernel selects the typed (run-length compressed) or scalar
+// per-machine simulation kernel, and -evaluation the delta
 // (incremental) or full offspring evaluation strategy. Every setting
 // yields bit-identical fronts. -cpuprofile and -memprofile write pprof
 // profiles of the run.
@@ -111,10 +108,6 @@ func main() {
 		phaseProf   = flag.Bool("phase-profile", false, "time the engine's generation phases and print a summary after the run")
 		flightRec   = flag.Int("flight-recorder", 0, "retain the last N telemetry events for SIGUSR1/panic dumps (0 = off)")
 		flightDump  = flag.String("flight-dump", "", "write flight-recorder dumps to this file (default stderr)")
-		cacheCap    = flag.Int("cache-capacity", 0, "fitness-memoization cache entries (0 = 4x population, negative = off)")
-		cacheVerify = flag.Bool("cache-verify", false, "re-simulate every cache hit and abort on divergence (debug)")
-		mcacheCap   = flag.Int("machine-cache-capacity", 0, "machine-bucket memoization cache entries (0 = 128x population, negative = off)")
-		mcacheVer   = flag.Bool("machine-cache-verify", false, "re-simulate every machine-cache hit and abort on divergence (debug)")
 		kernelName  = flag.String("kernel", "typed", "per-machine simulation kernel: typed or scalar (bit-identical)")
 		evalName    = flag.String("evaluation", "delta", "offspring evaluation strategy: delta or full (bit-identical)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -283,16 +276,11 @@ func main() {
 		AsyncIslands:      *asyncFlag,
 		ArchiveSize:       *archiveSize,
 		ArchiveEpsilon:    eps,
-		CacheCapacity:     *cacheCap,
-		CacheVerify:       *cacheVerify,
 		Observer:          tel.Observer(),
 		PhaseTimer:        tel.PhaseTimer(),
 		IslandBoard:       tel.IslandBoard(*islands),
-
-		MachineCacheCapacity: *mcacheCap,
-		MachineCacheVerify:   *mcacheVer,
-		Kernel:               kernel,
-		Evaluation:           evaluation,
+		Kernel:            kernel,
+		Evaluation:        evaluation,
 
 		ArchiveSpillBudget: *archSpill,
 	}

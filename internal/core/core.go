@@ -130,21 +130,6 @@ type Options struct {
 	// Result.FinalSnapshot, from which a later run (in-process or
 	// distributed) can resume. Only meaningful with Islands > 1.
 	CaptureSnapshot bool
-	// CacheCapacity bounds the fitness-memoization cache: 0 picks the
-	// engine default (4× the population), negative disables memoization.
-	// Results are bit-identical for every setting; see internal/nsga2.
-	CacheCapacity int
-	// CacheVerify re-simulates every cache hit and panics on divergence.
-	// Debug aid: it forfeits the cache's speedup.
-	CacheVerify bool
-	// MachineCacheCapacity bounds the machine-bucket memoization cache
-	// beneath the chromosome cache: 0 picks the engine default (128× the
-	// population), negative disables the level. Results are
-	// bit-identical for every setting; see internal/nsga2.
-	MachineCacheCapacity int
-	// MachineCacheVerify re-simulates every machine-cache hit and panics
-	// on divergence. Debug aid: it forfeits that level's speedup.
-	MachineCacheVerify bool
 	// Kernel selects the per-machine simulation loop: sched.KernelTyped
 	// (the default) or the sched.KernelScalar reference. Bit-identical;
 	// only speed differs.
@@ -160,12 +145,12 @@ type Options struct {
 	// randomness or changes results; see internal/obs.
 	Observer obs.Observer
 	// PhaseTimer, when non-nil, profiles the run's phase-level wall time
-	// (selection, variation, cache probe/insert, evaluation, sort,
-	// archive compaction, island migration). Profiling never consumes
+	// (selection, variation, evaluation, sort, archive compaction,
+	// island migration). Profiling never consumes
 	// randomness or changes results; see internal/obs.
 	PhaseTimer *obs.PhaseTimer
 	// IslandBoard, when non-nil, receives per-island health gauges
-	// (mailbox depth, tick, cache occupancy, tick skew) from island
+	// (mailbox depth, tick, tick skew) from island
 	// runs. Only meaningful with Islands > 1; see internal/obs.
 	IslandBoard *obs.IslandBoard
 }
@@ -224,13 +209,8 @@ func (f *Framework) Optimize(opts Options) (*Result, error) {
 		MutationRate:   opts.MutationRate,
 		Seeds:          seeds,
 		Workers:        opts.Workers,
-		CacheCapacity:  opts.CacheCapacity,
-		CacheVerify:    opts.CacheVerify,
-
-		MachineCacheCapacity: opts.MachineCacheCapacity,
-		MachineCacheVerify:   opts.MachineCacheVerify,
-		Kernel:               opts.Kernel,
-		Evaluation:           opts.Evaluation,
+		Kernel:         opts.Kernel,
+		Evaluation:     opts.Evaluation,
 	}, rng.New(opts.RandomSeed))
 	if err != nil {
 		return nil, err
@@ -428,13 +408,8 @@ func islandConfigFrom(opts Options, seeds []*sched.Allocation) nsga2.IslandConfi
 			MutationRate:   opts.MutationRate,
 			Seeds:          seeds,
 			Workers:        opts.Workers,
-			CacheCapacity:  opts.CacheCapacity,
-			CacheVerify:    opts.CacheVerify,
-
-			MachineCacheCapacity: opts.MachineCacheCapacity,
-			MachineCacheVerify:   opts.MachineCacheVerify,
-			Kernel:               opts.Kernel,
-			Evaluation:           opts.Evaluation,
+			Kernel:         opts.Kernel,
+			Evaluation:     opts.Evaluation,
 		},
 	}
 }

@@ -55,25 +55,15 @@ func fromWireElites(m *WireElites) []nsga2.Individual {
 // tickToWire flattens an engine counter shard onto the wire.
 func tickToWire(t nsga2.ShardTick) WireShardTick {
 	return WireShardTick{
-		FullEvals:             t.Sess.FullEvals,
-		DeltaEvals:            t.Sess.DeltaEvals,
-		MachinesSimulated:     t.Sess.MachinesSimulated,
-		MachinesInherited:     t.Sess.MachinesInherited,
-		TypedTasks:            t.Sess.TypedTasks,
-		TypedRuns:             t.Sess.TypedRuns,
-		CacheHits:             t.CacheHits,
-		CacheMisses:           t.CacheMisses,
-		CacheEvictions:        t.CacheEvictions,
-		CacheSize:             int64(t.CacheSize),
-		CacheCapacity:         int64(t.CacheCapacity),
-		MachineCacheHits:      t.MachineCacheHits,
-		MachineCacheMisses:    t.MachineCacheMisses,
-		MachineCacheEvictions: t.MachineCacheEvictions,
-		MachineCacheSize:      int64(t.MachineCacheSize),
-		MachineCacheCapacity:  int64(t.MachineCacheCapacity),
-		ArenaInUse:            int64(t.ArenaInUse),
-		ArenaSlots:            int64(t.ArenaSlots),
-		Migrants:              int64(t.Migrants),
+		FullEvals:         t.Sess.FullEvals,
+		DeltaEvals:        t.Sess.DeltaEvals,
+		MachinesSimulated: t.Sess.MachinesSimulated,
+		MachinesInherited: t.Sess.MachinesInherited,
+		TypedTasks:        t.Sess.TypedTasks,
+		TypedRuns:         t.Sess.TypedRuns,
+		ArenaInUse:        int64(t.ArenaInUse),
+		ArenaSlots:        int64(t.ArenaSlots),
+		Migrants:          int64(t.Migrants),
 	}
 }
 
@@ -88,19 +78,9 @@ func tickFromWire(w WireShardTick) nsga2.ShardTick {
 			TypedTasks:        w.TypedTasks,
 			TypedRuns:         w.TypedRuns,
 		},
-		CacheHits:             w.CacheHits,
-		CacheMisses:           w.CacheMisses,
-		CacheEvictions:        w.CacheEvictions,
-		CacheSize:             int(w.CacheSize),
-		CacheCapacity:         int(w.CacheCapacity),
-		MachineCacheHits:      w.MachineCacheHits,
-		MachineCacheMisses:    w.MachineCacheMisses,
-		MachineCacheEvictions: w.MachineCacheEvictions,
-		MachineCacheSize:      int(w.MachineCacheSize),
-		MachineCacheCapacity:  int(w.MachineCacheCapacity),
-		ArenaInUse:            int(w.ArenaInUse),
-		ArenaSlots:            int(w.ArenaSlots),
-		Migrants:              int(w.Migrants),
+		ArenaInUse: int(w.ArenaInUse),
+		ArenaSlots: int(w.ArenaSlots),
+		Migrants:   int(w.Migrants),
 	}
 }
 

@@ -19,8 +19,8 @@ type CoordinatorConfig struct {
 	MigrationInterval int
 	Migrants          int
 	// PopulationSize is the per-island population (for the aggregated
-	// stats events); NumMachines sizes cache-capacity context the same
-	// way the in-process island model reports it.
+	// stats events); NumMachines is those events' machine count, as the
+	// in-process island model reports it.
 	PopulationSize int
 	NumMachines    int
 	// Observer, when non-nil, receives the authoritative full-ring

@@ -277,8 +277,8 @@ func TestDistributedRestoredTelemetry(t *testing.T) {
 	refResumed.SetObserver(refLog)
 	refResumed.Run(total - pause)
 
-	// Same construction seed as the reference: engine caches survive
-	// Restore, so post-resume cache counters depend on the pre-restore
+	// Same construction seed as the reference: engine arenas survive
+	// Restore, so post-resume arena occupancy depends on the pre-restore
 	// initial populations (which a real run derives from the same -seed).
 	distLog := &eventLog{}
 	cl := startCluster(t, e, cfg, 2, 2, distLog, nil)

@@ -36,10 +36,6 @@ type WireElites struct {
 type WireShardTick struct {
 	FullEvals, DeltaEvals                                       uint64
 	MachinesSimulated, MachinesInherited, TypedTasks, TypedRuns uint64
-	CacheHits, CacheMisses, CacheEvictions                      uint64
-	CacheSize, CacheCapacity                                    int64
-	MachineCacheHits, MachineCacheMisses, MachineCacheEvictions uint64
-	MachineCacheSize, MachineCacheCapacity                      int64
 	ArenaInUse, ArenaSlots                                      int64
 	Migrants                                                    int64
 }
@@ -173,7 +169,11 @@ func readIndividual(r *wireReader) WireIndividual {
 	return ind
 }
 
-// appendTick encodes one counter shard (19 fixed u64 slots).
+// tickSlots is the number of fixed u64 slots in one encoded counter
+// shard.
+const tickSlots = 9
+
+// appendTick encodes one counter shard (tickSlots fixed u64 slots).
 func appendTick(b []byte, ts *WireShardTick) []byte {
 	b = appendU64(b, ts.FullEvals)
 	b = appendU64(b, ts.DeltaEvals)
@@ -181,16 +181,6 @@ func appendTick(b []byte, ts *WireShardTick) []byte {
 	b = appendU64(b, ts.MachinesInherited)
 	b = appendU64(b, ts.TypedTasks)
 	b = appendU64(b, ts.TypedRuns)
-	b = appendU64(b, ts.CacheHits)
-	b = appendU64(b, ts.CacheMisses)
-	b = appendU64(b, ts.CacheEvictions)
-	b = appendU64(b, uint64(ts.CacheSize))
-	b = appendU64(b, uint64(ts.CacheCapacity))
-	b = appendU64(b, ts.MachineCacheHits)
-	b = appendU64(b, ts.MachineCacheMisses)
-	b = appendU64(b, ts.MachineCacheEvictions)
-	b = appendU64(b, uint64(ts.MachineCacheSize))
-	b = appendU64(b, uint64(ts.MachineCacheCapacity))
 	b = appendU64(b, uint64(ts.ArenaInUse))
 	b = appendU64(b, uint64(ts.ArenaSlots))
 	b = appendU64(b, uint64(ts.Migrants))
@@ -206,16 +196,6 @@ func readTick(r *wireReader) WireShardTick {
 	ts.MachinesInherited = r.u64()
 	ts.TypedTasks = r.u64()
 	ts.TypedRuns = r.u64()
-	ts.CacheHits = r.u64()
-	ts.CacheMisses = r.u64()
-	ts.CacheEvictions = r.u64()
-	ts.CacheSize = int64(r.u64())
-	ts.CacheCapacity = int64(r.u64())
-	ts.MachineCacheHits = r.u64()
-	ts.MachineCacheMisses = r.u64()
-	ts.MachineCacheEvictions = r.u64()
-	ts.MachineCacheSize = int64(r.u64())
-	ts.MachineCacheCapacity = int64(r.u64())
 	ts.ArenaInUse = int64(r.u64())
 	ts.ArenaSlots = int64(r.u64())
 	ts.Migrants = int64(r.u64())
@@ -225,7 +205,7 @@ func readTick(r *wireReader) WireShardTick {
 // readTicks decodes a u32-counted run of counter shards.
 func readTicks(r *wireReader) []WireShardTick {
 	n := int(r.u32())
-	if r.short || n < 0 || n > r.remaining()/(19*8) {
+	if r.short || n < 0 || n > r.remaining()/(tickSlots*8) {
 		r.short = true
 		return nil
 	}

@@ -91,8 +91,8 @@ func sampleHello() *WireHello {
 		Version: WireVersion, Worker: 1, Workers: 2,
 		Islands: 4, Lo: 2, Hi: 4, Generation: 50,
 		Baselines: []WireShardTick{
-			{FullEvals: 10, CacheHits: 3, ArenaSlots: 8, Migrants: 2},
-			{DeltaEvals: 7, MachineCacheMisses: 1, CacheCapacity: 16},
+			{FullEvals: 10, TypedTasks: 3, ArenaSlots: 8, Migrants: 2},
+			{DeltaEvals: 7, MachinesSimulated: 1, ArenaInUse: 16},
 		},
 	}
 }

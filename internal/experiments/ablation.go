@@ -49,15 +49,13 @@ func RunAblation(ds *DataSet, cfg RunConfig) (*AblationResult, error) {
 	var fronts [][]analysis.FrontPoint
 	for _, v := range variants {
 		ecfg := nsga2.Config{
-			PopulationSize:       cfg.PopulationSize,
-			MutationRate:         cfg.MutationRate,
-			Ranking:              v.ranking,
-			Workers:              cfg.Workers,
-			Repair:               v.repair,
-			Selection:            v.selection,
-			CacheCapacity:        cfg.CacheCapacity,
-			MachineCacheCapacity: cfg.MachineCacheCapacity,
-			Kernel:               cfg.Kernel,
+			PopulationSize: cfg.PopulationSize,
+			MutationRate:   cfg.MutationRate,
+			Ranking:        v.ranking,
+			Workers:        cfg.Workers,
+			Repair:         v.repair,
+			Selection:      v.selection,
+			Kernel:         cfg.Kernel,
 		}
 		eng, err := nsga2.New(ds.Evaluator, ecfg, rng.NewStream(cfg.Seed, hashName("abl-"+v.name)))
 		if err != nil {

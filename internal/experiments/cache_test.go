@@ -1,18 +1,17 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"tradeoff/internal/nsga2"
 	"tradeoff/internal/rng"
 )
 
-// TestCacheMatchesUncachedOnDataSets runs a memoizing and a
-// non-memoizing engine with the same rng stream on each of the three
-// paper data sets — the real 9x5 system and both enlarged traces —
-// across worker counts and repair strategies, and requires bitwise-
-// identical Pareto fronts at every generation. The cache must be
+// TestCacheMatchesUncachedOnDataSets runs the engine on each of the
+// three paper data sets — the real 9x5 system and both enlarged traces —
+// across worker counts and repair strategies, and requires every
+// member's objectives, at every generation, to equal an uncached direct
+// evaluation of its allocation. The inherited parent rows must be
 // invisible on every system/trace shape, not just the unit-test
 // instances.
 func TestCacheMatchesUncachedOnDataSets(t *testing.T) {
@@ -20,30 +19,26 @@ func TestCacheMatchesUncachedOnDataSets(t *testing.T) {
 		t.Skip("full data-set construction is slow")
 	}
 	for _, ds := range smallDataSets(t) {
+		sess, fresh := ds.Evaluator.NewDeltaSession(), ds.Evaluator.NewContribs()
 		for _, workers := range []int{1, 4} {
 			for _, repair := range []nsga2.Repair{nsga2.RerankRepair, nsga2.ShuffleRepair} {
-				run := func(cacheCapacity int) [][][]float64 {
-					eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-						PopulationSize: 20,
-						Workers:        workers,
-						Repair:         repair,
-						CacheCapacity:  cacheCapacity,
-					}, rng.NewStream(3, hashName(ds.Name)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var fronts [][][]float64
-					for gen := 0; gen < 6; gen++ {
-						eng.Step()
-						fronts = append(fronts, eng.FrontPoints())
-					}
-					return fronts
+				eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
+					PopulationSize: 20,
+					Workers:        workers,
+					Repair:         repair,
+				}, rng.NewStream(3, hashName(ds.Name)))
+				if err != nil {
+					t.Fatal(err)
 				}
-				cached := run(0) // engine default capacity
-				uncached := run(-1)
-				if !reflect.DeepEqual(cached, uncached) {
-					t.Fatalf("%s workers=%d repair=%v: cached fronts diverged from uncached",
-						ds.Name, workers, repair)
+				for gen := 1; gen <= 6; gen++ {
+					eng.Step()
+					for i, ind := range eng.Population() {
+						ev := sess.EvaluateFull(ind.Alloc, fresh)
+						if ind.Objectives[0] != ev.Utility || ind.Objectives[1] != ev.Energy {
+							t.Fatalf("%s workers=%d repair=%v gen %d: member %d objectives %v, direct evaluation (%v, %v)",
+								ds.Name, workers, repair, gen, i, ind.Objectives, ev.Utility, ev.Energy)
+						}
+					}
 				}
 			}
 		}

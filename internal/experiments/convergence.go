@@ -43,13 +43,11 @@ func RunConvergence(ds *DataSet, cfg RunConfig) (*ConvergenceResult, error) {
 			seeds = append(seeds, alloc)
 		}
 		eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-			PopulationSize:       cfg.PopulationSize,
-			MutationRate:         cfg.MutationRate,
-			Seeds:                seeds,
-			Workers:              cfg.Workers,
-			CacheCapacity:        cfg.CacheCapacity,
-			MachineCacheCapacity: cfg.MachineCacheCapacity,
-			Kernel:               cfg.Kernel,
+			PopulationSize: cfg.PopulationSize,
+			MutationRate:   cfg.MutationRate,
+			Seeds:          seeds,
+			Workers:        cfg.Workers,
+			Kernel:         cfg.Kernel,
 		}, rng.NewStream(cfg.Seed, hashName("conv-"+v.Name)))
 		if err != nil {
 			return nil, err
@@ -161,13 +159,11 @@ func RunBaselineComparison(ds *DataSet, cfg RunConfig) (*BaselineComparison, err
 		seeds = append(seeds, a)
 	}
 	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize:       cfg.PopulationSize,
-		MutationRate:         cfg.MutationRate,
-		Seeds:                seeds,
-		Workers:              cfg.Workers,
-		CacheCapacity:        cfg.CacheCapacity,
-		MachineCacheCapacity: cfg.MachineCacheCapacity,
-		Kernel:               cfg.Kernel,
+		PopulationSize: cfg.PopulationSize,
+		MutationRate:   cfg.MutationRate,
+		Seeds:          seeds,
+		Workers:        cfg.Workers,
+		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("baselines")))
 	if err != nil {
 		return nil, err

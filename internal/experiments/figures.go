@@ -55,14 +55,6 @@ type RunConfig struct {
 	Seed uint64
 	// Workers bounds evaluation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// CacheCapacity bounds each engine's fitness-memoization cache
-	// (0 = engine default of 4x the population, negative = disabled).
-	// Results are bit-identical for every setting.
-	CacheCapacity int
-	// MachineCacheCapacity bounds each engine's machine-bucket
-	// memoization cache (0 = engine default, negative = disabled).
-	// Results are bit-identical for every setting.
-	MachineCacheCapacity int
 	// Kernel selects the per-machine simulation kernel
 	// (sched.KernelTyped or sched.KernelScalar; both bit-identical).
 	Kernel sched.Kernel
@@ -157,13 +149,11 @@ func RunParetoFigure(ds *DataSet, cfg RunConfig) (*FigureResult, error) {
 			seeds = append(seeds, alloc)
 		}
 		eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-			PopulationSize:       cfg.PopulationSize,
-			MutationRate:         cfg.MutationRate,
-			Seeds:                seeds,
-			Workers:              cfg.Workers,
-			CacheCapacity:        cfg.CacheCapacity,
-			MachineCacheCapacity: cfg.MachineCacheCapacity,
-			Kernel:               cfg.Kernel,
+			PopulationSize: cfg.PopulationSize,
+			MutationRate:   cfg.MutationRate,
+			Seeds:          seeds,
+			Workers:        cfg.Workers,
+			Kernel:         cfg.Kernel,
 		}, rng.NewStream(cfg.Seed, hashName(v.Name)))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: engine for %s: %w", v.Name, err)
@@ -339,13 +329,11 @@ func RunFigure5(ds *DataSet, cfg RunConfig) (*Figure5Result, error) {
 		return nil, err
 	}
 	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize:       cfg.PopulationSize,
-		MutationRate:         cfg.MutationRate,
-		Seeds:                []*sched.Allocation{seedAlloc},
-		Workers:              cfg.Workers,
-		CacheCapacity:        cfg.CacheCapacity,
-		MachineCacheCapacity: cfg.MachineCacheCapacity,
-		Kernel:               cfg.Kernel,
+		PopulationSize: cfg.PopulationSize,
+		MutationRate:   cfg.MutationRate,
+		Seeds:          []*sched.Allocation{seedAlloc},
+		Workers:        cfg.Workers,
+		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("figure5")))
 	if err != nil {
 		return nil, err

@@ -39,12 +39,10 @@ func RunMutationSweep(ds *DataSet, cfg RunConfig, rates []float64) (*MutationSwe
 	var fronts [][]analysis.FrontPoint
 	for _, rate := range rates {
 		eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-			PopulationSize:       cfg.PopulationSize,
-			MutationRate:         rate,
-			Workers:              cfg.Workers,
-			CacheCapacity:        cfg.CacheCapacity,
-			MachineCacheCapacity: cfg.MachineCacheCapacity,
-			Kernel:               cfg.Kernel,
+			PopulationSize: cfg.PopulationSize,
+			MutationRate:   rate,
+			Workers:        cfg.Workers,
+			Kernel:         cfg.Kernel,
 		}, rng.NewStream(cfg.Seed, hashName(fmt.Sprintf("mut-%v", rate))))
 		if err != nil {
 			return nil, err

@@ -53,13 +53,11 @@ func RunOnlineStudy(ds *DataSet, cfg RunConfig) (*OnlineStudy, error) {
 		seeds = append(seeds, a)
 	}
 	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize:       cfg.PopulationSize,
-		MutationRate:         cfg.MutationRate,
-		Seeds:                seeds,
-		Workers:              cfg.Workers,
-		CacheCapacity:        cfg.CacheCapacity,
-		MachineCacheCapacity: cfg.MachineCacheCapacity,
-		Kernel:               cfg.Kernel,
+		PopulationSize: cfg.PopulationSize,
+		MutationRate:   cfg.MutationRate,
+		Seeds:          seeds,
+		Workers:        cfg.Workers,
+		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("online-offline")))
 	if err != nil {
 		return nil, err

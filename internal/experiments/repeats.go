@@ -122,13 +122,11 @@ func RunRepeats(ds *DataSet, cfg RunConfig, runs int) (*RepeatResult, error) {
 				}
 				vi, r := j/runs, j%runs
 				eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-					PopulationSize:       cfg.PopulationSize,
-					MutationRate:         cfg.MutationRate,
-					Seeds:                seeds[vi],
-					Workers:              1, // parallelism lives in the run fan-out here
-					CacheCapacity:        cfg.CacheCapacity,
-					MachineCacheCapacity: cfg.MachineCacheCapacity,
-					Kernel:               cfg.Kernel,
+					PopulationSize: cfg.PopulationSize,
+					MutationRate:   cfg.MutationRate,
+					Seeds:          seeds[vi],
+					Workers:        1, // parallelism lives in the run fan-out here
+					Kernel:         cfg.Kernel,
 				}, rng.NewStream(cfg.Seed+uint64(r)*7919, hashName(variants[vi].Name)))
 				if err != nil {
 					errs[j] = err

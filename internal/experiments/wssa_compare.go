@@ -43,12 +43,10 @@ func RunWSSAComparison(ds *DataSet, cfg RunConfig, weights []float64) (*WSSAComp
 	gens := cfg.Checkpoints[len(cfg.Checkpoints)-1]
 
 	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize:       cfg.PopulationSize,
-		MutationRate:         cfg.MutationRate,
-		Workers:              cfg.Workers,
-		CacheCapacity:        cfg.CacheCapacity,
-		MachineCacheCapacity: cfg.MachineCacheCapacity,
-		Kernel:               cfg.Kernel,
+		PopulationSize: cfg.PopulationSize,
+		MutationRate:   cfg.MutationRate,
+		Workers:        cfg.Workers,
+		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("wssa-nsga2")))
 	if err != nil {
 		return nil, err

@@ -118,72 +118,6 @@ func TestSeededDiagnosticExact(t *testing.T) {
 	}
 }
 
-// TestFitcacheFixture golden-checks the whole analyzer suite against
-// the fingerprint/fitness-cache fixture: the positive half seeds the
-// violations a naive memoization layer invites (process-seeded hash
-// state, map-iteration eviction, allocating hot paths) and must fire
-// purity, maprange, and hotalloc; the negative half is the
-// constant-seeded, open-addressing, generation-stamped shape the real
-// internal/nsga2 cache uses and must stay silent.
-func TestFitcacheFixture(t *testing.T) {
-	posDir := filepath.Join("testdata", "fitcache", "pos")
-	posLines := runFixture(t, posDir, Analyzers())
-	for _, want := range []string{"purity", "maprange", "hotalloc"} {
-		found := false
-		for _, l := range posLines {
-			if strings.Contains(l, ": "+want+": ") {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("positive fitcache fixture did not trigger %s:\n%s",
-				want, strings.Join(posLines, "\n"))
-		}
-	}
-	checkGolden(t, posDir, posLines)
-	negDir := filepath.Join("testdata", "fitcache", "neg")
-	negLines := runFixture(t, negDir, Analyzers())
-	if len(negLines) != 0 {
-		t.Errorf("negative fitcache fixture produced diagnostics:\n%s",
-			strings.Join(negLines, "\n"))
-	}
-	checkGolden(t, negDir, negLines)
-}
-
-// TestMachineFingerprintFixture golden-checks the machine-bucket
-// memoization shape (DESIGN.md §12): the positive fixture seeds the
-// three violations a naive bucket cache invites — process-seeded
-// fingerprints, map-ordered eviction, hot-path allocation — and each
-// must fire; the negative fixture is the engine's real shape (fixed
-// mixing constants, index-ordered slot probing, rows by value) and
-// must stay silent.
-func TestMachineFingerprintFixture(t *testing.T) {
-	posDir := filepath.Join("testdata", "mfingerprint", "pos")
-	posLines := runFixture(t, posDir, Analyzers())
-	for _, want := range []string{"purity", "maprange", "hotalloc"} {
-		found := false
-		for _, l := range posLines {
-			if strings.Contains(l, ": "+want+": ") {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("positive mfingerprint fixture did not trigger %s:\n%s",
-				want, strings.Join(posLines, "\n"))
-		}
-	}
-	checkGolden(t, posDir, posLines)
-	negDir := filepath.Join("testdata", "mfingerprint", "neg")
-	negLines := runFixture(t, negDir, Analyzers())
-	if len(negLines) != 0 {
-		t.Errorf("negative mfingerprint fixture produced diagnostics:\n%s",
-			strings.Join(negLines, "\n"))
-	}
-	checkGolden(t, negDir, negLines)
-}
-
 // TestEpsArchiveFixture golden-checks the bounded ε-dominance archive
 // shape (DESIGN.md §13): the positive fixture seeds the violations a
 // naive grid archive invites — process-seeded box hashing, map-ordered

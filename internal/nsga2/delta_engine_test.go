@@ -54,7 +54,6 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 		{name: "idle-power", tasks: 60, cfg: Config{PopulationSize: 20}, idle: true},
 		{name: "seeded", tasks: 80, cfg: Config{PopulationSize: 16}, seed: true},
 		{name: "high-mutation", tasks: 40, cfg: Config{PopulationSize: 12, MutationRate: 0.9}},
-		{name: "always-diff", tasks: 60, cfg: Config{PopulationSize: 20, DeltaMaxDirtyFrac: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,0 +1,5 @@
+package nsga2
+
+// RequireDirectEvaluation exposes the direct-evaluation oracle to the
+// external tests that run it on the paper data sets.
+var RequireDirectEvaluation = requireDirectEvaluation

@@ -99,12 +99,12 @@ type Islands struct {
 // SetObserver attaches (or, with nil, detaches) a telemetry observer.
 // The island model emits migration events plus one aggregated
 // shard-stats GenerationStats per migration tick (Label "islands",
-// summing every island's fitness-cache, machine-cache, and arena
-// counters): islands step in parallel goroutines, so forwarding their
-// per-generation events would interleave nondeterministically, while
-// the migration tick is a deterministic serialization point in both
-// the synchronous and asynchronous modes. Attach a per-engine observer
-// for generation-level telemetry of a single deterministic population.
+// summing every island's evaluation and arena counters): islands step
+// in parallel goroutines, so forwarding their per-generation events
+// would interleave nondeterministically, while the migration tick is a
+// deterministic serialization point in both the synchronous and
+// asynchronous modes. Attach a per-engine observer for
+// generation-level telemetry of a single deterministic population.
 func (is *Islands) SetObserver(o obs.Observer) {
 	is.observer = o
 	if o == nil {
@@ -132,20 +132,11 @@ func (is *Islands) SetPhaseTimer(t *obs.PhaseTimer) {
 }
 
 // SetHealth attaches (or, with nil, detaches) the async-island health
-// board. The islands update mailbox-depth, tick, and cache-occupancy
-// gauges at every migration tick in both stepping modes; gauges are
-// monitoring data, outside the deterministic telemetry stream.
+// board. The islands update mailbox-depth and tick gauges at every
+// migration tick in both stepping modes; gauges are monitoring data,
+// outside the deterministic telemetry stream.
 func (is *Islands) SetHealth(b *obs.IslandBoard) {
 	is.health = b
-}
-
-// cacheOccupancy reads one engine's fitness-cache live-entry fraction
-// (0 when memoization is disabled).
-func cacheOccupancy(eng *Engine) float64 {
-	if eng.cache == nil || len(eng.cache.slots) == 0 {
-		return 0
-	}
-	return float64(eng.cache.live) / float64(len(eng.cache.slots))
 }
 
 // sumShards captures and sums every island's current counters.
@@ -250,10 +241,9 @@ func (is *Islands) migrate() {
 		}
 	}
 	is.phase.Record(obs.PhaseMigration, t0)
-	for i, eng := range is.engines {
+	for i := range is.engines {
 		// Synchronous exchanges drain every edge inline, so depth is 0.
 		is.health.SetMailboxDepth(i, 0)
-		is.health.SetCacheOccupancy(i, cacheOccupancy(eng))
 		is.health.SetTick(i, is.generation)
 	}
 	if is.observer != nil {

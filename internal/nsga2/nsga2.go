@@ -22,9 +22,10 @@
 // state: chromosomes and objective vectors of non-surviving individuals
 // are recycled through a per-engine arena, ranking runs over reusable
 // scratch (O(n log n) for the paper's bi-objective space via
-// moea.Ranker), and the variation phase fans out across workers with one
-// deterministic child rng stream per offspring pair, so results are
-// bit-identical regardless of worker count. See DESIGN.md §8.
+// moea.Ranker), and breeding — variation plus the evaluation of both
+// children — fans out across workers with one deterministic child rng
+// stream per offspring pair, so results are bit-identical regardless of
+// worker count. See DESIGN.md §8.
 package nsga2
 
 import (
@@ -125,38 +126,6 @@ type Config struct {
 	// machine. Both run the machine-major kernel and produce
 	// bit-identical populations for the same seed and any worker count.
 	Evaluation Evaluation
-	// DeltaMaxDirtyFrac is retained for configuration compatibility and
-	// no longer consulted: since the type-compressed kernel rework,
-	// parent inheritance is decided per machine by bucket-fingerprint
-	// match rather than by variation-reported dirty flags, so there is no
-	// diff phase left to bail out of. Values in [0,1] validate as before.
-	//detlint:allow optwire compatibility knob retained for old callers; deliberately no CLI plumbing
-	DeltaMaxDirtyFrac float64
-	// CacheCapacity bounds the fitness-memoization cache in entries
-	// (rounded up to a power of two). 0 means the default, 4 ×
-	// PopulationSize; negative disables memoization entirely.
-	// Populations are bit-identical for every capacity, including
-	// disabled — the cache only changes how fast evaluations happen.
-	CacheCapacity int
-	// CacheVerify re-evaluates every cache hit and panics if the
-	// memoized outcome is not bit-identical — a debug guard against
-	// 64-bit fingerprint collisions. Expensive: each hit then costs a
-	// full simulation plus comparison.
-	CacheVerify bool
-	// MachineCacheCapacity bounds the machine-bucket memoization cache
-	// in entries (rounded up to a power of two). This second level sits
-	// beneath the whole-chromosome cache: it keys on one machine's
-	// bucket fingerprint and caches that machine's contribution row, so
-	// an offspring that reproduces a previously seen machine schedule
-	// skips that machine's simulation even when the chromosome as a
-	// whole is new. 0 means the default, 128 × PopulationSize; negative
-	// disables the level. Populations are bit-identical for every
-	// capacity, including disabled.
-	MachineCacheCapacity int
-	// MachineCacheVerify re-simulates every machine-cache hit and panics
-	// if the memoized row is not bit-identical — the bucket-fingerprint
-	// analogue of CacheVerify, and as expensive.
-	MachineCacheVerify bool
 	// Kernel selects the per-machine simulation loop: the
 	// type-compressed run-length kernel (the default) or the per-task
 	// scalar reference. Both are bit-identical; the choice only affects
@@ -309,15 +278,6 @@ func (c *Config) fillDefaults() {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.DeltaMaxDirtyFrac == 0 {
-		c.DeltaMaxDirtyFrac = 0.95
-	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 4 * c.PopulationSize
-	}
-	if c.MachineCacheCapacity == 0 {
-		c.MachineCacheCapacity = 128 * c.PopulationSize
-	}
 }
 
 func (c *Config) validate() error {
@@ -350,9 +310,6 @@ func (c *Config) validate() error {
 	default:
 		return fmt.Errorf("nsga2: unknown evaluation strategy %d", int(c.Evaluation))
 	}
-	if c.DeltaMaxDirtyFrac < 0 || c.DeltaMaxDirtyFrac > 1 {
-		return fmt.Errorf("nsga2: delta dirty fraction %v outside [0,1]", c.DeltaMaxDirtyFrac)
-	}
 	switch c.Kernel {
 	case sched.KernelTyped, sched.KernelScalar:
 	default:
@@ -371,11 +328,9 @@ func (c *Config) validate() error {
 // contribution rows) — so a population walk streams through memory
 // instead of chasing per-individual allocations. Slot strides are
 // padded to whole cache lines: two slots handed to offspring owned by
-// different workers never share a line, so the parallel variation and
-// evaluation fan-outs write into disjoint cache-line-padded regions.
-// Each field grows independently in blocks of `batch` slots (the
-// fitness cache draws contribution buffers without touching the
-// chromosome lists).
+// different workers never share a line, so the parallel breeding
+// fan-out writes into disjoint cache-line-padded regions. Each field
+// grows independently.
 // arenaChunkBytes bounds the genotype growth quantum: one chunk's
 // machine+order blocks together stay near this size, so a 10⁶-task
 // engine grows its arena a few slots at a time instead of re-carving
@@ -545,48 +500,30 @@ type Engine struct {
 	varScratch  [][]int32    // per-worker repair scratch (first child's histogram)
 	varScratch2 [][]int32    // second child's histogram, alive at the same time
 
-	// Per-offspring evaluation scratch. slots[i] is offspring i's
-	// execution-order slot array (sched.PackSlot per scheduling
-	// position) and mcounts[i] its per-machine task histogram, both
-	// written by the variation fan-out as by-products of order repair
-	// (mutation patches them in O(1)); plans[i] carries Prepare's
-	// residue (fingerprint misses to simulate) between the evaluation
-	// phases; needSlot[i][k] is the machine-bucket cache's verdict for
-	// plan Need entry k (slot index, or -1 for a miss). All rows are
-	// padded to whole cache lines inside one backing slice so concurrent
-	// workers never share a line.
-	slots    [][]uint64
-	mcounts  [][]int32
-	plans    []*sched.DeltaPlan
-	needSlot [][]int32
-	// missKs[w] is worker w's scratch for the Need indices the
-	// machine-bucket cache missed, handed to SimulateNeedList so the
-	// batched kernel sees the misses as one group.
-	missKs [][]int32
+	// Per-worker breeding scratch, reused pair after pair. slots[2w+c]
+	// is the execution-order slot array (sched.PackSlot per scheduling
+	// position) of worker w's current child c and mcounts[2w+c] its
+	// per-machine task histogram, both written by order repair (mutation
+	// patches them in O(1)) and read straight back by the child's
+	// evaluation; plans[w] carries Prepare's residue into the
+	// simulation. Slot and histogram rows are padded to whole cache
+	// lines inside one backing slice so concurrent workers never share
+	// a line.
+	slots   [][]uint64
+	mcounts [][]int32
+	plans   []*sched.DeltaPlan
+	// varyNs[w] and evalNs[w] are worker w's clock-measured variation
+	// and evaluation time in the current Step, the proportions by which
+	// the fused breeding bracket is split between the two phases.
+	varyNs, evalNs []int64
 
-	// Dirty-machine telemetry: one row of machine flags per offspring,
-	// written by the variation fan-out only while an observer is
-	// attached (evaluation no longer consumes the flags — fingerprint
-	// matching decides inheritance by content).
+	// Dirty-machine telemetry, written only while an observer is
+	// attached (evaluation does not consume the flags — fingerprint
+	// matching decides inheritance by content): dirty[2w+c] is worker
+	// w's flag row for its current child c, dirtyN[i] offspring i's
+	// flagged-machine count.
 	dirty  [][]bool
 	dirtyN []int
-
-	// Fitness memoization (cache.go): nil when disabled. fprint and
-	// cacheEv are per-offspring slots written inside the fan-outs;
-	// cacheSlot is the serial probe phase's verdict per offspring (slot
-	// index, or -1 for a miss). verifyContribs is per-worker scratch for
-	// the verify-on-hit debug mode.
-	cache          *fitCache
-	fprint         []uint64
-	cacheSlot      []int32
-	cacheEv        []sched.Evaluation
-	cacheBase      cacheStats
-	verifyContribs []*sched.Contribs
-
-	// Machine-bucket memoization (mcache.go): the second cache level,
-	// keyed on per-machine bucket fingerprints. nil when disabled.
-	mcache     *machineCache
-	mcacheBase cacheStats
 
 	// Observer state (see observe.go). observer is nil when telemetry is
 	// disabled — the only cost then is one nil check per Step.
@@ -636,12 +573,6 @@ func New(eval *sched.Evaluator, cfg Config, src *rng.Source) (*Engine, error) {
 	}
 	e.panics = make([]any, cfg.Workers)
 	e.arena.init(eval, e.space.Dim(), 2*cfg.PopulationSize)
-	if cfg.CacheCapacity > 0 {
-		e.cache = newFitCache(cfg.CacheCapacity, &e.arena)
-	}
-	if cfg.MachineCacheCapacity > 0 {
-		e.mcache = newMachineCache(cfg.MachineCacheCapacity)
-	}
 
 	e.pop = make([]Individual, 0, cfg.PopulationSize)
 	for _, s := range cfg.Seeds {
@@ -680,59 +611,42 @@ func (e *Engine) ensureScratch() {
 	e.points = make([][]float64, 0, 2*n)
 	e.picked = make([]bool, 2*n)
 	e.groupOrder = make([]int, 0, 2*n)
-	e.dirty = make([][]bool, n)
+	e.dirtyN = make([]int, n)
+	// The breeding fan-out runs at most one worker per pair, and each
+	// worker holds two children at once: a pair is bred, then both
+	// children are evaluated before the worker moves on.
+	workers := max(1, min(e.cfg.Workers, n/2))
+	rows := 2 * workers
 	stride := (nm + 63) / 64 * 64 // whole cache lines per row
-	dirtyBack := make([]bool, n*stride)
+	dirtyBack := make([]bool, rows*stride)
+	e.dirty = make([][]bool, rows)
 	for i := range e.dirty {
 		e.dirty[i] = dirtyBack[i*stride : i*stride+nm : i*stride+nm]
 	}
-	e.dirtyN = make([]int, n)
 	slotStride := (nt + 7) / 8 * 8 // 8 uint64 per 64-byte line
-	slotBack := make([]uint64, n*slotStride)
-	e.slots = make([][]uint64, n)
+	slotBack := make([]uint64, rows*slotStride)
+	e.slots = make([][]uint64, rows)
 	for i := range e.slots {
 		e.slots[i] = slotBack[i*slotStride : i*slotStride+nt : i*slotStride+nt]
 	}
-	e.plans = make([]*sched.DeltaPlan, n)
-	for i := range e.plans {
-		e.plans[i] = e.eval.NewDeltaPlan()
-	}
 	cntStride := (nm + 15) / 16 * 16 // 16 int32 per 64-byte line
-	cntBack := make([]int32, n*cntStride)
-	e.mcounts = make([][]int32, n)
+	cntBack := make([]int32, rows*cntStride)
+	e.mcounts = make([][]int32, rows)
 	for i := range e.mcounts {
 		e.mcounts[i] = cntBack[i*cntStride : i*cntStride+nm : i*cntStride+nm]
 	}
-	if e.mcache != nil {
-		nsStride := (nm + 15) / 16 * 16 // 16 int32 per 64-byte line
-		nsBack := make([]int32, n*nsStride)
-		e.needSlot = make([][]int32, n)
-		for i := range e.needSlot {
-			e.needSlot[i] = nsBack[i*nsStride : i*nsStride+nm : i*nsStride+nm]
-		}
+	e.plans = make([]*sched.DeltaPlan, workers)
+	for w := range e.plans {
+		e.plans[w] = e.eval.NewDeltaPlan()
 	}
-	if e.cache != nil {
-		e.fprint = make([]uint64, n)
-		e.cacheSlot = make([]int32, n)
-		e.cacheEv = make([]sched.Evaluation, n)
-	}
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	e.varyNs = make([]int64, workers)
+	e.evalNs = make([]int64, workers)
 	e.workerSrc = make([]rng.Source, workers)
 	e.varScratch = make([][]int32, workers)
 	e.varScratch2 = make([][]int32, workers)
-	e.missKs = make([][]int32, workers)
-	for w := range e.missKs {
-		e.missKs[w] = make([]int32, 0, nm)
-	}
 	for w := range e.varScratch {
 		e.varScratch[w] = make([]int32, nt)
 		e.varScratch2[w] = make([]int32, nt)
-	}
-	if e.cfg.CacheVerify && e.verifyContribs == nil {
-		e.verifyContribs = e.eval.NewContribsBatch(workers)
 	}
 }
 
@@ -827,7 +741,7 @@ func (e *Engine) Inject(inds []Individual) error {
 	clones := make([]Individual, len(inds))
 	for i, ind := range inds {
 		// Copy into arena slots and leave Objectives nil: evaluateAll
-		// re-evaluates (or cache-hits) under this engine's problem.
+		// re-evaluates under this engine's problem.
 		a := e.arena.getAlloc()
 		a.CopyFrom(ind.Alloc)
 		clones[i] = Individual{Alloc: a}
@@ -855,9 +769,10 @@ func (e *Engine) Inject(inds []Individual) error {
 }
 
 // Step advances the engine by one generation (Algorithm 1 steps 3–11).
-// Steady-state Steps allocate nothing: offspring chromosomes come from
-// the arena, variation and evaluation run over per-worker scratch, and
-// ranking reuses the engine's moea.Ranker.
+// Steady-state single-worker Steps allocate nothing (a parallel Step
+// pays only for its fan-out's goroutines): offspring chromosomes come
+// from the arena, variation and evaluation run over per-worker scratch,
+// and ranking reuses the engine's moea.Ranker.
 //
 //detlint:hotpath
 //detlint:pure
@@ -869,7 +784,7 @@ func (e *Engine) Step() {
 	// Steps 3–4: draw parents serially (selection consumes the engine
 	// source in a worker-independent order), then derive one child rng
 	// stream per offspring pair from two generation-level draws. The
-	// variation fan-out below is bit-identical for every worker count.
+	// breeding fan-out below is bit-identical for every worker count.
 	// Phase brackets throughout are nil-receiver no-ops unless a
 	// PhaseTimer is attached, and never touch engine rng or state.
 	t0 := e.phase.Start()
@@ -889,26 +804,10 @@ func (e *Engine) Step() {
 			contrib:    e.arena.getContrib(),
 		})
 	}
-	// Steps 4–5: crossover + repair + mutation, parallel across pairs.
-	e.varyAll(genSeed, genStream, pairs)
-	e.phase.Record(obs.PhaseVariation, t0)
-	// Memoization bracket: probe the fitness cache serially (its state
-	// must evolve identically for every worker count), let the parallel
-	// evaluation fan-out copy hits and simulate misses, then insert the
-	// missed outcomes serially in offspring order.
-	if e.cache != nil {
-		t0 = e.phase.Start()
-		e.probeCache(n)
-		e.phase.Record(obs.PhaseCacheProbe, t0)
-	}
-	t0 = e.phase.Start()
-	e.evaluateInPlace(e.offspring)
-	e.phase.Record(obs.PhaseEval, t0)
-	if e.cache != nil {
-		t0 = e.phase.Start()
-		e.insertCache(n)
-		e.phase.Record(obs.PhaseCacheInsert, t0)
-	}
+	// Steps 4–5: crossover + repair + mutation and the evaluation of
+	// both children, pair by pair, parallel across pairs.
+	e.breedAll(genSeed, genStream, pairs)
+	e.recordBreeding(t0)
 
 	// Step 6: merge into the 2N meta-population (elitism).
 	t0 = e.phase.Start()
@@ -988,70 +887,114 @@ func (e *Engine) selectParent() *Individual {
 	return &e.pop[e.src.Intn(n)]
 }
 
-// varyAll runs crossover, repair, and mutation for all offspring pairs,
-// fanning out across the configured workers. Pair k always draws from
-// the stream (genSeed, genStream+k), so the offspring are independent of
-// how pairs are partitioned across workers.
-func (e *Engine) varyAll(genSeed, genStream uint64, pairs int) {
-	workers := e.cfg.Workers
-	if workers > pairs {
-		workers = pairs
+// breedAll breeds and evaluates all offspring pairs, fanning out across
+// the configured workers. Pair k always draws from the stream (genSeed,
+// genStream+k) and each child's evaluation depends only on its own
+// genes and its parent's contribution rows, so the offspring are
+// independent of how pairs are partitioned across workers. The serial
+// path calls breedRange directly, keeping single-worker Steps free of
+// the fan-out's closure allocation.
+func (e *Engine) breedAll(genSeed, genStream uint64, pairs int) {
+	for w := range e.varyNs {
+		e.varyNs[w], e.evalNs[w] = 0, 0
 	}
-	if workers <= 1 {
-		src := &e.workerSrc[0]
-		for k := 0; k < pairs; k++ {
-			src.Reseed(genSeed, genStream+uint64(k))
-			e.varyPair(k, src, e.varScratch[0], e.varScratch2[0])
-		}
+	if e.cfg.Workers <= 1 || pairs <= 1 {
+		e.breedRange(0, 0, pairs, genSeed, genStream)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (pairs + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= pairs {
-			break
-		}
-		hi := lo + chunk
-		if hi > pairs {
-			hi = pairs
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			src := &e.workerSrc[w]
-			for k := lo; k < hi; k++ {
-				src.Reseed(genSeed, genStream+uint64(k))
-				// varyPair writes only pair k's offspring/arena slots and
-				// worker w's scratch; disjoint per goroutine, and proven
-				// worker-invariant by TestWorkerCountInvariance.
-				//detlint:allow sharedstate per-pair slots are disjoint across workers
-				e.varyPair(k, src, e.varScratch[w], e.varScratch2[w])
-			}
-		}(w, lo, hi)
+	e.fanout(pairs, func(w, lo, hi int) {
+		// breedRange writes only pairs [lo, hi)'s offspring/arena slots
+		// and worker w's scratch; disjoint per goroutine, and proven
+		// worker-invariant by TestWorkerCountInvariance.
+		e.breedRange(w, lo, hi, genSeed, genStream)
+	})
+}
+
+// breedRange breeds and evaluates pairs [lo, hi) on worker w, timing
+// the variation and evaluation halves of each pair on the phase clock
+// (free when no PhaseTimer is attached).
+//
+//detlint:hotpath
+func (e *Engine) breedRange(w, lo, hi int, genSeed, genStream uint64) {
+	src := &e.workerSrc[w]
+	var vary, eval int64
+	t := e.phase.Start()
+	for k := lo; k < hi; k++ {
+		src.Reseed(genSeed, genStream+uint64(k))
+		e.varyPair(k, w, src)
+		tv := e.phase.Start()
+		e.evaluateChild(2*k, w, 0)
+		e.evaluateChild(2*k+1, w, 1)
+		te := e.phase.Start()
+		vary += tv - t
+		eval += te - tv
+		t = te
 	}
-	wg.Wait()
+	e.varyNs[w], e.evalNs[w] = vary, eval
+}
+
+// evaluateChild evaluates offspring i, worker w's current child c,
+// straight from the slot array and histogram its order repair just
+// wrote: Prepare inherits every parent row whose machine bucket is
+// unchanged (none under FullEvaluation), the kernel simulates the rest,
+// and Finish reduces the rows to objective values.
+//
+//detlint:hotpath
+func (e *Engine) evaluateChild(i, w, c int) {
+	ind := &e.offspring[i]
+	var parent *sched.Contribs
+	if e.cfg.Evaluation != FullEvaluation {
+		parent = e.parents[i].contrib
+	}
+	sess, plan := e.sessions[w], e.plans[w]
+	sess.Prepare(e.slots[2*w+c], e.mcounts[2*w+c], parent, ind.contrib, plan)
+	sess.SimulateAllNeeds(plan, ind.contrib)
+	e.problem.fill(ind, sess.Finish(ind.contrib, plan), e.space.Dim())
+}
+
+// recordBreeding closes the breeding bracket opened at start, splitting
+// its wall time between PhaseVariation and PhaseEval in the proportion
+// the workers measured. Under one worker the split is exact up to the
+// arena draws, which are apportioned with the rest.
+func (e *Engine) recordBreeding(start int64) {
+	if e.phase == nil {
+		return
+	}
+	total := e.phase.Start() - start
+	var vary, eval int64
+	for w := range e.varyNs {
+		vary += e.varyNs[w]
+		eval += e.evalNs[w]
+	}
+	share := total / 2
+	if sum := vary + eval; sum > 0 {
+		share = int64(float64(total) * float64(vary) / float64(sum))
+	}
+	e.phase.Add(obs.PhaseVariation, share)
+	e.phase.Add(obs.PhaseEval, total-share)
 }
 
 // varyPair produces offspring 2k and 2k+1 from parents 2k and 2k+1 in
-// recycled buffers: crossover, order repair, then per-child mutation
-// coin flips, all drawn from the pair's own stream. Alongside the
-// chromosomes it maintains each child's execution-order slot array (a
-// by-product of order repair, patched in O(1) by mutation) and, while
-// an observer is attached, the dirty-machine telemetry: which machines
-// each child's variation may have touched relative to its parent.
+// recycled buffers on worker w: crossover, order repair, then per-child
+// mutation coin flips, all drawn from the pair's own stream. Alongside
+// the chromosomes it writes each child's execution-order slot array
+// into the worker's scratch (a by-product of order repair, patched in
+// O(1) by mutation) and, while an observer is attached, the
+// dirty-machine telemetry: which machines each child's variation may
+// have touched relative to its parent.
 //
 //detlint:hotpath
-func (e *Engine) varyPair(k int, src *rng.Source, scratch, scratch2 []int32) {
+func (e *Engine) varyPair(k, w int, src *rng.Source) {
 	c1 := e.offspring[2*k].Alloc
 	c2 := e.offspring[2*k+1].Alloc
-	s1, s2 := e.slots[2*k], e.slots[2*k+1]
-	n1, n2 := e.mcounts[2*k], e.mcounts[2*k+1]
+	s1, s2 := e.slots[2*w], e.slots[2*w+1]
+	n1, n2 := e.mcounts[2*w], e.mcounts[2*w+1]
+	scratch, scratch2 := e.varScratch[w], e.varScratch2[w]
 	c1.CopyFrom(e.parents[2*k].Alloc)
 	c2.CopyFrom(e.parents[2*k+1].Alloc)
 	var d1, d2 []bool
 	if e.observer != nil {
-		d1, d2 = e.dirty[2*k], e.dirty[2*k+1]
+		d1, d2 = e.dirty[2*w], e.dirty[2*w+1]
 		for m := range d1 {
 			d1[m] = false
 			d2[m] = false
@@ -1091,10 +1034,6 @@ func (e *Engine) varyPair(k int, src *rng.Source, scratch, scratch2 []int32) {
 			}
 		}
 		e.dirtyN[2*k], e.dirtyN[2*k+1] = n1, n2
-	}
-	if e.cache != nil {
-		e.fprint[2*k] = fingerprint(c1)
-		e.fprint[2*k+1] = fingerprint(c2)
 	}
 }
 
@@ -1339,238 +1278,26 @@ func (e *Engine) fanout(count int, fn func(worker, lo, hi int)) {
 	}
 }
 
-// probeCache looks every offspring's fingerprint up in the fitness
-// cache, recording per-offspring hit slots for the evaluation fan-out
-// and refreshing hit stamps. Serial, in offspring order: the cache's
-// state transitions must not depend on worker count.
-//
-//detlint:hotpath
-func (e *Engine) probeCache(n int) {
-	gen := int64(e.generation)
-	for i := 0; i < n; i++ {
-		slot := e.cache.lookup(e.fprint[i])
-		if slot >= 0 {
-			e.cache.stats.hits++
-			e.cache.touch(slot, gen)
-		} else {
-			e.cache.stats.misses++
-		}
-		e.cacheSlot[i] = int32(slot)
-	}
-}
-
-// insertCache memoizes the outcomes of this generation's cache misses,
-// serially in offspring order (determinism, as probeCache).
-//
-//detlint:hotpath
-func (e *Engine) insertCache(n int) {
-	gen := int64(e.generation)
-	for i := 0; i < n; i++ {
-		if e.cacheSlot[i] >= 0 {
-			continue
-		}
-		e.cache.insert(e.fprint[i], gen, e.cacheEv[i], e.offspring[i].contrib)
-	}
-}
-
-// verifyHit is the verify-on-hit debug guard: re-simulate the
-// allocation and demand the memoized outcome be bit-identical.
-func (e *Engine) verifyHit(sess *sched.DeltaSession, scratch *sched.Contribs, a *sched.Allocation, s *fitSlot) {
-	if ev := sess.EvaluateFull(a, scratch); ev != s.ev || !scratch.Equal(s.contrib) {
-		panic("nsga2: fitness cache verify-on-hit mismatch (64-bit fingerprint collision)")
-	}
-}
-
 // evaluateAll fully simulates individuals lacking Objectives (seeds,
-// injected, restored), fanning out across the configured workers.
-// Contribution caches are assigned — and the fitness cache consulted —
-// serially first (neither the arena nor the cache is goroutine-safe),
-// then the misses are simulated inside the fan-out and memoized
-// serially after it. Results are deterministic because each
-// individual's evaluation is independent of scheduling.
+// injected, restored) in place, fanning out across the per-worker
+// sessions. Contribution buffers are drawn from the arena serially
+// first (the arena is not goroutine-safe). Results are deterministic
+// because each individual's evaluation is independent of scheduling.
 func (e *Engine) evaluateAll(inds []Individual) {
-	todo := make([]int, 0, len(inds))
-	var fps []uint64
-	if e.cache != nil {
-		fps = make([]uint64, 0, len(inds))
-	}
-	gen := int64(e.generation)
 	for i := range inds {
-		if inds[i].Objectives != nil {
-			continue
-		}
-		if inds[i].contrib == nil {
+		if inds[i].Objectives == nil && inds[i].contrib == nil {
 			inds[i].contrib = e.arena.getContrib()
 		}
-		if e.cache != nil {
-			fp := fingerprint(inds[i].Alloc)
-			if slot := e.cache.lookup(fp); slot >= 0 {
-				s := &e.cache.slots[slot]
-				e.cache.stats.hits++
-				e.cache.touch(slot, gen)
-				if e.cfg.CacheVerify {
-					e.verifyHit(e.sessions[0], e.eval.NewContribs(), inds[i].Alloc, s)
-				}
-				inds[i].contrib.CopyFrom(s.contrib)
-				e.problem.fill(&inds[i], s.ev, e.space.Dim())
-				continue
-			}
-			e.cache.stats.misses++
-			fps = append(fps, fp)
-		}
-		todo = append(todo, i)
 	}
-	if len(todo) == 0 {
-		return
-	}
-	evs := make([]sched.Evaluation, len(todo))
-	e.fanout(len(todo), func(w, lo, hi int) {
-		sess := e.sessions[w]
-		for k, i := range todo[lo:hi] {
-			ev := sess.EvaluateFull(inds[i].Alloc, inds[i].contrib)
-			evs[lo+k] = ev
-			e.problem.fill(&inds[i], ev, e.space.Dim())
-		}
-	})
-	if e.cache != nil {
-		for k, i := range todo {
-			e.cache.insert(fps[k], gen, evs[k], inds[i].contrib)
-		}
-	}
-}
-
-// evaluateInPlace (re-)evaluates every offspring, writing objectives and
-// contribution caches into recycled buffers. It runs the machine-major
-// pipeline in four phases, keeping the serial-probe / parallel-work /
-// serial-insert bracket discipline of the chromosome cache so both
-// memoization levels evolve identically for every worker count:
-//
-//  1. parallel — Prepare every chromosome-cache miss: fingerprint its
-//     machine buckets from the slot array variation built and inherit
-//     the row of every machine whose bucket matches the parent's.
-//  2. serial — probe the machine-bucket cache for the remaining
-//     machines, in offspring then Need order.
-//  3. parallel — copy chromosome-cache hits; for misses, copy
-//     machine-cache hit rows, gather and simulate what no cache level
-//     supplied, and reduce to objective values.
-//  4. serial — insert the freshly simulated machine rows.
-//
-// Cache hits at either level are bit-identical to re-simulating, so
-// hits and misses interleave freely; under FullEvaluation the parent is
-// withheld and every machine misses level one. Parent caches and hit
-// cache slots are read-only during the fan-outs, so sharing them across
-// offspring is safe. (Not annotated //detlint:hotpath: the fan-out
-// closures necessarily capture, like the other fanout callers.)
-func (e *Engine) evaluateInPlace(inds []Individual) {
 	dim := e.space.Dim()
-	full := e.cfg.Evaluation == FullEvaluation
-	cached := e.cache != nil
-	verify := e.cfg.CacheVerify
-	mverify := e.cfg.MachineCacheVerify
 	e.fanout(len(inds), func(w, lo, hi int) {
 		sess := e.sessions[w]
 		for i := lo; i < hi; i++ {
-			if cached && e.cacheSlot[i] >= 0 {
-				continue
+			if inds[i].Objectives == nil {
+				e.problem.fill(&inds[i], sess.EvaluateFull(inds[i].Alloc, inds[i].contrib), dim)
 			}
-			var parent *sched.Contribs
-			if !full {
-				parent = e.parents[i].contrib
-			}
-			sess.Prepare(e.slots[i], e.mcounts[i], parent, inds[i].contrib, e.plans[i])
 		}
 	})
-	if e.mcache != nil {
-		gen := int64(e.generation)
-		for i := range inds {
-			if cached && e.cacheSlot[i] >= 0 {
-				continue
-			}
-			plan := e.plans[i]
-			fp := inds[i].contrib.FP
-			ns := e.needSlot[i][:len(plan.Need)]
-			for k, m := range plan.Need {
-				slot := e.mcache.lookup(fp[m])
-				if slot >= 0 {
-					e.mcache.stats.hits++
-					e.mcache.touch(slot, gen)
-				} else {
-					e.mcache.stats.misses++
-				}
-				ns[k] = int32(slot)
-			}
-		}
-	}
-	e.fanout(len(inds), func(w, lo, hi int) {
-		sess := e.sessions[w]
-		for i := lo; i < hi; i++ {
-			ind := &inds[i]
-			if cached {
-				if slot := e.cacheSlot[i]; slot >= 0 {
-					s := &e.cache.slots[slot]
-					if verify {
-						e.verifyHit(sess, e.verifyContribs[w], ind.Alloc, s)
-					}
-					ind.contrib.CopyFrom(s.contrib)
-					e.problem.fill(ind, s.ev, dim)
-					continue
-				}
-			}
-			plan := e.plans[i]
-			if e.mcache == nil {
-				sess.SimulateAllNeeds(plan, ind.contrib)
-			} else {
-				ns := e.needSlot[i][:len(plan.Need)]
-				miss := e.missKs[w][:0]
-				for k := range plan.Need {
-					if s := ns[k]; s >= 0 {
-						row := e.mcache.slots[s].row
-						if mverify {
-							e.verifyMachineHit(sess, plan, k, ind.contrib, row)
-						}
-						ind.contrib.SetRow(int(plan.Need[k]), row)
-					} else {
-						miss = append(miss, int32(k))
-					}
-				}
-				e.missKs[w] = miss
-				sess.SimulateNeedList(miss, plan, ind.contrib)
-			}
-			ev := sess.Finish(ind.contrib, plan)
-			if cached {
-				e.cacheEv[i] = ev
-			}
-			e.problem.fill(ind, ev, dim)
-		}
-	})
-	if e.mcache != nil {
-		gen := int64(e.generation)
-		for i := range inds {
-			if cached && e.cacheSlot[i] >= 0 {
-				continue
-			}
-			plan := e.plans[i]
-			contrib := inds[i].contrib
-			ns := e.needSlot[i][:len(plan.Need)]
-			for k, m := range plan.Need {
-				if ns[k] >= 0 {
-					continue
-				}
-				e.mcache.insert(contrib.FP[m], gen, contrib.Row(int(m)))
-			}
-		}
-	}
-}
-
-// verifyMachineHit is the machine cache's verify-on-hit debug guard:
-// re-simulate the gathered bucket and demand the memoized row be
-// bit-identical.
-func (e *Engine) verifyMachineHit(sess *sched.DeltaSession, plan *sched.DeltaPlan, k int, dst *sched.Contribs, row sched.MachineRow) {
-	m := int(plan.Need[k])
-	sess.SimulateNeed(k, plan, dst)
-	if dst.Row(m) != row {
-		panic("nsga2: machine cache verify-on-hit mismatch (64-bit bucket-fingerprint collision)")
-	}
 }
 
 // rank computes Rank and Crowding for a population in place.

@@ -37,12 +37,6 @@ func (e *Engine) SetObserver(o obs.Observer) {
 		e.kernel.Prime(e.gatherFront())
 	}
 	e.statsBase = e.sessionStats()
-	if e.cache != nil {
-		e.cacheBase = e.cache.stats
-	}
-	if e.mcache != nil {
-		e.mcacheBase = e.mcache.stats
-	}
 }
 
 // SetPhaseTimer attaches (or, with nil, detaches) a phase profiler.
@@ -111,24 +105,6 @@ func (e *Engine) notifyGeneration() {
 	gen := cum
 	gen.Sub(e.statsBase)
 	e.statsBase = cum
-	var cgen cacheStats
-	var cacheSize, cacheCap int
-	if e.cache != nil {
-		ccum := e.cache.stats
-		cgen = ccum
-		cgen.sub(e.cacheBase)
-		e.cacheBase = ccum
-		cacheSize, cacheCap = e.cache.live, len(e.cache.slots)
-	}
-	var mgen cacheStats
-	var mcacheSize, mcacheCap int
-	if e.mcache != nil {
-		mcum := e.mcache.stats
-		mgen = mcum
-		mgen.sub(e.mcacheBase)
-		e.mcacheBase = mcum
-		mcacheSize, mcacheCap = e.mcache.live, len(e.mcache.slots)
-	}
 	arenaInUse, arenaSlots := e.arena.occupancy()
 	var phases obs.PhaseTotals
 	if e.phase != nil {
@@ -145,31 +121,21 @@ func (e *Engine) notifyGeneration() {
 		ind.FrontSize = len(front)
 	}
 	e.observer.ObserveGeneration(obs.GenerationStats{
-		Generation:            e.generation,
-		Population:            e.cfg.PopulationSize,
-		Front:                 front,
-		FullEvals:             int(gen.FullEvals),
-		DeltaEvals:            int(gen.DeltaEvals),
-		CacheHits:             int(cgen.hits),
-		CacheMisses:           int(cgen.misses),
-		CacheEvictions:        int(cgen.evicts),
-		CacheSize:             cacheSize,
-		CacheCapacity:         cacheCap,
-		ArenaInUse:            arenaInUse,
-		ArenaSlots:            arenaSlots,
-		MachinesSimulated:     int(gen.MachinesSimulated),
-		MachinesInherited:     int(gen.MachinesInherited),
-		MachineCacheHits:      int(mgen.hits),
-		MachineCacheMisses:    int(mgen.misses),
-		MachineCacheEvictions: int(mgen.evicts),
-		MachineCacheSize:      mcacheSize,
-		MachineCacheCapacity:  mcacheCap,
-		TypedTasks:            int(gen.TypedTasks),
-		TypedRuns:             int(gen.TypedRuns),
-		DirtyCounts:           e.dirtyN,
-		NumMachines:           e.eval.NumMachines(),
-		PhaseNanos:            phases,
-		Indicators:            ind,
+		Generation:        e.generation,
+		Population:        e.cfg.PopulationSize,
+		Front:             front,
+		FullEvals:         int(gen.FullEvals),
+		DeltaEvals:        int(gen.DeltaEvals),
+		ArenaInUse:        arenaInUse,
+		ArenaSlots:        arenaSlots,
+		MachinesSimulated: int(gen.MachinesSimulated),
+		MachinesInherited: int(gen.MachinesInherited),
+		TypedTasks:        int(gen.TypedTasks),
+		TypedRuns:         int(gen.TypedRuns),
+		DirtyCounts:       e.dirtyN,
+		NumMachines:       e.eval.NumMachines(),
+		PhaseNanos:        phases,
+		Indicators:        ind,
 	})
 }
 

@@ -49,35 +49,24 @@ func TestObserverGenerationEvents(t *testing.T) {
 		if g.Population != 10 {
 			t.Fatalf("event %d: population %d", i, g.Population)
 		}
-		// Every offspring is accounted for exactly once: evaluated fully,
-		// by delta inheritance, or served from the fitness cache.
-		if g.FullEvals+g.DeltaEvals+g.CacheHits != 10 {
-			t.Fatalf("event %d: %d full + %d delta + %d cached, want 10 total",
-				i, g.FullEvals, g.DeltaEvals, g.CacheHits)
+		// Every offspring is evaluated exactly once, fully or by delta
+		// inheritance.
+		if g.FullEvals+g.DeltaEvals != 10 {
+			t.Fatalf("event %d: %d full + %d delta, want 10 total", i, g.FullEvals, g.DeltaEvals)
 		}
-		if g.CacheHits+g.CacheMisses != 10 {
-			t.Fatalf("event %d: %d hits + %d misses, want 10 probes", i, g.CacheHits, g.CacheMisses)
-		}
-		if g.CacheCapacity <= 0 || g.CacheSize < 0 || g.CacheSize > g.CacheCapacity {
-			t.Fatalf("event %d: cache size %d / capacity %d", i, g.CacheSize, g.CacheCapacity)
+		if g.CacheHits != 0 || g.CacheMisses != 0 || g.MachineCacheHits != 0 || g.MachineCacheMisses != 0 {
+			t.Fatalf("event %d: retired cache counters %d/%d/%d/%d, want 0",
+				i, g.CacheHits, g.CacheMisses, g.MachineCacheHits, g.MachineCacheMisses)
 		}
 		if g.ArenaSlots <= 0 || g.ArenaInUse <= 0 || g.ArenaInUse > g.ArenaSlots {
 			t.Fatalf("event %d: arena %d in use of %d slots", i, g.ArenaInUse, g.ArenaSlots)
 		}
-		// Each simulation-backed evaluation accounts for every machine:
-		// simulated, inherited from the parent by fingerprint match, or
-		// served from the machine-bucket cache. Chromosome-cache hits
-		// touch none.
+		// Each evaluation accounts for every machine: simulated, or
+		// inherited from the parent by fingerprint match.
 		wantMachines := (g.FullEvals + g.DeltaEvals) * machines
-		if g.MachinesSimulated+g.MachinesInherited+g.MachineCacheHits != wantMachines {
-			t.Fatalf("event %d: %d simulated + %d inherited + %d bucket-cached machines, want %d",
-				i, g.MachinesSimulated, g.MachinesInherited, g.MachineCacheHits, wantMachines)
-		}
-		// Every machine neither inherited nor bucket-cached was probed
-		// and missed, then simulated.
-		if g.MachineCacheMisses != g.MachinesSimulated {
-			t.Fatalf("event %d: %d machine-cache misses vs %d simulated machines",
-				i, g.MachineCacheMisses, g.MachinesSimulated)
+		if g.MachinesSimulated+g.MachinesInherited != wantMachines {
+			t.Fatalf("event %d: %d simulated + %d inherited machines, want %d",
+				i, g.MachinesSimulated, g.MachinesInherited, wantMachines)
 		}
 		// The typed kernel (the default) walks every simulated task at
 		// least one run per machine, never more runs than tasks.
@@ -243,9 +232,9 @@ func TestSnapshotRestoreWithObserver(t *testing.T) {
 		if g.Generation != 4+i {
 			t.Fatalf("post-restore event %d: generation %d, want %d", i, g.Generation, 4+i)
 		}
-		if g.FullEvals+g.DeltaEvals+g.CacheHits != 10 {
-			t.Fatalf("post-restore event %d: %d full + %d delta evals + %d cache hits, want 10 — restore work leaked into the generation",
-				i, g.FullEvals, g.DeltaEvals, g.CacheHits)
+		if g.FullEvals+g.DeltaEvals != 10 {
+			t.Fatalf("post-restore event %d: %d full + %d delta evals, want 10 — restore work leaked into the generation",
+				i, g.FullEvals, g.DeltaEvals)
 		}
 	}
 

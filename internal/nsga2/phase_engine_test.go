@@ -60,9 +60,8 @@ func TestPhaseTimerBracketsEveryStepPhase(t *testing.T) {
 
 	cnt, tot := pt.Counts(), pt.Totals()
 	// Step brackets select, variation, eval, and sort every generation;
-	// the cache brackets fire too because memoization is on by default.
-	for _, p := range []obs.Phase{obs.PhaseSelect, obs.PhaseVariation,
-		obs.PhaseCacheProbe, obs.PhaseEval, obs.PhaseCacheInsert, obs.PhaseSort} {
+	// variation and eval split the one fused breeding bracket.
+	for _, p := range []obs.Phase{obs.PhaseSelect, obs.PhaseVariation, obs.PhaseEval, obs.PhaseSort} {
 		if cnt[p] != gens {
 			t.Errorf("phase %s bracketed %d times, want %d", p, cnt[p], gens)
 		}
@@ -78,18 +77,55 @@ func TestPhaseTimerBracketsEveryStepPhase(t *testing.T) {
 	}
 }
 
+// TestPhaseTimerCacheBracketsFollowCacheConfig pins the retired cache
+// phases: the engine has no memoization layer left to configure, so
+// under every worker count and evaluation mode the cache-probe and
+// cache-insert brackets stay empty while eval brackets every Step.
 func TestPhaseTimerCacheBracketsFollowCacheConfig(t *testing.T) {
-	eng := newEngine(t, 20, Config{PopulationSize: 10, CacheCapacity: -1}, 29)
-	pt := obs.NewPhaseTimer(tickClock(3))
-	eng.SetPhaseTimer(pt)
-	eng.Run(3)
-	cnt := pt.Counts()
-	if cnt[obs.PhaseCacheProbe] != 0 || cnt[obs.PhaseCacheInsert] != 0 {
-		t.Fatalf("cache brackets %d/%d with memoization disabled, want 0/0",
-			cnt[obs.PhaseCacheProbe], cnt[obs.PhaseCacheInsert])
+	for _, cfg := range []Config{
+		{PopulationSize: 10},
+		{PopulationSize: 10, Workers: 4},
+		{PopulationSize: 10, Evaluation: FullEvaluation},
+	} {
+		eng := newEngine(t, 20, cfg, 29)
+		pt := obs.NewPhaseTimer(tickClock(3))
+		eng.SetPhaseTimer(pt)
+		eng.Run(3)
+		cnt, tot := pt.Counts(), pt.Totals()
+		for _, p := range []obs.Phase{obs.PhaseCacheProbe, obs.PhaseCacheInsert} {
+			if cnt[p] != 0 || tot[p] != 0 {
+				t.Fatalf("%+v: phase %s recorded %d brackets / %dns, want none", cfg, p, cnt[p], tot[p])
+			}
+		}
+		if cnt[obs.PhaseEval] != 3 {
+			t.Fatalf("%+v: eval bracketed %d times, want 3", cfg, cnt[obs.PhaseEval])
+		}
 	}
-	if cnt[obs.PhaseEval] != 3 {
-		t.Fatalf("eval bracketed %d times, want 3", cnt[obs.PhaseEval])
+}
+
+// TestPhaseTimerBreedingSplitStaysWithinWallTime runs the breeding
+// fan-out on four workers, each reading the shared clock per pair. The
+// engine splits the fused bracket's wall time between variation and
+// eval instead of summing worker time, so the phases of a Step never
+// add up to more than the clock advanced.
+func TestPhaseTimerBreedingSplitStaysWithinWallTime(t *testing.T) {
+	eng := newEngine(t, 40, Config{PopulationSize: 16, Workers: 4}, 29)
+	clock := tickClock(3)
+	pt := obs.NewPhaseTimer(clock)
+	eng.SetPhaseTimer(pt)
+	before := clock()
+	eng.Run(3)
+	elapsed := clock() - before
+	tot := pt.Totals()
+	if tot[obs.PhaseVariation] <= 0 || tot[obs.PhaseEval] <= 0 {
+		t.Fatalf("variation %dns, eval %dns, want both > 0", tot[obs.PhaseVariation], tot[obs.PhaseEval])
+	}
+	var sum int64
+	for _, ns := range tot {
+		sum += ns
+	}
+	if sum > elapsed {
+		t.Fatalf("phases sum to %dns over %dns of clock", sum, elapsed)
 	}
 }
 

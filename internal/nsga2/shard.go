@@ -92,12 +92,6 @@ func (m *chanMailbox) Depth() int { return len(m.ch) }
 type ShardTick struct {
 	// Sess is the engine's cumulative evaluation-session counters.
 	Sess sched.DeltaStats
-	// Fitness-cache cumulative counters and current occupancy.
-	CacheHits, CacheMisses, CacheEvictions uint64
-	CacheSize, CacheCapacity               int
-	// Machine-bucket cache cumulative counters and current occupancy.
-	MachineCacheHits, MachineCacheMisses, MachineCacheEvictions uint64
-	MachineCacheSize, MachineCacheCapacity                      int
 	// Arena occupancy at the tick.
 	ArenaInUse, ArenaSlots int
 	// Migrants is the elite count this island sent at the tick (not
@@ -105,22 +99,12 @@ type ShardTick struct {
 	Migrants int
 }
 
-// Add accumulates o into t (sizes and capacities sum across shards;
-// Migrants stays per-island).
+// Add accumulates o into t (arena slots sum across shards; Migrants
+// stays per-island).
 //
 //detlint:hotpath
 func (t *ShardTick) Add(o ShardTick) {
 	t.Sess.Add(o.Sess)
-	t.CacheHits += o.CacheHits
-	t.CacheMisses += o.CacheMisses
-	t.CacheEvictions += o.CacheEvictions
-	t.MachineCacheHits += o.MachineCacheHits
-	t.MachineCacheMisses += o.MachineCacheMisses
-	t.MachineCacheEvictions += o.MachineCacheEvictions
-	t.CacheSize += o.CacheSize
-	t.CacheCapacity += o.CacheCapacity
-	t.MachineCacheSize += o.MachineCacheSize
-	t.MachineCacheCapacity += o.MachineCacheCapacity
 	t.ArenaInUse += o.ArenaInUse
 	t.ArenaSlots += o.ArenaSlots
 }
@@ -133,18 +117,6 @@ func (t *ShardTick) Add(o ShardTick) {
 //detlint:hotpath
 func captureShard(eng *Engine, sent int) ShardTick {
 	ts := ShardTick{Sess: eng.sessionStats(), Migrants: sent}
-	if eng.cache != nil {
-		ts.CacheHits = eng.cache.stats.hits
-		ts.CacheMisses = eng.cache.stats.misses
-		ts.CacheEvictions = eng.cache.stats.evicts
-		ts.CacheSize, ts.CacheCapacity = eng.cache.live, len(eng.cache.slots)
-	}
-	if eng.mcache != nil {
-		ts.MachineCacheHits = eng.mcache.stats.hits
-		ts.MachineCacheMisses = eng.mcache.stats.misses
-		ts.MachineCacheEvictions = eng.mcache.stats.evicts
-		ts.MachineCacheSize, ts.MachineCacheCapacity = eng.mcache.live, len(eng.mcache.slots)
-	}
 	ts.ArenaInUse, ts.ArenaSlots = eng.arena.occupancy()
 	return ts
 }
@@ -160,28 +132,18 @@ func ShardStatsEvent(gen, population, numMachines int, agg, base ShardTick) obs.
 	diff := agg.Sess
 	diff.Sub(base.Sess)
 	return obs.GenerationStats{
-		Label:                 "islands",
-		Generation:            gen,
-		Population:            population,
-		FullEvals:             int(diff.FullEvals),
-		DeltaEvals:            int(diff.DeltaEvals),
-		MachinesSimulated:     int(diff.MachinesSimulated),
-		MachinesInherited:     int(diff.MachinesInherited),
-		TypedTasks:            int(diff.TypedTasks),
-		TypedRuns:             int(diff.TypedRuns),
-		CacheHits:             int(agg.CacheHits - base.CacheHits),
-		CacheMisses:           int(agg.CacheMisses - base.CacheMisses),
-		CacheEvictions:        int(agg.CacheEvictions - base.CacheEvictions),
-		CacheSize:             agg.CacheSize,
-		CacheCapacity:         agg.CacheCapacity,
-		MachineCacheHits:      int(agg.MachineCacheHits - base.MachineCacheHits),
-		MachineCacheMisses:    int(agg.MachineCacheMisses - base.MachineCacheMisses),
-		MachineCacheEvictions: int(agg.MachineCacheEvictions - base.MachineCacheEvictions),
-		MachineCacheSize:      agg.MachineCacheSize,
-		MachineCacheCapacity:  agg.MachineCacheCapacity,
-		ArenaInUse:            agg.ArenaInUse,
-		ArenaSlots:            agg.ArenaSlots,
-		NumMachines:           numMachines,
+		Label:             "islands",
+		Generation:        gen,
+		Population:        population,
+		FullEvals:         int(diff.FullEvals),
+		DeltaEvals:        int(diff.DeltaEvals),
+		MachinesSimulated: int(diff.MachinesSimulated),
+		MachinesInherited: int(diff.MachinesInherited),
+		TypedTasks:        int(diff.TypedTasks),
+		TypedRuns:         int(diff.TypedRuns),
+		ArenaInUse:        agg.ArenaInUse,
+		ArenaSlots:        agg.ArenaSlots,
+		NumMachines:       numMachines,
 	}
 }
 
@@ -254,7 +216,6 @@ func runRing(engines []*Engine, global []int, in, out []Mailbox, abort *ringAbor
 				}
 				phase.Record(obs.PhaseMigration, t0)
 				health.SetMailboxDepth(gi, out[i].Depth())
-				health.SetCacheOccupancy(gi, cacheOccupancy(eng))
 				health.SetTick(gi, g)
 				recs[i][t] = captureShard(eng, len(elites))
 				t++

@@ -4,22 +4,21 @@ import "strconv"
 
 // IslandBoard is a fixed set of per-island health gauges for the
 // async island model: ring-edge mailbox depth, local logical-clock
-// tick, and fitness-cache occupancy per island, plus a cross-island
+// tick per island, plus a cross-island
 // tick-skew gauge. The island count is frozen at construction (the
 // Registry has no labels, so each island gets its own gauge names) and
 // every setter is a lock-free atomic store, safe from the islands'
 // goroutines. A nil *IslandBoard is a no-op, so the island model can
 // call the setters unconditionally.
 type IslandBoard struct {
-	mailbox  []*Gauge
-	tick     []*Gauge
-	cacheOcc []*Gauge
-	skew     *Gauge
+	mailbox []*Gauge
+	tick    []*Gauge
+	skew    *Gauge
 }
 
 // NewIslandBoard registers health gauges for the given island count on
-// r: tradeoff_island<i>_mailbox_depth, tradeoff_island<i>_tick,
-// tradeoff_island<i>_cache_occupancy, and tradeoff_islands_tick_skew.
+// r: tradeoff_island<i>_mailbox_depth, tradeoff_island<i>_tick, and
+// tradeoff_islands_tick_skew.
 // Returns nil (the no-op board) when r is nil or islands < 1.
 func NewIslandBoard(r *Registry, islands int) *IslandBoard {
 	if r == nil || islands < 1 {
@@ -34,9 +33,6 @@ func NewIslandBoard(r *Registry, islands int) *IslandBoard {
 		b.tick = append(b.tick, r.Gauge(
 			"tradeoff_island"+idx+"_tick",
 			"island "+idx+"'s local generation counter at its last migration tick"))
-		b.cacheOcc = append(b.cacheOcc, r.Gauge(
-			"tradeoff_island"+idx+"_cache_occupancy",
-			"live-entry fraction of island "+idx+"'s fitness-memoization cache"))
 	}
 	b.skew = r.Gauge("tradeoff_islands_tick_skew",
 		"spread (max - min) of the islands' local tick counters")
@@ -84,17 +80,6 @@ func (b *IslandBoard) SetTick(i, gen int) {
 		}
 	}
 	b.skew.Set(hi - lo)
-}
-
-// SetCacheOccupancy records island i's fitness-cache live-entry
-// fraction. Out-of-range i is ignored.
-//
-//detlint:hotpath
-func (b *IslandBoard) SetCacheOccupancy(i int, frac float64) {
-	if b == nil || i < 0 || i >= len(b.cacheOcc) {
-		return
-	}
-	b.cacheOcc[i].Set(frac)
 }
 
 // TickSkew returns the last computed cross-island tick spread.

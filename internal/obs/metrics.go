@@ -11,12 +11,6 @@ type Metrics struct {
 	deltaEvals        *Counter
 	machinesSimulated *Counter
 	machinesInherited *Counter
-	cacheHits         *Counter
-	cacheMisses       *Counter
-	cacheEvictions    *Counter
-	mcacheHits        *Counter
-	mcacheMisses      *Counter
-	mcacheEvictions   *Counter
 	typedTasks        *Counter
 	typedRuns         *Counter
 	migrations        *Counter
@@ -27,8 +21,6 @@ type Metrics struct {
 	epsilon        *Gauge
 	spread         *Gauge
 	frontSize      *Gauge
-	cacheSize      *Gauge
-	mcacheSize     *Gauge
 	arenaOccupancy *Gauge
 
 	dirtyFraction *Histogram
@@ -58,12 +50,6 @@ func NewMetrics(r *Registry) *Metrics {
 		deltaEvals:        r.Counter("tradeoff_delta_evals_total", "offspring evaluated by the delta kernel"),
 		machinesSimulated: r.Counter("tradeoff_machines_simulated_total", "machine queues re-simulated during evaluation"),
 		machinesInherited: r.Counter("tradeoff_machines_inherited_total", "machine contribution rows inherited from parent caches"),
-		cacheHits:         r.Counter("tradeoff_cache_hits_total", "offspring evaluations served from the fitness-memoization cache"),
-		cacheMisses:       r.Counter("tradeoff_cache_misses_total", "fitness-cache lookups that required a simulation"),
-		cacheEvictions:    r.Counter("tradeoff_cache_evictions_total", "fitness-cache entries displaced by newer outcomes"),
-		mcacheHits:        r.Counter("tradeoff_machine_cache_hits_total", "machine simulations served from the machine-bucket cache"),
-		mcacheMisses:      r.Counter("tradeoff_machine_cache_misses_total", "machine-bucket cache lookups that required a simulation"),
-		mcacheEvictions:   r.Counter("tradeoff_machine_cache_evictions_total", "machine-bucket cache entries displaced by newer rows"),
 		typedTasks:        r.Counter("tradeoff_typed_tasks_total", "tasks simulated by the type-compressed kernel"),
 		typedRuns:         r.Counter("tradeoff_typed_runs_total", "same-type runs the type-compressed kernel walked"),
 		migrations:        r.Counter("tradeoff_migrations_total", "island migration edges performed"),
@@ -73,8 +59,6 @@ func NewMetrics(r *Registry) *Metrics {
 		epsilon:           r.Gauge("tradeoff_front_epsilon", "additive epsilon of the latest front vs its predecessor"),
 		spread:            r.Gauge("tradeoff_front_spread", "Deb spread of the latest observed front"),
 		frontSize:         r.Gauge("tradeoff_front_size", "point count of the latest observed front"),
-		cacheSize:         r.Gauge("tradeoff_cache_size", "live entries in the fitness-memoization cache"),
-		mcacheSize:        r.Gauge("tradeoff_machine_cache_size", "live entries in the machine-bucket cache"),
 		arenaOccupancy:    r.Gauge("tradeoff_arena_occupancy", "in-use fraction of the population arena's slots"),
 		dirtyFraction: r.Histogram("tradeoff_dirty_machine_fraction",
 			"per-offspring fraction of machines touched by variation", dirtyFractionBounds()),
@@ -95,16 +79,8 @@ func (m *Metrics) ObserveGeneration(g GenerationStats) {
 	m.deltaEvals.Add(uint64(g.DeltaEvals))
 	m.machinesSimulated.Add(uint64(g.MachinesSimulated))
 	m.machinesInherited.Add(uint64(g.MachinesInherited))
-	m.cacheHits.Add(uint64(g.CacheHits))
-	m.cacheMisses.Add(uint64(g.CacheMisses))
-	m.cacheEvictions.Add(uint64(g.CacheEvictions))
-	m.mcacheHits.Add(uint64(g.MachineCacheHits))
-	m.mcacheMisses.Add(uint64(g.MachineCacheMisses))
-	m.mcacheEvictions.Add(uint64(g.MachineCacheEvictions))
 	m.typedTasks.Add(uint64(g.TypedTasks))
 	m.typedRuns.Add(uint64(g.TypedRuns))
-	m.cacheSize.Set(float64(g.CacheSize))
-	m.mcacheSize.Set(float64(g.MachineCacheSize))
 	m.arenaOccupancy.Set(g.ArenaOccupancy())
 	m.hypervolume.Set(g.Indicators.Hypervolume)
 	m.epsilon.Set(g.Indicators.Epsilon)

@@ -36,21 +36,17 @@ type GenerationStats struct {
 	// [utility, energy], sorted by descending utility. Borrowed.
 	Front [][]float64
 	// FullEvals and DeltaEvals count offspring evaluations this
-	// generation by kernel choice; FullEvals + DeltaEvals + CacheHits
-	// is the offspring count.
+	// generation by kernel choice; FullEvals + DeltaEvals is the
+	// offspring count.
 	FullEvals  int
 	DeltaEvals int
-	// CacheHits, CacheMisses, and CacheEvictions count fitness-
-	// memoization activity this generation: hits skipped a simulation
-	// entirely, misses were simulated and memoized, evictions displaced
-	// older entries. All zero when memoization is disabled.
-	CacheHits      int
-	CacheMisses    int
-	CacheEvictions int
-	// CacheSize and CacheCapacity are the memoization table's live-entry
-	// count and entry bound after the step (zero when disabled).
-	CacheSize     int
-	CacheCapacity int
+	// CacheHits and CacheMisses are retired and always 0. They counted
+	// the whole-chromosome fitness cache's lookups, which was removed
+	// because its hit ratio stayed below 2% on the benchmark workloads
+	// (DESIGN.md §11). Kept so consumers that read them, and the v4
+	// trace schema's cache fields, stay valid.
+	CacheHits   int
+	CacheMisses int
 	// ArenaInUse and ArenaSlots describe the population arena's
 	// structure-of-arrays slots: handed out vs carved in total.
 	ArenaInUse int
@@ -60,19 +56,12 @@ type GenerationStats struct {
 	// inherited machines reused the parent's cached contribution rows.
 	MachinesSimulated int
 	MachinesInherited int
-	// MachineCacheHits, MachineCacheMisses, and MachineCacheEvictions
-	// count machine-bucket memoization activity this generation — the
-	// second cache level, keyed on per-machine bucket fingerprints. A
-	// hit skipped one machine's queue simulation. All zero when the
-	// level is disabled.
-	MachineCacheHits      int
-	MachineCacheMisses    int
-	MachineCacheEvictions int
-	// MachineCacheSize and MachineCacheCapacity are the machine-bucket
-	// table's live-entry count and entry bound after the step (zero when
-	// disabled).
-	MachineCacheSize     int
-	MachineCacheCapacity int
+	// MachineCacheHits and MachineCacheMisses are retired and always 0,
+	// like CacheHits: they counted the machine-bucket cache's lookups,
+	// removed because its lookups cost more than its hits saved
+	// (DESIGN.md §12).
+	MachineCacheHits   int
+	MachineCacheMisses int
 	// TypedTasks and TypedRuns count the typed evaluation kernel's work
 	// this generation: tasks simulated and the same-type runs they
 	// compressed into. TypedTasks / TypedRuns is the type-compression
@@ -106,7 +95,8 @@ func (g *GenerationStats) PhaseTotalNanos() int64 {
 }
 
 // CacheHitRate returns the generation's fitness-cache hit fraction,
-// hits / (hits + misses), or 0 when the cache saw no lookups.
+// hits / (hits + misses), or 0 when the cache saw no lookups (always,
+// since the cache was retired).
 func (g *GenerationStats) CacheHitRate() float64 {
 	if n := g.CacheHits + g.CacheMisses; n > 0 {
 		return float64(g.CacheHits) / float64(n)
@@ -115,7 +105,8 @@ func (g *GenerationStats) CacheHitRate() float64 {
 }
 
 // MachineCacheHitRate returns the generation's machine-bucket cache hit
-// fraction, hits / (hits + misses), or 0 when the level saw no lookups.
+// fraction, hits / (hits + misses), or 0 when the level saw no lookups
+// (always, since the level was retired).
 func (g *GenerationStats) MachineCacheHitRate() float64 {
 	if n := g.MachineCacheHits + g.MachineCacheMisses; n > 0 {
 		return float64(g.MachineCacheHits) / float64(n)

@@ -16,16 +16,23 @@ const (
 	// PhaseSelect is serial parent selection: the per-offspring draws
 	// that consume the engine rng in a worker-independent order.
 	PhaseSelect Phase = iota
-	// PhaseVariation is the parallel crossover + order-repair +
-	// mutation fan-out, including the offspring arena draws.
+	// PhaseVariation is crossover + order repair + mutation, including
+	// the offspring arena draws. It runs fused with PhaseEval in one
+	// parallel breeding fan-out, whose wall time the engine splits
+	// between the two in the proportion its workers measured.
 	PhaseVariation
-	// PhaseCacheProbe is the serial fitness-memoization probe bracket.
+	// PhaseCacheProbe is retired and always 0: it timed the serial
+	// probe of the fitness-memoization cache, which was removed because
+	// its hit ratio on the benchmark workloads stayed below 2%. Kept so
+	// the phase table and the v4 trace's phase_ns array keep their
+	// layout.
 	PhaseCacheProbe
-	// PhaseEval is offspring evaluation: the prepare fan-out, the
-	// serial machine-cache probe, the parallel simulation, and the
-	// serial machine-cache insert.
+	// PhaseEval is offspring evaluation: parent-row inheritance, the
+	// kernel simulation of the remaining machines, and the reduction to
+	// objective values.
 	PhaseEval
-	// PhaseCacheInsert is the serial fitness-memoization insert bracket.
+	// PhaseCacheInsert is retired and always 0, like PhaseCacheProbe
+	// (it timed the cache's serial insert).
 	PhaseCacheInsert
 	// PhaseSort is survivor selection over the 2N meta-population:
 	// nondominated sort, crowding distance, and the truncated fill.
@@ -121,6 +128,19 @@ func (t *PhaseTimer) Record(p Phase, start int64) {
 		now = t.clock()
 	}
 	t.ns[p].Add(now - start)
+	t.count[p].Add(1)
+}
+
+// Add attributes ns nanoseconds to p as one bracket, for a caller that
+// timed a fused section itself and splits it between phases. No-op on
+// a nil timer.
+//
+//detlint:hotpath
+func (t *PhaseTimer) Add(p Phase, ns int64) {
+	if t == nil {
+		return
+	}
+	t.ns[p].Add(ns)
 	t.count[p].Add(1)
 }
 

@@ -22,11 +22,9 @@ func sampleGeneration(gen int) GenerationStats {
 		Label: "ds1", Generation: gen, Population: 4,
 		Front:     [][]float64{{10.5, 2.25}, {8, 1}},
 		FullEvals: 1, DeltaEvals: 2, CacheHits: 1, CacheMisses: 3,
-		CacheEvictions: 0, CacheSize: 5, CacheCapacity: 16,
 		ArenaInUse: 12, ArenaSlots: 16,
 		MachinesSimulated: 6, MachinesInherited: 12,
-		MachineCacheHits: 4, MachineCacheMisses: 6, MachineCacheEvictions: 0,
-		MachineCacheSize: 7, MachineCacheCapacity: 32,
+		MachineCacheHits: 4, MachineCacheMisses: 6,
 		TypedTasks: 20, TypedRuns: 8,
 		DirtyCounts: []int{0, 1, 2, 3}, NumMachines: 6,
 		PhaseNanos: PhaseTotals{100, 200, 300, 400, 500, 600, 700, 800},

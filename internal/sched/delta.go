@@ -52,39 +52,6 @@ type Contribs struct {
 	valid bool
 }
 
-// MachineRow is one machine's contribution row, the value cached by the
-// engine's machine-bucket memoization layer.
-type MachineRow struct {
-	Utility float64
-	Energy  float64
-	Busy    float64
-	Ready   float64
-	Done    int32
-}
-
-// Row returns machine m's contribution row.
-func (c *Contribs) Row(m int) MachineRow {
-	return MachineRow{
-		Utility: c.Utility[m],
-		Energy:  c.Energy[m],
-		Busy:    c.Busy[m],
-		Ready:   c.Ready[m],
-		Done:    c.Done[m],
-	}
-}
-
-// SetRow overwrites machine m's contribution row (the bucket
-// fingerprint is untouched; Prepare computes it).
-//
-//detlint:hotpath
-func (c *Contribs) SetRow(m int, r MachineRow) {
-	c.Utility[m] = r.Utility
-	c.Energy[m] = r.Energy
-	c.Busy[m] = r.Busy
-	c.Ready[m] = r.Ready
-	c.Done[m] = r.Done
-}
-
 // NewContribs returns an empty contribution cache sized for the
 // evaluator, ready to be filled by EvaluateFull or EvaluateDelta.
 func (e *Evaluator) NewContribs() *Contribs {
@@ -99,33 +66,9 @@ func (e *Evaluator) NewContribs() *Contribs {
 	}
 }
 
-// CopyFrom overwrites c with a deep copy of src — contribution rows,
-// bucket fingerprints, and validity — reusing c's backing arrays. A
-// copied cache is interchangeable with the original: passing either as
-// the parent of EvaluateDelta yields bit-identical results, which is
-// what lets a fitness-memoization layer hand out cached contributions
-// to recycled offspring buffers.
-//
-//detlint:hotpath
-func (c *Contribs) CopyFrom(src *Contribs) {
-	c.Utility = c.Utility[:0]
-	c.Utility = append(c.Utility, src.Utility...)
-	c.Energy = c.Energy[:0]
-	c.Energy = append(c.Energy, src.Energy...)
-	c.Busy = c.Busy[:0]
-	c.Busy = append(c.Busy, src.Busy...)
-	c.Ready = c.Ready[:0]
-	c.Ready = append(c.Ready, src.Ready...)
-	c.Done = c.Done[:0]
-	c.Done = append(c.Done, src.Done...)
-	c.FP = c.FP[:0]
-	c.FP = append(c.FP, src.FP...)
-	c.valid = src.valid
-}
-
 // Equal reports whether two caches hold bit-identical contents
 // (contribution rows, bucket fingerprints, and validity). It backs the
-// memoization layers' verify-on-hit debug modes.
+// engine's direct-evaluation oracle test.
 func (c *Contribs) Equal(o *Contribs) bool {
 	return c.valid == o.valid &&
 		slices.Equal(c.Utility, o.Utility) &&
@@ -259,13 +202,12 @@ func (s *DeltaStats) Sub(o DeltaStats) {
 // need a contribution row after parent inheritance, plus every
 // machine's task sequence in execution order (gathered machine-major
 // during Prepare's single slot walk). Plans are caller-owned scratch
-// (the engine keeps one per offspring so the prepare and simulate
-// phases can run in separate fan-outs); allocate with NewDeltaPlan and
-// reuse freely.
+// (the engine keeps one per breeding worker); allocate with
+// NewDeltaPlan and reuse freely.
 type DeltaPlan struct {
-	// Need lists the machines (ascending) whose row was neither
-	// inherited from the parent nor otherwise supplied; the caller must
-	// fill them via SimulateNeed or SetRow before Finish.
+	// Need lists the machines (ascending) whose row was not inherited
+	// from the parent; the caller must simulate them (SimulateNeed,
+	// SimulateNeedList or SimulateAllNeeds) before Finish.
 	Need []int32
 
 	// seq holds every machine's task sequence back-to-back in machine
@@ -382,15 +324,15 @@ func (d *DeltaSession) ScatterSlots(a *Allocation, slots []uint64, counts []int3
 // each machine's non-dropped task count for these slots (a by-product
 // of building them — see ScatterSlots); it is what lets the gather
 // land machine-major in the same walk that computes the fingerprints.
-// The caller supplies each needed machine's row — from a memoization
-// layer via SetRow, or by SimulateNeed — then calls Finish.
+// The caller simulates each needed machine, then calls Finish.
 //
 // Fingerprint-matched inheritance subsumes the dirty-machine flags of
 // the pre-typed delta path: an unchanged sequence always reproduces the
 // parent's fingerprint, so flagged-but-unchanged machines inherit
 // without a stored copy of the parent's layout. A 64-bit collision
 // between different sequences on the same machine would inherit a stale
-// row; the engine's verify mode exists to rule that out.
+// row; the engine's direct-evaluation oracle test checks every
+// population member against a fresh EvaluateFull to rule that out.
 //
 //detlint:hotpath
 func (d *DeltaSession) Prepare(slots []uint64, counts []int32, parent *Contribs, dst *Contribs, plan *DeltaPlan) {

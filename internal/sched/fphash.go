@@ -1,14 +1,12 @@
 package sched
 
-// Deterministic fingerprint primitives shared by the evaluation layer's
-// machine-bucket signatures and the NSGA-II engine's whole-chromosome
-// fingerprints (internal/nsga2 builds its four-lane genotype hash from
-// these same constants). The mixing is splitmix-style — xor-multiply
-// absorption with the splitmix64 finalizer — built from compile-time
-// constants only: no hash/maphash (whose per-process seed would make
-// cache behaviour differ between runs) and no other runtime-seeded
-// state, so fingerprints are bit-identical across processes, platforms,
-// and worker counts.
+// Deterministic fingerprint primitives for the evaluation layer's
+// machine-bucket signatures, which decide parent-row inheritance. The
+// mixing is splitmix-style — xor-multiply absorption with the
+// splitmix64 finalizer — built from compile-time constants only: no
+// hash/maphash (whose per-process seed would make inheritance differ
+// between runs) and no other runtime-seeded state, so fingerprints are
+// bit-identical across processes, platforms, and worker counts.
 
 const (
 	// FPGamma is the splitmix64 increment ("golden gamma"); fingerprint
