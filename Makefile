@@ -82,12 +82,12 @@ bench-scale-record:
 
 # Distributed-islands slice of the regression gate (DESIGN.md §15): the
 # wire codec hot paths, full coordinator round trips over in-process
-# pipes against the single-process async baseline, and the streaming
+# pipes against the in-process Islands baseline, and the streaming
 # ε-archive's spill/merge pipeline, compared against BENCH_dist.json.
-# The recorded baseline is honest about its host: on a single core the
-# worker-count ladder measures scheduling and wire overhead, not
-# speedup — on 4+ cores re-record and expect the 4-worker run to beat
-# the in-process baseline.
+# The recorded baseline is honest about its host: 2 cores, Go 1.24.0,
+# GOMAXPROCS=2 (the default). On so few cores the worker-count ladder
+# measures scheduling and wire overhead, not speedup — on 4+ cores
+# re-record and expect the 4-worker run to beat the in-process baseline.
 bench-dist:
 	$(GO) test -run '^$$' -bench BenchmarkDist -benchtime 300ms -count 3 -benchmem ./internal/dist > /tmp/bench_dist.txt
 	$(GO) test -run '^$$' -bench BenchmarkStreamingArchive -benchtime 300ms -count 3 -benchmem ./internal/moea >> /tmp/bench_dist.txt
@@ -106,8 +106,8 @@ bench-dist-record:
 # parent trace as /tmp/dist_smoke.jsonl.w0/.w1 for post-mortems.
 dist-smoke:
 	$(GO) build -race -o /tmp/tradeoff_dist_smoke ./cmd/tradeoff
-	/tmp/tradeoff_dist_smoke -dataset 1 -tasks 60 -generations 20 -pop 16 -islands 4 -migration-interval 5 -async -csv /tmp/dist_smoke_inproc.csv > /dev/null
-	/tmp/tradeoff_dist_smoke -dataset 1 -tasks 60 -generations 20 -pop 16 -islands 4 -migration-interval 5 -async -distribute 2 -trace /tmp/dist_smoke.jsonl -csv /tmp/dist_smoke_dist.csv > /dev/null
+	/tmp/tradeoff_dist_smoke -dataset 1 -tasks 60 -generations 20 -pop 16 -islands 4 -migration-interval 5 -csv /tmp/dist_smoke_inproc.csv > /dev/null
+	/tmp/tradeoff_dist_smoke -dataset 1 -tasks 60 -generations 20 -pop 16 -islands 4 -migration-interval 5 -distribute 2 -trace /tmp/dist_smoke.jsonl -csv /tmp/dist_smoke_dist.csv > /dev/null
 	cmp /tmp/dist_smoke_inproc.csv /tmp/dist_smoke_dist.csv
 	$(GO) run ./cmd/tracestat /tmp/dist_smoke.jsonl.w0 /tmp/dist_smoke.jsonl.w1 > /dev/null
 

@@ -1,10 +1,10 @@
 // Distributed island mode: -distribute N forks N copies of this binary
 // in worker mode (-island-worker W), each owning a contiguous shard of
-// the island ring and stepping on the same asynchronous logical-clock
-// schedule the in-process model uses. Boundary migrations travel over
-// per-worker socketpairs as fixed-width binary frames (internal/dist),
-// so the distributed run is bit-identical to -islands N -async in one
-// process: same fronts, same migration-event sequence, same snapshots.
+// the island ring and stepping on the same logical-clock schedule the
+// in-process model uses. Boundary migrations travel over per-worker
+// socketpairs as fixed-width binary frames (internal/dist), so the
+// distributed run is bit-identical to -islands N in one process: same
+// fronts, same migration-event sequence, same snapshots.
 package main
 
 import (
@@ -61,9 +61,6 @@ func serveIslandWorker(fw *core.Framework, opts core.Options, worker, workers in
 // wire coordinator, and assembles the same Result the in-process
 // island model produces.
 func runDistributed(fw *core.Framework, opts core.Options, workers int, tel *telemetry.Session) (*core.Result, error) {
-	if !opts.AsyncIslands {
-		return nil, fmt.Errorf("-distribute needs -async: worker shards step on the asynchronous logical-clock schedule")
-	}
 	cfg, err := fw.IslandConfig(opts)
 	if err != nil {
 		return nil, err

@@ -29,8 +29,9 @@
 // the reported utility-per-energy region.
 //
 // -islands runs the island model with ring migration every
-// -migration-interval generations; -async switches its Run loop to
-// asynchronous steady-state stepping (bit-identical results).
+// -migration-interval generations; each island steps on its own
+// goroutine under a logical-clock migration schedule. -distribute N
+// spreads the ring over N worker processes (bit-identical results).
 // -archive bounds the reported front to at most N ε-dominance
 // representatives, with box widths from -archive-eps or derived from
 // the front's own extent — essential at 10^5+ tasks, where raw fronts
@@ -94,8 +95,7 @@ func main() {
 		traceCSV    = flag.String("tracecsv", "", "import the trace from a CSV (arrival,task_type[,priority,horizon])")
 		islands     = flag.Int("islands", 0, "run the island model with this many populations (0 = single population)")
 		migInterval = flag.Int("migration-interval", 25, "generations between island ring migrations (with -islands)")
-		asyncFlag   = flag.Bool("async", false, "asynchronous island stepping (with -islands; bit-identical results)")
-		distribute  = flag.Int("distribute", 0, "run the islands across this many worker processes (with -islands and -async; bit-identical results)")
+		distribute  = flag.Int("distribute", 0, "run the islands across this many worker processes (with -islands; bit-identical results)")
 		islandWork  = flag.Int("island-worker", -1, "internal: serve as distributed island worker N over the inherited socket (spawned by -distribute)")
 		snapshotIn  = flag.String("snapshot-in", "", "resume an island run from this snapshot JSON (with -islands)")
 		snapshotOut = flag.String("snapshot-out", "", "write the island run's final state to this snapshot JSON (with -islands)")
@@ -273,7 +273,6 @@ func main() {
 		UPETolerance:      *upeTol,
 		Islands:           *islands,
 		MigrationInterval: *migInterval,
-		AsyncIslands:      *asyncFlag,
 		ArchiveSize:       *archiveSize,
 		ArchiveEpsilon:    eps,
 		Observer:          tel.Observer(),

@@ -95,11 +95,10 @@ type Options struct {
 	Islands int
 	// MigrationInterval is the island migration period (default 25).
 	MigrationInterval int
-	// AsyncIslands selects asynchronous steady-state island stepping:
-	// each island advances on its own goroutine under a logical-clock
-	// migration schedule with no per-generation barrier. Results and
-	// telemetry are bit-identical to synchronous stepping; only
-	// meaningful with Islands > 1. See internal/nsga2.
+	// AsyncIslands is retired and ignored: islands always step on the
+	// logical-clock schedule (see internal/nsga2). It stays until the
+	// end-to-end benchmark, which still sets it, next changes.
+	//detlint:allow optwire retired field, ignored; kept only for the end-to-end benchmark that still sets it
 	AsyncIslands bool
 	// ArchiveSize, when > 0, bounds the returned front: the final
 	// rank-1 points are filtered through an ε-dominance archive keeping
@@ -402,7 +401,6 @@ func islandConfigFrom(opts Options, seeds []*sched.Allocation) nsga2.IslandConfi
 	return nsga2.IslandConfig{
 		Islands:           opts.Islands,
 		MigrationInterval: opts.MigrationInterval,
-		Async:             opts.AsyncIslands,
 		Engine: nsga2.Config{
 			PopulationSize: opts.PopulationSize,
 			MutationRate:   opts.MutationRate,

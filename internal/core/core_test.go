@@ -213,8 +213,8 @@ func TestOptimizeIslands(t *testing.T) {
 	}
 }
 
-// TestOptimizeAsyncIslandsMatchesSync: the API-level async toggle is
-// bit-identical to synchronous island stepping.
+// TestOptimizeAsyncIslandsMatchesSync: the retired AsyncIslands field
+// is ignored, so setting it leaves the island run bit-identical.
 func TestOptimizeAsyncIslandsMatchesSync(t *testing.T) {
 	f := newFramework(t, 50)
 	opts := Options{

@@ -3,7 +3,8 @@ package dist
 // Benchmarks for the distributed-islands slice of the regression gate
 // (Makefile bench-dist, BENCH_dist.json): the wire codec's hot paths in
 // isolation, and full coordinator round trips over in-process pipes
-// against the single-process async island run as the baseline. On a
+// against the same ring run by Islands in one process as the baseline.
+// On a
 // multi-core host the cluster benchmarks also measure the wall-clock
 // speedup of sharding; on a single core they still gate the wire and
 // scheduling overhead, which is what regresses silently.
@@ -101,9 +102,9 @@ func BenchmarkDistClusterRun1Worker(b *testing.B)  { benchClusterRun(b, 1) }
 func BenchmarkDistClusterRun2Workers(b *testing.B) { benchClusterRun(b, 2) }
 func BenchmarkDistClusterRun4Workers(b *testing.B) { benchClusterRun(b, 4) }
 
-// BenchmarkDistInProcessRun is the single-process async baseline the
-// cluster benchmarks are read against: same ring, same seed, same
-// generations, no wire.
+// BenchmarkDistInProcessRun is the in-process baseline the cluster
+// benchmarks are read against: the same ring stepped by nsga2.Islands
+// in this process, same seed, same generations, no wire.
 func BenchmarkDistInProcessRun(b *testing.B) {
 	e := newEval(b, 40)
 	cfg := distCfg(4, 5, 2, 8)

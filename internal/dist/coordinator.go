@@ -137,7 +137,8 @@ func (c *Coordinator) Run(generations int) error {
 		return nil
 	}
 	nw := len(c.conns)
-	firstTick, nticks := nsga2.RingTicks(c.gen, c.gen+generations,
+	start := c.gen
+	_, nticks := nsga2.RingTicks(start, start+generations,
 		c.cfg.MigrationInterval, c.cfg.Migrants, c.cfg.Islands)
 	for w, conn := range c.conns {
 		if err := conn.SendRun(&WireRun{Generations: int64(generations)}); err != nil {
@@ -270,29 +271,18 @@ func (c *Coordinator) Run(generations int) error {
 	if c.cfg.Observer == nil {
 		return nil
 	}
-	// Emit per tick: every ring edge's migration event in from-ascending
-	// global order, then the aggregated shard stats — the exact sequence
-	// the in-process island model serializes.
-	for t := 0; t < nticks; t++ {
-		gen := firstTick + t*c.cfg.MigrationInterval
-		var agg nsga2.ShardTick
-		for w := 0; w < nw; w++ {
-			for li := 0; li < c.hi[w]-c.lo[w]; li++ {
-				tick := tickFromWire(reports[w].Ticks[t][li])
-				gi := c.lo[w] + li
-				c.cfg.Observer.ObserveMigration(obs.MigrationEvent{
-					Generation: gen,
-					From:       gi,
-					To:         (gi + 1) % c.cfg.Islands,
-					Count:      tick.Migrants,
-				})
-				agg.Add(tick)
+	recs := make([][]nsga2.ShardTick, c.cfg.Islands)
+	for w, rep := range reports {
+		for li := 0; li < c.hi[w]-c.lo[w]; li++ {
+			rec := make([]nsga2.ShardTick, nticks)
+			for t := range rec {
+				rec[t] = tickFromWire(rep.Ticks[t][li])
 			}
+			recs[c.lo[w]+li] = rec
 		}
-		c.cfg.Observer.ObserveGeneration(nsga2.ShardStatsEvent(
-			gen, c.cfg.PopulationSize*c.cfg.Islands, c.cfg.NumMachines, agg, c.aggBase))
-		c.aggBase = agg
 	}
+	nsga2.EmitTicks(c.cfg.Observer, recs, start, c.cfg.MigrationInterval,
+		c.cfg.PopulationSize*c.cfg.Islands, c.cfg.NumMachines, &c.aggBase)
 	return nil
 }
 

@@ -51,7 +51,6 @@ func distCfg(islands, interval, migrants, pop int) nsga2.IslandConfig {
 		Islands:           islands,
 		MigrationInterval: interval,
 		Migrants:          migrants,
-		Async:             true,
 		Engine:            nsga2.Config{PopulationSize: pop, Workers: 2},
 	}
 }
@@ -137,7 +136,7 @@ func sameIndividuals(a, b []nsga2.Individual) bool {
 }
 
 // TestDistributedMatchesInProcess: for every worker count, a
-// distributed run must be bit-identical to the in-process async run —
+// distributed run must be bit-identical to the in-process run —
 // merged front (with genotypes), migration-event sequence, and
 // aggregated islands stats — across multiple Run calls.
 func TestDistributedMatchesInProcess(t *testing.T) {

@@ -141,7 +141,7 @@ func (c *procCluster) stop(t *testing.T) {
 
 // TestProcDistributedMatchesInProcess: across real process boundaries
 // and every worker count, the distributed run must match the in-process
-// async run bit for bit — front genotypes and telemetry events.
+// run bit for bit — front genotypes and telemetry events.
 func TestProcDistributedMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks worker processes")

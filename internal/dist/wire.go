@@ -1,11 +1,11 @@
 // Package dist distributes an island-model NSGA-II run across worker
 // processes (DESIGN.md §15). A parent process forks N workers over
 // socketpairs; each worker runs a contiguous shard of the island ring
-// with the asynchronous logical-clock schedule (internal/nsga2), and
+// with the logical-clock schedule (internal/nsga2), and
 // the ring's boundary edges are carried over the wire by a
 // deterministic, length-framed binary codec. The parent routes elite
 // migrations between workers, aggregates their telemetry shards, and
-// merges their fronts — bit-identical to the in-process async run.
+// merges their fronts — bit-identical to the in-process run.
 //
 // Wire format: every frame is
 //

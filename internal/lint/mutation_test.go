@@ -107,8 +107,8 @@ func TestMutations(t *testing.T) {
 			name:     "snapshotcover_drops_decode_read",
 			analyzer: "snapshotcover",
 			file:     "internal/nsga2/snapshot.go",
-			old:      "is.generation = s.Generation",
-			new:      "is.generation = 0",
+			old:      "is.shard.Restore(s.Generation, s.Islands)",
+			new:      "is.shard.Restore(0, s.Islands)",
 			want:     "snapshot field IslandsSnapshot.Generation is referenced on the encode side but never on the decode side",
 		},
 		{
@@ -122,7 +122,7 @@ func TestMutations(t *testing.T) {
 		},
 		{
 			// Collapse the per-island, per-epoch record slot to a shared
-			// constant index: every async island now races on one cell.
+			// constant index: every island now races on one cell.
 			name:     "sharedstate_constant_slot",
 			analyzer: "sharedstate",
 			file:     "internal/nsga2/shard.go",

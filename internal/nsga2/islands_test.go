@@ -141,7 +141,7 @@ func TestMigrationSpreadsElites(t *testing.T) {
 	}
 	is.Run(10) // 5 migrations: elite reaches every ring position
 	spread := 0
-	for _, eng := range is.engines {
+	for _, eng := range is.shard.engines {
 		for _, ind := range eng.Population() {
 			if ind.Objectives[1] <= seedE*1.001 {
 				spread++
@@ -265,6 +265,17 @@ func TestRestoreValidation(t *testing.T) {
 	snap2.Population[0].Machine[0] = 999
 	if err := eng.Restore(snap2); err == nil {
 		t.Fatal("invalid genome accepted")
+	}
+	// 2^32+1 would narrow to machine 1, a valid gene.
+	wide := eng.Snapshot()
+	wide.Population[0].Machine[0] = 1<<32 + 1
+	if err := eng.Restore(wide); err == nil {
+		t.Fatal("gene outside int32 accepted")
+	}
+	neg := eng.Snapshot()
+	neg.Generation = -1
+	if err := eng.Restore(neg); err == nil {
+		t.Fatal("negative generation accepted")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // tickClock returns an obs.Clock advancing by step on every reading, so
 // every phase bracket records a nonzero duration. Atomic, because a
-// shared timer hands the clock to every async island goroutine.
+// shared timer hands the clock to every island goroutine.
 func tickClock(step int64) obs.Clock {
 	var t atomic.Int64
 	return func() int64 {
@@ -178,7 +178,15 @@ func TestPhaseNanosZeroWithoutTimer(t *testing.T) {
 	}
 }
 
+// TestIslandsPhaseTimerRecordsMigration: each island brackets its
+// migration work once per tick, and the engine phases plus migration,
+// spread over the islands, stay within the run's wall time — the
+// ring-edge wait is not counted on top of the islands' step phases.
+// Both subtests reach the one ring runtime: "sync" steps a generation
+// at a time with Async unset, "async" makes one Run call with the
+// retired Async knob set, which must change nothing.
 func TestIslandsPhaseTimerRecordsMigration(t *testing.T) {
+	const k, gens = 3, 8
 	for _, async := range []bool{false, true} {
 		name := "sync"
 		if async {
@@ -186,27 +194,43 @@ func TestIslandsPhaseTimerRecordsMigration(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			is := newIslands(t, 40, IslandConfig{
-				Islands:           3,
+				Islands:           k,
 				MigrationInterval: 4,
 				Migrants:          1,
 				Async:             async,
 				Engine:            Config{PopulationSize: 8},
 			}, 7)
-			pt := obs.NewPhaseTimer(tickClock(2))
+			clock := tickClock(2)
+			pt := obs.NewPhaseTimer(clock)
 			is.SetPhaseTimer(pt)
-			is.Run(8) // two migration exchanges
+			before := clock()
+			if async {
+				is.Run(gens) // two migration ticks
+			} else {
+				for g := 0; g < gens; g++ {
+					is.Step()
+				}
+			}
+			elapsed := clock() - before
 
 			cnt, tot := pt.Counts(), pt.Totals()
-			if cnt[obs.PhaseMigration] == 0 || tot[obs.PhaseMigration] <= 0 {
-				t.Fatalf("migration phase %d brackets / %dns, want recorded work",
-					cnt[obs.PhaseMigration], tot[obs.PhaseMigration])
+			if cnt[obs.PhaseMigration] != 2*k || tot[obs.PhaseMigration] <= 0 {
+				t.Fatalf("migration phase %d brackets / %dns, want %d brackets of recorded work",
+					cnt[obs.PhaseMigration], tot[obs.PhaseMigration], 2*k)
 			}
 			// The shared timer aggregates the engine phases of all three
 			// islands: 8 generations x 3 islands = 24 step brackets each.
 			for _, p := range []obs.Phase{obs.PhaseSelect, obs.PhaseVariation, obs.PhaseEval, obs.PhaseSort} {
-				if cnt[p] != 24 {
-					t.Errorf("phase %s bracketed %d times, want 24", p, cnt[p])
+				if cnt[p] != gens*k {
+					t.Errorf("phase %s bracketed %d times, want %d", p, cnt[p], gens*k)
 				}
+			}
+			var sum int64
+			for _, ns := range tot {
+				sum += ns
+			}
+			if sum/k > elapsed {
+				t.Fatalf("phases spread over %d islands cover %dns of %dns clock", k, sum/k, elapsed)
 			}
 		})
 	}

@@ -67,7 +67,7 @@ func runShards(t *testing.T, shards []*IslandShard, generations int) [][][]Shard
 
 // TestIslandShardPartitionsMatchIslands: every contiguous shard
 // partition of the ring — including the trivial whole-ring shard — must
-// end bit-identical to the single-process async island run: per-island
+// end bit-identical to the single-process island run: per-island
 // fronts, merged front, and per-tick migrant counts.
 func TestIslandShardPartitionsMatchIslands(t *testing.T) {
 	e := newEval(t, 40)
@@ -80,7 +80,7 @@ func TestIslandShardPartitionsMatchIslands(t *testing.T) {
 		{4, []int{0, 1, 2, 3, 4}},
 		{5, []int{0, 2, 3, 5}},
 	} {
-		cfg := asyncCfg(tc.k, 4, 2, 8, 2)
+		cfg := ringCfg(tc.k, 4, 2, 8, 2)
 		ref, err := NewIslands(e, cfg, rng.New(77))
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestIslandShardPartitionsMatchIslands(t *testing.T) {
 				for _, ind := range front {
 					pts = append(pts, ind.Objectives)
 				}
-				if !frontsEqual(pts, ref.engines[gi].FrontPoints()) {
+				if !frontsEqual(pts, ref.shard.engines[gi].FrontPoints()) {
 					t.Fatalf("k=%d cuts=%v: island %d front differs from in-process run", tc.k, tc.cuts, gi)
 				}
 				// Per-tick migrant counts must match the reference
@@ -141,7 +141,7 @@ func TestIslandShardPartitionsMatchIslands(t *testing.T) {
 // for bit.
 func TestIslandShardSnapshotHandoff(t *testing.T) {
 	e := newEval(t, 40)
-	cfg := asyncCfg(4, 5, 2, 8, 1)
+	cfg := ringCfg(4, 5, 2, 8, 1)
 	const total, pause = 18, 7
 
 	straight, err := NewIslands(e, cfg, rng.New(31))
@@ -191,7 +191,7 @@ func TestIslandShardSnapshotHandoff(t *testing.T) {
 			for _, ind := range front {
 				pts = append(pts, ind.Objectives)
 			}
-			if !frontsEqual(pts, straight.engines[gi].FrontPoints()) {
+			if !frontsEqual(pts, straight.shard.engines[gi].FrontPoints()) {
 				t.Fatalf("island %d front differs after in-process start, sharded finish", gi)
 			}
 			gi++
@@ -203,7 +203,7 @@ func TestIslandShardSnapshotHandoff(t *testing.T) {
 // and shape-mismatched restores are rejected.
 func TestIslandShardValidation(t *testing.T) {
 	e := newEval(t, 20)
-	cfg := asyncCfg(3, 5, 1, 6, 1)
+	cfg := ringCfg(3, 5, 1, 6, 1)
 	if _, err := NewIslandShard(e, cfg, rng.New(1), 2, 2); err == nil {
 		t.Fatal("accepted an empty shard range")
 	}

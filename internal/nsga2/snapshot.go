@@ -3,6 +3,7 @@ package nsga2
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"tradeoff/internal/rng"
 )
@@ -43,6 +44,9 @@ func (e *Engine) Snapshot() *Snapshot {
 //
 //detlint:pure
 func (e *Engine) Restore(s *Snapshot) error {
+	if s.Generation < 0 {
+		return fmt.Errorf("nsga2: snapshot generation %d, want >= 0", s.Generation)
+	}
 	if len(s.Population) != e.cfg.PopulationSize {
 		return fmt.Errorf("nsga2: snapshot population %d, engine expects %d",
 			len(s.Population), e.cfg.PopulationSize)
@@ -52,9 +56,15 @@ func (e *Engine) Restore(s *Snapshot) error {
 	pop := make([]Individual, len(s.Population))
 	for i, g := range s.Population {
 		alloc := e.arena.getAlloc()
-		alloc.Machine = narrowInto(alloc.Machine[:0], g.Machine)
-		alloc.Order = narrowInto(alloc.Order[:0], g.Order)
-		if err := e.eval.Validate(alloc); err != nil {
+		var err error
+		alloc.Machine, err = narrowInto(alloc.Machine[:0], g.Machine)
+		if err == nil {
+			alloc.Order, err = narrowInto(alloc.Order[:0], g.Order)
+		}
+		if err == nil {
+			err = e.eval.Validate(alloc)
+		}
+		if err != nil {
 			for k := 0; k <= i; k++ {
 				e.arena.putAlloc(pop[k].Alloc)
 			}
@@ -88,7 +98,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 // mailbox is provably drained (each migration tick's send is consumed
 // by the receiver at its own same-numbered tick before either island
 // can pass the tick), so no in-flight migrants need to be serialized —
-// resuming an asynchronous run from a snapshot is bit-identical to
+// resuming a run from a snapshot is bit-identical to
 // never having paused, at any logical-clock point.
 type IslandsSnapshot struct {
 	Generation int         `json:"generation"`
@@ -97,32 +107,18 @@ type IslandsSnapshot struct {
 
 // Snapshot captures the island run's current state.
 func (is *Islands) Snapshot() *IslandsSnapshot {
-	s := &IslandsSnapshot{Generation: is.generation}
-	for _, eng := range is.engines {
-		s.Islands = append(s.Islands, eng.Snapshot())
-	}
-	return s
+	return &IslandsSnapshot{Generation: is.shard.generation, Islands: is.shard.Snapshots()}
 }
 
 // Restore resets the island run to the snapshot's state. The island
-// count must match the configuration; each engine validates its own
-// sub-snapshot. On error the run is left untouched for islands before
-// the failing one only in rng/population terms — callers should treat
-// a failed restore as fatal for the run, as with Engine.Restore.
+// count must match the configuration and the generation must not be
+// negative; each engine validates its own sub-snapshot. On error the
+// islands before the failing one are already restored — callers should
+// treat a failed restore as fatal for the run, as with Engine.Restore.
 func (is *Islands) Restore(s *IslandsSnapshot) error {
-	if len(s.Islands) != len(is.engines) {
-		return fmt.Errorf("nsga2: snapshot has %d islands, run expects %d",
-			len(s.Islands), len(is.engines))
+	if err := is.shard.Restore(s.Generation, s.Islands); err != nil {
+		return err
 	}
-	for i, sub := range s.Islands {
-		if sub == nil {
-			return fmt.Errorf("nsga2: island snapshot %d is nil", i)
-		}
-		if err := is.engines[i].Restore(sub); err != nil {
-			return fmt.Errorf("nsga2: island %d: %w", i, err)
-		}
-	}
-	is.generation = s.Generation
 	if is.observer != nil {
 		// Restore re-evaluates every population; resync the aggregated
 		// shard baseline so the next tick reports only its own work.
@@ -184,11 +180,15 @@ func widen(src []int32) []int {
 }
 
 // narrowInto appends src to dst narrowed to int32. Gene values are
-// machine indices and order ranks, both far below 2^31; Validate rejects
-// out-of-range values after the restore regardless.
-func narrowInto(dst []int32, src []int) []int32 {
+// machine indices and order ranks, both far below 2^31; a value outside
+// int32 is an error, since narrowing would wrap it into a gene Validate
+// could accept.
+func narrowInto(dst []int32, src []int) ([]int32, error) {
 	for _, v := range src {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return dst, fmt.Errorf("nsga2: gene value %d outside int32", v)
+		}
 		dst = append(dst, int32(v))
 	}
-	return dst
+	return dst, nil
 }

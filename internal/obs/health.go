@@ -3,7 +3,7 @@ package obs
 import "strconv"
 
 // IslandBoard is a fixed set of per-island health gauges for the
-// async island model: ring-edge mailbox depth, local logical-clock
+// island model: ring-edge mailbox depth, local logical-clock
 // tick per island, plus a cross-island
 // tick-skew gauge. The island count is frozen at construction (the
 // Registry has no labels, so each island gets its own gauge names) and

@@ -13,8 +13,9 @@ type Observer interface {
 	// ObserveGeneration fires once per Engine.Step, after survivor
 	// selection, with the post-step state.
 	ObserveGeneration(g GenerationStats)
-	// ObserveMigration fires once per island migration edge during
-	// Islands.Step's serial migration phase.
+	// ObserveMigration fires once per island ring edge at every
+	// migration tick, emitted in from-ascending order after the island
+	// run that crossed the tick.
 	ObserveMigration(m MigrationEvent)
 	// ObserveRun fires once per completed experiment run, from the
 	// serial aggregation phase of experiments.RunRepeats.

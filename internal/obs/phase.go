@@ -41,8 +41,8 @@ const (
 	// front (core.Options.ArchiveSize), recorded once per run.
 	PhaseArchive
 	// PhaseMigration is island ring migration: elite collection and
-	// injection (plus, in the asynchronous mode, the ring-edge mailbox
-	// wait).
+	// injection, one bracket per island per tick. The ring-edge mailbox
+	// wait between them is not included.
 	PhaseMigration
 )
 
@@ -97,7 +97,7 @@ type PhaseTimer struct {
 
 // NewPhaseTimer returns a timer reading the injected clock (nil for a
 // constant-zero clock). A timer shared across goroutines — one timer
-// for every async island — calls the clock concurrently, so the clock
+// for every island — calls the clock concurrently, so the clock
 // must be safe for concurrent use (time.Now-style clocks are).
 func NewPhaseTimer(clock Clock) *PhaseTimer {
 	return &PhaseTimer{clock: clock}
