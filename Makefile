@@ -3,9 +3,8 @@ GO ?= go
 .PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke bench-test check
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
-# BENCH_step.json): generation cost (including the typed/scalar kernel
-# twins and the 50k-task generation), front extraction, and the
-# evaluation kernels.
+# BENCH_step.json): generation cost (including the 4000-task and the
+# 50k-task generations), front extraction, and the evaluation kernels.
 BENCH_GATE = BenchmarkStep|BenchmarkTypedStep|BenchmarkParetoFront|BenchmarkEvaluate
 
 all: check

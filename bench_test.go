@@ -270,24 +270,11 @@ func benchStepLarge(b *testing.B, dsNum int) {
 	}
 }
 
-// Typed-kernel ablation twins on the 4000-task trace: the same
-// generation loop as BenchmarkStepPop100Tasks4000 under each simulation
-// kernel, so benchdiff can attribute a regression to the kernel rather
-// than to the step as a whole. Both configurations produce
-// bit-identical populations — only the speed may differ.
-func BenchmarkTypedStepKernelTyped(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.Kernel = sched.KernelTyped })
-}
-
-func BenchmarkTypedStepKernelScalar(b *testing.B) {
-	benchStepConfigured(b, 3, func(c *nsga2.Config) { c.Kernel = sched.KernelScalar })
-}
-
 // BenchmarkTypedStep50kTasks measures one generation over a
 // datagen-synthesized 50 000-task trace on an enlarged heterogeneous
-// system — the scale where the typed kernel's run-length compression
-// has long queues to work with, unlike the paper traces' short ones. Skipped under -short: building the
-// trace and one warm-up generation cost seconds.
+// system, where machine queues are long, unlike the paper traces' short
+// ones. Skipped under -short: building the trace and one warm-up
+// generation cost seconds.
 func BenchmarkTypedStep50kTasks(b *testing.B) {
 	if testing.Short() {
 		b.Skip("50k-task trace synthesis is too slow for -short")
@@ -306,25 +293,6 @@ func BenchmarkTypedStep50kTasks(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng, err := nsga2.New(ev, nsga2.Config{PopulationSize: 20}, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.Step() // size the arena and scratch before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-	}
-}
-
-func benchStepConfigured(b *testing.B, dsNum int, mod func(*nsga2.Config)) {
-	ds, err := experiments.ByNumber(dsNum, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := nsga2.Config{PopulationSize: 100}
-	mod(&cfg)
-	eng, err := nsga2.New(ds.Evaluator, cfg, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -18,9 +18,7 @@
 // -trace streams per-generation JSONL telemetry to a file and
 // -metrics-addr serves the run's metric registry as Prometheus text on
 // /metrics; neither changes any result. -cpuprofile and -memprofile
-// write pprof profiles of the whole invocation, and -kernel selects the
-// typed (run-length compressed) or scalar per-machine simulation kernel;
-// both are bit-identical.
+// write pprof profiles of the whole invocation.
 package main
 
 import (
@@ -32,7 +30,6 @@ import (
 
 	"tradeoff/internal/experiments"
 	"tradeoff/internal/obs"
-	"tradeoff/internal/sched"
 	"tradeoff/internal/telemetry"
 )
 
@@ -62,7 +59,6 @@ var (
 	phaseProf   = flag.Bool("phase-profile", false, "time the engines' generation phases and print a summary after the run")
 	flightRec   = flag.Int("flight-recorder", 0, "retain the last N telemetry events for SIGUSR1/panic dumps (0 = off)")
 	flightDump  = flag.String("flight-dump", "", "write flight-recorder dumps to this file (default stderr)")
-	kernelName  = flag.String("kernel", "typed", "per-machine simulation kernel: typed or scalar (bit-identical)")
 	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 )
@@ -127,22 +123,12 @@ func main() {
 }
 
 func dispatch(observer obs.Observer, phase *obs.PhaseTimer) {
-	var kernel sched.Kernel
-	switch *kernelName {
-	case "typed":
-		kernel = sched.KernelTyped
-	case "scalar":
-		kernel = sched.KernelScalar
-	default:
-		fatal(fmt.Errorf("unknown -kernel %q (want typed or scalar)", *kernelName))
-	}
 	baseCfg := experiments.RunConfig{
 		PopulationSize: *pop,
 		MutationRate:   *mutation,
 		Scale:          *scale,
 		Seed:           *seed,
 		Workers:        *workersN,
-		Kernel:         kernel,
 		Observer:       observer,
 		PhaseTimer:     phase,
 	}

@@ -9,7 +9,7 @@
 //	         [-seeds min-energy,max-utility] [-seed 1] \
 //	         [-csv front.csv] [-svg front.svg] [-system system.json] \
 //	         [-trace run.jsonl] [-metrics-addr :9090] \
-//	         [-kernel typed] [-cpuprofile cpu.pprof]
+//	         [-cpuprofile cpu.pprof]
 //
 // -trace streams one JSON object per generation (front points,
 // convergence indicators, evaluation counters) to a file; -metrics-addr
@@ -37,11 +37,7 @@
 // the front's own extent — essential at 10^5+ tasks, where raw fronts
 // hold thousands of near-duplicate points.
 //
-// -kernel selects the typed (run-length compressed) or scalar
-// per-machine simulation kernel, and -evaluation the delta
-// (incremental) or full offspring evaluation strategy. Every setting
-// yields bit-identical fronts. -cpuprofile and -memprofile write pprof
-// profiles of the run.
+// -cpuprofile and -memprofile write pprof profiles of the run.
 //
 // With -system the environment is loaded from a JSON file produced by
 // the datagen command instead of a built-in data set.
@@ -108,31 +104,10 @@ func main() {
 		phaseProf   = flag.Bool("phase-profile", false, "time the engine's generation phases and print a summary after the run")
 		flightRec   = flag.Int("flight-recorder", 0, "retain the last N telemetry events for SIGUSR1/panic dumps (0 = off)")
 		flightDump  = flag.String("flight-dump", "", "write flight-recorder dumps to this file (default stderr)")
-		kernelName  = flag.String("kernel", "typed", "per-machine simulation kernel: typed or scalar (bit-identical)")
-		evalName    = flag.String("evaluation", "delta", "offspring evaluation strategy: delta or full (bit-identical)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	var kernel sched.Kernel
-	switch *kernelName {
-	case "typed":
-		kernel = sched.KernelTyped
-	case "scalar":
-		kernel = sched.KernelScalar
-	default:
-		fatal(fmt.Errorf("unknown -kernel %q (want typed or scalar)", *kernelName))
-	}
-	var evaluation nsga2.Evaluation
-	switch *evalName {
-	case "delta":
-		evaluation = nsga2.DeltaEvaluation
-	case "full":
-		evaluation = nsga2.FullEvaluation
-	default:
-		fatal(fmt.Errorf("unknown -evaluation %q (want delta or full)", *evalName))
-	}
 
 	cpuProf, memProf := *cpuProfile, *memProfile
 	if *islandWork >= 0 {
@@ -278,8 +253,6 @@ func main() {
 		Observer:          tel.Observer(),
 		PhaseTimer:        tel.PhaseTimer(),
 		IslandBoard:       tel.IslandBoard(*islands),
-		Kernel:            kernel,
-		Evaluation:        evaluation,
 
 		ArchiveSpillBudget: *archSpill,
 	}

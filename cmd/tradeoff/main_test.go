@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,6 +12,42 @@ import (
 	"tradeoff/internal/core"
 	"tradeoff/internal/heuristics"
 )
+
+// runMainEnv, when set to 1, makes the test binary run the command's
+// main on its arguments instead of the tests.
+const runMainEnv = "TRADEOFF_TEST_RUN_MAIN"
+
+// TestMain lets the test binary stand in for the command, so tests can
+// drive the real flag parsing and exit codes.
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedFlagsRejected pins the removal of the -kernel and
+// -evaluation switches: there is one simulation kernel and one offspring
+// evaluation path, so both flags are unknown.
+func TestRemovedFlagsRejected(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-kernel", "scalar"}, {"-evaluation", "full"}} {
+		cmd := exec.Command(exe, append(args, "-generations", "1", "-pop", "4", "-tasks", "10")...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("%v: want a non-zero exit, got %v:\n%s", args, err, out)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Fatalf("%v: output lacks %q:\n%s", args, want, out)
+		}
+	}
+}
 
 func TestParseSeeds(t *testing.T) {
 	seeds, err := parseSeeds("min-energy, max-utility")

@@ -129,15 +129,6 @@ type Options struct {
 	// Result.FinalSnapshot, from which a later run (in-process or
 	// distributed) can resume. Only meaningful with Islands > 1.
 	CaptureSnapshot bool
-	// Kernel selects the per-machine simulation loop: sched.KernelTyped
-	// (the default) or the sched.KernelScalar reference. Bit-identical;
-	// only speed differs.
-	Kernel sched.Kernel
-	// Evaluation selects the offspring-evaluation strategy:
-	// nsga2.DeltaEvaluation (the default, incremental) or
-	// nsga2.FullEvaluation (re-simulate every machine). Bit-identical;
-	// only speed differs.
-	Evaluation nsga2.Evaluation
 	// Observer, when non-nil, receives run telemetry: per-generation
 	// front/indicator/evaluation events from a single-population run, or
 	// migration events from an island run. Observation never consumes
@@ -208,8 +199,6 @@ func (f *Framework) Optimize(opts Options) (*Result, error) {
 		MutationRate:   opts.MutationRate,
 		Seeds:          seeds,
 		Workers:        opts.Workers,
-		Kernel:         opts.Kernel,
-		Evaluation:     opts.Evaluation,
 	}, rng.New(opts.RandomSeed))
 	if err != nil {
 		return nil, err
@@ -406,8 +395,6 @@ func islandConfigFrom(opts Options, seeds []*sched.Allocation) nsga2.IslandConfi
 			MutationRate:   opts.MutationRate,
 			Seeds:          seeds,
 			Workers:        opts.Workers,
-			Kernel:         opts.Kernel,
-			Evaluation:     opts.Evaluation,
 		},
 	}
 }

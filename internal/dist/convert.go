@@ -59,8 +59,6 @@ func tickToWire(t nsga2.ShardTick) WireShardTick {
 		DeltaEvals:        t.Sess.DeltaEvals,
 		MachinesSimulated: t.Sess.MachinesSimulated,
 		MachinesInherited: t.Sess.MachinesInherited,
-		TypedTasks:        t.Sess.TypedTasks,
-		TypedRuns:         t.Sess.TypedRuns,
 		ArenaInUse:        int64(t.ArenaInUse),
 		ArenaSlots:        int64(t.ArenaSlots),
 		Migrants:          int64(t.Migrants),
@@ -75,8 +73,6 @@ func tickFromWire(w WireShardTick) nsga2.ShardTick {
 			DeltaEvals:        w.DeltaEvals,
 			MachinesSimulated: w.MachinesSimulated,
 			MachinesInherited: w.MachinesInherited,
-			TypedTasks:        w.TypedTasks,
-			TypedRuns:         w.TypedRuns,
 		},
 		ArenaInUse: int(w.ArenaInUse),
 		ArenaSlots: int(w.ArenaSlots),

@@ -34,10 +34,10 @@ type WireElites struct {
 // WireShardTick is one island's counter shard at one logical tick —
 // the flat wire image of nsga2.ShardTick.
 type WireShardTick struct {
-	FullEvals, DeltaEvals                                       uint64
-	MachinesSimulated, MachinesInherited, TypedTasks, TypedRuns uint64
-	ArenaInUse, ArenaSlots                                      int64
-	Migrants                                                    int64
+	FullEvals, DeltaEvals                uint64
+	MachinesSimulated, MachinesInherited uint64
+	ArenaInUse, ArenaSlots               int64
+	Migrants                             int64
 }
 
 // WireHello is the worker handshake: version, shard geometry, the
@@ -171,7 +171,7 @@ func readIndividual(r *wireReader) WireIndividual {
 
 // tickSlots is the number of fixed u64 slots in one encoded counter
 // shard.
-const tickSlots = 9
+const tickSlots = 7
 
 // appendTick encodes one counter shard (tickSlots fixed u64 slots).
 func appendTick(b []byte, ts *WireShardTick) []byte {
@@ -179,8 +179,6 @@ func appendTick(b []byte, ts *WireShardTick) []byte {
 	b = appendU64(b, ts.DeltaEvals)
 	b = appendU64(b, ts.MachinesSimulated)
 	b = appendU64(b, ts.MachinesInherited)
-	b = appendU64(b, ts.TypedTasks)
-	b = appendU64(b, ts.TypedRuns)
 	b = appendU64(b, uint64(ts.ArenaInUse))
 	b = appendU64(b, uint64(ts.ArenaSlots))
 	b = appendU64(b, uint64(ts.Migrants))
@@ -194,8 +192,6 @@ func readTick(r *wireReader) WireShardTick {
 	ts.DeltaEvals = r.u64()
 	ts.MachinesSimulated = r.u64()
 	ts.MachinesInherited = r.u64()
-	ts.TypedTasks = r.u64()
-	ts.TypedRuns = r.u64()
 	ts.ArenaInUse = int64(r.u64())
 	ts.ArenaSlots = int64(r.u64())
 	ts.Migrants = int64(r.u64())

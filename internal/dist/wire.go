@@ -27,7 +27,7 @@ import (
 
 // WireVersion is the protocol version carried in every MsgHello; the
 // parent refuses workers speaking a different version.
-const WireVersion = 2
+const WireVersion = 3
 
 // MaxFrame bounds a frame's payload length. Far above any real
 // migration payload, it keeps a corrupt or adversarial length prefix

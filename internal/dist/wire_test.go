@@ -91,7 +91,7 @@ func sampleHello() *WireHello {
 		Version: WireVersion, Worker: 1, Workers: 2,
 		Islands: 4, Lo: 2, Hi: 4, Generation: 50,
 		Baselines: []WireShardTick{
-			{FullEvals: 10, TypedTasks: 3, ArenaSlots: 8, Migrants: 2},
+			{FullEvals: 10, MachinesInherited: 3, ArenaSlots: 8, Migrants: 2},
 			{DeltaEvals: 7, MachinesSimulated: 1, ArenaInUse: 16},
 		},
 	}
@@ -119,7 +119,7 @@ func TestWireRoundTrips(t *testing.T) {
 	report := &WireReport{
 		Ticks: [][]WireShardTick{
 			{{FullEvals: 1}, {FullEvals: 2}},
-			{{FullEvals: 3, Migrants: 2}, {TypedRuns: 4}},
+			{{FullEvals: 3, Migrants: 2}, {MachinesInherited: 4}},
 		},
 		StallNanos: 12345,
 	}

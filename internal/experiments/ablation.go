@@ -55,7 +55,6 @@ func RunAblation(ds *DataSet, cfg RunConfig) (*AblationResult, error) {
 			Workers:        cfg.Workers,
 			Repair:         v.repair,
 			Selection:      v.selection,
-			Kernel:         cfg.Kernel,
 		}
 		eng, err := nsga2.New(ds.Evaluator, ecfg, rng.NewStream(cfg.Seed, hashName("abl-"+v.name)))
 		if err != nil {

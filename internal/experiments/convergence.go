@@ -47,7 +47,6 @@ func RunConvergence(ds *DataSet, cfg RunConfig) (*ConvergenceResult, error) {
 			MutationRate:   cfg.MutationRate,
 			Seeds:          seeds,
 			Workers:        cfg.Workers,
-			Kernel:         cfg.Kernel,
 		}, rng.NewStream(cfg.Seed, hashName("conv-"+v.Name)))
 		if err != nil {
 			return nil, err
@@ -163,7 +162,6 @@ func RunBaselineComparison(ds *DataSet, cfg RunConfig) (*BaselineComparison, err
 		MutationRate:   cfg.MutationRate,
 		Seeds:          seeds,
 		Workers:        cfg.Workers,
-		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("baselines")))
 	if err != nil {
 		return nil, err

@@ -25,32 +25,39 @@ func smallDataSets(t *testing.T) []*DataSet {
 	return out
 }
 
-// TestDeltaEvaluationMatchesFullOnDataSets runs a delta-evaluation and a
-// full-evaluation engine with the same rng stream on each of the three
-// paper data sets and requires bitwise-identical Pareto fronts — the
-// incremental path must be invisible on every system/trace shape, not
-// just the unit-test instances.
+// TestDeltaEvaluationMatchesFullOnDataSets evolves each of the three
+// paper data sets with incremental (parent-row inheriting) evaluation
+// and holds every final front member to a from-scratch simulation of its
+// allocation, bit for bit; a four-worker run on the same rng stream must
+// reach the identical front. The incremental path must be invisible on
+// every system/trace shape, not just the unit-test instances.
 func TestDeltaEvaluationMatchesFullOnDataSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full data-set construction is slow")
 	}
 	for _, ds := range smallDataSets(t) {
-		run := func(mode nsga2.Evaluation) [][]float64 {
+		run := func(workers int) *nsga2.Engine {
 			eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
 				PopulationSize: 20,
-				Evaluation:     mode,
-				Workers:        1,
+				Workers:        workers,
 			}, rng.NewStream(3, hashName(ds.Name)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			eng.Run(6)
-			return eng.FrontPoints()
+			return eng
 		}
-		delta := run(nsga2.DeltaEvaluation)
-		full := run(nsga2.FullEvaluation)
-		if !reflect.DeepEqual(delta, full) {
-			t.Fatalf("%s: delta front diverged from full front", ds.Name)
+		eng := run(1)
+		sess, fresh := ds.Evaluator.NewDeltaSession(), ds.Evaluator.NewContribs()
+		for i, ind := range eng.ParetoFront() {
+			ev := sess.EvaluateFull(ind.Alloc, fresh)
+			if ind.Objectives[0] != ev.Utility || ind.Objectives[1] != ev.Energy {
+				t.Fatalf("%s: front member %d objectives %v, direct evaluation (%v, %v)",
+					ds.Name, i, ind.Objectives, ev.Utility, ev.Energy)
+			}
+		}
+		if !reflect.DeepEqual(eng.FrontPoints(), run(4).FrontPoints()) {
+			t.Fatalf("%s: four-worker front diverged from the one-worker front", ds.Name)
 		}
 	}
 }

@@ -55,9 +55,6 @@ type RunConfig struct {
 	Seed uint64
 	// Workers bounds evaluation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Kernel selects the per-machine simulation kernel
-	// (sched.KernelTyped or sched.KernelScalar; both bit-identical).
-	Kernel sched.Kernel
 	// Observer, when non-nil, receives run telemetry: per-generation
 	// events from the serial experiment engines (labeled
 	// "dataset/variant") and per-run summary events from RunRepeats.
@@ -153,7 +150,6 @@ func RunParetoFigure(ds *DataSet, cfg RunConfig) (*FigureResult, error) {
 			MutationRate:   cfg.MutationRate,
 			Seeds:          seeds,
 			Workers:        cfg.Workers,
-			Kernel:         cfg.Kernel,
 		}, rng.NewStream(cfg.Seed, hashName(v.Name)))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: engine for %s: %w", v.Name, err)
@@ -333,7 +329,6 @@ func RunFigure5(ds *DataSet, cfg RunConfig) (*Figure5Result, error) {
 		MutationRate:   cfg.MutationRate,
 		Seeds:          []*sched.Allocation{seedAlloc},
 		Workers:        cfg.Workers,
-		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("figure5")))
 	if err != nil {
 		return nil, err

@@ -42,7 +42,6 @@ func RunMutationSweep(ds *DataSet, cfg RunConfig, rates []float64) (*MutationSwe
 			PopulationSize: cfg.PopulationSize,
 			MutationRate:   rate,
 			Workers:        cfg.Workers,
-			Kernel:         cfg.Kernel,
 		}, rng.NewStream(cfg.Seed, hashName(fmt.Sprintf("mut-%v", rate))))
 		if err != nil {
 			return nil, err

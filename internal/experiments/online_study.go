@@ -57,7 +57,6 @@ func RunOnlineStudy(ds *DataSet, cfg RunConfig) (*OnlineStudy, error) {
 		MutationRate:   cfg.MutationRate,
 		Seeds:          seeds,
 		Workers:        cfg.Workers,
-		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("online-offline")))
 	if err != nil {
 		return nil, err

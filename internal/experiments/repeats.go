@@ -126,7 +126,6 @@ func RunRepeats(ds *DataSet, cfg RunConfig, runs int) (*RepeatResult, error) {
 					MutationRate:   cfg.MutationRate,
 					Seeds:          seeds[vi],
 					Workers:        1, // parallelism lives in the run fan-out here
-					Kernel:         cfg.Kernel,
 				}, rng.NewStream(cfg.Seed+uint64(r)*7919, hashName(variants[vi].Name)))
 				if err != nil {
 					errs[j] = err

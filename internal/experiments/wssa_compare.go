@@ -46,7 +46,6 @@ func RunWSSAComparison(ds *DataSet, cfg RunConfig, weights []float64) (*WSSAComp
 		PopulationSize: cfg.PopulationSize,
 		MutationRate:   cfg.MutationRate,
 		Workers:        cfg.Workers,
-		Kernel:         cfg.Kernel,
 	}, rng.NewStream(cfg.Seed, hashName("wssa-nsga2")))
 	if err != nil {
 		return nil, err

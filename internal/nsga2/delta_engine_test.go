@@ -1,6 +1,7 @@
 package nsga2
 
 import (
+	"fmt"
 	"testing"
 
 	"tradeoff/internal/heuristics"
@@ -35,10 +36,13 @@ func comparePopulations(t *testing.T, label string, a, b *Engine) {
 }
 
 // TestDeltaEngineMatchesFullEngine is the engine-level bit-identity
-// property: a DeltaEvaluation engine and a FullEvaluation engine driven
-// by the same rng seed must produce identical populations generation by
-// generation, across repair strategies, selection rules, worker counts,
-// seeded populations, and idle-power evaluators.
+// property: an engine whose children inherit unchanged parent rows and a
+// one-worker engine stepped without inheritance (every child machine
+// simulated; see stepWithoutInheritance), driven by the same rng seed,
+// must produce identical populations generation by generation, and the
+// inheriting engine's members must equal their direct evaluation —
+// across repair strategies, selection rules, worker counts, seeded
+// populations, and idle-power evaluators.
 func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -57,7 +61,7 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mkEngine := func(mode Evaluation, workers int) *Engine {
+			mkEngine := func(workers int) *Engine {
 				e := newEval(t, tc.tasks)
 				if tc.idle {
 					watts := make([]float64, e.System().NumMachineTypes())
@@ -69,7 +73,6 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 					}
 				}
 				cfg := tc.cfg
-				cfg.Evaluation = mode
 				cfg.Workers = workers
 				if tc.seed {
 					cfg.Seeds = []*sched.Allocation{heuristics.BuildMinEnergy(e)}
@@ -84,13 +87,14 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 			if workers == 0 {
 				workers = 1
 			}
-			delta := mkEngine(DeltaEvaluation, workers)
-			full := mkEngine(FullEvaluation, 1)
+			delta := mkEngine(workers)
+			full := mkEngine(1)
 			comparePopulations(t, tc.name+"/gen0", delta, full)
 			for gen := 1; gen <= 12; gen++ {
 				delta.Step()
-				full.Step()
+				stepWithoutInheritance(t, full)
 				comparePopulations(t, tc.name, delta, full)
+				requireDirectEvaluation(t, fmt.Sprintf("%s/gen%d", tc.name, gen), delta)
 			}
 		})
 	}
@@ -100,7 +104,7 @@ func TestDeltaEngineMatchesFullEngine(t *testing.T) {
 // for individuals entering the population mid-run.
 func TestDeltaEngineMatchesFullWithInject(t *testing.T) {
 	delta := newEngine(t, 50, Config{PopulationSize: 16}, 5)
-	full := newEngine(t, 50, Config{PopulationSize: 16, Evaluation: FullEvaluation}, 5)
+	full := newEngine(t, 50, Config{PopulationSize: 16}, 5)
 	delta.Run(5)
 	full.Run(5)
 	inject := []Individual{
@@ -115,21 +119,22 @@ func TestDeltaEngineMatchesFullWithInject(t *testing.T) {
 	}
 	for gen := 0; gen < 8; gen++ {
 		delta.Step()
-		full.Step()
+		stepWithoutInheritance(t, full)
 		comparePopulations(t, "post-inject", delta, full)
+		requireDirectEvaluation(t, "post-inject", delta)
 	}
 }
 
 // TestDeltaEngineMatchesFullAfterRestore checks the snapshot path: a
-// restored population is fully re-evaluated, and continuing under delta
-// evaluation must match a full-evaluation continuation.
+// restored population is fully re-evaluated, and continuing with
+// inheritance must match a continuation stepped without it.
 func TestDeltaEngineMatchesFullAfterRestore(t *testing.T) {
 	src := newEngine(t, 40, Config{PopulationSize: 12}, 8)
 	src.Run(4)
 	snap := src.Snapshot()
 
 	delta := newEngine(t, 40, Config{PopulationSize: 12}, 8)
-	full := newEngine(t, 40, Config{PopulationSize: 12, Evaluation: FullEvaluation}, 8)
+	full := newEngine(t, 40, Config{PopulationSize: 12}, 8)
 	if err := delta.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +143,14 @@ func TestDeltaEngineMatchesFullAfterRestore(t *testing.T) {
 	}
 	for gen := 0; gen < 8; gen++ {
 		delta.Step()
-		full.Step()
+		stepWithoutInheritance(t, full)
 		comparePopulations(t, "post-restore", delta, full)
+		requireDirectEvaluation(t, "post-restore", delta)
 	}
 }
 
 // FuzzDeltaEngine drives arbitrary engine configurations through the
-// delta-vs-full population equality check.
+// inheriting-vs-non-inheriting population equality check.
 func FuzzDeltaEngine(f *testing.F) {
 	f.Add(uint64(1), uint8(40), uint8(10), false, false, uint8(3))
 	f.Add(uint64(9), uint8(90), uint8(8), true, true, uint8(5))
@@ -158,14 +164,13 @@ func FuzzDeltaEngine(f *testing.F) {
 		if tournament {
 			cfg.Selection = TournamentSelection
 		}
-		fullCfg := cfg
-		fullCfg.Evaluation = FullEvaluation
 		delta := newEngine(t, tasks, cfg, seed|1)
-		full := newEngine(t, tasks, fullCfg, seed|1)
+		full := newEngine(t, tasks, cfg, seed|1)
 		for g := 0; g < int(gens)%10+1; g++ {
 			delta.Step()
-			full.Step()
+			stepWithoutInheritance(t, full)
 		}
 		comparePopulations(t, "fuzz", delta, full)
+		requireDirectEvaluation(t, "fuzz", delta)
 	})
 }

@@ -120,43 +120,6 @@ type Config struct {
 	// prior work (Friese et al., INFOCOMP 2012).
 	//detlint:allow optwire code-level extension point: custom problems are built by callers, not CLI flags
 	Problem *Problem
-	// Evaluation selects the offspring-evaluation strategy. The default
-	// DeltaEvaluation re-simulates only machines whose task sequence the
-	// variation operators touched; FullEvaluation re-simulates every
-	// machine. Both run the machine-major kernel and produce
-	// bit-identical populations for the same seed and any worker count.
-	Evaluation Evaluation
-	// Kernel selects the per-machine simulation loop: the
-	// type-compressed run-length kernel (the default) or the per-task
-	// scalar reference. Both are bit-identical; the choice only affects
-	// speed.
-	Kernel sched.Kernel
-}
-
-// Evaluation selects how offspring objective values are computed.
-type Evaluation int
-
-const (
-	// DeltaEvaluation (the default) evaluates offspring incrementally:
-	// variation reports the machines it may have dirtied, machines whose
-	// task sequence is unchanged from the parent inherit the parent's
-	// cached per-machine contributions, and only truly changed machines
-	// are re-simulated. Seeded, injected, restored, and shuffle-repaired
-	// chromosomes automatically fall back to a full simulation.
-	DeltaEvaluation Evaluation = iota
-	// FullEvaluation re-simulates every machine of every offspring.
-	FullEvaluation
-)
-
-func (ev Evaluation) String() string {
-	switch ev {
-	case DeltaEvaluation:
-		return "delta"
-	case FullEvaluation:
-		return "full"
-	default:
-		return fmt.Sprintf("Evaluation(%d)", int(ev))
-	}
 }
 
 // Problem defines the objective space the engine optimizes over.
@@ -304,16 +267,6 @@ func (c *Config) validate() error {
 	case UniformSelection, TournamentSelection:
 	default:
 		return fmt.Errorf("nsga2: unknown selection %d", int(c.Selection))
-	}
-	switch c.Evaluation {
-	case DeltaEvaluation, FullEvaluation:
-	default:
-		return fmt.Errorf("nsga2: unknown evaluation strategy %d", int(c.Evaluation))
-	}
-	switch c.Kernel {
-	case sched.KernelTyped, sched.KernelScalar:
-	default:
-		return fmt.Errorf("nsga2: unknown evaluation kernel %d", int(c.Kernel))
 	}
 	return nil
 }
@@ -569,7 +522,6 @@ func New(eval *sched.Evaluator, cfg Config, src *rng.Source) (*Engine, error) {
 	e.sessions = make([]*sched.DeltaSession, cfg.Workers)
 	for i := range e.sessions {
 		e.sessions[i] = eval.NewDeltaSession()
-		e.sessions[i].SetKernel(cfg.Kernel)
 	}
 	e.panics = make([]any, cfg.Workers)
 	e.arena.init(eval, e.space.Dim(), 2*cfg.PopulationSize)
@@ -936,18 +888,14 @@ func (e *Engine) breedRange(w, lo, hi int, genSeed, genStream uint64) {
 // evaluateChild evaluates offspring i, worker w's current child c,
 // straight from the slot array and histogram its order repair just
 // wrote: Prepare inherits every parent row whose machine bucket is
-// unchanged (none under FullEvaluation), the kernel simulates the rest,
-// and Finish reduces the rows to objective values.
+// unchanged, the kernel simulates the rest, and Finish reduces the rows
+// to objective values.
 //
 //detlint:hotpath
 func (e *Engine) evaluateChild(i, w, c int) {
 	ind := &e.offspring[i]
-	var parent *sched.Contribs
-	if e.cfg.Evaluation != FullEvaluation {
-		parent = e.parents[i].contrib
-	}
 	sess, plan := e.sessions[w], e.plans[w]
-	sess.Prepare(e.slots[2*w+c], e.mcounts[2*w+c], parent, ind.contrib, plan)
+	sess.Prepare(e.slots[2*w+c], e.mcounts[2*w+c], e.parents[i].contrib, ind.contrib, plan)
 	sess.SimulateAllNeeds(plan, ind.contrib)
 	e.problem.fill(ind, sess.Finish(ind.contrib, plan), e.space.Dim())
 }

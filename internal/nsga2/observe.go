@@ -130,8 +130,6 @@ func (e *Engine) notifyGeneration() {
 		ArenaSlots:        arenaSlots,
 		MachinesSimulated: int(gen.MachinesSimulated),
 		MachinesInherited: int(gen.MachinesInherited),
-		TypedTasks:        int(gen.TypedTasks),
-		TypedRuns:         int(gen.TypedRuns),
 		DirtyCounts:       e.dirtyN,
 		NumMachines:       e.eval.NumMachines(),
 		PhaseNanos:        phases,

@@ -79,13 +79,12 @@ func TestPhaseTimerBracketsEveryStepPhase(t *testing.T) {
 
 // TestPhaseTimerCacheBracketsFollowCacheConfig pins the retired cache
 // phases: the engine has no memoization layer left to configure, so
-// under every worker count and evaluation mode the cache-probe and
-// cache-insert brackets stay empty while eval brackets every Step.
+// under every worker count the cache-probe and cache-insert brackets
+// stay empty while eval brackets every Step.
 func TestPhaseTimerCacheBracketsFollowCacheConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{PopulationSize: 10},
 		{PopulationSize: 10, Workers: 4},
-		{PopulationSize: 10, Evaluation: FullEvaluation},
 	} {
 		eng := newEngine(t, 20, cfg, 29)
 		pt := obs.NewPhaseTimer(tickClock(3))

@@ -138,8 +138,6 @@ func shardStatsEvent(gen, population, numMachines int, agg, base ShardTick) obs.
 		DeltaEvals:        int(diff.DeltaEvals),
 		MachinesSimulated: int(diff.MachinesSimulated),
 		MachinesInherited: int(diff.MachinesInherited),
-		TypedTasks:        int(diff.TypedTasks),
-		TypedRuns:         int(diff.TypedRuns),
 		ArenaInUse:        agg.ArenaInUse,
 		ArenaSlots:        agg.ArenaSlots,
 		NumMachines:       numMachines,

@@ -11,8 +11,6 @@ type Metrics struct {
 	deltaEvals        *Counter
 	machinesSimulated *Counter
 	machinesInherited *Counter
-	typedTasks        *Counter
-	typedRuns         *Counter
 	migrations        *Counter
 	migrants          *Counter
 	runs              *Counter
@@ -46,12 +44,10 @@ func phaseSecondsBounds() []float64 {
 func NewMetrics(r *Registry) *Metrics {
 	m := &Metrics{
 		generations:       r.Counter("tradeoff_generations_total", "NSGA-II generations stepped"),
-		fullEvals:         r.Counter("tradeoff_full_evals_total", "offspring evaluated by the full kernel"),
-		deltaEvals:        r.Counter("tradeoff_delta_evals_total", "offspring evaluated by the delta kernel"),
+		fullEvals:         r.Counter("tradeoff_full_evals_total", "evaluations that simulated every machine (no usable parent rows)"),
+		deltaEvals:        r.Counter("tradeoff_delta_evals_total", "evaluations that could inherit parent contribution rows"),
 		machinesSimulated: r.Counter("tradeoff_machines_simulated_total", "machine queues re-simulated during evaluation"),
 		machinesInherited: r.Counter("tradeoff_machines_inherited_total", "machine contribution rows inherited from parent caches"),
-		typedTasks:        r.Counter("tradeoff_typed_tasks_total", "tasks simulated by the type-compressed kernel"),
-		typedRuns:         r.Counter("tradeoff_typed_runs_total", "same-type runs the type-compressed kernel walked"),
 		migrations:        r.Counter("tradeoff_migrations_total", "island migration edges performed"),
 		migrants:          r.Counter("tradeoff_migrants_total", "individuals migrated between islands"),
 		runs:              r.Counter("tradeoff_runs_total", "completed experiment runs"),
@@ -79,8 +75,6 @@ func (m *Metrics) ObserveGeneration(g GenerationStats) {
 	m.deltaEvals.Add(uint64(g.DeltaEvals))
 	m.machinesSimulated.Add(uint64(g.MachinesSimulated))
 	m.machinesInherited.Add(uint64(g.MachinesInherited))
-	m.typedTasks.Add(uint64(g.TypedTasks))
-	m.typedRuns.Add(uint64(g.TypedRuns))
 	m.arenaOccupancy.Set(g.ArenaOccupancy())
 	m.hypervolume.Set(g.Indicators.Hypervolume)
 	m.epsilon.Set(g.Indicators.Epsilon)

@@ -37,8 +37,8 @@ type GenerationStats struct {
 	// [utility, energy], sorted by descending utility. Borrowed.
 	Front [][]float64
 	// FullEvals and DeltaEvals count offspring evaluations this
-	// generation by kernel choice; FullEvals + DeltaEvals is the
-	// offspring count.
+	// generation without and with a usable parent contribution cache;
+	// FullEvals + DeltaEvals is the offspring count.
 	FullEvals  int
 	DeltaEvals int
 	// CacheHits and CacheMisses are retired and always 0. They counted
@@ -63,10 +63,12 @@ type GenerationStats struct {
 	// (DESIGN.md §12).
 	MachineCacheHits   int
 	MachineCacheMisses int
-	// TypedTasks and TypedRuns count the typed evaluation kernel's work
-	// this generation: tasks simulated and the same-type runs they
-	// compressed into. TypedTasks / TypedRuns is the type-compression
-	// ratio; both zero under the scalar kernel.
+	// TypedTasks and TypedRuns are retired and always 0, like
+	// CacheHits: they counted the tasks and same-type runs the typed
+	// kernel walked, but the kernel loads each task's ETC/EEC cell
+	// regardless of runs, so the ratio measured nothing it saved
+	// (DESIGN.md §12). Kept so consumers that read them, and the trace
+	// schema's typed fields, stay valid.
 	TypedTasks int
 	TypedRuns  int
 	// DirtyCounts[i] is the number of machines touched by variation for
@@ -111,15 +113,6 @@ func (g *GenerationStats) CacheHitRate() float64 {
 func (g *GenerationStats) MachineCacheHitRate() float64 {
 	if n := g.MachineCacheHits + g.MachineCacheMisses; n > 0 {
 		return float64(g.MachineCacheHits) / float64(n)
-	}
-	return 0
-}
-
-// TypeCompression returns the typed kernel's tasks-per-run ratio this
-// generation, or 0 when the typed kernel simulated nothing.
-func (g *GenerationStats) TypeCompression() float64 {
-	if g.TypedRuns > 0 {
-		return float64(g.TypedTasks) / float64(g.TypedRuns)
 	}
 	return 0
 }

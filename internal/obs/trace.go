@@ -18,6 +18,9 @@ import (
 //	v4: generation records gain phase_ns, a NumPhases-length array of
 //	    per-phase step nanoseconds indexed by Phase (all zero when no
 //	    PhaseTimer was attached).
+//
+// The cache_*, machine_cache_* and typed_* fields are retired and always
+// written as 0; they stay so every v2–v4 reader keeps validating.
 const TraceSchemaVersion = 4
 
 // TraceWriter is an Observer that appends one JSON object per event to

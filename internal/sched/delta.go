@@ -130,37 +130,10 @@ func (c *Contribs) Invalidate() {
 	}
 }
 
-// Kernel selects the per-machine simulation loop.
-type Kernel int
-
-const (
-	// KernelTyped is the type-compressed run-length kernel: consecutive
-	// same-type tasks in a machine's queue share one ETC/EEC row load,
-	// and completions past a task's TUF tail threshold take a
-	// precomputed utility instead of a segment-table call. Bit-identical
-	// to KernelScalar.
-	KernelTyped Kernel = iota
-	// KernelScalar is the original per-task loop, kept as the reference
-	// implementation and property-test oracle.
-	KernelScalar
-)
-
-// String names the kernel choice.
-func (k Kernel) String() string {
-	switch k {
-	case KernelTyped:
-		return "typed"
-	case KernelScalar:
-		return "scalar"
-	}
-	return "unknown"
-}
-
 // DeltaStats counts the work a DeltaSession has performed since its
-// creation: evaluations by kernel choice, the per-machine
-// simulate-vs-inherit split inside them, and the typed kernel's
-// run-length compression. Counters are cumulative and monotone; diff
-// two snapshots for an interval.
+// creation: evaluations with and without a usable parent, and the
+// per-machine simulate-vs-inherit split inside them. Counters are
+// cumulative and monotone; diff two snapshots for an interval.
 type DeltaStats struct {
 	// FullEvals counts evaluations without a usable parent cache;
 	// DeltaEvals counts evaluations that could inherit from a parent.
@@ -171,11 +144,6 @@ type DeltaStats struct {
 	// cache.
 	MachinesSimulated uint64
 	MachinesInherited uint64
-	// TypedTasks counts tasks simulated by the typed kernel; TypedRuns
-	// counts the same-type runs they compressed into. TypedTasks /
-	// TypedRuns is the type-compression ratio.
-	TypedTasks uint64
-	TypedRuns  uint64
 }
 
 // Add accumulates o into s.
@@ -184,8 +152,6 @@ func (s *DeltaStats) Add(o DeltaStats) {
 	s.DeltaEvals += o.DeltaEvals
 	s.MachinesSimulated += o.MachinesSimulated
 	s.MachinesInherited += o.MachinesInherited
-	s.TypedTasks += o.TypedTasks
-	s.TypedRuns += o.TypedRuns
 }
 
 // Sub subtracts o from s (for diffing cumulative snapshots).
@@ -194,8 +160,6 @@ func (s *DeltaStats) Sub(o DeltaStats) {
 	s.DeltaEvals -= o.DeltaEvals
 	s.MachinesSimulated -= o.MachinesSimulated
 	s.MachinesInherited -= o.MachinesInherited
-	s.TypedTasks -= o.TypedTasks
-	s.TypedRuns -= o.TypedRuns
 }
 
 // DeltaPlan is the residue of one Prepare call: which machines still
@@ -238,8 +202,7 @@ func (p *DeltaPlan) NeedSeq(k int) []int32 {
 // one goroutine. Like Session, the underlying evaluator is read-only and
 // may be shared; each goroutine needs its own DeltaSession.
 type DeltaSession struct {
-	e      *Evaluator
-	kernel Kernel
+	e *Evaluator
 	// slots is the standalone execution-order scratch for the
 	// Allocation-based entry points; engine callers pass their own
 	// per-offspring slot arrays.
@@ -267,8 +230,7 @@ type DeltaSession struct {
 // Stats returns a snapshot of the session's cumulative work counters.
 func (d *DeltaSession) Stats() DeltaStats { return d.stats }
 
-// NewDeltaSession returns a machine-major evaluation session bound to e,
-// using the typed kernel.
+// NewDeltaSession returns a machine-major evaluation session bound to e.
 func (e *Evaluator) NewDeltaSession() *DeltaSession {
 	nm := e.NumMachines()
 	d := &DeltaSession{
@@ -288,10 +250,6 @@ func (e *Evaluator) NewDeltaSession() *DeltaSession {
 
 // Evaluator returns the evaluator the session is bound to.
 func (d *DeltaSession) Evaluator() *Evaluator { return d.e }
-
-// SetKernel selects the per-machine simulation loop (typed by default).
-// Both kernels are bit-identical; the choice only affects speed.
-func (d *DeltaSession) SetKernel(k Kernel) { d.kernel = k }
 
 // ScatterSlots rewrites slots (length NumTasks) into the allocation's
 // execution-order layout — slots[o] packs the machine assignment and
@@ -326,13 +284,12 @@ func (d *DeltaSession) ScatterSlots(a *Allocation, slots []uint64, counts []int3
 // land machine-major in the same walk that computes the fingerprints.
 // The caller simulates each needed machine, then calls Finish.
 //
-// Fingerprint-matched inheritance subsumes the dirty-machine flags of
-// the pre-typed delta path: an unchanged sequence always reproduces the
-// parent's fingerprint, so flagged-but-unchanged machines inherit
-// without a stored copy of the parent's layout. A 64-bit collision
-// between different sequences on the same machine would inherit a stale
-// row; the engine's direct-evaluation oracle test checks every
-// population member against a fresh EvaluateFull to rule that out.
+// Inheritance is decided by content, not by dirty-machine flags: an
+// unchanged sequence always reproduces the parent's fingerprint, so it
+// inherits without a stored copy of the parent's layout. A 64-bit
+// collision between different sequences on the same machine would
+// inherit a stale row; the engine's direct-evaluation oracle test checks
+// every population member against a fresh EvaluateFull to rule that out.
 //
 //detlint:hotpath
 func (d *DeltaSession) Prepare(slots []uint64, counts []int32, parent *Contribs, dst *Contribs, plan *DeltaPlan) {
@@ -377,19 +334,12 @@ func (d *DeltaSession) Prepare(slots []uint64, counts []int32, parent *Contribs,
 	}
 }
 
-// SimulateNeed simulates the k-th Need machine's gathered sequence with
-// the session's kernel, writing its contribution row into dst.
+// SimulateNeed simulates the k-th Need machine's gathered sequence,
+// writing its contribution row into dst.
 //
 //detlint:hotpath
 func (d *DeltaSession) SimulateNeed(k int, plan *DeltaPlan, dst *Contribs) {
-	m := int(plan.Need[k])
-	tasks := plan.NeedSeq(k)
-	switch d.kernel {
-	case KernelTyped:
-		d.simMachineTyped(m, tasks, dst)
-	case KernelScalar:
-		d.simMachine(m, tasks, dst)
-	}
+	d.simMachineTyped(int(plan.Need[k]), plan.NeedSeq(k), dst)
 	d.stats.MachinesSimulated++
 }
 
@@ -408,55 +358,22 @@ func (d *DeltaSession) Finish(dst *Contribs, plan *DeltaPlan) Evaluation {
 	return d.reduce(dst)
 }
 
-// simMachine simulates machine m's task sequence and records its
-// contribution row in dst: the original per-task reference loop.
-//
-//detlint:hotpath
-func (d *DeltaSession) simMachine(m int, tasks []int32, dst *Contribs) {
-	e := d.e
-	etcRow, eecRow := e.etcT[m], e.eecT[m]
-	meta := e.meta
-	var ready, busy, util, energy float64
-	for _, ti := range tasks {
-		mt := &meta[ti]
-		arr := mt.arrival
-		start := ready
-		if arr > start {
-			start = arr // machine idles until the task arrives
-		}
-		etc := etcRow[mt.ty]
-		completion := start + etc
-		ready = completion
-		busy += etc
-		util += e.tufs.Value(int(ti), completion-arr)
-		energy += eecRow[mt.ty]
-	}
-	dst.Utility[m] = util
-	dst.Energy[m] = energy
-	dst.Busy[m] = busy
-	dst.Ready[m] = ready
-	dst.Done[m] = int32(len(tasks))
-}
-
-// simMachineTyped is the type-compressed kernel: it walks the queue as
-// runs of consecutive same-type tasks, loading the (type, machine)
-// execution time and energy once per run, and resolves each task's
-// utility through the hoisted TUF tail guard — a precomputed threshold
-// and value per task — falling back to the segment table only for
-// completions inside the segment window. Every floating-point operation
-// that reaches an accumulator is the same operation in the same order
-// as simMachine: the per-task additions are kept sequential (run
-// lengths never become multiplications, which would re-associate), and
+// simMachineTyped simulates machine m's task sequence and records its
+// contribution row in dst. It indexes the machine's ETC/EEC rows by
+// each task's type and resolves each task's utility through the hoisted
+// TUF tail guard — a precomputed threshold and value per task — falling
+// back to the segment table only for completions inside the segment
+// window. Every floating-point operation that reaches an accumulator is
+// the same operation in the same order as a plain per-task walk (the
+// reference loop in the package tests): additions stay sequential, and
 // the tail guard substitutes the exact product Table.Value returns past
-// the threshold. The result is bit-identical to simMachine for any
-// queue and any TUF shape.
+// the threshold. The result is bit-identical to that walk for any queue
+// and any TUF shape.
 //
 //detlint:hotpath
 func (d *DeltaSession) simMachineTyped(m int, tasks []int32, dst *Contribs) {
-	st := kstate{prevTy: -1}
+	var st kstate
 	d.typedCont(m, tasks, &st)
-	d.stats.TypedRuns += uint64(st.runs)
-	d.stats.TypedTasks += uint64(len(tasks))
 	dst.Utility[m] = st.util
 	dst.Energy[m] = st.energy
 	dst.Busy[m] = st.busy
@@ -464,22 +381,14 @@ func (d *DeltaSession) simMachineTyped(m int, tasks []int32, dst *Contribs) {
 	dst.Done[m] = int32(len(tasks))
 }
 
-// kstate is one machine's in-flight typed-kernel state, carried across
-// the lockstep and tail halves of the interleaved batch kernel. prevTy
-// tracks the type of the previous task so run boundaries survive the
-// hand-off (a run spanning the split must count once); the sentinel -1
-// makes the first task always open a run.
+// kstate is one machine's in-flight kernel state, carried across the
+// lockstep and tail halves of the interleaved batch kernel.
 type kstate struct {
 	ready, busy, util, energy float64
-	prevTy                    int32
-	runs                      uint32
 }
 
-// typedCont advances machine m's typed walk over tasks, continuing from
-// (and updating) the carried state. Counting runs by previous-type
-// comparison instead of an explicit inner run scan visits each task
-// once and accumulates the same floating-point operations in the same
-// order, so the walk stays bit-identical to the per-task reference.
+// typedCont advances machine m's walk over tasks, continuing from (and
+// updating) the carried state.
 //
 //detlint:hotpath
 func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
@@ -487,14 +396,9 @@ func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 	etcRow, eecRow := e.etcT[m], e.eecT[m]
 	meta := e.meta
 	ready, busy, util, energy := st.ready, st.busy, st.util, st.energy
-	prevTy, runs := st.prevTy, st.runs
 	for _, ti := range tasks {
 		mt := &meta[ti]
 		ty := mt.ty
-		if ty != prevTy {
-			prevTy = ty
-			runs++
-		}
 		etc := etcRow[ty]
 		arr := mt.arrival
 		start := ready
@@ -512,7 +416,6 @@ func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 		energy += eecRow[ty]
 	}
 	st.ready, st.busy, st.util, st.energy = ready, busy, util, energy
-	st.prevTy, st.runs = prevTy, runs
 }
 
 // simNeed4 simulates four Need machines in interleaved lockstep: the
@@ -538,8 +441,6 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 	etc3, eec3 := e.etcT[m3], e.eecT[m3]
 	var r0, b0, u0, en0, r1, b1, u1, en1 float64
 	var r2, b2, u2, en2, r3, b3, u3, en3 float64
-	var pt0, pt1, pt2, pt3 int32 = -1, -1, -1, -1
-	var rn0, rn1, rn2, rn3 uint32
 	L := len(s0)
 	if len(s1) < L {
 		L = len(s1)
@@ -554,10 +455,6 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 		{
 			mt := &meta[s0[t]]
 			ty := mt.ty
-			if ty != pt0 {
-				pt0 = ty
-				rn0++
-			}
 			etc := etc0[ty]
 			arr := mt.arrival
 			start := r0
@@ -577,10 +474,6 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 		{
 			mt := &meta[s1[t]]
 			ty := mt.ty
-			if ty != pt1 {
-				pt1 = ty
-				rn1++
-			}
 			etc := etc1[ty]
 			arr := mt.arrival
 			start := r1
@@ -600,10 +493,6 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 		{
 			mt := &meta[s2[t]]
 			ty := mt.ty
-			if ty != pt2 {
-				pt2 = ty
-				rn2++
-			}
 			etc := etc2[ty]
 			arr := mt.arrival
 			start := r2
@@ -623,10 +512,6 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 		{
 			mt := &meta[s3[t]]
 			ty := mt.ty
-			if ty != pt3 {
-				pt3 = ty
-				rn3++
-			}
 			etc := etc3[ty]
 			arr := mt.arrival
 			start := r3
@@ -644,10 +529,10 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 			en3 += eec3[ty]
 		}
 	}
-	st0 := kstate{ready: r0, busy: b0, util: u0, energy: en0, prevTy: pt0, runs: rn0}
-	st1 := kstate{ready: r1, busy: b1, util: u1, energy: en1, prevTy: pt1, runs: rn1}
-	st2 := kstate{ready: r2, busy: b2, util: u2, energy: en2, prevTy: pt2, runs: rn2}
-	st3 := kstate{ready: r3, busy: b3, util: u3, energy: en3, prevTy: pt3, runs: rn3}
+	st0 := kstate{ready: r0, busy: b0, util: u0, energy: en0}
+	st1 := kstate{ready: r1, busy: b1, util: u1, energy: en1}
+	st2 := kstate{ready: r2, busy: b2, util: u2, energy: en2}
+	st3 := kstate{ready: r3, busy: b3, util: u3, energy: en3}
 	d.typedCont(m0, s0[L:], &st0)
 	d.typedCont(m1, s1[L:], &st1)
 	d.typedCont(m2, s2[L:], &st2)
@@ -656,25 +541,20 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 	dst.Utility[m1], dst.Energy[m1], dst.Busy[m1], dst.Ready[m1], dst.Done[m1] = st1.util, st1.energy, st1.busy, st1.ready, int32(len(s1))
 	dst.Utility[m2], dst.Energy[m2], dst.Busy[m2], dst.Ready[m2], dst.Done[m2] = st2.util, st2.energy, st2.busy, st2.ready, int32(len(s2))
 	dst.Utility[m3], dst.Energy[m3], dst.Busy[m3], dst.Ready[m3], dst.Done[m3] = st3.util, st3.energy, st3.busy, st3.ready, int32(len(s3))
-	d.stats.TypedRuns += uint64(st0.runs) + uint64(st1.runs) + uint64(st2.runs) + uint64(st3.runs)
-	d.stats.TypedTasks += uint64(len(s0) + len(s1) + len(s2) + len(s3))
 	d.stats.MachinesSimulated += 4
 }
 
 // SimulateNeedList simulates the Need machines whose indices are listed
-// in ks, batching the typed kernel four machines at a time so their
-// completion-time dependency chains overlap; the remainder — and every
-// machine under the scalar reference kernel — runs through
-// SimulateNeed. Contribution rows are bit-identical either way, so
-// callers may hand over any subset in any grouping.
+// in ks, four machines at a time so their completion-time dependency
+// chains overlap; the remainder runs through SimulateNeed. Contribution
+// rows are bit-identical either way, so callers may hand over any
+// subset in any grouping.
 //
 //detlint:hotpath
 func (d *DeltaSession) SimulateNeedList(ks []int32, plan *DeltaPlan, dst *Contribs) {
 	i := 0
-	if d.kernel == KernelTyped {
-		for ; i+4 <= len(ks); i += 4 {
-			d.simNeed4(plan, dst, int(ks[i]), int(ks[i+1]), int(ks[i+2]), int(ks[i+3]))
-		}
+	for ; i+4 <= len(ks); i += 4 {
+		d.simNeed4(plan, dst, int(ks[i]), int(ks[i+1]), int(ks[i+2]), int(ks[i+3]))
 	}
 	for ; i < len(ks); i++ {
 		d.SimulateNeed(int(ks[i]), plan, dst)
@@ -748,18 +628,13 @@ func (d *DeltaSession) EvaluateFull(a *Allocation, dst *Contribs) Evaluation {
 // EvaluateDelta evaluates an allocation derived from a parent whose
 // contribution cache is `parent`, re-simulating only machines whose
 // task sequence actually changed: a machine whose bucket fingerprint
-// matches the parent's inherits the parent's row. The dirty parameter
-// is accepted for compatibility with the pre-typed flag-based path and
-// no longer consulted — fingerprint matching checks every machine by
-// content, which both subsumes any correct dirty superset and inherits
-// through machines the flags over-approximated.
+// matches the parent's inherits the parent's row.
 //
 // The result is bit-identical to EvaluateFull on the same allocation
 // (up to 64-bit fingerprint collision; see Prepare). If parent is nil
 // or invalid, every machine is simulated.
 //
 //detlint:hotpath
-func (d *DeltaSession) EvaluateDelta(a *Allocation, parent *Contribs, dirty []bool, dst *Contribs) Evaluation {
-	_ = dirty
+func (d *DeltaSession) EvaluateDelta(a *Allocation, parent *Contribs, dst *Contribs) Evaluation {
 	return d.evaluate(a, parent, dst)
 }

@@ -176,7 +176,7 @@ func runDeltaSequence(t *testing.T, e *Evaluator, seed uint64, steps int, allowD
 		if src.Bool(0.5) {
 			mutateAlloc(e, next, src, dirty, allowDrop)
 		}
-		got := ds.EvaluateDelta(next, parent, dirty, child)
+		got := ds.EvaluateDelta(next, parent, child)
 		want := ds.EvaluateFull(next, full)
 		if got != want {
 			t.Fatalf("step %d: delta %+v != full %+v (dirty %v)", s, got, want, dirty)
@@ -225,24 +225,23 @@ func TestEvaluateDeltaFallsBackWithoutParent(t *testing.T) {
 	ds := e.NewDeltaSession()
 	src := rng.New(11)
 	a := e.RandomAllocation(src)
-	dirty := make([]bool, e.NumMachines())
 
 	dst := e.NewContribs()
 	want := ds.EvaluateFull(a, e.NewContribs())
-	if got := ds.EvaluateDelta(a, nil, dirty, dst); got != want {
+	if got := ds.EvaluateDelta(a, nil, dst); got != want {
 		t.Fatalf("nil parent: %+v != %+v", got, want)
 	}
 	stale := e.NewContribs()
 	stale.Invalidate()
-	if got := ds.EvaluateDelta(a, stale, dirty, dst); got != want {
+	if got := ds.EvaluateDelta(a, stale, dst); got != want {
 		t.Fatalf("invalid parent: %+v != %+v", got, want)
 	}
 	// Self-aliased parent/dst must not read rows it is overwriting.
 	self := e.NewContribs()
 	ds.EvaluateFull(a, self)
 	b := a.Clone()
-	mutateAlloc(e, b, src, dirty, false)
-	if got, wantB := ds.EvaluateDelta(b, self, dirty, self), ds.EvaluateFull(b, e.NewContribs()); got != wantB {
+	mutateAlloc(e, b, src, make([]bool, e.NumMachines()), false)
+	if got, wantB := ds.EvaluateDelta(b, self, self), ds.EvaluateFull(b, e.NewContribs()); got != wantB {
 		t.Fatalf("aliased dst: %+v != %+v", got, wantB)
 	}
 }

@@ -88,6 +88,48 @@ func kernelEval(t *testing.T, n int, seed uint64, degenerateFrac float64) *Evalu
 	return e
 }
 
+// simMachine simulates machine m's task sequence and records its
+// contribution row in dst: the plain per-task loop, kept here as the
+// reference the production kernel (simMachineTyped and the interleaved
+// simNeed4) must match bit for bit. It calls the segment table for
+// every task instead of taking the hoisted tail guard.
+func (d *DeltaSession) simMachine(m int, tasks []int32, dst *Contribs) {
+	e := d.e
+	etcRow, eecRow := e.etcT[m], e.eecT[m]
+	meta := e.meta
+	var ready, busy, util, energy float64
+	for _, ti := range tasks {
+		mt := &meta[ti]
+		arr := mt.arrival
+		start := ready
+		if arr > start {
+			start = arr // machine idles until the task arrives
+		}
+		etc := etcRow[mt.ty]
+		completion := start + etc
+		ready = completion
+		busy += etc
+		util += e.tufs.Value(int(ti), completion-arr)
+		energy += eecRow[mt.ty]
+	}
+	dst.Utility[m] = util
+	dst.Energy[m] = energy
+	dst.Busy[m] = busy
+	dst.Ready[m] = ready
+	dst.Done[m] = int32(len(tasks))
+}
+
+// scalarEvaluateFull is EvaluateFull with every needed machine run
+// through the reference loop instead of the production kernel.
+func scalarEvaluateFull(d *DeltaSession, a *Allocation, dst *Contribs) Evaluation {
+	d.ScatterSlots(a, d.slots, d.counts)
+	d.Prepare(d.slots, d.counts, nil, dst, d.plan)
+	for k, m := range d.plan.Need {
+		d.simMachine(int(m), d.plan.NeedSeq(k), dst)
+	}
+	return d.Finish(dst, d.plan)
+}
+
 // contribsEqual reports whether two contribution sets are bitwise equal
 // on every machine row.
 func contribsEqual(a, b *Contribs) bool {
@@ -101,11 +143,12 @@ func contribsEqual(a, b *Contribs) bool {
 	return true
 }
 
-// TestKernelsBitIdentical is the typed-vs-scalar property test: on
-// randomized TUF shapes (including degenerate single-segment and
-// zero-penalty functions), random allocations — with and without drops —
-// must produce bitwise-equal evaluations and per-machine contribution
-// rows under both kernels.
+// TestKernelsBitIdentical holds the production kernel to the per-task
+// reference loop: on randomized TUF shapes (including degenerate
+// single-segment and zero-penalty functions), random allocations — with
+// and without drops — must produce bitwise-equal evaluations and
+// per-machine contribution rows through EvaluateFull (the 4-way
+// interleave plus its per-machine remainder) and through the reference.
 func TestKernelsBitIdentical(t *testing.T) {
 	for _, cfg := range []struct {
 		n       int
@@ -121,9 +164,7 @@ func TestKernelsBitIdentical(t *testing.T) {
 		e := kernelEval(t, cfg.n, uint64(9000+cfg.n), cfg.degFrac)
 		e.AllowDropping = cfg.drops
 		typed := e.NewDeltaSession()
-		typed.SetKernel(KernelTyped)
 		scalar := e.NewDeltaSession()
-		scalar.SetKernel(KernelScalar)
 		ct, cs := e.NewContribs(), e.NewContribs()
 		src := rng.New(uint64(31 + cfg.n))
 		for trial := 0; trial < 20; trial++ {
@@ -136,7 +177,7 @@ func TestKernelsBitIdentical(t *testing.T) {
 				}
 			}
 			evT := typed.EvaluateFull(a, ct)
-			evS := scalar.EvaluateFull(a, cs)
+			evS := scalarEvaluateFull(scalar, a, cs)
 			if evT != evS {
 				t.Fatalf("n=%d deg=%v drops=%v trial %d: typed %+v vs scalar %+v",
 					cfg.n, cfg.degFrac, cfg.drops, trial, evT, evS)
@@ -150,37 +191,33 @@ func TestKernelsBitIdentical(t *testing.T) {
 }
 
 // TestKernelListMatchesPerMachine checks that the batched
-// SimulateNeedList path (4-way interleaved under the typed kernel) is
-// bitwise equal to simulating each Need machine individually through
-// SimulateNeed, for both kernels and odd batch remainders.
+// SimulateNeedList path (4-way interleaved) is bitwise equal to
+// simulating each Need machine individually through SimulateNeed,
+// including odd batch remainders.
 func TestKernelListMatchesPerMachine(t *testing.T) {
-	for _, kernel := range []Kernel{KernelTyped, KernelScalar} {
-		e := kernelEval(t, 150, 42, 0.25)
-		batched := e.NewDeltaSession()
-		batched.SetKernel(kernel)
-		single := e.NewDeltaSession()
-		single.SetKernel(kernel)
-		cb, cs := e.NewContribs(), e.NewContribs()
-		pb, ps := e.NewDeltaPlan(), e.NewDeltaPlan()
-		src := rng.New(7)
-		counts := make([]int32, e.NumMachines())
-		for trial := 0; trial < 10; trial++ {
-			a := e.RandomAllocation(src)
-			slots := make([]uint64, a.Len())
-			batched.ScatterSlots(a, slots, counts)
-			batched.Prepare(slots, counts, nil, cb, pb)
-			batched.SimulateAllNeeds(pb, cb)
-			evB := batched.Finish(cb, pb)
+	e := kernelEval(t, 150, 42, 0.25)
+	batched := e.NewDeltaSession()
+	single := e.NewDeltaSession()
+	cb, cs := e.NewContribs(), e.NewContribs()
+	pb, ps := e.NewDeltaPlan(), e.NewDeltaPlan()
+	src := rng.New(7)
+	counts := make([]int32, e.NumMachines())
+	for trial := 0; trial < 10; trial++ {
+		a := e.RandomAllocation(src)
+		slots := make([]uint64, a.Len())
+		batched.ScatterSlots(a, slots, counts)
+		batched.Prepare(slots, counts, nil, cb, pb)
+		batched.SimulateAllNeeds(pb, cb)
+		evB := batched.Finish(cb, pb)
 
-			single.ScatterSlots(a, slots, counts)
-			single.Prepare(slots, counts, nil, cs, ps)
-			for k := range ps.Need {
-				single.SimulateNeed(k, ps, cs)
-			}
-			evS := single.Finish(cs, ps)
-			if evB != evS || !contribsEqual(cb, cs) {
-				t.Fatalf("kernel=%v trial %d: batched vs per-machine rows differ", kernel, trial)
-			}
+		single.ScatterSlots(a, slots, counts)
+		single.Prepare(slots, counts, nil, cs, ps)
+		for k := range ps.Need {
+			single.SimulateNeed(k, ps, cs)
+		}
+		evS := single.Finish(cs, ps)
+		if evB != evS || !contribsEqual(cb, cs) {
+			t.Fatalf("trial %d: batched vs per-machine rows differ", trial)
 		}
 	}
 }
