@@ -62,41 +62,38 @@ bench-evaluate:
 	$(GO) run ./cmd/benchdiff -stat median BENCH_step.json /tmp/bench_eval.txt
 
 # Scale slice of the regression gate: paper-sized populations stepping
-# over datagen-synthesized 50k/200k-task instances plus the 200k-point
-# ε-archive insert stream, compared against BENCH_scale.json. Minutes of
-# wall clock (trace synthesis dominates), so the slice is deliberately
-# not part of make check — run it when touching the archive, the arena,
-# or the evaluation path. -benchtime 1x with -count 2 bounds the cost
-# while still letting benchdiff average; the 0.30 threshold matches the
-# other long-trace slices.
+# over datagen-synthesized 50k/200k-task instances, compared against
+# BENCH_scale.json. Minutes of wall clock (trace synthesis dominates),
+# so the slice is deliberately not part of make check — run it when
+# touching the arena or the evaluation path. -benchtime 1x with -count 2
+# bounds the cost while still letting benchdiff average; the 0.30
+# threshold matches the other long-trace slices.
 bench-scale:
 	$(GO) test -run '^$$' -bench BenchmarkScale -benchtime 1x -count 2 -benchmem . > /tmp/bench_scale.txt
 	$(GO) run ./cmd/benchdiff -stat median -threshold 0.30 -bench BenchmarkScale BENCH_scale.json /tmp/bench_scale.txt
 
-# Refresh the scale baseline after an intentional change to the archive,
-# arena, or kernels.
+# Refresh the scale baseline after an intentional change to the arena
+# or kernels.
 bench-scale-record:
 	$(GO) test -run '^$$' -bench BenchmarkScale -benchtime 1x -count 2 -benchmem . | tee /tmp/bench_scale.txt
 	$(GO) run ./cmd/benchdiff -bench BenchmarkScale -record BENCH_scale.json /tmp/bench_scale.txt
 
 # Distributed-islands slice of the regression gate (DESIGN.md §15): the
-# wire codec hot paths, full coordinator round trips over in-process
-# pipes against the in-process Islands baseline, and the streaming
-# ε-archive's spill/merge pipeline, compared against BENCH_dist.json.
+# wire codec hot paths and full coordinator round trips over in-process
+# pipes against the in-process Islands baseline, compared against
+# BENCH_dist.json.
 # The recorded baseline is honest about its host: 2 cores, Go 1.24.0,
 # GOMAXPROCS=2 (the default). On so few cores the worker-count ladder
 # measures scheduling and wire overhead, not speedup — on 4+ cores
 # re-record and expect the 4-worker run to beat the in-process baseline.
 bench-dist:
 	$(GO) test -run '^$$' -bench BenchmarkDist -benchtime 300ms -count 3 -benchmem ./internal/dist > /tmp/bench_dist.txt
-	$(GO) test -run '^$$' -bench BenchmarkStreamingArchive -benchtime 300ms -count 3 -benchmem ./internal/moea >> /tmp/bench_dist.txt
 	$(GO) run ./cmd/benchdiff -stat median -threshold 0.30 BENCH_dist.json /tmp/bench_dist.txt
 
-# Refresh the distributed baseline after an intentional wire, scheduler,
-# or archive change.
+# Refresh the distributed baseline after an intentional wire or
+# scheduler change.
 bench-dist-record:
 	$(GO) test -run '^$$' -bench BenchmarkDist -benchtime 300ms -count 3 -benchmem ./internal/dist | tee /tmp/bench_dist.txt
-	$(GO) test -run '^$$' -bench BenchmarkStreamingArchive -benchtime 300ms -count 3 -benchmem ./internal/moea | tee -a /tmp/bench_dist.txt
 	$(GO) run ./cmd/benchdiff -stat median -record BENCH_dist.json /tmp/bench_dist.txt
 
 # Distributed end-to-end smoke: the same short run once in-process and

@@ -97,7 +97,6 @@ func main() {
 		snapshotOut = flag.String("snapshot-out", "", "write the island run's final state to this snapshot JSON (with -islands)")
 		archiveSize = flag.Int("archive", 0, "bound the reported front to at most this many ε-dominance representatives (0 = full front)")
 		archiveEps  = flag.String("archive-eps", "", "comma-separated ε widths utility,energy for -archive (empty = derived from the front extent)")
-		archSpill   = flag.Int("archive-spill", 0, "with -archive-eps: bound archive memory to this many points, spilling sorted runs to disk (0 = in-memory)")
 		machines    = flag.Bool("machines", false, "print the per-machine breakdown of the efficient-region allocation")
 		tracePath   = flag.String("trace", "", "stream per-generation JSONL telemetry to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus-text metrics on this address (e.g. :9090)")
@@ -253,8 +252,6 @@ func main() {
 		Observer:          tel.Observer(),
 		PhaseTimer:        tel.PhaseTimer(),
 		IslandBoard:       tel.IslandBoard(*islands),
-
-		ArchiveSpillBudget: *archSpill,
 	}
 	if *islandWork >= 0 {
 		// Distributed worker mode: serve our island shard over the

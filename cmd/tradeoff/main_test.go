@@ -27,15 +27,16 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedFlagsRejected pins the removal of the -kernel and
-// -evaluation switches: there is one simulation kernel and one offspring
-// evaluation path, so both flags are unknown.
+// TestRemovedFlagsRejected pins the removal of the -kernel, -evaluation
+// and -archive-spill switches: there is one simulation kernel, one
+// offspring evaluation path and one in-memory front archive, so all
+// three flags are unknown.
 func TestRemovedFlagsRejected(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{"-kernel", "scalar"}, {"-evaluation", "full"}} {
+	for _, args := range [][]string{{"-kernel", "scalar"}, {"-evaluation", "full"}, {"-archive-spill", "64"}} {
 		cmd := exec.Command(exe, append(args, "-generations", "1", "-pop", "4", "-tasks", "10")...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		out, err := cmd.CombinedOutput()
@@ -46,6 +47,36 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
 			t.Fatalf("%v: output lacks %q:\n%s", args, want, out)
 		}
+	}
+}
+
+// TestArchiveFlagBoundsCSV drives the real command: the same run writes
+// more than 3 front rows without -archive and at most 3 with -archive 3.
+func TestArchiveFlagBoundsCSV(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(extra ...string) int {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "front.csv")
+		args := append([]string{"-tasks", "60", "-generations", "20", "-pop", "16", "-csv", path}, extra...)
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(data), "\n") - 1 // minus the header
+	}
+	if full := rows(); full <= 3 {
+		t.Fatalf("unarchived front has %d rows; the run is too small to show the bound", full)
+	}
+	if got := rows("-archive", "3"); got < 1 || got > 3 {
+		t.Fatalf("-archive 3 wrote %d front rows, want 1..3", got)
 	}
 }
 

@@ -111,15 +111,6 @@ type Options struct {
 	// (utility, energy) for ArchiveSize; empty derives each width from
 	// the front's own extent divided by ArchiveSize.
 	ArchiveEpsilon []float64
-	// ArchiveSpillBudget, when > 0 (with ArchiveSize), compacts the
-	// front through a disk-spilling streaming ε-archive instead of the
-	// in-memory one: at most ArchiveSpillBudget points are held in
-	// memory at a time and sorted runs spill to a temp file, keeping
-	// million-point fronts within bounded memory. The ε-grid alone
-	// bounds the result (no crowding prune), and outcomes are otherwise
-	// duel-for-duel identical to the in-memory archive. See
-	// internal/moea.NewStreamingArchive.
-	ArchiveSpillBudget int
 	// Resume, when non-nil, restores an island-model run from a
 	// snapshot before evolving: the run continues from the snapshot's
 	// generation up to Generations (the total target), bit-identically
@@ -267,7 +258,7 @@ func (f *Framework) FinishFront(front []nsga2.Individual, opts Options) (*Result
 // returned to the caller.
 func finishResult(res *Result, opts Options) error {
 	t0 := opts.PhaseTimer.Start()
-	if err := compactFront(res, opts.ArchiveSize, opts.ArchiveEpsilon, opts.ArchiveSpillBudget); err != nil {
+	if err := compactFront(res, opts.ArchiveSize, opts.ArchiveEpsilon); err != nil {
 		return err
 	}
 	if opts.ArchiveSize > 0 {
@@ -293,7 +284,7 @@ func finishResult(res *Result, opts Options) error {
 // ascending utility, which for mutually nondominated
 // (max-utility, min-energy) points is also ascending energy — the
 // Front sort contract is preserved.
-func compactFront(res *Result, size int, eps []float64, spill int) error {
+func compactFront(res *Result, size int, eps []float64) error {
 	if size <= 0 {
 		return nil
 	}
@@ -310,28 +301,6 @@ func compactFront(res *Result, size int, eps []float64, spill int) error {
 			}
 		}
 	}
-	if spill > 0 {
-		// Disk-spilling compaction: at most spill points in memory, the
-		// ε-grid alone bounds the result (no crowding prune).
-		sa := moea.NewStreamingArchive(sp, eps, spill, "")
-		defer sa.Close()
-		for i, p := range res.Front {
-			sa.Add([]float64{p.Utility, p.Energy}, int64(i))
-		}
-		if err := sa.Finalize(); err != nil {
-			return err
-		}
-		pts, pays := sa.Points(), sa.Payloads()
-		front := make([]analysis.FrontPoint, len(pts))
-		allocs := make([]*sched.Allocation, len(pts))
-		for i := range pts {
-			j := len(pts) - 1 - i
-			front[i] = analysis.FrontPoint{Utility: pts[j][0], Energy: pts[j][1]}
-			allocs[i] = res.Allocations[pays[j]]
-		}
-		res.Front, res.Allocations = front, allocs
-		return nil
-	}
 	ar := moea.NewEpsilonArchive(sp, eps, size)
 	for i, p := range res.Front {
 		ar.Add([]float64{p.Utility, p.Energy}, i)
@@ -342,7 +311,7 @@ func compactFront(res *Result, size int, eps []float64, spill int) error {
 	for i := range pts {
 		j := len(pts) - 1 - i
 		front[i] = analysis.FrontPoint{Utility: pts[j][0], Energy: pts[j][1]}
-		allocs[i] = res.Allocations[pays[j].(int)]
+		allocs[i] = res.Allocations[pays[j]]
 	}
 	res.Front, res.Allocations = front, allocs
 	return nil

@@ -9,7 +9,10 @@
 // choice, and provides a scalarized coordinate-descent optimizer that,
 // sweeping the utility-vs-energy weight, turns any fixed NSGA-II
 // allocation into a family of DVFS-refined solutions — extending the
-// Pareto front beyond what machine assignment alone can reach.
+// Pareto front beyond what machine assignment alone can reach. When the
+// base evaluator charges idle power (sched.Evaluator.SetIdlePower), so
+// does this one, over each machine's idle time at the stretched
+// execution times; at uniform P0 the two evaluations are bit-identical.
 package dvfs
 
 import (
@@ -131,7 +134,8 @@ func (e *Evaluator) Validate(a *sched.Allocation, pstates []int) error {
 	return nil
 }
 
-// Evaluate simulates the allocation with per-task P-states.
+// Evaluate simulates the allocation with per-task P-states, charging
+// idle power as the base evaluator does.
 func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluation {
 	base := e.base
 	n := base.NumTasks()
@@ -140,6 +144,7 @@ func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluatio
 		seq[a.Order[i]] = i
 	}
 	ready := make([]float64, base.NumMachines())
+	busy := make([]float64, base.NumMachines())
 	tasks := base.Trace().Tasks
 	var ev sched.Evaluation
 	for _, ti := range seq {
@@ -153,8 +158,10 @@ func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluatio
 		if task.Arrival > start {
 			start = task.Arrival
 		}
-		completion := start + base.ETCInstance(task.Type, int(m))*e.tScale[ps]
+		exec := base.ETCInstance(task.Type, int(m)) * e.tScale[ps]
+		completion := start + exec
 		ready[m] = completion
+		busy[m] += exec
 		ev.Utility += task.TUF.Value(completion - task.Arrival)
 		ev.Energy += base.EECInstance(task.Type, int(m)) * e.eScale[ps]
 		if completion > ev.Makespan {
@@ -162,6 +169,7 @@ func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluatio
 		}
 		ev.Completed++
 	}
+	ev.Energy += base.IdleEnergy(ready, busy)
 	return ev
 }
 

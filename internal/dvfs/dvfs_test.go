@@ -66,15 +66,24 @@ func TestScalesMonotone(t *testing.T) {
 	}
 }
 
+// TestEvaluateFullSpeedMatchesBase: with every task at P0 the DVFS
+// evaluation is the base evaluation, bit for bit, with the idle-energy
+// extension both off and on.
 func TestEvaluateFullSpeedMatchesBase(t *testing.T) {
-	e, base := newDVFS(t, 80)
+	e, base := newDVFS(t, 500)
 	a := base.RandomAllocation(rng.New(1))
 	ps := make([]int, a.Len()) // all P0
-	got := e.Evaluate(a, ps)
-	want := base.Evaluate(a)
-	if math.Abs(got.Utility-want.Utility) > 1e-9 || math.Abs(got.Energy-want.Energy) > 1e-9 ||
-		math.Abs(got.Makespan-want.Makespan) > 1e-9 {
-		t.Fatalf("P0 evaluation diverges from base: %+v vs %+v", got, want)
+	idle := make([]float64, base.System().NumMachineTypes())
+	for i := range idle {
+		idle[i] = 50
+	}
+	for _, watts := range [][]float64{nil, idle} {
+		if err := base.SetIdlePower(watts); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.Evaluate(a, ps), base.Evaluate(a); got != want {
+			t.Fatalf("idle power %v: P0 evaluation %+v, base %+v", watts != nil, got, want)
+		}
 	}
 }
 

@@ -118,39 +118,6 @@ func TestSeededDiagnosticExact(t *testing.T) {
 	}
 }
 
-// TestEpsArchiveFixture golden-checks the bounded ε-dominance archive
-// shape (DESIGN.md §13): the positive fixture seeds the violations a
-// naive grid archive invites — process-seeded box hashing, map-ordered
-// pruning, allocating hot-path inserts — and each must fire; the
-// negative fixture is internal/moea's real shape (fixed hash constants,
-// direct-mapped verified hints, manual binary search, reslice-and-copy
-// splices) and must stay silent.
-func TestEpsArchiveFixture(t *testing.T) {
-	posDir := filepath.Join("testdata", "epsarchive", "pos")
-	posLines := runFixture(t, posDir, Analyzers())
-	for _, want := range []string{"purity", "maprange", "hotalloc"} {
-		found := false
-		for _, l := range posLines {
-			if strings.Contains(l, ": "+want+": ") {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("positive epsarchive fixture did not trigger %s:\n%s",
-				want, strings.Join(posLines, "\n"))
-		}
-	}
-	checkGolden(t, posDir, posLines)
-	negDir := filepath.Join("testdata", "epsarchive", "neg")
-	negLines := runFixture(t, negDir, Analyzers())
-	if len(negLines) != 0 {
-		t.Errorf("negative epsarchive fixture produced diagnostics:\n%s",
-			strings.Join(negLines, "\n"))
-	}
-	checkGolden(t, negDir, negLines)
-}
-
 // TestPhaseTimerFixture golden-checks the phase-profiler shape
 // (DESIGN.md §14): the positive fixture seeds the violations a naive
 // profiler invites — ambient wall-clock brackets, a mutable global

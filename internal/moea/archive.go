@@ -5,68 +5,27 @@ import (
 	"sort"
 )
 
-// Archive incrementally maintains a nondominated set of objective
-// vectors with attached payloads. Adding a dominated point is a no-op;
-// adding a dominating point evicts everything it dominates. Duplicated
-// objective vectors are kept only once (first wins).
-//
-// Two modes share the API:
-//
-//   - Exact mode (NewArchive / NewBoundedArchive): plain Pareto
-//     dominance, O(n) scan per insert. Suitable for small fronts.
-//   - ε-dominance mode (NewEpsilonArchive): objective space is cut into
-//     an ε-grid and at most one representative is kept per occupied box
-//     (DESIGN.md §13). Insert cost is O(log n) against the 2-D box
-//     staircase with an O(1) hash fast path for repeat boxes, and the
-//     archive size is bounded by the grid resolution regardless of how
-//     many points stream in — the property that keeps million-point
-//     fronts tractable.
+// Archive is a bounded ε-dominance archive (DESIGN.md §13): objective
+// space is cut into an ε-grid, at most one representative is kept per
+// occupied box, and a candidate whose box is dominated by an occupied
+// box is rejected. Each point carries an int payload (typically an index
+// into the caller's own slice). Inserts are a linear scan over the
+// occupied boxes, which the grid and the cap keep small.
 type Archive struct {
-	space    Space
-	points   [][]float64
-	payloads []interface{}
-	// maxSize bounds the archive; 0 means unbounded. When full, the most
-	// crowded point is pruned to make room, keeping the front spread.
+	space   Space
+	eps     []float64
 	maxSize int
-
-	// ε-grid state; nil eps selects exact mode. boxes holds the
-	// canonical (minimization-sense) box coordinates of every entry,
-	// dim values per entry, aligned with points/payloads. In the 2-D
-	// fast path entries are kept sorted by box0 strictly ascending —
-	// mutual box-nondominance then forces box1 strictly descending, a
-	// staircase that binary-searches in O(log n). freeVals recycles
-	// point buffers so steady-state inserts never allocate.
-	eps      []float64
-	boxes    []int64
-	freeVals [][]float64
-	hints    []boxHint
+	// entries are kept in insertion order; Points/Payloads sort on
+	// output.
+	entries []archiveEntry
 }
 
-// boxHint is one slot of the direct-mapped box→index hint table: the
-// O(1) fast path for candidates landing in an already-occupied box (the
-// common case once a front has formed). Hints are verified against the
-// live staircase before use, so stale entries are harmless.
-type boxHint struct {
-	b0, b1 int64
-	idx    int32
-	live   bool
-}
-
-// boxHintSize is the hint-table size (power of two).
-const boxHintSize = 256
-
-// NewArchive returns an empty unbounded archive over the given space.
-func NewArchive(space Space) *Archive {
-	return &Archive{space: space}
-}
-
-// NewBoundedArchive returns an archive that holds at most maxSize
-// nondominated points, pruning the most crowded one on overflow.
-func NewBoundedArchive(space Space, maxSize int) *Archive {
-	if maxSize < 1 {
-		panic("moea: bounded archive needs maxSize >= 1")
-	}
-	return &Archive{space: space, maxSize: maxSize}
+// archiveEntry is one archived point with its payload and canonical
+// (minimization-sense) box coordinates.
+type archiveEntry struct {
+	point   []float64
+	box     []int64
+	payload int
 }
 
 // NewEpsilonArchive returns a bounded ε-dominance archive: objective
@@ -78,15 +37,11 @@ func NewBoundedArchive(space Space, maxSize int) *Archive {
 // utopia corner, with ties resolved for the incumbent — so outcomes are
 // deterministic in the insertion order. maxSize is a hard cap on top of
 // the grid bound; on overflow the most crowded point is pruned.
-//
-// All storage is preallocated at construction: steady-state Add never
-// allocates.
 func NewEpsilonArchive(space Space, eps []float64, maxSize int) *Archive {
 	if maxSize < 1 {
 		panic("moea: epsilon archive needs maxSize >= 1")
 	}
-	dim := len(space.Senses)
-	if len(eps) != dim {
+	if len(eps) != len(space.Senses) {
 		panic("moea: epsilon archive needs one eps per objective")
 	}
 	for _, e := range eps {
@@ -94,72 +49,45 @@ func NewEpsilonArchive(space Space, eps []float64, maxSize int) *Archive {
 			panic("moea: epsilon archive needs eps > 0")
 		}
 	}
-	capSlots := maxSize + 1 // one transient extra before overflow pruning
-	ar := &Archive{
-		space:    space,
-		maxSize:  maxSize,
-		eps:      append([]float64(nil), eps...),
-		points:   make([][]float64, 0, capSlots),
-		payloads: make([]interface{}, 0, capSlots),
-		boxes:    make([]int64, 0, capSlots*dim),
-		freeVals: make([][]float64, 0, capSlots),
-		hints:    make([]boxHint, boxHintSize),
-	}
-	back := make([]float64, capSlots*dim)
-	for s := 0; s < capSlots; s++ {
-		ar.freeVals = append(ar.freeVals, back[s*dim:s*dim:(s+1)*dim])
-	}
-	return ar
+	return &Archive{space: space, eps: append([]float64(nil), eps...), maxSize: maxSize}
 }
 
 // Len returns the number of archived points.
-func (ar *Archive) Len() int { return len(ar.points) }
-
-// Epsilon returns a copy of the per-objective box widths, or nil for an
-// exact-mode archive.
-func (ar *Archive) Epsilon() []float64 {
-	if ar.eps == nil {
-		return nil
-	}
-	return append([]float64(nil), ar.eps...)
-}
+func (ar *Archive) Len() int { return len(ar.entries) }
 
 // Add offers a point to the archive. It returns true if the point was
-// accepted (i.e. it is nondominated — box-wise in ε mode — with respect
-// to the archive and not an exact duplicate). The point is copied;
-// rejected points and payloads are never retained.
+// accepted: its box is not dominated by an occupied box, and it won
+// the duel if its box was already occupied. The point is copied.
 //
 //detlint:pure
-func (ar *Archive) Add(point []float64, payload interface{}) bool {
-	if ar.eps != nil {
-		return ar.addEps(point, payload)
+func (ar *Archive) Add(point []float64, payload int) bool {
+	if len(point) != len(ar.eps) {
+		panic("moea: point dimension mismatch")
 	}
-	for _, p := range ar.points {
-		if ar.space.Dominates(p, point) || equalVec(p, point) {
-			return false
+	box := make([]int64, len(ar.eps))
+	for k := range box {
+		box[k] = int64(math.Floor(ar.canon(point, k) / ar.eps[k]))
+	}
+	for i := range ar.entries {
+		if eb := ar.entries[i].box; boxLeq(eb, box) {
+			if boxLeq(box, eb) {
+				return ar.duel(i, point, payload)
+			}
+			return false // an occupied box dominates the candidate's
 		}
 	}
-	// Evict points the newcomer dominates.
-	keepPts := ar.points[:0]
-	keepPay := ar.payloads[:0]
-	for i, p := range ar.points {
-		if !ar.space.Dominates(point, p) {
-			keepPts = append(keepPts, p)
-			keepPay = append(keepPay, ar.payloads[i])
+	// Evict entries whose boxes the candidate dominates, keeping the
+	// survivors in order.
+	keep := ar.entries[:0]
+	for _, e := range ar.entries {
+		if !boxLeq(box, e.box) {
+			keep = append(keep, e)
 		}
 	}
-	// Clear the vacated tail so evicted points and payloads are
-	// released to the collector, not retained by the backing arrays.
-	for i := len(keepPts); i < len(ar.points); i++ {
-		ar.points[i] = nil
-		ar.payloads[i] = nil
-	}
-	ar.points = keepPts
-	ar.payloads = keepPay
-	ar.points = append(ar.points, append([]float64(nil), point...))
-	ar.payloads = append(ar.payloads, payload)
-	if ar.maxSize > 0 && len(ar.points) > ar.maxSize {
-		ar.pruneMostCrowded()
+	clear(ar.entries[len(keep):]) // release evicted points
+	ar.entries = append(keep, archiveEntry{point: append([]float64(nil), point...), box: box, payload: payload})
+	if len(ar.entries) > ar.maxSize {
+		ar.prune()
 	}
 	return true
 }
@@ -172,330 +100,73 @@ func (ar *Archive) canon(point []float64, k int) float64 {
 	return point[k]
 }
 
-// boxCoord returns the ε-grid coordinate of objective k of point.
-func (ar *Archive) boxCoord(point []float64, k int) int64 {
-	return int64(math.Floor(ar.canon(point, k) / ar.eps[k]))
-}
-
-// addEps dispatches an ε-mode insert: the 2-D staircase fast path for
-// bi-objective spaces, a linear box scan otherwise.
-//
-//detlint:hotpath
-func (ar *Archive) addEps(point []float64, payload interface{}) bool {
-	if len(point) != len(ar.eps) {
-		panic("moea: point dimension mismatch")
-	}
-	if len(ar.eps) == 2 {
-		return ar.addEps2D(point, payload)
-	}
-	return ar.addEpsGeneric(point, payload)
-}
-
-// hashBox mixes a 2-D box coordinate into a hint-table slot with fixed
-// constants (splitmix64 finalizer), so runs are reproducible across
-// processes.
-func hashBox(b0, b1 int64) uint64 {
-	x := uint64(b0)*0x9e3779b97f4a7c15 ^ uint64(b1)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// addEps2D inserts into the sorted box staircase: box0 strictly
-// ascending, box1 strictly descending. A verified hash hint resolves
-// repeat boxes in O(1); otherwise a manual binary search (sort.Search's
-// closure would allocate here) finds the candidate's column in
-// O(log n). Structural edits splice a contiguous run, so the staircase
-// invariant is maintained without re-sorting.
-//
-//detlint:hotpath
-func (ar *Archive) addEps2D(point []float64, payload interface{}) bool {
-	b0 := ar.boxCoord(point, 0)
-	b1 := ar.boxCoord(point, 1)
-	n := len(ar.points)
-
-	// O(1) fast path: a verified hint for an already-occupied box.
-	h := hashBox(b0, b1) & (boxHintSize - 1)
-	if e := &ar.hints[h]; e.live && e.b0 == b0 && e.b1 == b1 {
-		if i := int(e.idx); i < n && ar.boxes[2*i] == b0 && ar.boxes[2*i+1] == b1 {
-			return ar.duel(i, point, payload)
-		}
-		e.live = false // stale after a structural edit; fall through
-	}
-
-	// Lower bound: first entry with box0 >= b0.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ar.boxes[2*mid] < b0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	i := lo
-	if i < n && ar.boxes[2*i] == b0 {
-		if ar.boxes[2*i+1] == b1 {
-			ar.hints[h] = boxHint{b0: b0, b1: b1, idx: int32(i), live: true}
-			return ar.duel(i, point, payload)
-		}
-		if ar.boxes[2*i+1] < b1 {
-			return false // same column, strictly better row ⇒ box-dominated
-		}
-		// Entry i shares the column with a worse row: it falls inside
-		// the eviction run below.
-	} else if i > 0 && ar.boxes[2*(i-1)+1] <= b1 {
-		// The staircase predecessor has box0 < b0; with box1 <= b1 it
-		// box-dominates the candidate. Because box1 is descending, the
-		// predecessor holds the minimum box1 over all columns <= b0, so
-		// this single probe decides dominance for the whole prefix.
-		return false
-	}
-	// Evict the box-dominated run [i, j): entries with box0 >= b0 and
-	// box1 >= b1 form a contiguous prefix of the suffix.
-	j := i
-	for j < n && ar.boxes[2*j+1] >= b1 {
-		j++
-	}
-	ar.spliceEps(i, j, b0, b1, point, payload)
-	ar.hints[h] = boxHint{b0: b0, b1: b1, idx: int32(i), live: true}
-	if len(ar.points) > ar.maxSize {
-		ar.pruneEps()
-	}
-	return true
-}
-
-// spliceEps replaces the entry run [i, j) with one new entry at i,
-// recycling freed point buffers. All slices were preallocated at
-// construction, so no allocation happens here.
-//
-//detlint:hotpath
-func (ar *Archive) spliceEps(i, j int, b0, b1 int64, point []float64, payload interface{}) {
-	n := len(ar.points)
-	dim := len(ar.eps)
-	if j == i {
-		// Pure insert: shift the suffix right by one and fill slot i
-		// from the free-buffer stack.
-		ar.points = ar.points[:n+1]
-		ar.payloads = ar.payloads[:n+1]
-		ar.boxes = ar.boxes[:dim*(n+1)]
-		copy(ar.points[i+1:], ar.points[i:n])
-		copy(ar.payloads[i+1:], ar.payloads[i:n])
-		copy(ar.boxes[dim*(i+1):], ar.boxes[dim*i:dim*n])
-		k := len(ar.freeVals) - 1
-		v := ar.freeVals[k][:dim]
-		ar.freeVals = ar.freeVals[:k]
-		copy(v, point)
-		ar.points[i] = v
-		ar.payloads[i] = payload
-		ar.boxes[dim*i] = b0
-		ar.boxes[dim*i+1] = b1
-		return
-	}
-	// Overwrite entry i in place, recycle (i, j), close the gap.
-	copy(ar.points[i], point)
-	ar.payloads[i] = payload
-	ar.boxes[dim*i] = b0
-	ar.boxes[dim*i+1] = b1
-	if j == i+1 {
-		return
-	}
-	nf := len(ar.freeVals)
-	ar.freeVals = ar.freeVals[:nf+(j-i-1)]
-	for k := i + 1; k < j; k++ {
-		ar.freeVals[nf] = ar.points[k]
-		nf++
-	}
-	copy(ar.points[i+1:], ar.points[j:n])
-	copy(ar.payloads[i+1:], ar.payloads[j:n])
-	copy(ar.boxes[dim*(i+1):], ar.boxes[dim*j:dim*n])
-	m := n - (j - i - 1)
-	for k := m; k < n; k++ {
-		ar.points[k] = nil // release evicted refs, do not retain
-		ar.payloads[k] = nil
-	}
-	ar.points = ar.points[:m]
-	ar.payloads = ar.payloads[:m]
-	ar.boxes = ar.boxes[:dim*m]
-}
-
 // duel resolves a candidate landing in entry i's box: the dominating
 // point wins; between incomparable points the one closer to the box's
 // utopia corner (ε-normalized canonical coordinates) wins; exact ties
-// keep the incumbent. The replacement reuses the incumbent's buffer.
-//
-//detlint:hotpath
-func (ar *Archive) duel(i int, point []float64, payload interface{}) bool {
-	inc := ar.points[i]
-	if ar.space.Dominates(point, inc) {
-		copy(inc, point)
-		ar.payloads[i] = payload
-		return true
-	}
+// keep the incumbent.
+func (ar *Archive) duel(i int, point []float64, payload int) bool {
+	e := &ar.entries[i]
+	inc := e.point
 	if ar.space.Dominates(inc, point) || equalVec(inc, point) {
 		return false
 	}
-	var dc, dq float64
-	for k := range point {
-		bk := float64(ar.boxCoord(point, k))
-		cc := ar.canon(point, k)/ar.eps[k] - bk
-		cq := ar.canon(inc, k)/ar.eps[k] - bk
-		dc += cc * cc
-		dq += cq * cq
-	}
-	if dc < dq {
-		copy(inc, point)
-		ar.payloads[i] = payload
-		return true
-	}
-	return false
-}
-
-// addEpsGeneric is the ε-mode fallback for spaces with other than two
-// objectives: a linear scan over the (bounded) box set. Entries are
-// kept in insertion order; Points/Payloads sort on output.
-func (ar *Archive) addEpsGeneric(point []float64, payload interface{}) bool {
-	dim := len(ar.eps)
-	n := len(ar.points)
-	for i := 0; i < n; i++ {
-		leq, geq := true, true
-		for k := 0; k < dim; k++ {
-			eb, cb := ar.boxes[i*dim+k], ar.boxCoord(point, k)
-			if eb > cb {
-				leq = false
-			}
-			if eb < cb {
-				geq = false
-			}
+	if !ar.space.Dominates(point, inc) {
+		var dc, dq float64
+		for k := range point {
+			bk := float64(e.box[k])
+			cc := ar.canon(point, k)/ar.eps[k] - bk
+			cq := ar.canon(inc, k)/ar.eps[k] - bk
+			dc += cc * cc
+			dq += cq * cq
 		}
-		if leq && geq {
-			return ar.duel(i, point, payload)
-		}
-		if leq {
-			return false // an occupied box dominates the candidate's
+		if !(dc < dq) {
+			return false
 		}
 	}
-	// Evict entries whose boxes the candidate dominates (>= in every
-	// coordinate; equality was handled above), compacting in order.
-	w := 0
-	for i := 0; i < n; i++ {
-		dominated := true
-		for k := 0; k < dim; k++ {
-			if ar.boxes[i*dim+k] < ar.boxCoord(point, k) {
-				dominated = false
-				break
-			}
-		}
-		if dominated {
-			ar.freeVals = ar.freeVals[:len(ar.freeVals)+1]
-			ar.freeVals[len(ar.freeVals)-1] = ar.points[i]
-			continue
-		}
-		ar.points[w] = ar.points[i]
-		ar.payloads[w] = ar.payloads[i]
-		copy(ar.boxes[w*dim:(w+1)*dim], ar.boxes[i*dim:(i+1)*dim])
-		w++
-	}
-	for k := w; k < n; k++ {
-		ar.points[k] = nil
-		ar.payloads[k] = nil
-	}
-	k := len(ar.freeVals) - 1
-	v := ar.freeVals[k][:dim]
-	ar.freeVals = ar.freeVals[:k]
-	copy(v, point)
-	ar.points = ar.points[:w+1]
-	ar.payloads = ar.payloads[:w+1]
-	ar.boxes = ar.boxes[:(w+1)*dim]
-	ar.points[w] = v
-	ar.payloads[w] = payload
-	for d := 0; d < dim; d++ {
-		ar.boxes[w*dim+d] = ar.boxCoord(point, d)
-	}
-	if len(ar.points) > ar.maxSize {
-		ar.pruneEps()
-	}
+	copy(inc, point)
+	e.payload = payload
 	return true
 }
 
-// pruneEps removes the point with the smallest crowding distance while
-// preserving entry order (the 2-D staircase must stay sorted), and
-// recycles its buffer.
-func (ar *Archive) pruneEps() {
-	front := make([]int, len(ar.points))
-	for i := range front {
-		front[i] = i
+// prune removes the entry with the smallest crowding distance. Ties go
+// to the entry with the lexicographically lowest canonical box, so the
+// victim depends only on the archived set, never on the entry order.
+func (ar *Archive) prune() {
+	points := make([][]float64, len(ar.entries))
+	front := make([]int, len(ar.entries))
+	for i, e := range ar.entries {
+		points[i], front[i] = e.point, i
 	}
-	dist := ar.space.CrowdingDistance(ar.points, front)
-	victim := -1
-	for i, d := range dist {
-		if victim == -1 || d < dist[victim] {
+	dist := ar.space.CrowdingDistance(points, front)
+	victim := 0
+	for i := 1; i < len(dist); i++ {
+		if dist[i] < dist[victim] || dist[i] == dist[victim] && boxLess(ar.entries[i].box, ar.entries[victim].box) {
 			victim = i
 		}
 	}
-	if victim == -1 {
-		return
-	}
-	n := len(ar.points)
-	dim := len(ar.eps)
-	ar.freeVals = ar.freeVals[:len(ar.freeVals)+1]
-	ar.freeVals[len(ar.freeVals)-1] = ar.points[victim]
-	copy(ar.points[victim:], ar.points[victim+1:n])
-	copy(ar.payloads[victim:], ar.payloads[victim+1:n])
-	copy(ar.boxes[dim*victim:], ar.boxes[dim*(victim+1):dim*n])
-	ar.points[n-1] = nil
-	ar.payloads[n-1] = nil
-	ar.points = ar.points[:n-1]
-	ar.payloads = ar.payloads[:n-1]
-	ar.boxes = ar.boxes[:dim*(n-1)]
-}
-
-// pruneMostCrowded removes the point with the smallest crowding distance
-// (never a boundary point, whose distance is infinite).
-func (ar *Archive) pruneMostCrowded() {
-	front := make([]int, len(ar.points))
-	for i := range front {
-		front[i] = i
-	}
-	dist := ar.space.CrowdingDistance(ar.points, front)
-	victim := -1
-	for i, d := range dist {
-		if victim == -1 || d < dist[victim] {
-			victim = i
-		}
-	}
-	if victim == -1 {
-		return
-	}
-	last := len(ar.points) - 1
-	ar.points[victim] = ar.points[last]
-	ar.payloads[victim] = ar.payloads[last]
-	ar.points[last] = nil // release, do not retain
-	ar.payloads[last] = nil
-	ar.points = ar.points[:last]
-	ar.payloads = ar.payloads[:last]
+	n := len(ar.entries)
+	copy(ar.entries[victim:], ar.entries[victim+1:])
+	ar.entries[n-1] = archiveEntry{}
+	ar.entries = ar.entries[:n-1]
 }
 
 // Points returns copies of the archived objective vectors, sorted by the
 // first objective in improving order.
 func (ar *Archive) Points() [][]float64 {
-	out := make([][]float64, len(ar.points))
 	idx := ar.sortedIdx()
+	out := make([][]float64, len(idx))
 	for i, j := range idx {
-		out[i] = append([]float64(nil), ar.points[j]...)
+		out[i] = append([]float64(nil), ar.entries[j].point...)
 	}
 	return out
 }
 
 // Payloads returns the payloads in the same order as Points.
-func (ar *Archive) Payloads() []interface{} {
+func (ar *Archive) Payloads() []int {
 	idx := ar.sortedIdx()
-	out := make([]interface{}, len(idx))
+	out := make([]int, len(idx))
 	for i, j := range idx {
-		out[i] = ar.payloads[j]
+		out[i] = ar.entries[j].payload
 	}
 	return out
 }
@@ -504,12 +175,12 @@ func (ar *Archive) Payloads() []interface{} {
 // The comparator is total (ties fall back to entry index) so the two
 // independent calls from Points and Payloads always agree.
 func (ar *Archive) sortedIdx() []int {
-	idx := make([]int, len(ar.points))
+	idx := make([]int, len(ar.entries))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		x, y := ar.points[idx[a]][0], ar.points[idx[b]][0]
+		x, y := ar.entries[idx[a]].point[0], ar.entries[idx[b]].point[0]
 		if x != y {
 			if ar.space.Senses[0] == Maximize {
 				return x > y
@@ -519,6 +190,26 @@ func (ar *Archive) sortedIdx() []int {
 		return idx[a] < idx[b]
 	})
 	return idx
+}
+
+// boxLeq reports whether box a is <= box b in every coordinate.
+func boxLeq(a, b []int64) bool {
+	for k := range a {
+		if a[k] > b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// boxLess orders boxes lexicographically.
+func boxLess(a, b []int64) bool {
+	for k := range a {
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return false
 }
 
 func equalVec(a, b []float64) bool {

@@ -7,15 +7,26 @@ import (
 	"tradeoff/internal/rng"
 )
 
+// newFineArchive returns an ε-archive whose boxes are fine enough that
+// every distinct point below gets its own box, so box dominance is
+// Pareto dominance.
+func newFineArchive(sp Space, maxSize int) *Archive {
+	eps := make([]float64, sp.Dim())
+	for k := range eps {
+		eps[k] = 1e-9
+	}
+	return NewEpsilonArchive(sp, eps, maxSize)
+}
+
 func TestArchiveBasics(t *testing.T) {
-	ar := NewArchive(UtilityEnergySpace())
-	if !ar.Add(ptA, "A") {
+	ar := newFineArchive(UtilityEnergySpace(), 16)
+	if !ar.Add(ptA, 0) {
 		t.Fatal("first add rejected")
 	}
-	if ar.Add(ptB, "B") {
+	if ar.Add(ptB, 1) {
 		t.Fatal("dominated point accepted")
 	}
-	if !ar.Add(ptC, "C") {
+	if !ar.Add(ptC, 2) {
 		t.Fatal("incomparable point rejected")
 	}
 	if ar.Len() != 2 {
@@ -24,7 +35,7 @@ func TestArchiveBasics(t *testing.T) {
 }
 
 func TestArchiveEviction(t *testing.T) {
-	ar := NewArchive(UtilityEnergySpace())
+	ar := newFineArchive(UtilityEnergySpace(), 16)
 	ar.Add([]float64{5, 5}, 1)
 	ar.Add([]float64{4, 4}, 2)
 	// Dominates both.
@@ -40,7 +51,7 @@ func TestArchiveEviction(t *testing.T) {
 }
 
 func TestArchiveRejectsDuplicates(t *testing.T) {
-	ar := NewArchive(UtilityEnergySpace())
+	ar := newFineArchive(UtilityEnergySpace(), 16)
 	ar.Add([]float64{5, 5}, 1)
 	if ar.Add([]float64{5, 5}, 2) {
 		t.Fatal("duplicate accepted")
@@ -49,7 +60,7 @@ func TestArchiveRejectsDuplicates(t *testing.T) {
 
 func TestArchiveInvariantNondominated(t *testing.T) {
 	sp := UtilityEnergySpace()
-	ar := NewArchive(sp)
+	ar := newFineArchive(sp, 1<<16)
 	src := rng.New(3)
 	for i := 0; i < 500; i++ {
 		ar.Add([]float64{src.Range(0, 10), src.Range(0, 10)}, i)
@@ -71,8 +82,8 @@ func TestArchiveInvariantNondominated(t *testing.T) {
 }
 
 func TestArchivePointsAreCopies(t *testing.T) {
-	ar := NewArchive(UtilityEnergySpace())
-	ar.Add([]float64{5, 5}, nil)
+	ar := newFineArchive(UtilityEnergySpace(), 16)
+	ar.Add([]float64{5, 5}, 0)
 	pts := ar.Points()
 	pts[0][0] = 999
 	if ar.Points()[0][0] == 999 {
@@ -238,7 +249,7 @@ func BenchmarkHypervolume200(b *testing.B) {
 
 func TestBoundedArchivePrunes(t *testing.T) {
 	sp := NewSpace(Minimize, Minimize)
-	ar := NewBoundedArchive(sp, 5)
+	ar := NewEpsilonArchive(sp, []float64{0.5, 0.5}, 5)
 	// Insert 50 mutually nondominated points along a line.
 	for i := 0; i < 50; i++ {
 		x := float64(i)
@@ -265,20 +276,11 @@ func TestBoundedArchivePrunes(t *testing.T) {
 
 func TestBoundedArchiveStillRejectsDominated(t *testing.T) {
 	sp := NewSpace(Minimize, Minimize)
-	ar := NewBoundedArchive(sp, 3)
-	ar.Add([]float64{1, 1}, nil)
-	if ar.Add([]float64{2, 2}, nil) {
+	ar := NewEpsilonArchive(sp, []float64{0.5, 0.5}, 3)
+	ar.Add([]float64{1, 1}, 0)
+	if ar.Add([]float64{2, 2}, 1) {
 		t.Fatal("dominated point accepted by bounded archive")
 	}
-}
-
-func TestNewBoundedArchivePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for maxSize 0")
-		}
-	}()
-	NewBoundedArchive(NewSpace(Minimize), 0)
 }
 
 // --- Hypervolume2D degenerate inputs (duplicates, reference-equal

@@ -590,15 +590,7 @@ func (d *DeltaSession) reduce(c *Contribs) Evaluation {
 		}
 		ev.Completed += int(c.Done[m])
 	}
-	if e.idleWatts != nil {
-		var sum float64
-		for m, w := range e.idleWatts {
-			if idle := c.Ready[m] - c.Busy[m]; idle > 0 {
-				sum += w * idle
-			}
-		}
-		ev.Energy += sum
-	}
+	ev.Energy += e.IdleEnergy(c.Ready, c.Busy)
 	return ev
 }
 

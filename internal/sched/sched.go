@@ -305,15 +305,17 @@ func (e *Evaluator) NewSession() *Session {
 	}
 }
 
-// idleEnergy returns the idle-power energy of the finished simulation
-// state (0 when the extension is disabled).
-func (s *Session) idleEnergy() float64 {
-	if s.e.idleWatts == nil {
+// IdleEnergy returns the idle-power energy of a finished simulation:
+// machine m idles for ready[m] − busy[m] seconds, its last completion
+// time less its total execution time, and draws its idle power for
+// that long. It is 0 when the extension is disabled.
+func (e *Evaluator) IdleEnergy(ready, busy []float64) float64 {
+	if e.idleWatts == nil {
 		return 0
 	}
 	var sum float64
-	for m, w := range s.e.idleWatts {
-		if idle := s.ready[m] - s.busy[m]; idle > 0 {
+	for m, w := range e.idleWatts {
+		if idle := ready[m] - busy[m]; idle > 0 {
 			sum += w * idle
 		}
 	}
@@ -356,7 +358,7 @@ func (s *Session) Evaluate(a *Allocation) Evaluation {
 		}
 		ev.Completed++
 	}
-	ev.Energy += s.idleEnergy()
+	ev.Energy += e.IdleEnergy(s.ready, s.busy)
 	return ev
 }
 
@@ -398,7 +400,7 @@ func (s *Session) CompletionTimes(a *Allocation) ([]float64, Evaluation) {
 		}
 		ev.Completed++
 	}
-	ev.Energy += s.idleEnergy()
+	ev.Energy += e.IdleEnergy(s.ready, s.busy)
 	return times, ev
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tradeoff/internal/experiments"
-	"tradeoff/internal/moea"
 	"tradeoff/internal/nsga2"
 	"tradeoff/internal/rng"
 )
@@ -41,30 +40,3 @@ func benchScaleStep(b *testing.B, tasks int) {
 
 func BenchmarkScaleStepPop100Tasks50k(b *testing.B)  { benchScaleStep(b, 50000) }
 func BenchmarkScaleStepPop100Tasks200k(b *testing.B) { benchScaleStep(b, 200000) }
-
-// BenchmarkScaleEpsilonArchiveInsert streams 200k tradeoff-curve points
-// through a 100-slot ε-dominance archive — the million-point-front
-// regime where the old exact archive's O(n) scan-and-prune per insert
-// was the wall. Steady state is hint-hit or binary-search rejects with
-// zero allocations.
-func BenchmarkScaleEpsilonArchiveInsert(b *testing.B) {
-	const n = 200000
-	src := rng.New(5)
-	pts := make([][2]float64, n)
-	for i := range pts {
-		u := src.Float64()
-		pts[i] = [2]float64{u, u + 1e-3*src.Float64()}
-	}
-	sp := moea.UtilityEnergySpace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ar := moea.NewEpsilonArchive(sp, []float64{1e-2, 1e-2}, 100)
-		for _, p := range pts {
-			ar.Add([]float64{p[0], p[1]}, nil)
-		}
-		if ar.Len() > 100 {
-			b.Fatalf("archive overflowed: %d points", ar.Len())
-		}
-	}
-}
