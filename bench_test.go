@@ -12,6 +12,7 @@ import (
 	"tradeoff/internal/data"
 	"tradeoff/internal/datagen"
 	"tradeoff/internal/experiments"
+	"tradeoff/internal/heuristics"
 	"tradeoff/internal/nsga2"
 	"tradeoff/internal/obs"
 	"tradeoff/internal/rng"
@@ -379,6 +380,43 @@ func benchEvaluateFull(b *testing.B, dsNum int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink = dsess.EvaluateFull(a, contribs)
+	}
+	_ = sink
+}
+
+// BenchmarkEvaluate4000Evolved times the same kernel on the population
+// NSGA-II reaches after 100 generations of data set 3 (seed 1, the
+// CLI's four seed heuristics), one member per op in turn. A random
+// allocation queues tasks so long that almost every completion is past
+// its TUF's tail guard (111 of 4000 tasks reach the segment table); in
+// the evolved population 42% of completions fall inside the TUF window,
+// as the engine sees them for most of a run.
+func BenchmarkEvaluate4000Evolved(b *testing.B) {
+	ds, err := experiments.ByNumber(3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seeds []*sched.Allocation
+	for _, h := range []heuristics.Heuristic{heuristics.MinEnergy, heuristics.MinMin, heuristics.MaxUtility, heuristics.MaxUtilityPerEnergy} {
+		a, err := h.Build(ds.Evaluator)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seeds = append(seeds, a)
+	}
+	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{PopulationSize: 100, Seeds: seeds}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Run(100)
+	pop := eng.Population()
+	dsess := ds.Evaluator.NewDeltaSession()
+	contribs := ds.Evaluator.NewContribs()
+	var sink sched.Evaluation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = dsess.EvaluateFull(pop[i%len(pop)].Alloc, contribs)
 	}
 	_ = sink
 }

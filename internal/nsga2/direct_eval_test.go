@@ -38,7 +38,7 @@ func requireDirectEvaluation(t *testing.T, label string, e *Engine) {
 // a test-side per-task walk of the schedule that shares no code with the
 // scheduler's kernel: it builds each machine's queue from the genotype,
 // walks it with the TUF's own Value (not the compiled table or the
-// hoisted tail guard) and the evaluator's ETC/EEC accessors, and sums
+// kernel's task record) and the evaluator's ETC/EEC accessors, and sums
 // per-machine subtotals in machine order, the accumulation order the
 // kernel promises. The result must match bit for bit. Idle power is
 // not modelled, so the evaluator must have it off.

@@ -360,15 +360,15 @@ func (d *DeltaSession) Finish(dst *Contribs, plan *DeltaPlan) Evaluation {
 
 // simMachineTyped simulates machine m's task sequence and records its
 // contribution row in dst. It indexes the machine's ETC/EEC rows by
-// each task's type and resolves each task's utility through the hoisted
-// TUF tail guard — a precomputed threshold and value per task — falling
-// back to the segment table only for completions inside the segment
-// window. Every floating-point operation that reaches an accumulator is
-// the same operation in the same order as a plain per-task walk (the
-// reference loop in the package tests): additions stay sequential, and
-// the tail guard substitutes the exact product Table.Value returns past
-// the threshold. The result is bit-identical to that walk for any queue
-// and any TUF shape.
+// each task's type and resolves each task's utility from the task's
+// record in three tiers: past the TUF's tail guard, the stored tail
+// value; inside a Constant or Linear first segment, that segment's
+// interpolation, computed inline; anything else, Table.Value. Every
+// floating-point operation that reaches an accumulator is the same
+// operation in the same order as a plain per-task walk (the reference
+// loop in the package tests): additions stay sequential, and the first
+// two tiers compute exactly what Table.Value would. The result is
+// bit-identical to that walk for any queue and any TUF shape.
 //
 //detlint:hotpath
 func (d *DeltaSession) simMachineTyped(m int, tasks []int32, dst *Contribs) {
@@ -408,8 +408,18 @@ func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 		completion := start + etc
 		ready = completion
 		busy += etc
-		if el := completion - arr; el >= mt.tailT {
-			util += mt.tailV
+		// The three tiers of utility.Inline: past the tail guard; inside
+		// a Constant or Linear first segment, Table.Value's own
+		// first-segment arithmetic (the float64 conversion keeps it
+		// from fusing into the sum); otherwise Table.Value. Table.Value
+		// also clamps a negative elapsed time to 0, a no-op here: el >=
+		// 0 because completion = max(ready, arrival) + ETC and hcs
+		// validates ETC > 0. simNeed4's lanes repeat this code.
+		el := completion - arr
+		if el >= mt.TailT {
+			util += mt.TailV
+		} else if el < mt.Dur0 {
+			util += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
 		} else {
 			util += e.tufs.Value(int(ti), el)
 		}
@@ -464,8 +474,11 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 			completion := start + etc
 			r0 = completion
 			b0 += etc
-			if el := completion - arr; el >= mt.tailT {
-				u0 += mt.tailV
+			el := completion - arr
+			if el >= mt.TailT {
+				u0 += mt.TailV
+			} else if el < mt.Dur0 {
+				u0 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
 			} else {
 				u0 += e.tufs.Value(int(s0[t]), el)
 			}
@@ -483,8 +496,11 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 			completion := start + etc
 			r1 = completion
 			b1 += etc
-			if el := completion - arr; el >= mt.tailT {
-				u1 += mt.tailV
+			el := completion - arr
+			if el >= mt.TailT {
+				u1 += mt.TailV
+			} else if el < mt.Dur0 {
+				u1 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
 			} else {
 				u1 += e.tufs.Value(int(s1[t]), el)
 			}
@@ -502,8 +518,11 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 			completion := start + etc
 			r2 = completion
 			b2 += etc
-			if el := completion - arr; el >= mt.tailT {
-				u2 += mt.tailV
+			el := completion - arr
+			if el >= mt.TailT {
+				u2 += mt.TailV
+			} else if el < mt.Dur0 {
+				u2 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
 			} else {
 				u2 += e.tufs.Value(int(s2[t]), el)
 			}
@@ -521,8 +540,11 @@ func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 i
 			completion := start + etc
 			r3 = completion
 			b3 += etc
-			if el := completion - arr; el >= mt.tailT {
-				u3 += mt.tailV
+			el := completion - arr
+			if el >= mt.TailT {
+				u3 += mt.TailV
+			} else if el < mt.Dur0 {
+				u3 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
 			} else {
 				u3 += e.tufs.Value(int(s3[t]), el)
 			}

@@ -93,7 +93,7 @@ func mutateAlloc(e *Evaluator, a *Allocation, src *rng.Source, dirty []bool, all
 	if allowDrop && src.Bool(0.3) {
 		a.Machine[g] = Dropped
 	} else {
-		el := e.Eligible(int(e.taskType[g]))
+		el := e.Eligible(e.Trace().Tasks[g].Type)
 		a.Machine[g] = int32(el[src.Intn(len(el))])
 		dirty[a.Machine[g]] = true
 	}

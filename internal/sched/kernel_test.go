@@ -40,10 +40,10 @@ func randomTUF(t *testing.T, src *rng.Source) *utility.Function {
 	return f
 }
 
-// degenerateTUF draws one of the closed-form-friendly edge shapes the
-// typed kernel special-cases through its hoisted tail guard: a
-// single-segment step function, or a zero-penalty function that earns
-// full priority no matter when the task completes.
+// degenerateTUF draws one of two edge shapes: a single-segment step
+// function, which the kernel resolves without Table.Value everywhere
+// but the rounding margin past its end, or a zero-penalty function that
+// earns full priority no matter when the task completes.
 func degenerateTUF(t *testing.T, src *rng.Source) *utility.Function {
 	t.Helper()
 	var f *utility.Function
@@ -91,26 +91,27 @@ func kernelEval(t *testing.T, n int, seed uint64, degenerateFrac float64) *Evalu
 // simMachine simulates machine m's task sequence and records its
 // contribution row in dst: the plain per-task loop, kept here as the
 // reference the production kernel (simMachineTyped and the interleaved
-// simNeed4) must match bit for bit. It calls the segment table for
-// every task instead of taking the hoisted tail guard.
+// simNeed4) must match bit for bit. It reads nothing the kernel reads:
+// arrival and type come from the trace, execution time and energy from
+// ETCInstance/EECInstance, and utility from the uncompiled Task.TUF, so
+// a wrongly built task record or TUF table cannot pass by being wrong
+// in both places.
 func (d *DeltaSession) simMachine(m int, tasks []int32, dst *Contribs) {
 	e := d.e
-	etcRow, eecRow := e.etcT[m], e.eecT[m]
-	meta := e.meta
+	trTasks := e.Trace().Tasks
 	var ready, busy, util, energy float64
 	for _, ti := range tasks {
-		mt := &meta[ti]
-		arr := mt.arrival
+		task := &trTasks[ti]
 		start := ready
-		if arr > start {
-			start = arr // machine idles until the task arrives
+		if task.Arrival > start {
+			start = task.Arrival // machine idles until the task arrives
 		}
-		etc := etcRow[mt.ty]
+		etc := e.ETCInstance(task.Type, m)
 		completion := start + etc
 		ready = completion
 		busy += etc
-		util += e.tufs.Value(int(ti), completion-arr)
-		energy += eecRow[mt.ty]
+		util += task.TUF.Value(completion - task.Arrival)
+		energy += e.EECInstance(task.Type, m)
 	}
 	dst.Utility[m] = util
 	dst.Energy[m] = energy

@@ -103,32 +103,20 @@ type Evaluator struct {
 	// eligible[t] lists machine instances capable of task type t.
 	eligible [][]int
 
-	// Per-task flattened trace data for the evaluation hot loops: task
-	// type, arrival time, and the compiled time-utility functions (one
-	// table entry per task, bit-identical to Task.TUF.Value).
-	taskType []int32
-	arrival  []float64
-	tufs     *utility.Table
-	// tufTailT and tufTailV mirror the compiled TUF table's per-task
-	// tail guard (threshold and past-threshold value), hoisted into flat
-	// arrays so the typed kernel resolves the common saturated case
-	// without a Table.Value call. Substituting tufTailV past tufTailT is
-	// bit-identical to Value by the Table accessors' contract.
-	tufTailT []float64
-	tufTailV []float64
-	// meta interleaves the four per-task hot-loop fields into one
-	// 32-byte record so the simulation kernels touch a single cache
-	// line per task instead of gathering from four parallel arrays.
+	// tufs holds the compiled time-utility functions, one table entry
+	// per task, bit-identical to Task.TUF.Value.
+	tufs *utility.Table
+	// meta is the per-task record the simulation kernels read.
 	meta []taskMeta
 }
 
 // taskMeta is the per-task record of everything the machine-major
-// simulation kernels read: arrival time, hoisted TUF tail guard, and
-// task type. Sized and padded to 32 bytes — two records per cache line.
+// simulation kernels read: the TUF's tail guard and first segment
+// (utility.Inline), arrival time and task type. Sized and padded to 64
+// bytes, one cache line, so a kernel touches one line per task.
 type taskMeta struct {
+	utility.Inline
 	arrival float64
-	tailT   float64
-	tailV   float64
 	ty      int32
 	_       int32
 }
@@ -168,31 +156,14 @@ func NewEvaluator(sys *hcs.System, trace *workload.Trace) (*Evaluator, error) {
 		}
 	}
 	n := trace.NumTasks()
-	e.taskType = make([]int32, n)
-	e.arrival = make([]float64, n)
 	e.tufs = utility.NewTable(n, 2*n)
+	e.meta = make([]taskMeta, n)
 	for i := range trace.Tasks {
 		task := &trace.Tasks[i]
-		e.taskType[i] = int32(task.Type)
-		e.arrival[i] = task.Arrival
 		if _, err := e.tufs.Add(task.TUF); err != nil {
 			return nil, fmt.Errorf("sched: task %d TUF: %w", i, err)
 		}
-	}
-	e.tufTailT = make([]float64, n)
-	e.tufTailV = make([]float64, n)
-	for i := 0; i < n; i++ {
-		e.tufTailT[i] = e.tufs.TailThreshold(i)
-		e.tufTailV[i] = e.tufs.TailValue(i)
-	}
-	e.meta = make([]taskMeta, n)
-	for i := 0; i < n; i++ {
-		e.meta[i] = taskMeta{
-			arrival: e.arrival[i],
-			tailT:   e.tufTailT[i],
-			tailV:   e.tufTailV[i],
-			ty:      e.taskType[i],
-		}
+		e.meta[i] = taskMeta{Inline: e.tufs.Inline(i), arrival: task.Arrival, ty: int32(task.Type)}
 	}
 	return e, nil
 }

@@ -93,20 +93,44 @@ func (tb *Table) Add(f *Function) (int, error) {
 // Len returns the number of compiled functions.
 func (tb *Table) Len() int { return len(tb.progs) }
 
-// TailThreshold returns the compiled function's tail guard: any elapsed
-// time >= the threshold is guaranteed past every segment, and Value
-// returns TailValue without walking the segments. Callers that hoist the
-// guard (the typed evaluation kernel) stay bit-identical to Value as
-// long as they use this exact threshold and TailValue's exact product.
-func (tb *Table) TailThreshold(id int) float64 { return tb.progs[id].tailT }
+// Inline is the part of one compiled function a caller can evaluate
+// without calling Value: the tail guard and the first segment. For an
+// elapsed time el >= 0, Value returns TailV if el >= TailT, and
+// otherwise, if el < Dur0, Prio * (Start0 + Aux0*(el/Dur0)) — the same
+// operations in the same order as its first-segment branch, so a
+// caller that computes that expression is bit-identical. A caller that
+// adds it to a sum should round it with an explicit float64 conversion,
+// so the product cannot be fused into a multiply-add. Any other elapsed
+// time needs Value. (Value clamps a negative elapsed time to 0; the
+// expression does not.)
+type Inline struct {
+	// TailT and TailV are the tail guard: for elapsed >= TailT, Value
+	// returns TailV, the same Prio*TailFrac product its tail path
+	// computes.
+	TailT, TailV float64
+	// Prio, Dur0, Start0 and Aux0 are the priority and the first
+	// segment's compiled duration, start and aux. Dur0 is -Inf when the
+	// first segment is Exponential, so no elapsed time is below it.
+	Prio, Dur0, Start0, Aux0 float64
+}
 
-// TailValue returns the utility earned past TailThreshold. It is the
-// same single multiplication Value performs on its tail path, so a
-// caller substituting TailValue for Value past the threshold is
-// bit-identical.
-func (tb *Table) TailValue(id int) float64 {
+// Inline returns the id-th compiled function's tail guard and first
+// segment.
+func (tb *Table) Inline(id int) Inline {
 	p := &tb.progs[id]
-	return p.prio * p.tail
+	sg := &tb.segs[p.off]
+	in := Inline{
+		TailT:  p.tailT,
+		TailV:  p.prio * p.tail,
+		Prio:   p.prio,
+		Dur0:   sg.dur,
+		Start0: sg.start,
+		Aux0:   sg.aux,
+	}
+	if sg.exp {
+		in.Dur0 = math.Inf(-1)
+	}
+	return in
 }
 
 // Value returns the utility earned by the id-th compiled function at the
@@ -121,8 +145,9 @@ func (tb *Table) Value(id int, elapsed float64) float64 {
 	if t >= p.tailT {
 		// Past every segment with margin beyond the walk's worst-case
 		// rounding (see tailT): identical to falling off the loop below.
-		// On saturated systems most completions land here, so this guard
-		// skips the segment walk for the overwhelming share of calls.
+		// The evaluation kernel resolves this tier and Constant or
+		// Linear first segments itself (Inline), so it calls Value only
+		// for the rest of the TUF window.
 		return p.prio * p.tail
 	}
 	segs := tb.segs[p.off : p.off+p.n]
