@@ -55,8 +55,9 @@ bench-diff:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime 500ms -count 3 -benchmem . > /tmp/bench_new.txt
 	$(GO) run ./cmd/benchdiff -stat median BENCH_step.json /tmp/bench_new.txt
 
-# Evaluation-kernel slice of the regression gate: the task-major session
-# sweep and the machine-major full evaluation on the large traces.
+# Evaluation-kernel slice of the regression gate: the machine-major kernel
+# every replay runs, as full evaluations of a random and an evolved
+# allocation on the large traces.
 bench-evaluate:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate' -benchtime 500ms -count 3 -benchmem . > /tmp/bench_eval.txt
 	$(GO) run ./cmd/benchdiff -stat median BENCH_step.json /tmp/bench_eval.txt

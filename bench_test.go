@@ -339,31 +339,11 @@ func BenchmarkSeedConstructionAll(b *testing.B) {
 	}
 }
 
-// End-to-end evaluation throughput across the three data-set scales
-// (task-major Session sweep, the kernel external analysis code uses).
-func BenchmarkEvaluateDataSet1(b *testing.B) { benchEvaluate(b, 1) }
-func BenchmarkEvaluateDataSet2(b *testing.B) { benchEvaluate(b, 2) }
-func BenchmarkEvaluateDataSet3(b *testing.B) { benchEvaluate(b, 3) }
-
-func benchEvaluate(b *testing.B, dsNum int) {
-	ds, err := experiments.ByNumber(dsNum, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := ds.Evaluator.NewSession()
-	a := ds.Evaluator.RandomAllocation(rng.New(2))
-	var sink sched.Evaluation
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = sess.Evaluate(a)
-	}
-	_ = sink
-}
-
 // Machine-major full-evaluation kernel on the 1000- and 4000-task
 // traces: the per-offspring simulation cost inside the NSGA-II engine
-// (compiled TUF table + transposed execution-time/energy rows).
+// (compiled TUF table + transposed execution-time/energy rows), and the
+// cost of every offline replay, since Session, the Evaluator's Evaluate,
+// Report and Gantt all run this kernel.
 func BenchmarkEvaluate1000(b *testing.B) { benchEvaluateFull(b, 2) }
 func BenchmarkEvaluate4000(b *testing.B) { benchEvaluateFull(b, 3) }
 

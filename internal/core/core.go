@@ -62,7 +62,7 @@ func (f *Framework) Evaluate(a *sched.Allocation) (sched.Evaluation, error) {
 	if err := f.eval.Validate(a); err != nil {
 		return sched.Evaluation{}, err
 	}
-	return f.eval.NewDeltaSession().EvaluateFull(a, f.eval.NewContribs()), nil
+	return f.eval.Evaluate(a), nil
 }
 
 // Options parameterizes an optimization run.

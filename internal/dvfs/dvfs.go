@@ -135,18 +135,25 @@ func (e *Evaluator) Validate(a *sched.Allocation, pstates []int) error {
 }
 
 // Evaluate simulates the allocation with per-task P-states, charging
-// idle power as the base evaluator does.
+// idle power as the base evaluator does. It sums utility and energy per
+// machine in queue order, then over machines in index order, the
+// reduction the base evaluator's kernel uses, so at uniform P0 the
+// result equals the base evaluation bit for bit. The kernel itself
+// reads each task's type-indexed record and has no per-task scale;
+// DESIGN.md §12 ("One simulator") says why this walk stays separate.
 func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluation {
 	base := e.base
-	n := base.NumTasks()
+	n, nm := base.NumTasks(), base.NumMachines()
 	seq := make([]int, n)
 	for i := 0; i < n; i++ {
 		seq[a.Order[i]] = i
 	}
-	ready := make([]float64, base.NumMachines())
-	busy := make([]float64, base.NumMachines())
+	ready := make([]float64, nm)
+	busy := make([]float64, nm)
+	util := make([]float64, nm)
+	energy := make([]float64, nm)
+	done := make([]int, nm)
 	tasks := base.Trace().Tasks
-	var ev sched.Evaluation
 	for _, ti := range seq {
 		m := a.Machine[ti]
 		if m == sched.Dropped {
@@ -162,12 +169,18 @@ func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluatio
 		completion := start + exec
 		ready[m] = completion
 		busy[m] += exec
-		ev.Utility += task.TUF.Value(completion - task.Arrival)
-		ev.Energy += base.EECInstance(task.Type, int(m)) * e.eScale[ps]
-		if completion > ev.Makespan {
-			ev.Makespan = completion
+		util[m] += task.TUF.Value(completion - task.Arrival)
+		energy[m] += base.EECInstance(task.Type, int(m)) * e.eScale[ps]
+		done[m]++
+	}
+	var ev sched.Evaluation
+	for m := 0; m < nm; m++ {
+		ev.Utility += util[m]
+		ev.Energy += energy[m]
+		if ready[m] > ev.Makespan {
+			ev.Makespan = ready[m]
 		}
-		ev.Completed++
+		ev.Completed += done[m]
 	}
 	ev.Energy += base.IdleEnergy(ready, busy)
 	return ev

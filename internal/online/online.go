@@ -93,21 +93,18 @@ func Simulate(e *sched.Evaluator, p Policy) (*Result, error) {
 			return nil, fmt.Errorf("online: policy %s placed task %d on incapable machine %d", p.Name(), i, d.Machine)
 		}
 		alloc.Machine[i] = int32(d.Machine)
-		completion := st.CompletionOn(task.Type, d.Machine)
-		st.Ready[d.Machine] = completion
+		st.Ready[d.Machine] = st.CompletionOn(task.Type, d.Machine)
 		st.EnergySpent += e.EECInstance(task.Type, d.Machine)
-		res.Evaluation.Utility += task.TUF.Value(completion - task.Arrival)
-		res.Evaluation.Energy += e.EECInstance(task.Type, d.Machine)
-		if completion > res.Evaluation.Makespan {
-			res.Evaluation.Makespan = completion
-		}
-		res.Evaluation.Completed++
 	}
-	// Sanity: the realized schedule, replayed offline, must match.
+	// Tasks were dispatched in index order, the allocation's identity
+	// order, so each machine ran its tasks exactly as the offline replay
+	// does, and the replay's evaluation (idle energy included) is the
+	// online outcome.
 	e.AllowDropping = true
 	if err := e.Validate(alloc); err != nil {
 		return nil, fmt.Errorf("online: realized allocation invalid: %w", err)
 	}
+	res.Evaluation = e.Evaluate(alloc)
 	return res, nil
 }
 

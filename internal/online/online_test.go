@@ -46,19 +46,26 @@ func TestSimulateAllPoliciesValid(t *testing.T) {
 
 func TestSimulateMatchesOfflineReplay(t *testing.T) {
 	// Replaying the realized allocation offline must reproduce the
-	// online evaluation exactly: dispatch order equals arrival order, so
-	// the offline simulator with identity order agrees.
+	// online evaluation exactly, idle energy included: dispatch order
+	// equals arrival order, so the offline simulator with identity order
+	// agrees.
 	e := newEval(t, 120, 600)
-	for _, p := range []Policy{GreedyUtility{}, GreedyEnergy{}, GreedyUPE{}} {
-		res, err := Simulate(e, p)
-		if err != nil {
+	idle := make([]float64, e.System().NumMachineTypes())
+	for i := range idle {
+		idle[i] = 50
+	}
+	for _, watts := range [][]float64{nil, idle} {
+		if err := e.SetIdlePower(watts); err != nil {
 			t.Fatal(err)
 		}
-		off := e.Evaluate(res.Allocation)
-		if math.Abs(off.Utility-res.Evaluation.Utility) > 1e-9 ||
-			math.Abs(off.Energy-res.Evaluation.Energy) > 1e-9 ||
-			math.Abs(off.Makespan-res.Evaluation.Makespan) > 1e-9 {
-			t.Fatalf("%s: offline replay %+v != online %+v", p.Name(), off, res.Evaluation)
+		for _, p := range []Policy{GreedyUtility{}, GreedyEnergy{}, GreedyUPE{}} {
+			res, err := Simulate(e, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if off := e.Evaluate(res.Allocation); off != res.Evaluation {
+				t.Fatalf("%s, idle power %v: offline replay %+v != online %+v", p.Name(), watts != nil, off, res.Evaluation)
+			}
 		}
 	}
 }

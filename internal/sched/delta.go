@@ -17,14 +17,18 @@ import "slices"
 // contributions of the rest produces bit-identical objective values —
 // the basis of the NSGA-II engine's incremental offspring evaluation.
 //
-// Since the type-compressed kernel rework (DESIGN.md §12), a machine's
-// bucket is identified by a splitmix fingerprint of its task sequence
-// rather than by a stored copy of the sequence itself: Prepare streams
-// the allocation's execution-order slots once, accumulating each
-// machine's bucket fingerprint while gathering the task sequences
-// machine-major, and inherits the parent row of every machine whose
-// fingerprint matches the parent's. Only the machines that still need a
-// row (a cache miss at every level) get their sequence simulated.
+// A machine's bucket is identified by a splitmix fingerprint of its
+// task sequence rather than by a stored copy of the sequence itself:
+// Prepare streams the allocation's execution-order slots once,
+// accumulating each machine's bucket fingerprint while gathering the
+// task sequences machine-major, and inherits the parent row of every
+// machine whose fingerprint matches the parent's. Only the machines
+// whose fingerprint misses get their sequence simulated.
+//
+// The kernel here (typedCont and its 4-way interleave simNeed4) is the
+// package's only simulation of a machine queue: Session, the
+// Evaluator's Evaluate, Report, Gantt and DropNegligible all replay an
+// allocation through it (DESIGN.md §12, "One simulator").
 
 // Contribs caches the outcome of one allocation's machine-major
 // simulation: per-machine objective contributions plus each machine's
@@ -637,6 +641,32 @@ func (d *DeltaSession) evaluate(a *Allocation, parent *Contribs, dst *Contribs) 
 //detlint:pure
 func (d *DeltaSession) EvaluateFull(a *Allocation, dst *Contribs) Evaluation {
 	return d.evaluate(a, nil, dst)
+}
+
+// CompletionTimes evaluates the allocation like EvaluateFull and also
+// returns each task's completion time (-1 for a dropped task). It steps
+// typedCont over one-task slices of every machine's gathered sequence,
+// carrying the kernel state from task to task, so the completion
+// times, the contribution rows in dst and the objective values are the
+// kernel's own, bit for bit.
+func (d *DeltaSession) CompletionTimes(a *Allocation, dst *Contribs) ([]float64, Evaluation) {
+	times := make([]float64, len(a.Machine))
+	for i := range times {
+		times[i] = -1
+	}
+	d.ScatterSlots(a, d.slots, d.counts)
+	d.Prepare(d.slots, d.counts, nil, dst, d.plan)
+	for k, m := range d.plan.Need {
+		seq := d.plan.NeedSeq(k)
+		var st kstate
+		for j, ti := range seq {
+			d.typedCont(int(m), seq[j:j+1], &st)
+			times[ti] = st.ready
+		}
+		dst.Utility[m], dst.Energy[m], dst.Busy[m], dst.Ready[m], dst.Done[m] = st.util, st.energy, st.busy, st.ready, int32(len(seq))
+		d.stats.MachinesSimulated++
+	}
+	return times, d.Finish(dst, d.plan)
 }
 
 // EvaluateDelta evaluates an allocation derived from a parent whose

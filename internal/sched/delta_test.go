@@ -35,10 +35,10 @@ func evaluationsClose(a, b Evaluation) bool {
 		near(a.Makespan, b.Makespan) && a.Completed == b.Completed
 }
 
-// TestEvaluateFullMatchesSession cross-checks the machine-major kernel
-// against the task-major Session sweep. The two sum the same per-task
+// TestEvaluateFullMatchesTaskMajor cross-checks the machine-major kernel
+// against the task-major reference walk. The two sum the same per-task
 // terms in different orders, so they agree to rounding, not bitwise.
-func TestEvaluateFullMatchesSession(t *testing.T) {
+func TestEvaluateFullMatchesTaskMajor(t *testing.T) {
 	for _, cfg := range []struct {
 		n        int
 		idle     bool
@@ -58,7 +58,6 @@ func TestEvaluateFullMatchesSession(t *testing.T) {
 			}
 		}
 		e.AllowDropping = cfg.dropping
-		sess := e.NewSession()
 		ds := e.NewDeltaSession()
 		contribs := e.NewContribs()
 		src := rng.New(uint64(7 + cfg.n))
@@ -71,10 +70,10 @@ func TestEvaluateFullMatchesSession(t *testing.T) {
 					}
 				}
 			}
-			want := sess.Evaluate(a)
+			_, want := taskMajorEvaluate(e, a)
 			got := ds.EvaluateFull(a, contribs)
 			if !evaluationsClose(got, want) {
-				t.Fatalf("n=%d idle=%v drop=%v trial %d: full %+v vs session %+v",
+				t.Fatalf("n=%d idle=%v drop=%v trial %d: full %+v vs task-major %+v",
 					cfg.n, cfg.idle, cfg.dropping, trial, got, want)
 			}
 		}

@@ -22,49 +22,49 @@ type GanttRow struct {
 }
 
 // Gantt simulates the allocation and returns one row per executed task,
-// sorted by machine then start time.
+// sorted by machine then start time. End is the task's completion time
+// from CompletionTimes; Start is the later of the task's arrival and
+// the End of the machine's previous task.
 func (e *Evaluator) Gantt(a *Allocation) ([]GanttRow, error) {
 	if err := e.Validate(a); err != nil {
 		return nil, err
 	}
-	n := e.NumTasks()
-	seq := make([]int, n)
-	for i := 0; i < n; i++ {
-		seq[a.Order[i]] = i
-	}
-	ready := make([]float64, e.NumMachines())
+	times, _ := e.NewSession().CompletionTimes(a)
 	tasks := e.trace.Tasks
 	var rows []GanttRow
-	for _, ti := range seq {
-		m := a.Machine[ti]
-		if m == Dropped {
-			continue
+	for ti, end := range times {
+		if end < 0 {
+			continue // dropped
 		}
 		task := &tasks[ti]
-		start := ready[m]
-		if task.Arrival > start {
-			start = task.Arrival
-		}
-		end := start + e.etc[task.Type][m]
-		ready[m] = end
+		m := int(a.Machine[ti])
 		rows = append(rows, GanttRow{
-			Task:        ti,
-			TaskType:    task.Type,
-			Machine:     int(m),
-			Arrival:     task.Arrival,
-			Start:       start,
-			End:         end,
-			WaitSeconds: start - task.Arrival,
-			Utility:     task.TUF.Value(end - task.Arrival),
-			Energy:      e.eec[task.Type][m],
+			Task:     ti,
+			TaskType: task.Type,
+			Machine:  m,
+			Arrival:  task.Arrival,
+			End:      end,
+			Utility:  task.TUF.Value(end - task.Arrival),
+			Energy:   e.eec[task.Type][m],
 		})
 	}
+	// A machine runs its tasks in global order, so sorting by order
+	// within a machine is sorting by start time.
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Machine != rows[j].Machine {
 			return rows[i].Machine < rows[j].Machine
 		}
-		return rows[i].Start < rows[j].Start
+		return a.Order[rows[i].Task] < a.Order[rows[j].Task]
 	})
+	for i := range rows {
+		r := &rows[i]
+		var free float64 // when the machine finishes its previous task
+		if i > 0 && rows[i-1].Machine == r.Machine {
+			free = rows[i-1].End
+		}
+		r.Start = max(free, r.Arrival)
+		r.WaitSeconds = r.Start - r.Arrival
+	}
 	return rows, nil
 }
 

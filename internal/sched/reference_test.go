@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -52,6 +54,146 @@ func referenceEvaluate(e *Evaluator, a *Allocation) Evaluation {
 		}
 	}
 	return ev
+}
+
+// taskMajorEvaluate is the task-major schedule walk, kept as a second
+// reference beside the per-machine simMachine: it visits tasks in
+// global order, advances each task's machine, and adds every task's
+// utility and energy straight into the totals. It returns each task's
+// completion time (-1 when dropped) and the evaluation, idle energy
+// included. The kernel sums per machine first, so the totals agree
+// with it only to rounding; completion times do not depend on the
+// summation order and agree bit for bit.
+func taskMajorEvaluate(e *Evaluator, a *Allocation) ([]float64, Evaluation) {
+	n := e.NumTasks()
+	seq := make([]int, n)
+	for i := 0; i < n; i++ {
+		seq[a.Order[i]] = i
+	}
+	times := make([]float64, n)
+	ready := make([]float64, e.NumMachines())
+	busy := make([]float64, e.NumMachines())
+	tasks := e.Trace().Tasks
+	var ev Evaluation
+	for _, ti := range seq {
+		m := int(a.Machine[ti])
+		if m == Dropped {
+			times[ti] = -1
+			continue
+		}
+		task := &tasks[ti]
+		start := ready[m]
+		if task.Arrival > start {
+			start = task.Arrival // machine idles until the task arrives
+		}
+		etc := e.ETCInstance(task.Type, m)
+		completion := start + etc
+		ready[m] = completion
+		busy[m] += etc
+		times[ti] = completion
+		ev.Utility += task.TUF.Value(completion - task.Arrival)
+		ev.Energy += e.EECInstance(task.Type, m)
+		if completion > ev.Makespan {
+			ev.Makespan = completion
+		}
+		ev.Completed++
+	}
+	ev.Energy += e.IdleEnergy(ready, busy)
+	return times, ev
+}
+
+// TestReplayPathsBitIdentical holds every public replay of an
+// allocation to the engine's EvaluateFull, bit for bit: the Evaluator's
+// and a Session's Evaluate, the evaluation CompletionTimes returns, and
+// DropNegligible with a threshold below every utility; Report's rows
+// must be EvaluateFull's contribution rows. Completion times — from
+// CompletionTimes and as Gantt row ends — must equal the task-major
+// reference's exactly. Random TUF shapes, with and without drops, with
+// idle power off and on.
+func TestReplayPathsBitIdentical(t *testing.T) {
+	for _, cfg := range []struct {
+		n           int
+		drops, idle bool
+	}{
+		{40, false, false}, {40, true, false}, {40, false, true}, {40, true, true},
+		{250, false, false}, {250, true, true},
+	} {
+		e := kernelEval(t, cfg.n, uint64(5000+cfg.n), 0.2)
+		if cfg.idle {
+			watts := make([]float64, e.System().NumMachineTypes())
+			for i := range watts {
+				watts[i] = 50
+			}
+			if err := e.SetIdlePower(watts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.AllowDropping = cfg.drops
+		ds := e.NewDeltaSession()
+		sess := e.NewSession()
+		c := e.NewContribs()
+		src := rng.New(uint64(61 + cfg.n))
+		for trial := 0; trial < 15; trial++ {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("n=%d drops=%v idle=%v trial %d: %s", cfg.n, cfg.drops, cfg.idle, trial, fmt.Sprintf(format, args...))
+			}
+			a := e.RandomAllocation(src)
+			if cfg.drops {
+				for i := 0; i < a.Len(); i++ {
+					if src.Bool(0.1) {
+						a.Machine[i] = Dropped
+					}
+				}
+			}
+			want := ds.EvaluateFull(a, c)
+			if got := e.Evaluate(a); got != want {
+				fail("Evaluator.Evaluate %+v, EvaluateFull %+v", got, want)
+			}
+			if got := sess.Evaluate(a); got != want {
+				fail("Session.Evaluate %+v, EvaluateFull %+v", got, want)
+			}
+			times, got := sess.CompletionTimes(a)
+			if got != want {
+				fail("CompletionTimes evaluation %+v, EvaluateFull %+v", got, want)
+			}
+			kept, got := DropNegligible(e, a, -1)
+			if got != want || !slices.Equal(kept.Machine, a.Machine) {
+				fail("DropNegligible below every utility %+v, EvaluateFull %+v", got, want)
+			}
+			e.AllowDropping = cfg.drops // DropNegligible turned it on
+
+			reports, err := e.Report(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m, r := range reports {
+				if r.Tasks != int(c.Done[m]) || r.BusySeconds != c.Busy[m] || r.SpanSeconds != c.Ready[m] ||
+					r.EnergyJoules != c.Energy[m] || r.Utility != c.Utility[m] {
+					fail("machine %d report %+v differs from its contribution row", m, r)
+				}
+			}
+
+			refTimes, _ := taskMajorEvaluate(e, a)
+			for i := range refTimes {
+				if times[i] != refTimes[i] {
+					fail("task %d completes at %v, reference %v", i, times[i], refTimes[i])
+				}
+			}
+			rows, err := e.Gantt(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != want.Completed {
+				fail("%d Gantt rows for %d executed tasks", len(rows), want.Completed)
+			}
+			for _, r := range rows {
+				if r.End != refTimes[r.Task] {
+					fail("Gantt row of task %d ends at %v, reference %v", r.Task, r.End, refTimes[r.Task])
+				}
+			}
+		}
+	}
 }
 
 func TestEvaluateAgainstReferenceImplementation(t *testing.T) {

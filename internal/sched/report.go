@@ -25,46 +25,28 @@ type MachineReport struct {
 }
 
 // Report simulates the allocation and returns per-machine breakdowns,
-// index-aligned with the system's machine instances.
+// index-aligned with the system's machine instances. Each row is the
+// machine's contribution row from EvaluateFull.
 func (e *Evaluator) Report(a *Allocation) ([]MachineReport, error) {
 	if err := e.Validate(a); err != nil {
 		return nil, err
 	}
-	n := e.NumTasks()
-	seq := make([]int, n)
-	for i := 0; i < n; i++ {
-		seq[a.Order[i]] = i
-	}
+	c := e.NewContribs()
+	e.NewDeltaSession().EvaluateFull(a, c)
 	reports := make([]MachineReport, e.NumMachines())
 	for m := range reports {
-		reports[m].Machine = m
-		reports[m].MachineType = e.sys.MachineTypeOf(m)
-	}
-	ready := make([]float64, e.NumMachines())
-	tasks := e.trace.Tasks
-	for _, ti := range seq {
-		m := a.Machine[ti]
-		if m == Dropped {
-			continue
-		}
-		task := &tasks[ti]
-		start := ready[m]
-		if task.Arrival > start {
-			start = task.Arrival
-		}
-		etc := e.etc[task.Type][m]
-		completion := start + etc
-		ready[m] = completion
 		r := &reports[m]
-		r.Tasks++
-		r.BusySeconds += etc
-		r.SpanSeconds = completion
-		r.EnergyJoules += e.eec[task.Type][m]
-		r.Utility += task.TUF.Value(completion - task.Arrival)
-	}
-	for m := range reports {
-		if reports[m].SpanSeconds > 0 {
-			reports[m].Utilization = reports[m].BusySeconds / reports[m].SpanSeconds
+		*r = MachineReport{
+			Machine:      m,
+			MachineType:  e.sys.MachineTypeOf(m),
+			Tasks:        int(c.Done[m]),
+			BusySeconds:  c.Busy[m],
+			SpanSeconds:  c.Ready[m],
+			EnergyJoules: c.Energy[m],
+			Utility:      c.Utility[m],
+		}
+		if r.SpanSeconds > 0 {
+			r.Utilization = r.BusySeconds / r.SpanSeconds
 		}
 	}
 	return reports, nil

@@ -77,11 +77,11 @@ type Evaluation struct {
 // paper's figures.
 func (ev Evaluation) EnergyMegajoules() float64 { return ev.Energy / 1e6 }
 
-// Evaluator simulates allocations for a fixed system and trace. It is
-// safe for concurrent use by multiple goroutines once constructed, as
-// long as each goroutine passes its own scratch buffers via Evaluate
-// (the evaluator itself is read-only); use NewSession for a reusable
-// per-goroutine scratch.
+// Evaluator simulates allocations for a fixed system and trace. Once
+// configured it is read-only and safe for concurrent use; each
+// goroutine evaluates through its own Session or DeltaSession. Every
+// evaluation runs the machine-major kernel in delta.go, so all of the
+// Evaluator's replays of one allocation agree bit for bit.
 type Evaluator struct {
 	sys   *hcs.System
 	trace *workload.Trace
@@ -257,23 +257,18 @@ func (e *Evaluator) SetIdlePower(wattsByType []float64) error {
 // IdlePowerEnabled reports whether the idle-energy extension is active.
 func (e *Evaluator) IdlePowerEnabled() bool { return e.idleWatts != nil }
 
-// Session holds reusable scratch space for repeated evaluations on one
-// goroutine.
+// Session is a reusable evaluation scratch for one goroutine: a
+// DeltaSession and the contribution rows it fills. Every evaluation
+// runs the engine's machine-major kernel, so a Session's results equal
+// the engine's EvaluateFull bit for bit.
 type Session struct {
-	e     *Evaluator
-	seq   []int     // task index by global order
-	ready []float64 // per-machine ready time
-	busy  []float64 // per-machine accumulated execution time
+	d *DeltaSession
+	c *Contribs
 }
 
 // NewSession returns an evaluation session bound to e.
 func (e *Evaluator) NewSession() *Session {
-	return &Session{
-		e:     e,
-		seq:   make([]int, e.NumTasks()),
-		ready: make([]float64, e.NumMachines()),
-		busy:  make([]float64, e.NumMachines()),
-	}
+	return &Session{d: e.NewDeltaSession(), c: e.NewContribs()}
 }
 
 // IdleEnergy returns the idle-power energy of a finished simulation:
@@ -295,84 +290,15 @@ func (e *Evaluator) IdleEnergy(ready, busy []float64) float64 {
 
 // Evaluate simulates the allocation and returns the objective values.
 // The allocation is not validated; call Validate separately when the
-// source is untrusted. Evaluate is deterministic.
+// source is untrusted. Evaluate is deterministic and does not allocate.
 func (s *Session) Evaluate(a *Allocation) Evaluation {
-	e := s.e
-	n := e.NumTasks()
-	for i := range s.ready {
-		s.ready[i] = 0
-		s.busy[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		s.seq[a.Order[i]] = i
-	}
-	var ev Evaluation
-	tasks := e.trace.Tasks
-	for _, ti := range s.seq {
-		m := a.Machine[ti]
-		if m == Dropped {
-			continue
-		}
-		task := &tasks[ti]
-		start := s.ready[m]
-		if task.Arrival > start {
-			start = task.Arrival // machine idles until the task arrives
-		}
-		etc := e.etc[task.Type][m]
-		completion := start + etc
-		s.ready[m] = completion
-		s.busy[m] += etc
-		ev.Utility += e.tufs.Value(ti, completion-task.Arrival)
-		ev.Energy += e.eec[task.Type][m]
-		if completion > ev.Makespan {
-			ev.Makespan = completion
-		}
-		ev.Completed++
-	}
-	ev.Energy += e.IdleEnergy(s.ready, s.busy)
-	return ev
+	return s.d.EvaluateFull(a, s.c)
 }
 
 // CompletionTimes simulates the allocation and additionally returns the
 // per-task completion time (NaN-free; dropped tasks report -1).
 func (s *Session) CompletionTimes(a *Allocation) ([]float64, Evaluation) {
-	e := s.e
-	n := e.NumTasks()
-	for i := range s.ready {
-		s.ready[i] = 0
-		s.busy[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		s.seq[a.Order[i]] = i
-	}
-	times := make([]float64, n)
-	var ev Evaluation
-	tasks := e.trace.Tasks
-	for _, ti := range s.seq {
-		m := a.Machine[ti]
-		if m == Dropped {
-			times[ti] = -1
-			continue
-		}
-		task := &tasks[ti]
-		start := s.ready[m]
-		if task.Arrival > start {
-			start = task.Arrival
-		}
-		etc := e.etc[task.Type][m]
-		completion := start + etc
-		s.ready[m] = completion
-		s.busy[m] += etc
-		times[ti] = completion
-		ev.Utility += e.tufs.Value(ti, completion-task.Arrival)
-		ev.Energy += e.eec[task.Type][m]
-		if completion > ev.Makespan {
-			ev.Makespan = completion
-		}
-		ev.Completed++
-	}
-	ev.Energy += e.IdleEnergy(s.ready, s.busy)
-	return times, ev
+	return s.d.CompletionTimes(a, s.c)
 }
 
 // Evaluate is a convenience that allocates a fresh session per call. Use

@@ -319,28 +319,6 @@ func TestEnergyMegajoules(t *testing.T) {
 	}
 }
 
-func BenchmarkEvaluate250(b *testing.B)  { benchEvaluate(b, 250) }
-func BenchmarkEvaluate1000(b *testing.B) { benchEvaluate(b, 1000) }
-func BenchmarkEvaluate4000(b *testing.B) { benchEvaluate(b, 4000) }
-
-func benchEvaluate(b *testing.B, n int) {
-	sys := data.RealSystem()
-	tr, err := workload.Generate(sys, workload.GenConfig{NumTasks: n, Window: 900}, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := NewEvaluator(sys, tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := e.RandomAllocation(rng.New(2))
-	sess := e.NewSession()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sess.Evaluate(a)
-	}
-}
-
 func TestIdlePowerValidation(t *testing.T) {
 	e := newEval(t)
 	if err := e.SetIdlePower([]float64{10}); err == nil {
@@ -542,8 +520,8 @@ func TestWriteGanttCSV(t *testing.T) {
 }
 
 func TestSessionEvaluateZeroAlloc(t *testing.T) {
-	// The GA hot path must not allocate: lock in the property the
-	// benchmarks report (0 B/op).
+	// Session.Evaluate runs the engine's kernel, whose hot path must not
+	// allocate: lock in the property the benchmarks report (0 B/op).
 	sys := data.RealSystem()
 	tr, err := workload.Generate(sys, workload.GenConfig{NumTasks: 250, Window: 900}, rng.New(91))
 	if err != nil {
