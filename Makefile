@@ -108,12 +108,15 @@ dist-smoke:
 	cmp /tmp/dist_smoke_inproc.csv /tmp/dist_smoke_dist.csv
 	$(GO) run ./cmd/tracestat /tmp/dist_smoke.jsonl.w0 /tmp/dist_smoke.jsonl.w1 > /dev/null
 
-# End-to-end telemetry smoke: run a short traced experiment through
-# cmd/tradeoff, then validate the JSONL schema with cmd/tracecheck.
+# End-to-end telemetry smoke: run a short traced optimization through
+# cmd/tradeoff and a traced multi-engine study (the ablation) through
+# cmd/experiments, then validate each JSONL trace with cmd/tracecheck.
 trace-smoke:
 	$(GO) run ./cmd/tradeoff -generations 20 -pop 20 -tasks 60 -phase-profile -trace /tmp/trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/trace_smoke.jsonl
 	$(GO) run ./cmd/tracestat -json /tmp/trace_smoke.jsonl > /dev/null
+	$(GO) run ./cmd/experiments -ablation 1 -scale 0.02 -pop 20 -phase-profile -trace /tmp/exp_trace_smoke.jsonl > /dev/null
+	$(GO) run ./cmd/tracecheck /tmp/exp_trace_smoke.jsonl
 
 # The end-to-end benchmark (bench/, see bench/README.md) is a module of
 # its own, so the root go test ./... never builds it. Vet and test it

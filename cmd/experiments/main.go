@@ -15,10 +15,11 @@
 // iteration counts (expect hours), -scale multiplies whichever schedule
 // is active.
 //
-// -trace streams per-generation JSONL telemetry to a file and
-// -metrics-addr serves the run's metric registry as Prometheus text on
-// /metrics; neither changes any result. -cpuprofile and -memprofile
-// write pprof profiles of the whole invocation.
+// -trace streams per-generation JSONL telemetry to a file (per-run
+// records for -repeats) and -metrics-addr serves the run's metric
+// registry as Prometheus text on /metrics; neither changes any result.
+// -cpuprofile and -memprofile write pprof profiles of the whole
+// invocation.
 package main
 
 import (
@@ -66,7 +67,7 @@ var (
 func main() {
 	flag.Parse()
 
-	prof, err := startProfiler(*cpuProfile, *memProfile)
+	prof, err := telemetry.StartProfiler(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -89,11 +90,11 @@ func main() {
 		fmt.Println("serving metrics at", url)
 	}
 	if fr := tel.FlightRecorder(); fr != nil {
-		stop := watchFlightSignal(fr, *flightDump)
+		stop := telemetry.WatchFlightSignal("experiments", fr, *flightDump)
 		defer stop()
 		defer func() {
 			if r := recover(); r != nil {
-				dumpFlight(fr, *flightDump, "panic")
+				telemetry.DumpFlight("experiments", fr, *flightDump, "panic")
 				panic(r)
 			}
 		}()
@@ -111,7 +112,7 @@ func main() {
 	if *tracePath != "" {
 		fmt.Println("wrote", *tracePath)
 	}
-	if err := prof.stop(); err != nil {
+	if err := prof.Stop(); err != nil {
 		fatal(err)
 	}
 	if *cpuProfile != "" {
@@ -347,12 +348,12 @@ func runFigure(fig int, baseCfg experiments.RunConfig, paperScale bool, svgDir s
 // profSession likewise salvages any profile collected so far.
 var (
 	telSession  *telemetry.Session
-	profSession *profiler
+	profSession *telemetry.Profiler
 )
 
 func fatal(err error) {
 	telSession.Close()
-	profSession.stop()
+	profSession.Stop()
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
 }

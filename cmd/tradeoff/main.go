@@ -119,7 +119,7 @@ func main() {
 			memProf = fmt.Sprintf("%s.w%d", memProf, *islandWork)
 		}
 	}
-	prof, err := startProfiler(cpuProf, memProf)
+	prof, err := telemetry.StartProfiler(cpuProf, memProf)
 	if err != nil {
 		fatal(err)
 	}
@@ -152,11 +152,11 @@ func main() {
 		fmt.Println("serving metrics at", url)
 	}
 	if fr := tel.FlightRecorder(); fr != nil {
-		stop := watchFlightSignal(fr, *flightDump)
+		stop := telemetry.WatchFlightSignal("tradeoff", fr, *flightDump)
 		defer stop()
 		defer func() {
 			if r := recover(); r != nil {
-				dumpFlight(fr, *flightDump, "panic")
+				telemetry.DumpFlight("tradeoff", fr, *flightDump, "panic")
 				panic(r)
 			}
 		}()
@@ -263,7 +263,7 @@ func main() {
 		if err := tel.Close(); err != nil {
 			fatal(err)
 		}
-		if err := prof.stop(); err != nil {
+		if err := prof.Stop(); err != nil {
 			fatal(err)
 		}
 		return
@@ -407,7 +407,7 @@ func main() {
 	if *tracePath != "" {
 		fmt.Println("wrote", *tracePath)
 	}
-	if err := prof.stop(); err != nil {
+	if err := prof.Stop(); err != nil {
 		fatal(err)
 	}
 	if *cpuProfile != "" {
@@ -531,12 +531,12 @@ func writeCSV(path string, res *core.Result) error {
 // profSession likewise salvages any profile collected so far.
 var (
 	telSession  *telemetry.Session
-	profSession *profiler
+	profSession *telemetry.Profiler
 )
 
 func fatal(err error) {
 	telSession.Close()
-	profSession.stop()
+	profSession.Stop()
 	fmt.Fprintln(os.Stderr, "tradeoff:", err)
 	os.Exit(1)
 }

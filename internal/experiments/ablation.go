@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"tradeoff/internal/analysis"
-	"tradeoff/internal/moea"
 	"tradeoff/internal/nsga2"
-	"tradeoff/internal/rng"
 )
 
 // AblationResult scores the engine design choices DESIGN.md §4 calls
@@ -31,48 +29,32 @@ type AblationRow struct {
 func RunAblation(ds *DataSet, cfg RunConfig) (*AblationResult, error) {
 	cfg = cfg.withDefaults(ds)
 	gens := cfg.Checkpoints[len(cfg.Checkpoints)-1]
-	// Each variant flips exactly one knob off the baseline; the zero
+	// Each variant flips exactly one operator off the baseline; the zero
 	// values are the engine defaults (RerankRepair, DebFronts,
-	// UniformSelection).
+	// UniformSelection). Only ops' Ranking, Repair and Selection are read.
 	variants := []struct {
-		name      string
-		ranking   nsga2.Ranking
-		repair    nsga2.Repair
-		selection nsga2.Selection
+		name string
+		ops  nsga2.Config
 	}{
 		{name: "baseline (rerank/deb/uniform)"},
-		{name: "repair=shuffle", repair: nsga2.ShuffleRepair},
-		{name: "ranking=dominance-count", ranking: nsga2.DominanceCount},
-		{name: "selection=tournament", selection: nsga2.TournamentSelection},
+		{name: "repair=shuffle", ops: nsga2.Config{Repair: nsga2.ShuffleRepair}},
+		{name: "ranking=dominance-count", ops: nsga2.Config{Ranking: nsga2.DominanceCount}},
+		{name: "selection=tournament", ops: nsga2.Config{Selection: nsga2.TournamentSelection}},
 	}
 	res := &AblationResult{DataSet: ds.Name, Generations: gens}
 	var fronts [][]analysis.FrontPoint
 	for _, v := range variants {
-		ecfg := nsga2.Config{
-			PopulationSize: cfg.PopulationSize,
-			MutationRate:   cfg.MutationRate,
-			Ranking:        v.ranking,
-			Workers:        cfg.Workers,
-			Repair:         v.repair,
-			Selection:      v.selection,
-		}
-		eng, err := nsga2.New(ds.Evaluator, ecfg, rng.NewStream(cfg.Seed, hashName("abl-"+v.name)))
+		cps, err := cfg.evolve(ds, "abl-"+v.name, nil, []int{gens}, func(ec *nsga2.Config) {
+			ec.Ranking, ec.Repair, ec.Selection = v.ops.Ranking, v.ops.Repair, v.ops.Selection
+		})
 		if err != nil {
 			return nil, err
 		}
-		eng.Run(gens)
-		front := analysis.FromObjectives(eng.FrontPoints())
-		fronts = append(fronts, front)
-		res.Rows = append(res.Rows, AblationRow{Name: v.name, FrontSize: len(front)})
+		fronts = append(fronts, cps[0].Front)
+		res.Rows = append(res.Rows, AblationRow{Name: v.name, FrontSize: len(cps[0].Front)})
 	}
-	sp := moea.UtilityEnergySpace()
-	sets := make([][][]float64, len(fronts))
-	for i, f := range fronts {
-		sets[i] = analysis.ToObjectives(f)
-	}
-	ref := sp.ReferenceFrom(0.05, sets...)
-	for i := range res.Rows {
-		res.Rows[i].Hypervolume = sp.Hypervolume2D(sets[i], ref)
+	for i, hv := range commonHypervolumes(fronts) {
+		res.Rows[i].Hypervolume = hv
 	}
 	return res, nil
 }

@@ -6,9 +6,7 @@ import (
 
 	"tradeoff/internal/analysis"
 	"tradeoff/internal/heuristics"
-	"tradeoff/internal/nsga2"
 	"tradeoff/internal/plot"
-	"tradeoff/internal/rng"
 	"tradeoff/internal/sched"
 )
 
@@ -34,33 +32,11 @@ func RunConvergence(ds *DataSet, cfg RunConfig) (*ConvergenceResult, error) {
 	cfg = cfg.withDefaults(ds)
 	res := &ConvergenceResult{DataSet: ds.Name}
 	for _, v := range Variants() {
-		var seeds []*sched.Allocation
-		if v.Seed != nil {
-			alloc, err := v.Seed.Build(ds.Evaluator)
-			if err != nil {
-				return nil, err
-			}
-			seeds = append(seeds, alloc)
-		}
-		eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-			PopulationSize: cfg.PopulationSize,
-			MutationRate:   cfg.MutationRate,
-			Seeds:          seeds,
-			Workers:        cfg.Workers,
-		}, rng.NewStream(cfg.Seed, hashName("conv-"+v.Name)))
+		seeds, err := v.seeds(ds.Evaluator)
 		if err != nil {
 			return nil, err
 		}
-		eng.SetObserver(cfg.observerFor(ds, "conv-"+v.Name))
-		eng.SetPhaseTimer(cfg.PhaseTimer)
-		var cps []analysis.Checkpoint
-		err = eng.RunCheckpoints(cfg.Checkpoints, func(gen int, front []nsga2.Individual) {
-			pts := make([]analysis.FrontPoint, len(front))
-			for i, ind := range front {
-				pts[i] = analysis.FrontPoint{Utility: ind.Objectives[0], Energy: ind.Objectives[1]}
-			}
-			cps = append(cps, analysis.Checkpoint{Generation: gen, Front: pts})
-		})
+		cps, err := cfg.evolve(ds, "conv-"+v.Name, seeds, cfg.Checkpoints, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -149,27 +125,15 @@ type BaselineComparison struct {
 func RunBaselineComparison(ds *DataSet, cfg RunConfig) (*BaselineComparison, error) {
 	cfg = cfg.withDefaults(ds)
 	// Evolve one well-seeded population to the final checkpoint.
-	var seeds []*sched.Allocation
-	for _, h := range heuristics.All {
-		a, err := h.Build(ds.Evaluator)
-		if err != nil {
-			return nil, err
-		}
-		seeds = append(seeds, a)
-	}
-	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize: cfg.PopulationSize,
-		MutationRate:   cfg.MutationRate,
-		Seeds:          seeds,
-		Workers:        cfg.Workers,
-	}, rng.NewStream(cfg.Seed, hashName("baselines")))
+	seeds, err := heuristicSeeds(ds.Evaluator)
 	if err != nil {
 		return nil, err
 	}
-	eng.SetObserver(cfg.observerFor(ds, "baselines"))
-	eng.SetPhaseTimer(cfg.PhaseTimer)
-	eng.Run(cfg.Checkpoints[len(cfg.Checkpoints)-1])
-	front := analysis.FromObjectives(eng.FrontPoints())
+	cps, err := cfg.evolve(ds, "baselines", seeds, cfg.Checkpoints[len(cfg.Checkpoints)-1:], nil)
+	if err != nil {
+		return nil, err
+	}
+	front := cps[0].Front
 
 	cmp := &BaselineComparison{DataSet: ds.Name, Front: front}
 	add := func(name string, a *sched.Allocation) {
@@ -179,12 +143,8 @@ func RunBaselineComparison(ds *DataSet, cfg RunConfig) (*BaselineComparison, err
 		cmp.Points = append(cmp.Points, p)
 		cmp.DominatedByFront = append(cmp.DominatedByFront, analysis.Dominates(front, []analysis.FrontPoint{p}))
 	}
-	for _, h := range heuristics.All {
-		a, err := h.Build(ds.Evaluator)
-		if err != nil {
-			return nil, err
-		}
-		add(h.String(), a)
+	for i, h := range heuristics.All {
+		add(h.String(), seeds[i])
 	}
 	for _, b := range heuristics.Baselines {
 		add(b.String(), b.Build(ds.Evaluator))

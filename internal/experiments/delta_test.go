@@ -26,38 +26,45 @@ func smallDataSets(t *testing.T) []*DataSet {
 }
 
 // TestDeltaEvaluationMatchesFullOnDataSets evolves each of the three
-// paper data sets with incremental (parent-row inheriting) evaluation
-// and holds every final front member to a from-scratch simulation of its
-// allocation, bit for bit; a four-worker run on the same rng stream must
-// reach the identical front. The incremental path must be invisible on
-// every system/trace shape, not just the unit-test instances.
+// paper data sets — the real 9x5 system and both enlarged traces —
+// across worker counts and repair strategies, and holds every member's
+// objectives, at every generation, to a from-scratch EvaluateFull of its
+// allocation, bit for bit; the four-worker run on the same rng stream
+// must reach the one-worker front. The engine's parent-row inheritance
+// must be invisible on every system/trace shape, not just the unit-test
+// instances.
 func TestDeltaEvaluationMatchesFullOnDataSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full data-set construction is slow")
 	}
 	for _, ds := range smallDataSets(t) {
-		run := func(workers int) *nsga2.Engine {
-			eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-				PopulationSize: 20,
-				Workers:        workers,
-			}, rng.NewStream(3, hashName(ds.Name)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Run(6)
-			return eng
-		}
-		eng := run(1)
 		sess, fresh := ds.Evaluator.NewDeltaSession(), ds.Evaluator.NewContribs()
-		for i, ind := range eng.ParetoFront() {
-			ev := sess.EvaluateFull(ind.Alloc, fresh)
-			if ind.Objectives[0] != ev.Utility || ind.Objectives[1] != ev.Energy {
-				t.Fatalf("%s: front member %d objectives %v, direct evaluation (%v, %v)",
-					ds.Name, i, ind.Objectives, ev.Utility, ev.Energy)
+		for _, repair := range []nsga2.Repair{nsga2.RerankRepair, nsga2.ShuffleRepair} {
+			var fronts [][][]float64
+			for _, workers := range []int{1, 4} {
+				eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
+					PopulationSize: 20,
+					Workers:        workers,
+					Repair:         repair,
+				}, rng.NewStream(3, hashName(ds.Name)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for gen := 1; gen <= 6; gen++ {
+					eng.Step()
+					for i, ind := range eng.Population() {
+						ev := sess.EvaluateFull(ind.Alloc, fresh)
+						if ind.Objectives[0] != ev.Utility || ind.Objectives[1] != ev.Energy {
+							t.Fatalf("%s workers=%d repair=%v gen %d: member %d objectives %v, direct evaluation (%v, %v)",
+								ds.Name, workers, repair, gen, i, ind.Objectives, ev.Utility, ev.Energy)
+						}
+					}
+				}
+				fronts = append(fronts, eng.FrontPoints())
 			}
-		}
-		if !reflect.DeepEqual(eng.FrontPoints(), run(4).FrontPoints()) {
-			t.Fatalf("%s: four-worker front diverged from the one-worker front", ds.Name)
+			if !reflect.DeepEqual(fronts[0], fronts[1]) {
+				t.Fatalf("%s repair=%v: four-worker front diverged from the one-worker front", ds.Name, repair)
+			}
 		}
 	}
 }

@@ -24,6 +24,33 @@ type Variant struct {
 	Seed *heuristics.Heuristic
 }
 
+// seeds builds the variant's initial-population seeds: none for the
+// random population, its heuristic's allocation otherwise.
+func (v Variant) seeds(ev *sched.Evaluator) ([]*sched.Allocation, error) {
+	if v.Seed == nil {
+		return nil, nil
+	}
+	alloc, err := v.Seed.Build(ev)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: seed %s: %w", v.Name, err)
+	}
+	return []*sched.Allocation{alloc}, nil
+}
+
+// heuristicSeeds builds one allocation per seeding heuristic, in
+// heuristics.All order.
+func heuristicSeeds(ev *sched.Evaluator) ([]*sched.Allocation, error) {
+	seeds := make([]*sched.Allocation, len(heuristics.All))
+	for i, h := range heuristics.All {
+		a, err := h.Build(ev)
+		if err != nil {
+			return nil, err
+		}
+		seeds[i] = a
+	}
+	return seeds, nil
+}
+
 // Variants returns the five populations of Figs. 3, 4 and 6, in the
 // paper's marker order: min-energy (diamond), min-min (square),
 // max-utility (circle), max-utility-per-energy (triangle), random (star).
@@ -55,14 +82,17 @@ type RunConfig struct {
 	Seed uint64
 	// Workers bounds evaluation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Observer, when non-nil, receives run telemetry: per-generation
-	// events from the serial experiment engines (labeled
-	// "dataset/variant") and per-run summary events from RunRepeats.
-	// Observation never changes results; see internal/obs.
+	// Observer, when non-nil, receives run telemetry. Every study except
+	// RunRepeats emits per-generation events from each engine it runs,
+	// labeled "dataset/<run name>". RunRepeats runs its engines
+	// concurrently and emits only per-run summary events, in grid order,
+	// after its grid finishes. Observation never changes results; see
+	// internal/obs.
 	Observer obs.Observer
 	// PhaseTimer, when non-nil, accumulates a phase-level wall-time
-	// profile across every engine an experiment runs. Profiling never
-	// changes results; see internal/obs.
+	// profile across every engine a study runs, RunRepeats' concurrent
+	// engines included. Profiling never changes results; see
+	// internal/obs.
 	PhaseTimer *obs.PhaseTimer
 }
 
@@ -98,14 +128,58 @@ func (c RunConfig) withDefaults(ds *DataSet) RunConfig {
 	return c
 }
 
-// observerFor returns the engine-level observer for one experiment run,
-// labeling its generation events "dataset/name", or nil when telemetry
-// is disabled.
-func (c RunConfig) observerFor(ds *DataSet, name string) obs.Observer {
-	if c.Observer == nil {
-		return nil
+// evolve is the one way a study runs NSGA-II. It builds the engine for
+// the run called name on ds from c's PopulationSize, MutationRate and
+// Workers and the run's seed allocations; tune, when non-nil, then
+// changes that config (ablation's operators, the sweep's rate). The
+// engine draws the stream rng.NewStream(c.Seed, hashName(name)) and
+// reports to c.PhaseTimer and to c.Observer, labeled "dataset/name". It
+// evolves through checkpoints and returns the rank-1 front at each one,
+// sorted by increasing energy.
+func (c RunConfig) evolve(ds *DataSet, name string, seeds []*sched.Allocation, checkpoints []int, tune func(*nsga2.Config)) ([]analysis.Checkpoint, error) {
+	ecfg := nsga2.Config{
+		PopulationSize: c.PopulationSize,
+		MutationRate:   c.MutationRate,
+		Seeds:          seeds,
+		Workers:        c.Workers,
 	}
-	return obs.Labeled{Label: ds.Name + "/" + name, Next: c.Observer}
+	if tune != nil {
+		tune(&ecfg)
+	}
+	eng, err := nsga2.New(ds.Evaluator, ecfg, rng.NewStream(c.Seed, hashName(name)))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: engine for %s: %w", name, err)
+	}
+	if c.Observer != nil {
+		eng.SetObserver(obs.Labeled{Label: ds.Name + "/" + name, Next: c.Observer})
+	}
+	eng.SetPhaseTimer(c.PhaseTimer)
+	var cps []analysis.Checkpoint
+	err = eng.RunCheckpoints(checkpoints, func(gen int, front []nsga2.Individual) {
+		objs := make([][]float64, len(front))
+		for i, ind := range front {
+			objs[i] = ind.Objectives
+		}
+		cps = append(cps, analysis.Checkpoint{Generation: gen, Front: analysis.FromObjectives(objs)})
+	})
+	return cps, err
+}
+
+// commonHypervolumes scores each front by its hypervolume under one
+// reference point, 5% beyond the worst point of every front, so the
+// scores compare across fronts.
+func commonHypervolumes(fronts [][]analysis.FrontPoint) []float64 {
+	sp := moea.UtilityEnergySpace()
+	sets := make([][][]float64, len(fronts))
+	for i, f := range fronts {
+		sets[i] = analysis.ToObjectives(f)
+	}
+	ref := sp.ReferenceFrom(0.05, sets...)
+	hv := make([]float64, len(sets))
+	for i, set := range sets {
+		hv[i] = sp.Hypervolume2D(set, ref)
+	}
+	return hv
 }
 
 // VariantRun is one population's recorded front evolution.
@@ -137,38 +211,15 @@ func RunParetoFigure(ds *DataSet, cfg RunConfig) (*FigureResult, error) {
 	cfg = cfg.withDefaults(ds)
 	res := &FigureResult{DataSet: ds.Name, Checkpoints: cfg.Checkpoints}
 	for _, v := range Variants() {
-		var seeds []*sched.Allocation
-		if v.Seed != nil {
-			alloc, err := v.Seed.Build(ds.Evaluator)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: seed %s: %w", v.Name, err)
-			}
-			seeds = append(seeds, alloc)
-		}
-		eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-			PopulationSize: cfg.PopulationSize,
-			MutationRate:   cfg.MutationRate,
-			Seeds:          seeds,
-			Workers:        cfg.Workers,
-		}, rng.NewStream(cfg.Seed, hashName(v.Name)))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: engine for %s: %w", v.Name, err)
-		}
-		eng.SetObserver(cfg.observerFor(ds, v.Name))
-		eng.SetPhaseTimer(cfg.PhaseTimer)
-		run := VariantRun{Variant: v.Name}
-		err = eng.RunCheckpoints(cfg.Checkpoints, func(gen int, front []nsga2.Individual) {
-			pts := make([]analysis.FrontPoint, len(front))
-			for i, ind := range front {
-				pts[i] = analysis.FrontPoint{Utility: ind.Objectives[0], Energy: ind.Objectives[1]}
-			}
-			sort.Slice(pts, func(a, b int) bool { return pts[a].Energy < pts[b].Energy })
-			run.Checkpoints = append(run.Checkpoints, analysis.Checkpoint{Generation: gen, Front: pts})
-		})
+		seeds, err := v.seeds(ds.Evaluator)
 		if err != nil {
 			return nil, err
 		}
-		res.Runs = append(res.Runs, run)
+		cps, err := cfg.evolve(ds, v.Name, seeds, cfg.Checkpoints, nil)
+		if err != nil {
+			return nil, err
+		}
+		res.Runs = append(res.Runs, VariantRun{Variant: v.Name, Checkpoints: cps})
 	}
 	return res, nil
 }
@@ -324,21 +375,12 @@ func RunFigure5(ds *DataSet, cfg RunConfig) (*Figure5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize: cfg.PopulationSize,
-		MutationRate:   cfg.MutationRate,
-		Seeds:          []*sched.Allocation{seedAlloc},
-		Workers:        cfg.Workers,
-	}, rng.NewStream(cfg.Seed, hashName("figure5")))
+	last := cfg.Checkpoints[len(cfg.Checkpoints)-1]
+	cps, err := cfg.evolve(ds, "figure5", []*sched.Allocation{seedAlloc}, []int{last}, nil)
 	if err != nil {
 		return nil, err
 	}
-	eng.SetObserver(cfg.observerFor(ds, "figure5"))
-	eng.SetPhaseTimer(cfg.PhaseTimer)
-	last := cfg.Checkpoints[len(cfg.Checkpoints)-1]
-	eng.Run(last)
-	pts := analysis.FromObjectives(eng.FrontPoints())
-	region, err := analysis.AnalyzeUPE(pts, 0.05)
+	region, err := analysis.AnalyzeUPE(cps[0].Front, 0.05)
 	if err != nil {
 		return nil, err
 	}

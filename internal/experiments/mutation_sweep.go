@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"tradeoff/internal/analysis"
-	"tradeoff/internal/moea"
 	"tradeoff/internal/nsga2"
-	"tradeoff/internal/rng"
 )
 
 // MutationSweep reproduces the parameter-selection experiment behind the
@@ -38,30 +36,19 @@ func RunMutationSweep(ds *DataSet, cfg RunConfig, rates []float64) (*MutationSwe
 	sweep := &MutationSweep{DataSet: ds.Name, Generations: gens, Rates: rates}
 	var fronts [][]analysis.FrontPoint
 	for _, rate := range rates {
-		eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-			PopulationSize: cfg.PopulationSize,
-			MutationRate:   rate,
-			Workers:        cfg.Workers,
-		}, rng.NewStream(cfg.Seed, hashName(fmt.Sprintf("mut-%v", rate))))
+		cps, err := cfg.evolve(ds, fmt.Sprintf("mut-%v", rate), nil, []int{gens}, func(ec *nsga2.Config) {
+			ec.MutationRate = rate
+		})
 		if err != nil {
 			return nil, err
 		}
-		eng.Run(gens)
-		front := analysis.FromObjectives(eng.FrontPoints())
-		fronts = append(fronts, front)
-		sweep.FrontSizes = append(sweep.FrontSizes, len(front))
+		fronts = append(fronts, cps[0].Front)
+		sweep.FrontSizes = append(sweep.FrontSizes, len(cps[0].Front))
 	}
-	sp := moea.UtilityEnergySpace()
-	sets := make([][][]float64, len(fronts))
-	for i, f := range fronts {
-		sets[i] = analysis.ToObjectives(f)
-	}
-	ref := sp.ReferenceFrom(0.05, sets...)
-	best := -1
-	for i := range fronts {
-		hv := sp.Hypervolume2D(sets[i], ref)
-		sweep.Hypervolumes = append(sweep.Hypervolumes, hv)
-		if best == -1 || hv > sweep.Hypervolumes[best] {
+	sweep.Hypervolumes = commonHypervolumes(fronts)
+	best := 0
+	for i, hv := range sweep.Hypervolumes {
+		if hv > sweep.Hypervolumes[best] {
 			best = i
 		}
 	}

@@ -5,11 +5,7 @@ import (
 	"io"
 
 	"tradeoff/internal/analysis"
-	"tradeoff/internal/heuristics"
-	"tradeoff/internal/nsga2"
 	"tradeoff/internal/online"
-	"tradeoff/internal/rng"
-	"tradeoff/internal/sched"
 )
 
 // OnlineStudy demonstrates the workflow the paper proposes in §VI: run
@@ -44,25 +40,15 @@ type OnlinePolicyRow struct {
 func RunOnlineStudy(ds *DataSet, cfg RunConfig) (*OnlineStudy, error) {
 	cfg = cfg.withDefaults(ds)
 	// Offline: a well-seeded NSGA-II run to the final checkpoint.
-	var seeds []*sched.Allocation
-	for _, h := range heuristics.All {
-		a, err := h.Build(ds.Evaluator)
-		if err != nil {
-			return nil, err
-		}
-		seeds = append(seeds, a)
-	}
-	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize: cfg.PopulationSize,
-		MutationRate:   cfg.MutationRate,
-		Seeds:          seeds,
-		Workers:        cfg.Workers,
-	}, rng.NewStream(cfg.Seed, hashName("online-offline")))
+	seeds, err := heuristicSeeds(ds.Evaluator)
 	if err != nil {
 		return nil, err
 	}
-	eng.Run(cfg.Checkpoints[len(cfg.Checkpoints)-1])
-	front := analysis.FromObjectives(eng.FrontPoints())
+	cps, err := cfg.evolve(ds, "online-offline", seeds, cfg.Checkpoints[len(cfg.Checkpoints)-1:], nil)
+	if err != nil {
+		return nil, err
+	}
+	front := cps[0].Front
 	region, err := analysis.AnalyzeUPE(front, 0.05)
 	if err != nil {
 		return nil, err

@@ -9,10 +9,7 @@ import (
 	"sync/atomic"
 
 	"tradeoff/internal/analysis"
-	"tradeoff/internal/moea"
-	"tradeoff/internal/nsga2"
 	"tradeoff/internal/obs"
-	"tradeoff/internal/rng"
 	"tradeoff/internal/sched"
 )
 
@@ -89,16 +86,20 @@ func RunRepeats(ds *DataSet, cfg RunConfig, runs int) (*RepeatResult, error) {
 	variants := Variants()
 	seeds := make([][]*sched.Allocation, len(variants))
 	for vi, v := range variants {
-		if v.Seed != nil {
-			alloc, err := v.Seed.Build(ds.Evaluator)
-			if err != nil {
-				return nil, err
-			}
-			seeds[vi] = append(seeds[vi], alloc)
+		var err error
+		if seeds[vi], err = v.seeds(ds.Evaluator); err != nil {
+			return nil, err
 		}
 		res.Names = append(res.Names, v.Name)
 	}
 
+	// Parallelism lives in the run fan-out, so each engine gets one
+	// worker. The engines share the phase timer, whose atomics allow
+	// it, but no observer: run events go out serially below.
+	runCfg := cfg
+	runCfg.Workers = 1
+	runCfg.Observer = nil
+	runSeed := func(r int) uint64 { return cfg.Seed + uint64(r)*7919 }
 	jobs := len(variants) * runs // job vi*runs+r = (variant vi, run r)
 	fronts := make([][]analysis.FrontPoint, jobs)
 	errs := make([]error, jobs)
@@ -121,18 +122,14 @@ func RunRepeats(ds *DataSet, cfg RunConfig, runs int) (*RepeatResult, error) {
 					return
 				}
 				vi, r := j/runs, j%runs
-				eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-					PopulationSize: cfg.PopulationSize,
-					MutationRate:   cfg.MutationRate,
-					Seeds:          seeds[vi],
-					Workers:        1, // parallelism lives in the run fan-out here
-				}, rng.NewStream(cfg.Seed+uint64(r)*7919, hashName(variants[vi].Name)))
+				rc := runCfg
+				rc.Seed = runSeed(r)
+				cps, err := rc.evolve(ds, variants[vi].Name, seeds[vi], []int{gens}, nil)
 				if err != nil {
 					errs[j] = err
 					continue
 				}
-				eng.Run(gens)
-				fronts[j] = analysis.FromObjectives(eng.FrontPoints())
+				fronts[j] = cps[0].Front
 			}
 		}()
 	}
@@ -143,18 +140,12 @@ func RunRepeats(ds *DataSet, cfg RunConfig, runs int) (*RepeatResult, error) {
 		}
 	}
 
-	sp := moea.UtilityEnergySpace()
-	sets := make([][][]float64, jobs)
-	for i, f := range fronts {
-		sets[i] = analysis.ToObjectives(f)
-	}
-	ref := sp.ReferenceFrom(0.05, sets...)
+	hvs := commonHypervolumes(fronts)
 	hv := make([][]float64, len(res.Names))
 	mu := make([][]float64, len(res.Names))
 	for i, f := range fronts {
 		vi, r := i/runs, i%runs
-		h := sp.Hypervolume2D(sets[i], ref)
-		hv[vi] = append(hv[vi], h)
+		hv[vi] = append(hv[vi], hvs[i])
 		best := 0.0
 		for _, p := range f {
 			if p.Utility > best {
@@ -170,8 +161,8 @@ func RunRepeats(ds *DataSet, cfg RunConfig, runs int) (*RepeatResult, error) {
 				Dataset:     ds.Name,
 				Variant:     res.Names[vi],
 				Run:         r,
-				Seed:        cfg.Seed + uint64(r)*7919,
-				Hypervolume: h,
+				Seed:        runSeed(r),
+				Hypervolume: hvs[i],
 				MaxUtility:  best,
 				FrontSize:   len(f),
 			})

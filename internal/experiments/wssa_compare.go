@@ -6,7 +6,6 @@ import (
 
 	"tradeoff/internal/analysis"
 	"tradeoff/internal/moea"
-	"tradeoff/internal/nsga2"
 	"tradeoff/internal/rng"
 	"tradeoff/internal/wssa"
 )
@@ -42,16 +41,11 @@ func RunWSSAComparison(ds *DataSet, cfg RunConfig, weights []float64) (*WSSAComp
 	}
 	gens := cfg.Checkpoints[len(cfg.Checkpoints)-1]
 
-	eng, err := nsga2.New(ds.Evaluator, nsga2.Config{
-		PopulationSize: cfg.PopulationSize,
-		MutationRate:   cfg.MutationRate,
-		Workers:        cfg.Workers,
-	}, rng.NewStream(cfg.Seed, hashName("wssa-nsga2")))
+	cps, err := cfg.evolve(ds, "wssa-nsga2", nil, []int{gens}, nil)
 	if err != nil {
 		return nil, err
 	}
-	eng.Run(gens)
-	front := analysis.FromObjectives(eng.FrontPoints())
+	front := cps[0].Front
 
 	totalBudget := cfg.PopulationSize * (gens + 1)
 	perRun := totalBudget / len(weights)

@@ -1058,67 +1058,19 @@ func scatterSlots(a *sched.Allocation, slots []uint64, counts []int32) {
 	}
 }
 
-// repairOrder rewrites ord into a permutation of [0, len): genes are
-// ranked by their (possibly duplicated) swapped order values, ties broken
-// by gene index, preserving the relative ordering the values express.
-// Values must lie in [0, len), which segment swap between two
-// permutations guarantees.
-func repairOrder(ord []int32) {
-	repairOrderScratch(ord, make([]int32, len(ord)))
-}
-
-// repairOrderScratch is repairOrder over caller-provided scratch (len >=
-// len(ord)): a counting sort over the order values. Positions within one
-// value are assigned in ascending gene index, so the ranking is stable
-// by construction, and the whole repair is O(n) with no comparison sort
-// — on 4000-task chromosomes this is the difference between the repair
-// and the simulation dominating a generation.
-//
-//detlint:hotpath
-func repairOrderScratch(ord, scratch []int32) {
-	n := len(ord)
-	counts := scratch[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, v := range ord {
-		counts[v]++
-	}
-	var sum int32
-	for v, c := range counts {
-		counts[v] = sum
-		sum += c
-	}
-	for i, v := range ord {
-		ord[i] = counts[v]
-		counts[v]++
-	}
-}
-
-// repairOrderSlots is repairOrderScratch fused with the slot scatter:
-// the placement pass already visits every (gene, final rank) pair, so
-// writing slots[rank] = PackSlot(machine, gene) there — and bumping the
-// machine's task histogram — makes the execution-order layout and the
-// per-machine counts the evaluation phases consume free by-products of
-// the repair instead of separate passes over the chromosome.
-//
-//detlint:hotpath
-func repairOrderSlots(ord, machine, scratch []int32, slots []uint64, mcounts []int32) {
-	n := len(ord)
-	counts := scratch[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, v := range ord {
-		counts[v]++
-	}
-	repairOrderSlotsCounted(ord, machine, counts, slots, mcounts)
-}
-
-// repairOrderSlotsCounted is repairOrderSlots with the order-value
-// histogram supplied by the caller (crossInto maintains it through the
-// segment swap instead of recounting the chromosome). counts is
-// consumed: the prefix-sum pass turns it into placement cursors.
+// repairOrderSlotsCounted rewrites ord into a permutation of [0, len):
+// genes are ranked by their (possibly duplicated) order values, ties
+// broken by gene index, preserving the relative ordering the values
+// express. Values must lie in [0, len), which segment swap between two
+// permutations guarantees. It is a counting sort, O(n) with no
+// comparison sort, over the order-value histogram counts that the
+// caller supplies (crossInto maintains it through the segment swap
+// instead of recounting the chromosome); counts is consumed, as the
+// prefix-sum pass turns it into placement cursors. The placement pass
+// visits every (gene, final rank) pair, so it also writes
+// slots[rank] = PackSlot(machine, gene) and rebuilds the per-machine
+// task histogram mcounts: the layout the evaluation phases consume
+// comes free with the repair.
 //
 //detlint:hotpath
 func repairOrderSlotsCounted(ord, machine, counts []int32, slots []uint64, mcounts []int32) {

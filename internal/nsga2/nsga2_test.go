@@ -2,6 +2,7 @@ package nsga2
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -248,30 +249,17 @@ func TestParetoFrontMutuallyNondominated(t *testing.T) {
 }
 
 func TestRepairOrderProperty(t *testing.T) {
-	check := func(seed uint32, nRaw uint8) bool {
-		n := int(nRaw%30) + 2
+	check := func(seed uint32, nRaw, mRaw uint8) bool {
+		n, machines := int(nRaw%30)+2, int(mRaw%5)+1
 		src := rng.New(uint64(seed))
-		ord := make([]int32, n)
+		ord, machine := make([]int32, n), make([]int32, n)
 		for i := range ord {
 			ord[i] = int32(src.Intn(n)) // duplicates likely
+			machine[i] = int32(src.Intn(machines+1)) - 1
 		}
-		before := append([]int32(nil), ord...)
-		repairOrder(ord)
-		// Must be a permutation.
-		seen := make([]bool, n)
-		for _, v := range ord {
-			if v < 0 || int(v) >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		// Must preserve strict relative order of distinct values.
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if before[i] < before[j] && ord[i] > ord[j] {
-					return false
-				}
-			}
+		if err := checkRepair(ord, machine, machines); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
@@ -282,12 +270,11 @@ func TestRepairOrderProperty(t *testing.T) {
 
 func TestRepairOrderIdentityOnPermutation(t *testing.T) {
 	ord := []int32{3, 1, 0, 2}
-	repairOrder(ord)
-	want := []int32{3, 1, 0, 2}
-	for i := range ord {
-		if ord[i] != want[i] {
-			t.Fatalf("repair changed a valid permutation: %v", ord)
-		}
+	if err := checkRepair(ord, []int32{0, -1, 1, 0}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{3, 1, 0, 2}; !reflect.DeepEqual(ord, want) {
+		t.Fatalf("repair changed a valid permutation: %v", ord)
 	}
 }
 

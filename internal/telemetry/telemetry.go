@@ -2,7 +2,11 @@
 // command-line surface shared by cmd/tradeoff and cmd/experiments: a
 // -trace flag streaming JSONL telemetry to a file, and a -metrics-addr
 // flag serving the metric registry over HTTP in Prometheus text format
-// (with an expvar-style JSON view alongside).
+// (with an expvar-style JSON view alongside). It also holds the
+// process-level helpers both commands share: the -cpuprofile/-memprofile
+// Profiler, and DumpFlight and WatchFlightSignal for the flight
+// recorder's SIGUSR1 and panic dumps. Only the commands call those; the
+// engine packages never touch signals or pprof.
 //
 // The wall clock is injected by the caller — commands pass
 // time.Now().UnixNano at their layer — so this package, like the rest of
