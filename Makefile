@@ -33,13 +33,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# One iteration of each Step benchmark: catches benchmarks that no longer
-# compile or panic, without paying for a full measurement run. -short
-# keeps the smoke fast: the Step pattern also matches the scale-slice
-# BenchmarkScaleStep benchmarks, whose 50k/200k-task trace synthesis
-# alone costs tens of seconds and which self-skip under -short.
+# One iteration of each Step and Evaluate (kernel) benchmark: catches
+# benchmarks that no longer compile or panic, without paying for a full
+# measurement run. -short keeps the smoke fast: the Step pattern also
+# matches the scale-slice BenchmarkScaleStep benchmarks, whose
+# 50k/200k-task trace synthesis alone costs tens of seconds and which
+# self-skip under -short.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench Step -benchtime 1x -benchmem .
+	$(GO) test -short -run '^$$' -bench 'Step|Evaluate' -benchtime 1x -benchmem .
 
 # Re-measure the gated benchmarks and refresh the canonical baseline at
 # the repo root (BENCH_step.json). -stat median collapses the -count 3

@@ -341,7 +341,7 @@ func BenchmarkSeedConstructionAll(b *testing.B) {
 
 // Machine-major full-evaluation kernel on the 1000- and 4000-task
 // traces: the per-offspring simulation cost inside the NSGA-II engine
-// (compiled TUF table + transposed execution-time/energy rows), and the
+// (per-task records + transposed execution-time/energy rows), and the
 // cost of every offline replay, since Session, the Evaluator's Evaluate,
 // Report and Gantt all run this kernel.
 func BenchmarkEvaluate1000(b *testing.B) { benchEvaluateFull(b, 2) }

@@ -341,7 +341,10 @@ func compare(oldRes, newRes []Result, threshold float64) []Regression {
 	return regs
 }
 
-func writeTable(w io.Writer, oldRes, newRes []Result) {
+// writeTable prints the comparison rows and returns how many benchmarks
+// have no baseline entry. compare cannot gate those, so their rows say
+// so instead of showing a delta.
+func writeTable(w io.Writer, oldRes, newRes []Result) int {
 	oldBy := make(map[string]Result, len(oldRes))
 	for _, r := range oldRes {
 		oldBy[r.Name] = r
@@ -356,11 +359,13 @@ func writeTable(w io.Writer, oldRes, newRes []Result) {
 		newBy[r.Name] = r
 	}
 	fmt.Fprintf(w, "%-44s %14s %14s %10s %12s\n", "benchmark", "old ns/op", "new ns/op", "Δns", "Δallocs")
+	unbased := 0
 	for _, name := range names {
 		n := newBy[name]
 		o, ok := oldBy[name]
 		if !ok {
-			fmt.Fprintf(w, "%-44s %14s %14.0f %10s %12s\n", name, "(absent)", n.NsPerOp, "-", "-")
+			fmt.Fprintf(w, "%-44s %14s %14.0f  new (no baseline)\n", name, "-", n.NsPerOp)
+			unbased++
 			continue
 		}
 		dAllocs := "-"
@@ -374,6 +379,7 @@ func writeTable(w io.Writer, oldRes, newRes []Result) {
 			fmt.Fprintf(w, "%-44s %14.0f %14s %10s %12s\n", r.Name, r.NsPerOp, "(absent)", "-", "-")
 		}
 	}
+	return unbased
 }
 
 // DiffEntry is one benchmark's comparison row in -json output. Nil
@@ -551,7 +557,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	writeTable(stdout, oldRes, newRes)
+	if unbased := writeTable(stdout, oldRes, newRes); unbased > 0 {
+		fmt.Fprintf(stdout, "\n%d benchmark(s) new (no baseline): not gated until recorded\n", unbased)
+	}
 	if len(regs) == 0 {
 		fmt.Fprintf(stdout, "\nok: no regression beyond %.0f%%\n", *threshold*100)
 		return 0

@@ -214,6 +214,45 @@ func TestRunCompareExitCodes(t *testing.T) {
 	}
 }
 
+// TestRunNoBaseline checks that a benchmark missing from the baseline
+// is printed as new (no baseline), not dropped, and that it changes no
+// exit code: the run still passes, or fails on the gated benchmarks
+// alone.
+func TestRunNoBaseline(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := write("base.txt", "BenchmarkA-8 10 1000 ns/op\n")
+	fresh := write("fresh.txt", "BenchmarkA-8 10 1000 ns/op\nBenchmarkB-8 10 99999 ns/op\n")
+	slow := write("slow.txt", "BenchmarkA-8 10 2000 ns/op\nBenchmarkB-8 10 99999 ns/op\n")
+	for _, tc := range []struct {
+		newPath  string
+		wantCode int
+	}{{fresh, 0}, {slow, 1}} {
+		var out, errOut strings.Builder
+		if code := run([]string{base, tc.newPath}, &out, &errOut); code != tc.wantCode {
+			t.Fatalf("%s: exit %d, want %d; stderr: %s", tc.newPath, code, tc.wantCode, errOut.String())
+		}
+		var row string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "BenchmarkB ") {
+				row = line
+			}
+		}
+		if !strings.Contains(row, "new (no baseline)") {
+			t.Fatalf("%s: BenchmarkB row %q does not say new (no baseline):\n%s", tc.newPath, row, out.String())
+		}
+		if !strings.Contains(out.String(), "1 benchmark(s) new (no baseline)") {
+			t.Fatalf("%s: summary missing the no-baseline count:\n%s", tc.newPath, out.String())
+		}
+	}
+}
+
 func TestRunRecord(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "bench.txt")

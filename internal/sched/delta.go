@@ -25,8 +25,8 @@ import "slices"
 // machine whose fingerprint matches the parent's. Only the machines
 // whose fingerprint misses get their sequence simulated.
 //
-// The kernel here (typedCont and its 4-way interleave simNeed4) is the
-// package's only simulation of a machine queue: Session, the
+// The kernel here (typedCont, one serial walk per needed machine) is the
+// package's only simulation of a machine queue: the engine, Session, the
 // Evaluator's Evaluate, Report, Gantt and DropNegligible all replay an
 // allocation through it (DESIGN.md §12, "One simulator").
 
@@ -174,8 +174,8 @@ func (s *DeltaStats) Sub(o DeltaStats) {
 // NewDeltaPlan and reuse freely.
 type DeltaPlan struct {
 	// Need lists the machines (ascending) whose row was not inherited
-	// from the parent; the caller must simulate them (SimulateNeed,
-	// SimulateNeedList or SimulateAllNeeds) before Finish.
+	// from the parent; the caller must simulate them (SimulateAllNeeds)
+	// before Finish.
 	Need []int32
 
 	// seq holds every machine's task sequence back-to-back in machine
@@ -222,9 +222,6 @@ type DeltaSession struct {
 	counts []int32
 	// plan is the standalone plan for the Allocation-based entry points.
 	plan *DeltaPlan
-	// needKs is the Need-index scratch SimulateAllNeeds feeds to
-	// SimulateNeedList.
-	needKs []int32
 	// stats counts the session's work with plain (non-atomic)
 	// increments — sessions are single-goroutine by contract, so the
 	// counters are always on and cost nothing measurable.
@@ -244,7 +241,6 @@ func (e *Evaluator) NewDeltaSession() *DeltaSession {
 		cur:    make([]int32, nm),
 		counts: make([]int32, nm),
 		plan:   e.NewDeltaPlan(),
-		needKs: make([]int32, 0, nm),
 	}
 	for m := 0; m < nm; m++ {
 		d.fpSeed[m] = Mix64(uint64(m+1) * FPGamma)
@@ -338,15 +334,6 @@ func (d *DeltaSession) Prepare(slots []uint64, counts []int32, parent *Contribs,
 	}
 }
 
-// SimulateNeed simulates the k-th Need machine's gathered sequence,
-// writing its contribution row into dst.
-//
-//detlint:hotpath
-func (d *DeltaSession) SimulateNeed(k int, plan *DeltaPlan, dst *Contribs) {
-	d.simMachineTyped(int(plan.Need[k]), plan.NeedSeq(k), dst)
-	d.stats.MachinesSimulated++
-}
-
 // Finish folds dst's per-machine contributions into the objective
 // values and marks dst valid. Every Prepare must be balanced by exactly
 // one Finish after the Need rows are supplied.
@@ -363,16 +350,7 @@ func (d *DeltaSession) Finish(dst *Contribs, plan *DeltaPlan) Evaluation {
 }
 
 // simMachineTyped simulates machine m's task sequence and records its
-// contribution row in dst. It indexes the machine's ETC/EEC rows by
-// each task's type and resolves each task's utility from the task's
-// record in three tiers: past the TUF's tail guard, the stored tail
-// value; inside a Constant or Linear first segment, that segment's
-// interpolation, computed inline; anything else, Table.Value. Every
-// floating-point operation that reaches an accumulator is the same
-// operation in the same order as a plain per-task walk (the reference
-// loop in the package tests): additions stay sequential, and the first
-// two tiers compute exactly what Table.Value would. The result is
-// bit-identical to that walk for any queue and any TUF shape.
+// contribution row in dst.
 //
 //detlint:hotpath
 func (d *DeltaSession) simMachineTyped(m int, tasks []int32, dst *Contribs) {
@@ -385,20 +363,31 @@ func (d *DeltaSession) simMachineTyped(m int, tasks []int32, dst *Contribs) {
 	dst.Done[m] = int32(len(tasks))
 }
 
-// kstate is one machine's in-flight kernel state, carried across the
-// lockstep and tail halves of the interleaved batch kernel.
+// kstate is one machine's in-flight kernel state, carried across calls
+// so CompletionTimes can step the walk one task at a time.
 type kstate struct {
 	ready, busy, util, energy float64
 }
 
 // typedCont advances machine m's walk over tasks, continuing from (and
-// updating) the carried state.
+// updating) the carried state. It indexes the machine's ETC/EEC rows by
+// each task's type and resolves each task's utility in four tiers:
+// past the TUF's tail guard, the stored tail value; inside a Constant
+// or Linear first segment, that segment's interpolation from the
+// task's record; past it, for a TUF of at most three Constant or Linear
+// segments, segments 2–3 (or the tail) from the task's side record;
+// anything else, Table.Value. Every floating-point operation that
+// reaches an accumulator is the same operation in the same order as a
+// plain per-task walk (the reference loop in the package tests):
+// additions stay sequential, and the first three tiers compute exactly
+// what Table.Value would. The result is bit-identical to that walk for
+// any queue and any TUF shape.
 //
 //detlint:hotpath
 func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 	e := d.e
 	etcRow, eecRow := e.etcT[m], e.eecT[m]
-	meta := e.meta
+	meta, later := e.meta, e.later
 	ready, busy, util, energy := st.ready, st.busy, st.util, st.energy
 	for _, ti := range tasks {
 		mt := &meta[ti]
@@ -412,18 +401,26 @@ func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 		completion := start + etc
 		ready = completion
 		busy += etc
-		// The three tiers of utility.Inline: past the tail guard; inside
-		// a Constant or Linear first segment, Table.Value's own
-		// first-segment arithmetic (the float64 conversion keeps it
-		// from fusing into the sum); otherwise Table.Value. Table.Value
-		// also clamps a negative elapsed time to 0, a no-op here: el >=
-		// 0 because completion = max(ready, arrival) + ETC and hcs
-		// validates ETC > 0. simNeed4's lanes repeat this code.
+		// The tiers of utility.Inline and utility.Later perform
+		// Table.Value's operations in its order; each float64
+		// conversion keeps a product from fusing into the sum.
+		// Table.Value also clamps a negative elapsed time to 0, a no-op
+		// here: el >= 0 because completion = max(ready, arrival) + ETC
+		// and hcs validates ETC > 0.
 		el := completion - arr
 		if el >= mt.TailT {
 			util += mt.TailV
 		} else if el < mt.Dur0 {
 			util += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
+		} else if lt := &later[ti]; !lt.Walk {
+			t := el - mt.Dur0
+			if t < lt.Dur1 {
+				util += float64(mt.Prio * (lt.Start1 + lt.Aux1*(t/lt.Dur1)))
+			} else if t -= lt.Dur1; t < lt.Dur2 {
+				util += float64(mt.Prio * (lt.Start2 + lt.Aux2*(t/lt.Dur2)))
+			} else {
+				util += mt.TailV
+			}
 		} else {
 			util += e.tufs.Value(int(ti), el)
 		}
@@ -432,172 +429,15 @@ func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 	st.ready, st.busy, st.util, st.energy = ready, busy, util, energy
 }
 
-// simNeed4 simulates four Need machines in interleaved lockstep: the
-// inner loop advances each machine by one task per iteration, so the
-// four serial completion-time dependency chains (max with arrival, add
-// execution time — the latency floor of queue simulation) overlap
-// instead of serializing. Each machine's tasks still execute in its own
-// sequence order with the exact per-task operations of typedCont, so
-// every contribution row is bit-identical to simulating the machines
-// one at a time; only the wall-clock interleaving differs. After the
-// shortest queue drains, the remaining tails finish through typedCont
-// with their carried state.
-//
-//detlint:hotpath
-func (d *DeltaSession) simNeed4(plan *DeltaPlan, dst *Contribs, k0, k1, k2, k3 int) {
-	e := d.e
-	meta := e.meta
-	m0, m1, m2, m3 := int(plan.Need[k0]), int(plan.Need[k1]), int(plan.Need[k2]), int(plan.Need[k3])
-	s0, s1, s2, s3 := plan.NeedSeq(k0), plan.NeedSeq(k1), plan.NeedSeq(k2), plan.NeedSeq(k3)
-	etc0, eec0 := e.etcT[m0], e.eecT[m0]
-	etc1, eec1 := e.etcT[m1], e.eecT[m1]
-	etc2, eec2 := e.etcT[m2], e.eecT[m2]
-	etc3, eec3 := e.etcT[m3], e.eecT[m3]
-	var r0, b0, u0, en0, r1, b1, u1, en1 float64
-	var r2, b2, u2, en2, r3, b3, u3, en3 float64
-	L := len(s0)
-	if len(s1) < L {
-		L = len(s1)
-	}
-	if len(s2) < L {
-		L = len(s2)
-	}
-	if len(s3) < L {
-		L = len(s3)
-	}
-	for t := 0; t < L; t++ {
-		{
-			mt := &meta[s0[t]]
-			ty := mt.ty
-			etc := etc0[ty]
-			arr := mt.arrival
-			start := r0
-			if arr > start {
-				start = arr
-			}
-			completion := start + etc
-			r0 = completion
-			b0 += etc
-			el := completion - arr
-			if el >= mt.TailT {
-				u0 += mt.TailV
-			} else if el < mt.Dur0 {
-				u0 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
-			} else {
-				u0 += e.tufs.Value(int(s0[t]), el)
-			}
-			en0 += eec0[ty]
-		}
-		{
-			mt := &meta[s1[t]]
-			ty := mt.ty
-			etc := etc1[ty]
-			arr := mt.arrival
-			start := r1
-			if arr > start {
-				start = arr
-			}
-			completion := start + etc
-			r1 = completion
-			b1 += etc
-			el := completion - arr
-			if el >= mt.TailT {
-				u1 += mt.TailV
-			} else if el < mt.Dur0 {
-				u1 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
-			} else {
-				u1 += e.tufs.Value(int(s1[t]), el)
-			}
-			en1 += eec1[ty]
-		}
-		{
-			mt := &meta[s2[t]]
-			ty := mt.ty
-			etc := etc2[ty]
-			arr := mt.arrival
-			start := r2
-			if arr > start {
-				start = arr
-			}
-			completion := start + etc
-			r2 = completion
-			b2 += etc
-			el := completion - arr
-			if el >= mt.TailT {
-				u2 += mt.TailV
-			} else if el < mt.Dur0 {
-				u2 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
-			} else {
-				u2 += e.tufs.Value(int(s2[t]), el)
-			}
-			en2 += eec2[ty]
-		}
-		{
-			mt := &meta[s3[t]]
-			ty := mt.ty
-			etc := etc3[ty]
-			arr := mt.arrival
-			start := r3
-			if arr > start {
-				start = arr
-			}
-			completion := start + etc
-			r3 = completion
-			b3 += etc
-			el := completion - arr
-			if el >= mt.TailT {
-				u3 += mt.TailV
-			} else if el < mt.Dur0 {
-				u3 += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
-			} else {
-				u3 += e.tufs.Value(int(s3[t]), el)
-			}
-			en3 += eec3[ty]
-		}
-	}
-	st0 := kstate{ready: r0, busy: b0, util: u0, energy: en0}
-	st1 := kstate{ready: r1, busy: b1, util: u1, energy: en1}
-	st2 := kstate{ready: r2, busy: b2, util: u2, energy: en2}
-	st3 := kstate{ready: r3, busy: b3, util: u3, energy: en3}
-	d.typedCont(m0, s0[L:], &st0)
-	d.typedCont(m1, s1[L:], &st1)
-	d.typedCont(m2, s2[L:], &st2)
-	d.typedCont(m3, s3[L:], &st3)
-	dst.Utility[m0], dst.Energy[m0], dst.Busy[m0], dst.Ready[m0], dst.Done[m0] = st0.util, st0.energy, st0.busy, st0.ready, int32(len(s0))
-	dst.Utility[m1], dst.Energy[m1], dst.Busy[m1], dst.Ready[m1], dst.Done[m1] = st1.util, st1.energy, st1.busy, st1.ready, int32(len(s1))
-	dst.Utility[m2], dst.Energy[m2], dst.Busy[m2], dst.Ready[m2], dst.Done[m2] = st2.util, st2.energy, st2.busy, st2.ready, int32(len(s2))
-	dst.Utility[m3], dst.Energy[m3], dst.Busy[m3], dst.Ready[m3], dst.Done[m3] = st3.util, st3.energy, st3.busy, st3.ready, int32(len(s3))
-	d.stats.MachinesSimulated += 4
-}
-
-// SimulateNeedList simulates the Need machines whose indices are listed
-// in ks, four machines at a time so their completion-time dependency
-// chains overlap; the remainder runs through SimulateNeed. Contribution
-// rows are bit-identical either way, so callers may hand over any
-// subset in any grouping.
-//
-//detlint:hotpath
-func (d *DeltaSession) SimulateNeedList(ks []int32, plan *DeltaPlan, dst *Contribs) {
-	i := 0
-	for ; i+4 <= len(ks); i += 4 {
-		d.simNeed4(plan, dst, int(ks[i]), int(ks[i+1]), int(ks[i+2]), int(ks[i+3]))
-	}
-	for ; i < len(ks); i++ {
-		d.SimulateNeed(int(ks[i]), plan, dst)
-	}
-}
-
-// SimulateAllNeeds simulates every machine the plan left to the caller,
-// through the same batched path as SimulateNeedList.
+// SimulateAllNeeds simulates every machine the plan left to the
+// caller, one queue at a time, writing each contribution row into dst.
 //
 //detlint:hotpath
 func (d *DeltaSession) SimulateAllNeeds(plan *DeltaPlan, dst *Contribs) {
-	ks := d.needKs[:len(plan.Need)]
-	for k := range ks {
-		ks[k] = int32(k)
+	for k, m := range plan.Need {
+		d.simMachineTyped(int(m), plan.NeedSeq(k), dst)
 	}
-	d.needKs = ks
-	d.SimulateNeedList(ks, plan, dst)
+	d.stats.MachinesSimulated += uint64(len(plan.Need))
 }
 
 // reduce folds the per-machine contributions into the objective values

@@ -90,8 +90,8 @@ func kernelEval(t *testing.T, n int, seed uint64, degenerateFrac float64) *Evalu
 
 // simMachine simulates machine m's task sequence and records its
 // contribution row in dst: the plain per-task loop, kept here as the
-// reference the production kernel (simMachineTyped and the interleaved
-// simNeed4) must match bit for bit. It reads nothing the kernel reads:
+// reference the production kernel (simMachineTyped's serial typedCont
+// walk) must match bit for bit. It reads nothing the kernel reads:
 // arrival and type come from the trace, execution time and energy from
 // ETCInstance/EECInstance, and utility from the uncompiled Task.TUF, so
 // a wrongly built task record or TUF table cannot pass by being wrong
@@ -148,8 +148,8 @@ func contribsEqual(a, b *Contribs) bool {
 // reference loop: on randomized TUF shapes (including degenerate
 // single-segment and zero-penalty functions), random allocations — with
 // and without drops — must produce bitwise-equal evaluations and
-// per-machine contribution rows through EvaluateFull (the 4-way
-// interleave plus its per-machine remainder) and through the reference.
+// per-machine contribution rows through EvaluateFull (every tier of the
+// serial typedCont walk) and through the reference.
 func TestKernelsBitIdentical(t *testing.T) {
 	for _, cfg := range []struct {
 		n       int
@@ -187,38 +187,6 @@ func TestKernelsBitIdentical(t *testing.T) {
 				t.Fatalf("n=%d deg=%v drops=%v trial %d: contribution rows differ",
 					cfg.n, cfg.degFrac, cfg.drops, trial)
 			}
-		}
-	}
-}
-
-// TestKernelListMatchesPerMachine checks that the batched
-// SimulateNeedList path (4-way interleaved) is bitwise equal to
-// simulating each Need machine individually through SimulateNeed,
-// including odd batch remainders.
-func TestKernelListMatchesPerMachine(t *testing.T) {
-	e := kernelEval(t, 150, 42, 0.25)
-	batched := e.NewDeltaSession()
-	single := e.NewDeltaSession()
-	cb, cs := e.NewContribs(), e.NewContribs()
-	pb, ps := e.NewDeltaPlan(), e.NewDeltaPlan()
-	src := rng.New(7)
-	counts := make([]int32, e.NumMachines())
-	for trial := 0; trial < 10; trial++ {
-		a := e.RandomAllocation(src)
-		slots := make([]uint64, a.Len())
-		batched.ScatterSlots(a, slots, counts)
-		batched.Prepare(slots, counts, nil, cb, pb)
-		batched.SimulateAllNeeds(pb, cb)
-		evB := batched.Finish(cb, pb)
-
-		single.ScatterSlots(a, slots, counts)
-		single.Prepare(slots, counts, nil, cs, ps)
-		for k := range ps.Need {
-			single.SimulateNeed(k, ps, cs)
-		}
-		evS := single.Finish(cs, ps)
-		if evB != evS || !contribsEqual(cb, cs) {
-			t.Fatalf("trial %d: batched vs per-machine rows differ", trial)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tradeoff/internal/hcs"
 	"tradeoff/internal/rng"
 	"tradeoff/internal/utility"
 	"tradeoff/internal/workload"
@@ -46,41 +47,75 @@ func fuzzTUF(src *rng.Source, nseg, shapes uint8, flat bool, tailFrac float64) (
 }
 
 // recordUtility resolves task ti's utility at elapsed time el with the
-// kernel's three tiers, written as in typedCont, and reports which tier
-// answered: 1 the tail guard, 2 the inline first segment, 3 the
-// Table.Value fallback.
+// kernel's four tiers, written as in typedCont, and reports which tier
+// answered: 1 the tail guard, 2 the inline first segment, 3 the inline
+// segments 2–3 (or the tail past them), 4 the Table.Value fallback.
 func recordUtility(e *Evaluator, ti int, el float64) (float64, int) {
-	mt := &e.meta[ti]
+	mt, lt := &e.meta[ti], &e.later[ti]
 	switch {
 	case el >= mt.TailT:
 		return mt.TailV, 1
 	case el < mt.Dur0:
 		return float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0))), 2
+	case !lt.Walk:
+		t := el - mt.Dur0
+		if t < lt.Dur1 {
+			return float64(mt.Prio * (lt.Start1 + lt.Aux1*(t/lt.Dur1))), 3
+		}
+		if t -= lt.Dur1; t < lt.Dur2 {
+			return float64(mt.Prio * (lt.Start2 + lt.Aux2*(t/lt.Dur2))), 3
+		}
+		return mt.TailV, 3
 	}
-	return e.tufs.Value(ti, el), 3
+	return e.tufs.Value(ti, el), 4
 }
 
-// FuzzTaskRecordUtility checks the kernel's per-task record against the
+// kernelUtility runs task 0 alone through typedCont on machine 0, with
+// the machine busy until el - ETC after the task's arrival, so the task
+// completes about el after it. It returns the elapsed time the kernel
+// computed and the utility it added.
+func kernelUtility(e *Evaluator, el float64) (float64, float64) {
+	arr := e.meta[0].arrival
+	st := kstate{ready: arr + (el - e.ETCInstance(e.Trace().Tasks[0].Type, 0))}
+	e.NewDeltaSession().typedCont(0, []int32{0}, &st)
+	return st.ready - arr, st.util
+}
+
+// FuzzTaskRecordUtility checks the kernel's per-task records against the
 // compiled table and the uncompiled function, bit for bit, at the edges
-// of each tier (0, the first segment's end and the tail guard, and the
-// floats just below them) and at uniform draws up to 1.2 × horizon. It
+// of each tier (0, the end of each of the first three segments and the
+// tail guard, the floats just below each, and the margin between the
+// horizon and the guard) and at uniform draws up to 1.2 × horizon. It
 // also checks that each elapsed time takes the tier it should: the tail
-// guard past every segment with margin, the inline tier inside a
-// Constant or Linear first segment, and never the inline tier for an
-// Exponential one.
+// guard past every segment with margin, the inline first segment inside
+// a Constant or Linear one, the inline segments 2–3 everywhere else for
+// a TUF of at most three Constant or Linear segments, and Table.Value
+// everywhere else for a TUF with an Exponential segment or more than
+// three segments. Last, it runs the kernel itself near each probe and
+// holds it to the mirror and to Table.Value at the elapsed time the
+// kernel computed.
 func FuzzTaskRecordUtility(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(utility.Exponential), false, 0.3)                   // Exponential first
 	f.Add(uint64(2), uint8(0), uint8(utility.Constant), false, 0.0)                      // a single Constant segment
 	f.Add(uint64(3), uint8(2), uint8(0x24), true, 1.0)                                   // tail 1: flat at priority
 	f.Add(uint64(4), uint8(3), uint8(utility.Linear|utility.Exponential<<2), false, 0.5) // four segments, all shapes
+	f.Add(uint64(5), uint8(2), uint8(utility.Linear|utility.Constant<<2|utility.Linear<<4), false, 0.4)
+	f.Add(uint64(6), uint8(1), uint8(utility.Constant|utility.Linear<<2), false, 0.0)
+	f.Add(uint64(7), uint8(2), uint8(utility.Linear|utility.Linear<<2|utility.Exponential<<4), false, 0.2)
 	f.Fuzz(func(t *testing.T, seed uint64, nseg, shapes uint8, flat bool, tailFrac float64) {
 		src := rng.New(seed)
 		fn, err := fuzzTUF(src, nseg, shapes, flat, tailFrac)
 		if err != nil {
 			t.Fatalf("drawn TUF invalid: %v", err)
 		}
+		// A 1e-6 execution time lets the kernel complete the task at
+		// nearly any elapsed time the probes ask for.
+		sys := tinySystem(t)
+		if sys.ETC, err = hcs.MatrixFromRows([][]float64{{1e-6, 1e-6}, {1e-6, 1e-6}}); err != nil {
+			t.Fatal(err)
+		}
 		tr := &workload.Trace{Window: 100, Tasks: []workload.Task{{Type: 1, Arrival: 7, TUF: fn}}}
-		e, err := NewEvaluator(tinySystem(t), tr)
+		e, err := NewEvaluator(sys, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,12 +123,22 @@ func FuzzTaskRecordUtility(f *testing.F) {
 		if mt.arrival != 7 || mt.ty != 1 {
 			t.Fatalf("record arrival %v type %d, want 7 and 1", mt.arrival, mt.ty)
 		}
+		walk := len(fn.Segments) > 3
+		for _, sg := range fn.Segments {
+			walk = walk || sg.Shape == utility.Exponential
+		}
+		if e.later[0].Walk != walk {
+			t.Fatalf("side record Walk %v for %d segments %v, want %v", e.later[0].Walk, len(fn.Segments), fn.Segments, walk)
+		}
 		seg0 := fn.Segments[0]
 		horizon := fn.Horizon()
-		els := []float64{
-			0,
-			seg0.Duration, math.Nextafter(seg0.Duration, 0),
-			mt.TailT, math.Nextafter(mt.TailT, 0),
+		// The midpoint between the horizon and the tail guard falls off
+		// every segment without reaching the guard.
+		els := []float64{0, mt.TailT, math.Nextafter(mt.TailT, 0), horizon + (mt.TailT-horizon)/2}
+		var end float64
+		for k := 0; k < len(fn.Segments) && k < 3; k++ {
+			end += fn.Segments[k].Duration
+			els = append(els, end, math.Nextafter(end, 0))
 		}
 		for i := 0; i < 64; i++ {
 			els = append(els, 1.2*horizon*src.Float64())
@@ -115,8 +160,16 @@ func FuzzTaskRecordUtility(f *testing.F) {
 				if tier != 2 {
 					t.Fatalf("el=%v inside a %v first segment took tier %d, want inline", el, seg0.Shape, tier)
 				}
-			case seg0.Shape == utility.Exponential && tier == 2:
-				t.Fatalf("el=%v resolved inline inside an Exponential first segment", el)
+			case tier == 1: // inside the guard's own margin
+			case !walk && tier != 3:
+				t.Fatalf("el=%v past the first of %v took tier %d, want inline segments 2–3", el, fn.Segments, tier)
+			case walk && tier != 4:
+				t.Fatalf("el=%v past the first of %v took tier %d, want Table.Value", el, fn.Segments, tier)
+			}
+			elK, got := kernelUtility(e, el)
+			mirror, tier := recordUtility(e, 0, elK)
+			if want := e.tufs.Value(0, elK); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(mirror) {
+				t.Fatalf("el=%v: kernel %v, mirror %v (tier %d), Table.Value %v", elK, got, mirror, tier, want)
 			}
 		}
 	})

@@ -106,14 +106,19 @@ type Evaluator struct {
 	// tufs holds the compiled time-utility functions, one table entry
 	// per task, bit-identical to Task.TUF.Value.
 	tufs *utility.Table
-	// meta is the per-task record the simulation kernels read.
+	// meta is the per-task record the simulation kernel reads.
 	meta []taskMeta
+	// later holds each task's TUF segments 2–3 (utility.Later), kept
+	// out of meta because the kernel reads them only for a completion
+	// past the first segment and inside the tail guard.
+	later []utility.Later
 }
 
 // taskMeta is the per-task record of everything the machine-major
-// simulation kernels read: the TUF's tail guard and first segment
-// (utility.Inline), arrival time and task type. Sized and padded to 64
-// bytes, one cache line, so a kernel touches one line per task.
+// simulation kernel reads for every task: the TUF's tail guard and
+// first segment (utility.Inline), arrival time and task type. Sized and
+// padded to 64 bytes, one cache line, so the kernel touches one line
+// per task on its common path.
 type taskMeta struct {
 	utility.Inline
 	arrival float64
@@ -158,12 +163,14 @@ func NewEvaluator(sys *hcs.System, trace *workload.Trace) (*Evaluator, error) {
 	n := trace.NumTasks()
 	e.tufs = utility.NewTable(n, 2*n)
 	e.meta = make([]taskMeta, n)
+	e.later = make([]utility.Later, n)
 	for i := range trace.Tasks {
 		task := &trace.Tasks[i]
 		if _, err := e.tufs.Add(task.TUF); err != nil {
 			return nil, fmt.Errorf("sched: task %d TUF: %w", i, err)
 		}
 		e.meta[i] = taskMeta{Inline: e.tufs.Inline(i), arrival: task.Arrival, ty: int32(task.Type)}
+		e.later[i] = e.tufs.Later(i)
 	}
 	return e, nil
 }

@@ -101,8 +101,8 @@ func (tb *Table) Len() int { return len(tb.progs) }
 // caller that computes that expression is bit-identical. A caller that
 // adds it to a sum should round it with an explicit float64 conversion,
 // so the product cannot be fused into a multiply-add. Any other elapsed
-// time needs Value. (Value clamps a negative elapsed time to 0; the
-// expression does not.)
+// time needs Later's segments 2–3 or, when Later.Walk is set, Value.
+// (Value clamps a negative elapsed time to 0; the expression does not.)
 type Inline struct {
 	// TailT and TailV are the tail guard: for elapsed >= TailT, Value
 	// returns TailV, the same Prio*TailFrac product its tail path
@@ -133,6 +133,51 @@ func (tb *Table) Inline(id int) Inline {
 	return in
 }
 
+// Later is the rest of a short compiled function, for an elapsed time
+// el >= 0 that Inline's tail guard and first segment did not resolve
+// (TailT > el >= Dur0). Unless Walk is set, Value continues its segment
+// walk with t = el - Dur0: if t < Dur1 it returns
+// Prio * (Start1 + Aux1*(t/Dur1)); otherwise, with t -= Dur1, if
+// t < Dur2 it returns Prio * (Start2 + Aux2*(t/Dur2)); otherwise it
+// falls off the walk and returns Inline.TailV. The operations and their
+// order are Value's own, so a caller that computes them (rounding each
+// product with an explicit float64 conversion, as for Inline) is
+// bit-identical. An absent segment has zero duration, so no t >= 0 is
+// below it and the walk falls through to the tail, as Value's does.
+type Later struct {
+	// Dur1, Start1 and Aux1 are the second segment's compiled duration,
+	// start and aux; Dur2, Start2 and Aux2 the third's.
+	Dur1, Start1, Aux1 float64
+	Dur2, Start2, Aux2 float64
+	// Walk is set when the function has an Exponential segment or more
+	// than three segments: the other fields are then zero, and any
+	// elapsed time Inline does not resolve needs Value.
+	Walk bool
+}
+
+// Later returns the id-th compiled function's second and third
+// segments, or Walk for a function they cannot finish.
+func (tb *Table) Later(id int) Later {
+	p := &tb.progs[id]
+	segs := tb.segs[p.off : p.off+p.n]
+	if len(segs) > 3 {
+		return Later{Walk: true}
+	}
+	for k := range segs {
+		if segs[k].exp {
+			return Later{Walk: true}
+		}
+	}
+	var lt Later
+	if len(segs) > 1 {
+		lt.Dur1, lt.Start1, lt.Aux1 = segs[1].dur, segs[1].start, segs[1].aux
+	}
+	if len(segs) > 2 {
+		lt.Dur2, lt.Start2, lt.Aux2 = segs[2].dur, segs[2].start, segs[2].aux
+	}
+	return lt
+}
+
 // Value returns the utility earned by the id-th compiled function at the
 // given elapsed time. It is bit-identical to calling Value on the
 // function passed to Add.
@@ -145,9 +190,10 @@ func (tb *Table) Value(id int, elapsed float64) float64 {
 	if t >= p.tailT {
 		// Past every segment with margin beyond the walk's worst-case
 		// rounding (see tailT): identical to falling off the loop below.
-		// The evaluation kernel resolves this tier and Constant or
-		// Linear first segments itself (Inline), so it calls Value only
-		// for the rest of the TUF window.
+		// The evaluation kernel resolves this tier and every segment of
+		// a function of at most three Constant or Linear segments
+		// itself (Inline, Later), so it calls Value only for functions
+		// with an Exponential segment or more than three segments.
 		return p.prio * p.tail
 	}
 	segs := tb.segs[p.off : p.off+p.n]
