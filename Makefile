@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke bench-test check
+.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke fuzz-smoke bench-test check
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
 # BENCH_step.json): generation cost (including the 4000-task and the
@@ -119,6 +119,16 @@ trace-smoke:
 	$(GO) run ./cmd/experiments -ablation 1 -scale 0.02 -pop 20 -phase-profile -trace /tmp/exp_trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/exp_trace_smoke.jsonl
 
+# Fuzz smoke: ten seconds of coverage-guided fuzzing on each target
+# that holds a hand-derived fast path to its reference: the merge that
+# builds every child from its parents' execution sequences
+# (FuzzRepairOrder) and the kernel's inline utility tiers
+# (FuzzTaskRecordUtility). A failing input lands in the package's
+# testdata/fuzz directory, where plain go test replays it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRepairOrder$$' -fuzztime 10s ./internal/nsga2
+	$(GO) test -run '^$$' -fuzz '^FuzzTaskRecordUtility$$' -fuzztime 10s ./internal/sched
+
 # The end-to-end benchmark (bench/, see bench/README.md) is a module of
 # its own, so the root go test ./... never builds it. Vet and test it
 # here, so that a change to a public call it makes cannot break it
@@ -126,4 +136,4 @@ trace-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt lint race bench-test bench-smoke bench-dist dist-smoke trace-smoke
+check: build vet fmt lint race bench-test bench-smoke bench-dist dist-smoke trace-smoke fuzz-smoke

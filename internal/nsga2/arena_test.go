@@ -2,67 +2,86 @@ package nsga2
 
 import (
 	"testing"
-
-	"tradeoff/internal/sched"
+	"unsafe"
 )
 
 // TestArenaChunkSlots pins the genotype growth quantum: byte-bounded by
-// arenaChunkBytes, never below 4 slots, never above the demand hint.
+// arenaChunkBytes at 4 bytes per execution slot, never below 4
+// sequences, never above the demand hint.
 func TestArenaChunkSlots(t *testing.T) {
 	ar := &arena{batch: 200}
 	cases := []struct {
 		stride, want int
 	}{
-		{64, 200},                 // tiny genomes: demand hint caps the chunk
-		{4096, 200},               // 4k tasks: byte budget (256) still above hint
-		{204800, 5},               // 200k tasks: ~1.6 MB/slot ⇒ 5-slot chunks
-		{1 << 20, 4},              // 1M tasks: floor of 4 slots
-		{arenaChunkBytes * 2, 4},  // absurd stride still yields the floor
-		{arenaChunkBytes / 80, 8}, // exactly 10 slots of budget… clamped math
+		{64, 200},                  // tiny genomes: demand hint caps the chunk
+		{4096, 200},                // 4k tasks: byte budget (512) still above hint
+		{204800, 10},               // 200k tasks: 800 KB/sequence ⇒ 10-sequence chunks
+		{1 << 20, 4},               // 1M tasks: 2 fit the budget, floor of 4
+		{arenaChunkBytes * 2, 4},   // absurd stride still yields the floor
+		{arenaChunkBytes / 80, 20}, // exactly 20 sequences of budget
 	}
 	for _, tc := range cases {
-		got := ar.allocChunkSlots(tc.stride)
-		if got < 4 || got > ar.batch {
-			t.Fatalf("stride %d: chunk %d outside [4, %d]", tc.stride, got, ar.batch)
+		got := ar.seqChunkSlots(tc.stride)
+		if got != tc.want {
+			t.Fatalf("stride %d: chunk %d sequences, want %d", tc.stride, got, tc.want)
 		}
-		bytesPerSlot := tc.stride * 8
-		if got > 4 && got < ar.batch && got*bytesPerSlot > arenaChunkBytes {
-			t.Fatalf("stride %d: chunk %d slots = %d bytes exceeds budget", tc.stride, got, got*bytesPerSlot)
-		}
-		if tc.stride == 1<<20 && got != 4 {
-			t.Fatalf("1M-gene stride: chunk %d, want floor 4", got)
+		if bytes := got * tc.stride * seqSlotBytes; got > 4 && bytes > arenaChunkBytes {
+			t.Fatalf("stride %d: chunk %d sequences = %d bytes exceeds budget", tc.stride, got, bytes)
 		}
 	}
 }
 
+// TestArenaSlotBytes pins the genotype's cost: one 4-byte execution
+// slot per task, with a sequence stride of whole 64-byte lines.
+func TestArenaSlotBytes(t *testing.T) {
+	if seqSlotBytes != 4 || unsafe.Sizeof(uint32(0)) != seqSlotBytes {
+		t.Fatalf("arena slot costs %d bytes per task, want 4", seqSlotBytes)
+	}
+	eval := newEval(t, 50)
+	ar := &arena{}
+	ar.init(eval, 2, 10)
+	a, b := ar.getSeq(), ar.getSeq()
+	if len(a) != 50 || cap(a) != 50 {
+		t.Fatalf("sequence len/cap %d/%d, want 50/50", len(a), cap(a))
+	}
+	// Adjacent sequences of one chunk sit one 64-byte-aligned stride
+	// apart: 50 tasks round up to 64 slots = 256 bytes.
+	gap := uintptr(unsafe.Pointer(&a[0])) - uintptr(unsafe.Pointer(&b[0]))
+	if gap != 64*seqSlotBytes {
+		t.Fatalf("sequence stride %d bytes, want %d", gap, 64*seqSlotBytes)
+	}
+}
+
 // TestArenaChunkedGrowth: drawing past one chunk carves additional
-// chunks without touching existing slots, recycled slots are reused
-// before any new chunk is carved, and occupancy tracks draws exactly.
+// chunks without touching existing sequences, recycled sequences are
+// reused before any new chunk is carved, and occupancy tracks draws
+// exactly.
 func TestArenaChunkedGrowth(t *testing.T) {
 	eval := newEval(t, 50)
 	ar := &arena{}
 	ar.init(eval, 2, 10)
 
-	var drawn []*allocHolder
+	var drawn []*seqHolder
 	for i := 0; i < 25; i++ {
-		a := ar.getAlloc()
-		// Stamp every gene so cross-slot aliasing would be caught below.
-		for k := range a.Machine {
-			a.Machine[k] = int32(i)
+		q := ar.getSeq()
+		// Stamp every slot so cross-sequence aliasing would be caught
+		// below.
+		for k := range q {
+			q[k] = uint32(i)
 		}
-		drawn = append(drawn, &allocHolder{a, i})
+		drawn = append(drawn, &seqHolder{q, i})
 	}
-	if ar.allocChunks != 3 {
-		t.Fatalf("allocChunks = %d after 25 draws of 10-slot chunks, want 3", ar.allocChunks)
+	if ar.seqChunks != 3 {
+		t.Fatalf("seqChunks = %d after 25 draws of 10-sequence chunks, want 3", ar.seqChunks)
 	}
-	if ar.allocSlots != 30 {
-		t.Fatalf("allocSlots = %d, want 30", ar.allocSlots)
+	if ar.seqSlots != 30 {
+		t.Fatalf("seqSlots = %d, want 30", ar.seqSlots)
 	}
 	for _, h := range drawn {
-		for k := range h.a.Machine {
-			if h.a.Machine[k] != int32(h.stamp) {
-				t.Fatalf("slot stamped %d reads %d at gene %d: chunks alias or moved",
-					h.stamp, h.a.Machine[k], k)
+		for k := range h.q {
+			if h.q[k] != uint32(h.stamp) {
+				t.Fatalf("sequence stamped %d reads %d at slot %d: chunks alias or moved",
+					h.stamp, h.q[k], k)
 			}
 		}
 	}
@@ -73,25 +92,25 @@ func TestArenaChunkedGrowth(t *testing.T) {
 	// Recycle everything, draw the full carved count again: steady state
 	// must not grow.
 	for _, h := range drawn {
-		ar.putAlloc(h.a)
+		ar.putSeq(h.q)
 	}
 	for i := 0; i < 30; i++ {
-		ar.getAlloc()
+		ar.getSeq()
 	}
-	if ar.allocChunks != 3 || ar.allocSlots != 30 {
-		t.Fatalf("steady-state redraw grew the arena to %d chunks / %d slots",
-			ar.allocChunks, ar.allocSlots)
+	if ar.seqChunks != 3 || ar.seqSlots != 30 {
+		t.Fatalf("steady-state redraw grew the arena to %d chunks / %d sequences",
+			ar.seqChunks, ar.seqSlots)
 	}
 	// One more draw crosses the carved capacity: exactly one new chunk.
-	ar.getAlloc()
-	if ar.allocChunks != 4 || ar.allocSlots != 40 {
-		t.Fatalf("overflow draw carved %d chunks / %d slots, want 4/40",
-			ar.allocChunks, ar.allocSlots)
+	ar.getSeq()
+	if ar.seqChunks != 4 || ar.seqSlots != 40 {
+		t.Fatalf("overflow draw carved %d chunks / %d sequences, want 4/40",
+			ar.seqChunks, ar.seqSlots)
 	}
 }
 
-type allocHolder struct {
-	a     *sched.Allocation
+type seqHolder struct {
+	q     []uint32
 	stamp int
 }
 
@@ -100,13 +119,13 @@ type allocHolder struct {
 func TestArenaEngineChunks(t *testing.T) {
 	eng := newEngine(t, 50, Config{PopulationSize: 12}, 3)
 	eng.Run(3)
-	chunks, slots := eng.arena.allocChunks, eng.arena.allocSlots
+	chunks, slots := eng.arena.seqChunks, eng.arena.seqSlots
 	if chunks == 0 || slots == 0 {
 		t.Fatal("engine carved no arena chunks")
 	}
 	eng.Run(10)
-	if eng.arena.allocChunks != chunks || eng.arena.allocSlots != slots {
-		t.Fatalf("steady-state run grew arena %d→%d chunks, %d→%d slots",
-			chunks, eng.arena.allocChunks, slots, eng.arena.allocSlots)
+	if eng.arena.seqChunks != chunks || eng.arena.seqSlots != slots {
+		t.Fatalf("steady-state run grew arena %d→%d chunks, %d→%d sequences",
+			chunks, eng.arena.seqChunks, slots, eng.arena.seqSlots)
 	}
 }

@@ -18,9 +18,9 @@ func comparePopulations(t *testing.T, label string, a, b *Engine) {
 	}
 	for i := range a.pop {
 		ia, ib := &a.pop[i], &b.pop[i]
-		for g := range ia.Alloc.Machine {
-			if ia.Alloc.Machine[g] != ib.Alloc.Machine[g] || ia.Alloc.Order[g] != ib.Alloc.Order[g] {
-				t.Fatalf("%s: individual %d gene %d diverged", label, i, g)
+		for r := range ia.seq {
+			if ia.seq[r] != ib.seq[r] {
+				t.Fatalf("%s: individual %d execution slot %d diverged", label, i, r)
 			}
 		}
 		for d := range ia.Objectives {

@@ -23,7 +23,7 @@ func requireDirectEvaluation(t *testing.T, label string, e *Engine) {
 	sess, fresh := e.eval.NewDeltaSession(), e.eval.NewContribs()
 	for i := range e.pop {
 		ind := &e.pop[i]
-		ev := sess.EvaluateFull(ind.Alloc, fresh)
+		ev := sess.EvaluateFull(ind.Clone().Alloc, fresh)
 		if ind.Objectives[0] != ev.Utility || ind.Objectives[1] != ev.Energy {
 			t.Fatalf("%s: member %d objectives %v, direct evaluation (%v, %v)",
 				label, i, ind.Objectives, ev.Utility, ev.Energy)
@@ -53,14 +53,15 @@ func requireScalarEvaluation(t *testing.T, label string, e *Engine) {
 	queues := make([][]int, ev.NumMachines())
 	for i := range e.pop {
 		ind := &e.pop[i]
-		for g, o := range ind.Alloc.Order {
+		alloc := ind.Clone().Alloc
+		for g, o := range alloc.Order {
 			byOrder[o] = g
 		}
 		for m := range queues {
 			queues[m] = queues[m][:0]
 		}
 		for _, g := range byOrder {
-			if m := ind.Alloc.Machine[g]; m >= 0 {
+			if m := alloc.Machine[g]; m >= 0 {
 				queues[m] = append(queues[m], g)
 			}
 		}
@@ -109,7 +110,7 @@ func stepWithoutInheritance(t *testing.T, e *Engine) {
 	sess := e.eval.NewDeltaSession()
 	for i := range e.pop {
 		if ind := &e.pop[i]; !ind.contrib.Valid() {
-			sess.EvaluateFull(ind.Alloc, ind.contrib)
+			sess.EvaluateSlots(ind.seq, ind.contrib)
 		}
 	}
 }

@@ -18,6 +18,13 @@
 // by swapped value, ties by gene index), which preserves the relative
 // order the crossover expressed; see DESIGN.md §4.
 //
+// The engine stores each chromosome as its execution sequence: one
+// packed uint32 per task (sched.PackSlot), in scheduling order, holding
+// the task and its machine. The re-ranked child of a segment swap is
+// then one sequential merge of its parents' sequences, and the sequence
+// is what the evaluation kernel reads. Allocations (machine and order
+// per gene) exist only at the API boundary.
+//
 // The generation loop is engineered to be allocation-free in steady
 // state: chromosomes and objective vectors of non-surviving individuals
 // are recycled through a per-engine arena, ranking runs over reusable
@@ -62,7 +69,9 @@ func (r Ranking) String() string {
 	}
 }
 
-// Individual is one chromosome with its cached evaluation.
+// Individual is one chromosome with its cached evaluation. Individuals
+// the engine returns carry Alloc; inside the engine the genotype lives
+// in seq instead.
 type Individual struct {
 	Alloc *sched.Allocation
 	// Objectives is {total utility earned, total energy consumed in J}.
@@ -72,6 +81,10 @@ type Individual struct {
 	// Crowding is the crowding distance within the individual's front.
 	Crowding float64
 
+	// seq is the engine's genotype, the execution sequence: seq[r] is
+	// sched.PackSlot(machine, task) of the task scheduled r-th.
+	// Engine-internal; Clone materializes Alloc from it.
+	seq []uint32
 	// contrib caches the per-machine contribution rows of the last
 	// machine-major evaluation, letting offspring derived from this
 	// individual inherit clean machines' contributions. Engine-internal;
@@ -79,10 +92,18 @@ type Individual struct {
 	contrib *sched.Contribs
 }
 
-// Clone deep-copies the individual.
+// Clone deep-copies the individual. An engine-internal individual's
+// Alloc is materialized from its execution sequence.
 func (ind Individual) Clone() Individual {
+	var alloc *sched.Allocation
+	if ind.seq != nil {
+		alloc = new(sched.Allocation)
+		sched.UnpackSlots(ind.seq, alloc)
+	} else {
+		alloc = ind.Alloc.Clone()
+	}
 	return Individual{
-		Alloc:      ind.Alloc.Clone(),
+		Alloc:      alloc,
 		Objectives: append([]float64(nil), ind.Objectives...),
 		Rank:       ind.Rank,
 		Crowding:   ind.Crowding,
@@ -277,7 +298,7 @@ func (c *Config) validate() error {
 // generation, and exactly N are needed for the next offspring batch.
 //
 // Buffers are carved from contiguous structure-of-arrays blocks — one
-// backing slice per field (machine genes, order genes, objectives,
+// backing slice per field (execution sequences, objectives,
 // contribution rows) — so a population walk streams through memory
 // instead of chasing per-individual allocations. Slot strides are
 // padded to whole cache lines: two slots handed to offspring owned by
@@ -285,18 +306,22 @@ func (c *Config) validate() error {
 // fan-out writes into disjoint cache-line-padded regions. Each field
 // grows independently.
 // arenaChunkBytes bounds the genotype growth quantum: one chunk's
-// machine+order blocks together stay near this size, so a 10⁶-task
-// engine grows its arena a few slots at a time instead of re-carving
-// 2×population slots (which at that scale would be gigabytes per
-// growth step and would double peak memory across a snapshot restore).
+// sequence block stays near this size, so a 10⁶-task engine grows its
+// arena a few slots at a time instead of re-carving 2×population slots
+// (which at that scale would be gigabytes per growth step and would
+// double peak memory across a snapshot restore).
 const arenaChunkBytes = 8 << 20
 
+// seqSlotBytes is a genotype's cost per task: one packed uint32
+// execution slot (sched.PackSlot).
+const seqSlotBytes = 4
+
 // arena recycles the population's SoA storage as a list of fixed-size
-// chunks per field (DESIGN.md §13). Slot s of chunk c addresses the
-// half-open gene range [s·stride, s·stride+numTasks) of chunk c's
-// contiguous machine/order blocks; chunks are append-only, so growth
-// never copies or moves existing field data — only the free stacks'
-// slot headers are extended, one chunk at a time.
+// chunks per field (DESIGN.md §11, §13). Slot s of chunk c addresses the
+// half-open slot range [s·stride, s·stride+numTasks) of chunk c's
+// contiguous sequence block; chunks are append-only, so growth never
+// copies or moves existing field data — only the free stacks' slot
+// headers are extended, one chunk at a time.
 type arena struct {
 	eval *sched.Evaluator
 	dim  int
@@ -305,14 +330,14 @@ type arena struct {
 	// per-slot fields (objectives, contribs) where one chunk is cheap.
 	batch int
 
-	allocs   []*sched.Allocation
+	seqs     [][]uint32
 	objs     [][]float64
 	contribs []*sched.Contribs
 
 	// Carved-slot totals per field; in-use = carved − free-list length.
-	allocSlots, objSlots, contribSlots int
+	seqSlots, objSlots, contribSlots int
 	// Chunk counts per field, for growth-quantum tests and diagnostics.
-	allocChunks, objChunks, contribChunks int
+	seqChunks, objChunks, contribChunks int
 }
 
 func (ar *arena) init(eval *sched.Evaluator, dim, batch int) {
@@ -324,11 +349,11 @@ func (ar *arena) init(eval *sched.Evaluator, dim, batch int) {
 	ar.batch = batch
 }
 
-// allocChunkSlots returns the genotype-chunk size for a given gene
-// stride: as many slots as fit arenaChunkBytes (machine+order int32
-// blocks), clamped to [4, batch].
-func (ar *arena) allocChunkSlots(stride int) int {
-	n := arenaChunkBytes / (stride * 8) // 2 fields × 4 bytes per gene
+// seqChunkSlots returns the genotype-chunk size for a given slot
+// stride: as many sequences as fit arenaChunkBytes, clamped to
+// [4, batch].
+func (ar *arena) seqChunkSlots(stride int) int {
+	n := arenaChunkBytes / (stride * seqSlotBytes)
 	if n < 4 {
 		n = 4
 	}
@@ -338,38 +363,36 @@ func (ar *arena) allocChunkSlots(stride int) int {
 	return n
 }
 
-// growAllocs carves one genotype chunk: two contiguous per-field blocks
-// (machine, order) with 16-gene-aligned strides so slots never share a
-// cache line, pushed onto the free stack as (chunk, offset) slot views.
-func (ar *arena) growAllocs() {
+// growSeqs carves one genotype chunk: a contiguous sequence block with
+// 16-slot-aligned strides so sequences never share a cache line, pushed
+// onto the free stack as per-sequence views.
+func (ar *arena) growSeqs() {
 	nt := ar.eval.NumTasks()
-	stride := (nt + 15) / 16 * 16 // 16 int32 genes per 64-byte line
-	n := ar.allocChunkSlots(stride)
-	machine := make([]int32, n*stride)
-	order := make([]int32, n*stride)
+	stride := (nt + 15) / 16 * 16 // 16 uint32 slots per 64-byte line
+	n := ar.seqChunkSlots(stride)
+	back := make([]uint32, n*stride)
 	for s := 0; s < n; s++ {
-		ar.allocs = append(ar.allocs, &sched.Allocation{
-			Machine: machine[s*stride : s*stride : s*stride+nt],
-			Order:   order[s*stride : s*stride : s*stride+nt],
-		})
+		ar.seqs = append(ar.seqs, back[s*stride:s*stride+nt:s*stride+nt])
 	}
-	ar.allocSlots += n
-	ar.allocChunks++
+	ar.seqSlots += n
+	ar.seqChunks++
 }
 
-func (ar *arena) getAlloc() *sched.Allocation {
-	if len(ar.allocs) == 0 {
-		ar.growAllocs()
+// getSeq returns a recycled execution sequence of NumTasks slots; its
+// contents are stale.
+func (ar *arena) getSeq() []uint32 {
+	if len(ar.seqs) == 0 {
+		ar.growSeqs()
 	}
-	k := len(ar.allocs) - 1
-	a := ar.allocs[k]
-	ar.allocs = ar.allocs[:k]
-	return a
+	k := len(ar.seqs) - 1
+	q := ar.seqs[k]
+	ar.seqs = ar.seqs[:k]
+	return q
 }
 
-func (ar *arena) putAlloc(a *sched.Allocation) {
-	if a != nil {
-		ar.allocs = append(ar.allocs, a)
+func (ar *arena) putSeq(q []uint32) {
+	if q != nil {
+		ar.seqs = append(ar.seqs, q)
 	}
 }
 
@@ -417,8 +440,8 @@ func (ar *arena) putContrib(c *sched.Contribs) {
 // occupancy returns the in-use fraction of all carved slots across the
 // three fields (0 when nothing has been carved yet).
 func (ar *arena) occupancy() (inUse, total int) {
-	total = ar.allocSlots + ar.objSlots + ar.contribSlots
-	free := len(ar.allocs) + len(ar.objs) + len(ar.contribs)
+	total = ar.seqSlots + ar.objSlots + ar.contribSlots
+	free := len(ar.seqs) + len(ar.objs) + len(ar.contribs)
 	return total - free, total
 }
 
@@ -439,32 +462,31 @@ type Engine struct {
 	panics   []any                 // per-worker recovered panic, see fanout
 
 	// Steady-state scratch (lazily sized on first Step).
-	ranker      *moea.Ranker
-	arena       arena
-	parents     []*Individual // 2 per offspring pair, drawn serially
-	offspring   []Individual
-	meta        []Individual
-	popBuf      []Individual // survivor build buffer, swapped with pop
-	points      [][]float64
-	picked      []bool
-	groupOrder  []int
-	crowdOrd    crowdOrderSorter
-	workerSrc   []rng.Source // reseeded per offspring pair
-	varScratch  [][]int32    // per-worker repair scratch (first child's histogram)
-	varScratch2 [][]int32    // second child's histogram, alive at the same time
+	ranker     *moea.Ranker
+	arena      arena
+	parents    []*Individual // 2 per offspring pair, drawn serially
+	offspring  []Individual
+	meta       []Individual
+	popBuf     []Individual // survivor build buffer, swapped with pop
+	points     [][]float64
+	picked     []bool
+	groupOrder []int
+	crowdOrd   crowdOrderSorter
+	workerSrc  []rng.Source // reseeded per offspring pair
 
-	// Per-worker breeding scratch, reused pair after pair. slots[2w+c]
-	// is the execution-order slot array (sched.PackSlot per scheduling
-	// position) of worker w's current child c and mcounts[2w+c] its
-	// per-machine task histogram, both written by order repair (mutation
-	// patches them in O(1)) and read straight back by the child's
-	// evaluation; plans[w] carries Prepare's residue into the
-	// simulation. Slot and histogram rows are padded to whole cache
-	// lines inside one backing slice so concurrent workers never share
-	// a line.
-	slots   [][]uint64
+	// Per-worker breeding scratch, reused pair after pair. mcounts[2w+c]
+	// is worker w's current child c's machine histogram, indexed by
+	// machine+1 so that entry 0 is a sink for dropped tasks: the merge
+	// writes it while building the child, mutation patches it, and the
+	// child's evaluation reads mcounts[2w+c][1:]. Rows are padded to
+	// whole cache lines inside one backing slice so concurrent workers
+	// never share a line. plans[w] carries Prepare's residue into the
+	// simulation. shuffle[2w+c] is the Allocation ShuffleRepair
+	// materializes child c into before drawing its fresh order (nil
+	// under RerankRepair).
 	mcounts [][]int32
 	plans   []*sched.DeltaPlan
+	shuffle []sched.Allocation
 	// varyNs[w] and evalNs[w] are worker w's clock-measured variation
 	// and evaluation time in the current Step, the proportions by which
 	// the fused breeding bracket is split between the two phases.
@@ -534,18 +556,23 @@ func New(eval *sched.Evaluator, cfg Config, src *rng.Source) (*Engine, error) {
 		if err := eval.Validate(s); err != nil {
 			return nil, fmt.Errorf("nsga2: invalid seed: %w", err)
 		}
-		a := e.arena.getAlloc()
-		a.CopyFrom(s)
-		e.pop = append(e.pop, Individual{Alloc: a})
+		e.pop = append(e.pop, Individual{seq: e.pack(s)})
 	}
+	var a sched.Allocation
 	for len(e.pop) < cfg.PopulationSize {
-		a := e.arena.getAlloc()
-		eval.RandomAllocationInto(a, src)
-		e.pop = append(e.pop, Individual{Alloc: a})
+		eval.RandomAllocationInto(&a, src)
+		e.pop = append(e.pop, Individual{seq: e.pack(&a)})
 	}
 	e.evaluateAll(e.pop)
 	e.rank(e.pop)
 	return e, nil
+}
+
+// pack scatters a validated allocation into an arena sequence.
+func (e *Engine) pack(a *sched.Allocation) []uint32 {
+	q := e.arena.getSeq()
+	sched.ScatterSlots(a, q, nil)
+	return q
 }
 
 // ensureScratch sizes the per-engine buffers the generation loop reuses.
@@ -554,7 +581,6 @@ func (e *Engine) ensureScratch() {
 	if cap(e.parents) >= n {
 		return
 	}
-	nt := e.eval.NumTasks()
 	nm := e.eval.NumMachines()
 	e.parents = make([]*Individual, n)
 	e.offspring = make([]Individual, 0, n)
@@ -575,17 +601,14 @@ func (e *Engine) ensureScratch() {
 	for i := range e.dirty {
 		e.dirty[i] = dirtyBack[i*stride : i*stride+nm : i*stride+nm]
 	}
-	slotStride := (nt + 7) / 8 * 8 // 8 uint64 per 64-byte line
-	slotBack := make([]uint64, rows*slotStride)
-	e.slots = make([][]uint64, rows)
-	for i := range e.slots {
-		e.slots[i] = slotBack[i*slotStride : i*slotStride+nt : i*slotStride+nt]
-	}
-	cntStride := (nm + 15) / 16 * 16 // 16 int32 per 64-byte line
+	cntStride := (nm + 16) / 16 * 16 // nm+1 int32, 16 per 64-byte line
 	cntBack := make([]int32, rows*cntStride)
 	e.mcounts = make([][]int32, rows)
 	for i := range e.mcounts {
-		e.mcounts[i] = cntBack[i*cntStride : i*cntStride+nm : i*cntStride+nm]
+		e.mcounts[i] = cntBack[i*cntStride : i*cntStride+nm+1 : i*cntStride+nm+1]
+	}
+	if e.cfg.Repair == ShuffleRepair {
+		e.shuffle = make([]sched.Allocation, rows)
 	}
 	e.plans = make([]*sched.DeltaPlan, workers)
 	for w := range e.plans {
@@ -594,12 +617,6 @@ func (e *Engine) ensureScratch() {
 	e.varyNs = make([]int64, workers)
 	e.evalNs = make([]int64, workers)
 	e.workerSrc = make([]rng.Source, workers)
-	e.varScratch = make([][]int32, workers)
-	e.varScratch2 = make([][]int32, workers)
-	for w := range e.varScratch {
-		e.varScratch[w] = make([]int32, nt)
-		e.varScratch2[w] = make([]int32, nt)
-	}
 }
 
 // Generation returns the number of completed generations.
@@ -692,11 +709,9 @@ func (e *Engine) Inject(inds []Individual) error {
 	}
 	clones := make([]Individual, len(inds))
 	for i, ind := range inds {
-		// Copy into arena slots and leave Objectives nil: evaluateAll
-		// re-evaluates under this engine's problem.
-		a := e.arena.getAlloc()
-		a.CopyFrom(ind.Alloc)
-		clones[i] = Individual{Alloc: a}
+		// Pack into arena sequences and leave Objectives nil:
+		// evaluateAll re-evaluates under this engine's problem.
+		clones[i] = Individual{seq: e.pack(ind.Alloc)}
 	}
 	e.evaluateAll(clones)
 	idx := make([]int, len(e.pop))
@@ -711,7 +726,7 @@ func (e *Engine) Inject(inds []Individual) error {
 		return ia.Crowding < ib.Crowding
 	})
 	for i, c := range clones {
-		e.arena.putAlloc(e.pop[idx[i]].Alloc)
+		e.arena.putSeq(e.pop[idx[i]].seq)
 		e.arena.putObjs(e.pop[idx[i]].Objectives)
 		e.arena.putContrib(e.pop[idx[i]].contrib)
 		e.pop[idx[i]] = c
@@ -751,7 +766,7 @@ func (e *Engine) Step() {
 	e.offspring = e.offspring[:0]
 	for i := 0; i < n; i++ {
 		e.offspring = append(e.offspring, Individual{
-			Alloc:      e.arena.getAlloc(),
+			seq:        e.arena.getSeq(),
 			Objectives: e.arena.getObjs(),
 			contrib:    e.arena.getContrib(),
 		})
@@ -886,16 +901,17 @@ func (e *Engine) breedRange(w, lo, hi int, genSeed, genStream uint64) {
 }
 
 // evaluateChild evaluates offspring i, worker w's current child c,
-// straight from the slot array and histogram its order repair just
-// wrote: Prepare inherits every parent row whose machine bucket is
-// unchanged, the kernel simulates the rest, and Finish reduces the rows
-// to objective values.
+// straight from its execution sequence and the histogram its breeding
+// just wrote: Prepare inherits every row whose machine bucket is
+// unchanged from either parent (its own first, then its sibling's), the
+// kernel simulates the rest, and Finish reduces the rows to objective
+// values.
 //
 //detlint:hotpath
 func (e *Engine) evaluateChild(i, w, c int) {
 	ind := &e.offspring[i]
 	sess, plan := e.sessions[w], e.plans[w]
-	sess.Prepare(e.slots[2*w+c], e.mcounts[2*w+c], e.parents[i].contrib, ind.contrib, plan)
+	sess.Prepare(ind.seq, e.mcounts[2*w+c][1:], e.parents[i].contrib, e.parents[i^1].contrib, ind.contrib, plan)
 	sess.SimulateAllNeeds(plan, ind.contrib)
 	e.problem.fill(ind, sess.Finish(ind.contrib, plan), e.space.Dim())
 }
@@ -923,53 +939,40 @@ func (e *Engine) recordBreeding(start int64) {
 }
 
 // varyPair produces offspring 2k and 2k+1 from parents 2k and 2k+1 in
-// recycled buffers on worker w: crossover, order repair, then per-child
-// mutation coin flips, all drawn from the pair's own stream. Alongside
-// the chromosomes it writes each child's execution-order slot array
-// into the worker's scratch (a by-product of order repair, patched in
-// O(1) by mutation) and, while an observer is attached, the
-// dirty-machine telemetry: which machines each child's variation may
-// have touched relative to its parent.
+// recycled buffers on worker w: crossover with order repair, then
+// per-child mutation coin flips, all drawn from the pair's own stream.
+// Alongside each child's execution sequence it writes the child's
+// machine histogram into the worker's scratch and, while an observer is
+// attached, the dirty-machine telemetry: which machines each child's
+// variation may have touched relative to its parent.
 //
 //detlint:hotpath
 func (e *Engine) varyPair(k, w int, src *rng.Source) {
-	c1 := e.offspring[2*k].Alloc
-	c2 := e.offspring[2*k+1].Alloc
-	s1, s2 := e.slots[2*w], e.slots[2*w+1]
-	n1, n2 := e.mcounts[2*w], e.mcounts[2*w+1]
-	scratch, scratch2 := e.varScratch[w], e.varScratch2[w]
-	c1.CopyFrom(e.parents[2*k].Alloc)
-	c2.CopyFrom(e.parents[2*k+1].Alloc)
+	p1, p2 := e.parents[2*k].seq, e.parents[2*k+1].seq
+	c1, c2 := e.offspring[2*k].seq, e.offspring[2*k+1].seq
+	h1, h2 := e.mcounts[2*w], e.mcounts[2*w+1]
 	var d1, d2 []bool
 	if e.observer != nil {
 		d1, d2 = e.dirty[2*w], e.dirty[2*w+1]
-		for m := range d1 {
-			d1[m] = false
-			d2[m] = false
-		}
+		clear(d1)
+		clear(d2)
 	}
-	i, j := e.crossInto(c1, c2, s1, s2, n1, n2, src, scratch, scratch2)
-	if d1 != nil && e.cfg.Repair != ShuffleRepair {
-		// The candidate-dirty machines of BOTH children are the machines
-		// appearing in either child's post-swap segment: a machine either
-		// gains the segment tasks it now hosts or loses the ones the swap
-		// moved to the sibling. A machine with no segment genes keeps its
-		// task set, and rerank repair preserves the relative order of
-		// genes outside the segment, so its sequence is unchanged.
-		for g := i; g <= j; g++ {
-			if m := c1.Machine[g]; m >= 0 {
-				d1[m], d2[m] = true, true
-			}
-			if m := c2.Machine[g]; m >= 0 {
-				d1[m], d2[m] = true, true
-			}
-		}
+	n := len(c1)
+	i := src.Intn(n)
+	j := src.Intn(n)
+	if i > j {
+		i, j = j, i
+	}
+	if e.cfg.Repair == ShuffleRepair {
+		e.shuffleInto(w, p1, p2, c1, c2, h1, h2, i, j, src)
+	} else {
+		mergePair(p1, p2, c1, c2, h1, h2, i, j, d1, d2)
 	}
 	if src.Bool(e.cfg.MutationRate) {
-		e.mutateWith(c1, s1, n1, src, d1)
+		e.mutateWith(c1, h1, src, d1)
 	}
 	if src.Bool(e.cfg.MutationRate) {
-		e.mutateWith(c2, s2, n2, src, d2)
+		e.mutateWith(c2, h2, src, d2)
 	}
 	if d1 != nil {
 		n1, n2 := 0, 0
@@ -985,151 +988,163 @@ func (e *Engine) varyPair(k, w int, src *rng.Source) {
 	}
 }
 
-// crossInto applies segment swap and order repair to two chromosomes in
-// place, returning the inclusive swapped gene range. s1 and s2 receive
-// the children's execution-order slot arrays and n1 and n2 their
-// per-machine task histograms: the rerank path writes both during the
-// repair's placement pass for free, the shuffle path scatters them
-// after drawing fresh permutations.
+// mergePair builds both children of a segment swap over genes [i, j],
+// with rerank repair, straight from the parents' execution sequences
+// p1 and p2: it writes the children's sequences c1 and c2 and their
+// machine histograms h1 and h2 (indexed by machine+1, entry 0 a sink
+// for dropped tasks).
 //
-// The rerank path never recounts order values from scratch: each child
-// starts as a copy of one parent — a valid permutation, so every value's
-// count is one — and the segment swap adjusts exactly the counts of the
-// values it moves. The repair then consumes the maintained histogram
-// directly (repairOrderSlotsCounted), skipping the counting pass over
-// the whole chromosome.
+// Child 1 takes the genes outside [i, j] from parent 1 and the genes
+// inside from parent 2; child 2 the reverse. Each gene brings its
+// parent's scheduling position as its order value, and rerank orders a
+// child's genes by that value, ties to the lower gene index. Position r
+// holds exactly one gene in each parent, p1[r]'s task and p2[r]'s, so
+// walking r upward and emitting the genes each child takes at r (the
+// lower task first when it takes both) is that repair in one
+// sequential pass.
+//
+// When d1 is non-nil, the machines of the segment genes the merge
+// emits are flagged in both d1 and d2: a machine either gains the
+// segment tasks it now hosts or loses the ones the swap moved to the
+// sibling. A machine with no segment genes keeps its task set, and the
+// merge keeps the relative order of genes outside the segment, so its
+// sequence is unchanged.
 //
 //detlint:hotpath
-func (e *Engine) crossInto(c1, c2 *sched.Allocation, s1, s2 []uint64, n1, n2 []int32, src *rng.Source, scratch, scratch2 []int32) (int, int) {
-	n := c1.Len()
-	i := src.Intn(n)
-	j := src.Intn(n)
-	if i > j {
-		i, j = j, i
-	}
-	if e.cfg.Repair == ShuffleRepair {
-		for k := i; k <= j; k++ {
-			c1.Machine[k], c2.Machine[k] = c2.Machine[k], c1.Machine[k]
-			c1.Order[k], c2.Order[k] = c2.Order[k], c1.Order[k]
+func mergePair(p1, p2, c1, c2 []uint32, h1, h2 []int32, i, j int, d1, d2 []bool) {
+	const bits, mask = sched.SlotTaskBits, sched.SlotTaskMask
+	clear(h1)
+	clear(h2)
+	lo, span := uint32(i), uint32(j-i)
+	p2 = p2[:len(p1)]
+	k1, k2 := 0, 0
+	for r, a := range p1 {
+		b := p2[r]
+		inA := a&mask-lo <= span
+		inB := b&mask-lo <= span
+		if d1 != nil {
+			if inA {
+				flagDirty(a, d1, d2)
+			}
+			if inB {
+				flagDirty(b, d1, d2)
+			}
 		}
-		src.PermInto32(c1.Order)
-		src.PermInto32(c2.Order)
-		scatterSlots(c1, s1, n1)
-		scatterSlots(c2, s2, n2)
-		return i, j
-	}
-	cnt1, cnt2 := scratch[:n], scratch2[:n]
-	for k := range cnt1 {
-		cnt1[k] = 1
-	}
-	for k := range cnt2 {
-		cnt2[k] = 1
-	}
-	for k := i; k <= j; k++ {
-		o1, o2 := c1.Order[k], c2.Order[k]
-		c1.Machine[k], c2.Machine[k] = c2.Machine[k], c1.Machine[k]
-		c1.Order[k], c2.Order[k] = o2, o1
-		cnt1[o1]--
-		cnt1[o2]++
-		cnt2[o2]--
-		cnt2[o1]++
-	}
-	repairOrderSlotsCounted(c1.Order, c1.Machine, cnt1, s1, n1)
-	repairOrderSlotsCounted(c2.Order, c2.Machine, cnt2, s2, n2)
-	return i, j
-}
-
-// scatterSlots rebuilds an execution-order slot array and per-machine
-// task histogram from scratch — the fallback for repair paths that
-// don't produce them as by-products.
-//
-//detlint:hotpath
-func scatterSlots(a *sched.Allocation, slots []uint64, counts []int32) {
-	machine, order := a.Machine, a.Order
-	for m := range counts {
-		counts[m] = 0
-	}
-	for i := range machine {
-		m := machine[i]
-		slots[order[i]] = sched.PackSlot(m, i)
-		if m >= 0 {
-			counts[m]++
-		}
-	}
-}
-
-// repairOrderSlotsCounted rewrites ord into a permutation of [0, len):
-// genes are ranked by their (possibly duplicated) order values, ties
-// broken by gene index, preserving the relative ordering the values
-// express. Values must lie in [0, len), which segment swap between two
-// permutations guarantees. It is a counting sort, O(n) with no
-// comparison sort, over the order-value histogram counts that the
-// caller supplies (crossInto maintains it through the segment swap
-// instead of recounting the chromosome); counts is consumed, as the
-// prefix-sum pass turns it into placement cursors. The placement pass
-// visits every (gene, final rank) pair, so it also writes
-// slots[rank] = PackSlot(machine, gene) and rebuilds the per-machine
-// task histogram mcounts: the layout the evaluation phases consume
-// comes free with the repair.
-//
-//detlint:hotpath
-func repairOrderSlotsCounted(ord, machine, counts []int32, slots []uint64, mcounts []int32) {
-	var sum int32
-	for v, c := range counts {
-		counts[v] = sum
-		sum += c
-	}
-	for m := range mcounts {
-		mcounts[m] = 0
-	}
-	for i, v := range ord {
-		r := counts[v]
-		ord[i] = r
-		counts[v] = r + 1
-		m := machine[i]
-		slots[r] = sched.PackSlot(m, i)
-		if m >= 0 {
-			mcounts[m]++
+		switch {
+		case inA == inB: // each child takes one gene at r
+			if inA {
+				a, b = b, a
+			}
+			c1[k1], c2[k2] = a, b
+			k1++
+			k2++
+			h1[a>>bits]++
+			h2[b>>bits]++
+		case inB: // child 1 takes both: a from outside, b from the segment
+			if b&mask < a&mask {
+				a, b = b, a
+			}
+			c1[k1], c1[k1+1] = a, b
+			k1 += 2
+			h1[a>>bits]++
+			h1[b>>bits]++
+		default: // child 2 takes both: b from outside, a from the segment
+			if b&mask < a&mask {
+				a, b = b, a
+			}
+			c2[k2], c2[k2+1] = a, b
+			k2 += 2
+			h2[a>>bits]++
+			h2[b>>bits]++
 		}
 	}
 }
 
-// mutateWith implements the paper's operator: reassign one random gene
-// to a random eligible machine, and swap the global scheduling orders of
-// two random genes — patching the chromosome's slot array and machine
-// histogram in O(1) per edit. When dirty is non-nil it flags the
-// machines the edit may have touched: the gene's old and new machine,
-// plus the hosts of the two order-swapped genes (an order swap only
-// reorders those two tasks within their own machines).
+// flagDirty marks slot v's machine in both dirty rows (nothing for a
+// dropped task).
 //
 //detlint:hotpath
-func (e *Engine) mutateWith(a *sched.Allocation, slots []uint64, counts []int32, src *rng.Source, dirty []bool) {
-	n := a.Len()
+func flagDirty(v uint32, d1, d2 []bool) {
+	if m := sched.SlotMachine(v); m >= 0 {
+		d1[m], d2[m] = true, true
+	}
+}
+
+// shuffleInto is ShuffleRepair's crossover on worker w: it materializes
+// both parents as allocations, swaps their machines over [i, j], draws
+// each child a fresh random order, and scatters the children into c1
+// and c2 with their histograms (indexed as mergePair's).
+func (e *Engine) shuffleInto(w int, p1, p2, c1, c2 []uint32, h1, h2 []int32, i, j int, src *rng.Source) {
+	a1, a2 := &e.shuffle[2*w], &e.shuffle[2*w+1]
+	sched.UnpackSlots(p1, a1)
+	sched.UnpackSlots(p2, a2)
+	for g := i; g <= j; g++ {
+		a1.Machine[g], a2.Machine[g] = a2.Machine[g], a1.Machine[g]
+	}
+	src.PermInto32(a1.Order)
+	src.PermInto32(a2.Order)
+	sched.ScatterSlots(a1, c1, h1[1:])
+	sched.ScatterSlots(a2, c2, h2[1:])
+}
+
+// mutateWith implements the paper's operator on an execution sequence
+// and its histogram h (indexed as mergePair's): reassign one random
+// gene to a random eligible machine, and swap the global scheduling
+// orders of two random genes.
+//
+//detlint:hotpath
+func (e *Engine) mutateWith(seq []uint32, h []int32, src *rng.Source, dirty []bool) {
+	n := len(seq)
 	g := src.Intn(n)
 	el := e.eval.Eligible(e.eval.Trace().Tasks[g].Type)
-	old := a.Machine[g]
-	a.Machine[g] = int32(el[src.Intn(len(el))])
-	slots[a.Order[g]] = sched.PackSlot(a.Machine[g], g)
-	if old >= 0 {
-		counts[old]--
-	}
-	counts[a.Machine[g]]++
+	m := int32(el[src.Intn(len(el))])
 	x, y := src.Intn(n), src.Intn(n)
-	ox, oy := a.Order[x], a.Order[y]
-	a.Order[x], a.Order[y] = oy, ox
-	slots[ox], slots[oy] = slots[oy], slots[ox]
+	mutateSeq(seq, h, g, m, x, y, dirty)
+}
+
+// mutateSeq moves gene g to machine m, then swaps the scheduling
+// positions of genes x and y, patching seq and h in place. One scan
+// finds the three genes' positions; the machine patch comes first, so
+// when g is x or y the swap carries its new machine. When dirty is
+// non-nil it flags the machines the edit may have touched: g's old and
+// new machine, plus the hosts of x and y (an order swap only reorders
+// those two tasks within their own machines).
+//
+//detlint:hotpath
+func mutateSeq(seq []uint32, h []int32, g int, m int32, x, y int, dirty []bool) {
+	pg, px, py := -1, -1, -1
+	for r, v := range seq {
+		t := sched.SlotTask(v)
+		if t == g {
+			pg = r
+		}
+		if t == x {
+			px = r
+		}
+		if t == y {
+			py = r
+		}
+		if pg >= 0 && px >= 0 && py >= 0 {
+			break
+		}
+	}
+	old := seq[pg]
+	seq[pg] = sched.PackSlot(m, g)
+	h[old>>sched.SlotTaskBits]--
+	h[m+1]++
+	seq[px], seq[py] = seq[py], seq[px]
 	if dirty == nil {
 		return
 	}
-	if old >= 0 {
-		dirty[old] = true
+	if om := sched.SlotMachine(old); om >= 0 {
+		dirty[om] = true
 	}
-	dirty[a.Machine[g]] = true
-	if m := a.Machine[x]; m >= 0 {
-		dirty[m] = true
+	dirty[m] = true
+	if mx := sched.SlotMachine(seq[px]); mx >= 0 {
+		dirty[mx] = true
 	}
-	if m := a.Machine[y]; m >= 0 {
-		dirty[m] = true
+	if my := sched.SlotMachine(seq[py]); my >= 0 {
+		dirty[my] = true
 	}
 }
 
@@ -1194,7 +1209,7 @@ func (e *Engine) evaluateAll(inds []Individual) {
 		sess := e.sessions[w]
 		for i := lo; i < hi; i++ {
 			if inds[i].Objectives == nil {
-				e.problem.fill(&inds[i], sess.EvaluateFull(inds[i].Alloc, inds[i].contrib), dim)
+				e.problem.fill(&inds[i], sess.EvaluateSlots(inds[i].seq, inds[i].contrib), dim)
 			}
 		}
 	})
@@ -1283,7 +1298,7 @@ func (e *Engine) selectSurvivors(n int) {
 	// caches of the fallen.
 	for i := range meta {
 		if !picked[i] {
-			e.arena.putAlloc(meta[i].Alloc)
+			e.arena.putSeq(meta[i].seq)
 			e.arena.putObjs(meta[i].Objectives)
 			e.arena.putContrib(meta[i].contrib)
 			meta[i] = Individual{}

@@ -108,7 +108,7 @@ func TestStepKeepsPopulationValid(t *testing.T) {
 	e := eng.eval
 	for g := 0; g < 20; g++ {
 		eng.Step()
-		for i, ind := range eng.pop {
+		for i, ind := range eng.Population() {
 			if err := e.Validate(ind.Alloc); err != nil {
 				t.Fatalf("gen %d individual %d invalid: %v", g, i, err)
 			}
@@ -248,57 +248,107 @@ func TestParetoFrontMutuallyNondominated(t *testing.T) {
 	}
 }
 
+// randomParent draws a parent for the merge tests: a random order
+// permutation and machines in [-1, machines), dropped genes included.
+func randomParent(src *rng.Source, n, machines int) *sched.Allocation {
+	a := &sched.Allocation{Machine: make([]int32, n), Order: make([]int32, n)}
+	src.PermInto32(a.Order)
+	for g := range a.Machine {
+		a.Machine[g] = int32(src.Intn(machines+1)) - 1
+	}
+	return a
+}
+
+// TestRepairOrderProperty holds the merged children and their
+// histograms to the counting-sort reference on random parents and
+// segments, forcing segments of length 1 and n on some draws, and the
+// sequence mutation to the reference edit, forcing x = y and g ∈ {x, y}.
 func TestRepairOrderProperty(t *testing.T) {
-	check := func(seed uint32, nRaw, mRaw uint8) bool {
-		n, machines := int(nRaw%30)+2, int(mRaw%5)+1
+	check := func(seed uint32, nRaw, mRaw, shape uint8) bool {
+		n, machines := int(nRaw%30)+1, int(mRaw%5)+1
 		src := rng.New(uint64(seed))
-		ord, machine := make([]int32, n), make([]int32, n)
-		for i := range ord {
-			ord[i] = int32(src.Intn(n)) // duplicates likely
-			machine[i] = int32(src.Intn(machines+1)) - 1
+		p1, p2 := randomParent(src, n, machines), randomParent(src, n, machines)
+		i, j := src.Intn(n), src.Intn(n)
+		if i > j {
+			i, j = j, i
 		}
-		if err := checkRepair(ord, machine, machines); err != nil {
+		switch shape % 4 {
+		case 1:
+			j = i // one-gene segment
+		case 2:
+			i, j = 0, n-1 // the whole chromosome
+		}
+		if err := checkMerge(p1, p2, i, j, machines); err != nil {
+			t.Log(err)
+			return false
+		}
+		g, x, y := src.Intn(n), src.Intn(n), src.Intn(n)
+		switch shape % 3 {
+		case 1:
+			y = x
+		case 2:
+			x = g
+		}
+		if shape%5 == 0 {
+			y = g
+		}
+		if err := checkMutate(p1, g, int32(src.Intn(machines)), x, y, machines); err != nil {
 			t.Log(err)
 			return false
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRepairOrderIdentityOnPermutation: merging a parent with itself
+// returns it unchanged over every segment, and swapping the whole
+// chromosome returns the parents exchanged.
 func TestRepairOrderIdentityOnPermutation(t *testing.T) {
-	ord := []int32{3, 1, 0, 2}
-	if err := checkRepair(ord, []int32{0, -1, 1, 0}, 2); err != nil {
-		t.Fatal(err)
+	p := &sched.Allocation{Machine: []int32{0, -1, 1, 0}, Order: []int32{3, 1, 0, 2}}
+	q := &sched.Allocation{Machine: []int32{1, 1, -1, 0}, Order: []int32{0, 2, 3, 1}}
+	n := p.Len()
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			if err := checkMerge(p, p, i, j, 2); err != nil {
+				t.Fatal(err)
+			}
+			c1, c2 := make([]uint32, n), make([]uint32, n)
+			mergePair(packed(p), packed(p), c1, c2, make([]int32, 3), make([]int32, 3), i, j, nil, nil)
+			if want := packed(p); !reflect.DeepEqual(c1, want) || !reflect.DeepEqual(c2, want) {
+				t.Fatalf("segment [%d,%d]: self-merge changed the parent: %v, %v, want %v", i, j, c1, c2, want)
+			}
+		}
 	}
-	if want := []int32{3, 1, 0, 2}; !reflect.DeepEqual(ord, want) {
-		t.Fatalf("repair changed a valid permutation: %v", ord)
+	c1, c2 := make([]uint32, n), make([]uint32, n)
+	mergePair(packed(p), packed(q), c1, c2, make([]int32, 3), make([]int32, 3), 0, n-1, nil, nil)
+	if !reflect.DeepEqual(c1, packed(q)) || !reflect.DeepEqual(c2, packed(p)) {
+		t.Fatalf("whole-chromosome swap: children %v, %v, want the parents exchanged", c1, c2)
 	}
 }
 
 func TestCrossoverProducesValidChildren(t *testing.T) {
 	eng := newEngine(t, 30, Config{PopulationSize: 10}, 13)
 	e := eng.eval
-	scratch := make([]int32, e.NumTasks())
-	scratch2 := make([]int32, e.NumTasks())
-	s1 := make([]uint64, e.NumTasks())
-	s2 := make([]uint64, e.NumTasks())
-	n1 := make([]int32, e.NumMachines())
-	n2 := make([]int32, e.NumMachines())
+	n, nm := e.NumTasks(), e.NumMachines()
+	s1, s2 := make([]uint32, n), make([]uint32, n)
+	h1, h2 := make([]int32, nm+1), make([]int32, nm+1)
 	for trial := 0; trial < 100; trial++ {
-		c1 := e.RandomAllocation(eng.src)
-		c2 := e.RandomAllocation(eng.src)
-		lo, hi := eng.crossInto(c1, c2, s1, s2, n1, n2, eng.src, scratch, scratch2)
-		if lo < 0 || hi >= e.NumTasks() || lo > hi {
-			t.Fatalf("swapped segment [%d,%d] out of range", lo, hi)
+		p1 := packed(e.RandomAllocation(eng.src))
+		p2 := packed(e.RandomAllocation(eng.src))
+		lo, hi := eng.src.Intn(n), eng.src.Intn(n)
+		if lo > hi {
+			lo, hi = hi, lo
 		}
-		if err := e.Validate(c1); err != nil {
-			t.Fatalf("child 1 invalid: %v", err)
-		}
-		if err := e.Validate(c2); err != nil {
-			t.Fatalf("child 2 invalid: %v", err)
+		mergePair(p1, p2, s1, s2, h1, h2, lo, hi, nil, nil)
+		for k, s := range [][]uint32{s1, s2} {
+			var c sched.Allocation
+			sched.UnpackSlots(s, &c)
+			if err := e.Validate(&c); err != nil {
+				t.Fatalf("child %d invalid: %v", k+1, err)
+			}
 		}
 	}
 }
@@ -308,21 +358,19 @@ func TestMutationProducesValidAllocations(t *testing.T) {
 	e := eng.eval
 	a := e.RandomAllocation(eng.src)
 	dirty := make([]bool, e.NumMachines())
-	slots := make([]uint64, e.NumTasks())
-	counts := make([]int32, e.NumMachines())
-	for i, o := range a.Order {
-		slots[o] = sched.PackSlot(a.Machine[i], i)
-		if m := a.Machine[i]; m >= 0 {
-			counts[m]++
-		}
-	}
+	seq := packed(a)
+	counts := refHistogram(a, e.NumMachines())
 	for trial := 0; trial < 200; trial++ {
 		for m := range dirty {
 			dirty[m] = false
 		}
-		eng.mutateWith(a, slots, counts, eng.src, dirty)
+		eng.mutateWith(seq, counts, eng.src, dirty)
+		sched.UnpackSlots(seq, a)
 		if err := e.Validate(a); err != nil {
 			t.Fatalf("mutated allocation invalid: %v", err)
+		}
+		if want := refHistogram(a, e.NumMachines()); !reflect.DeepEqual(counts[1:], want[1:]) {
+			t.Fatalf("mutated histogram %v, want %v", counts[1:], want[1:])
 		}
 		n := 0
 		for _, d := range dirty {
@@ -339,7 +387,7 @@ func TestMutationProducesValidAllocations(t *testing.T) {
 func TestShuffleRepairStillValid(t *testing.T) {
 	eng := newEngine(t, 30, Config{PopulationSize: 10, Repair: ShuffleRepair}, 15)
 	eng.Run(5)
-	for i, ind := range eng.pop {
+	for i, ind := range eng.Population() {
 		if err := eng.eval.Validate(ind.Alloc); err != nil {
 			t.Fatalf("individual %d invalid under shuffle repair: %v", i, err)
 		}
@@ -391,7 +439,7 @@ func TestPopulationReturnsCopies(t *testing.T) {
 	pop := eng.Population()
 	pop[0].Alloc.Machine[0] = -99
 	pop[0].Objectives[0] = -99
-	if eng.pop[0].Alloc.Machine[0] == -99 || eng.pop[0].Objectives[0] == -99 {
+	if again := eng.Population(); again[0].Alloc.Machine[0] == -99 || eng.pop[0].Objectives[0] == -99 {
 		t.Fatal("Population exposes internal state")
 	}
 }
@@ -446,7 +494,7 @@ func TestTournamentSelectionRuns(t *testing.T) {
 	if len(eng.FrontPoints()) == 0 {
 		t.Fatal("empty front under tournament selection")
 	}
-	for i, ind := range eng.pop {
+	for i, ind := range eng.Population() {
 		if err := eng.eval.Validate(ind.Alloc); err != nil {
 			t.Fatalf("individual %d invalid: %v", i, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tradeoff/internal/rng"
+	"tradeoff/internal/sched"
 )
 
 // Snapshot is a serializable capture of an engine mid-run: the
@@ -29,10 +30,12 @@ type GenomeSnapshot struct {
 // Snapshot captures the engine's current state.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{Generation: e.generation, RNG: e.src.State()}
+	var a sched.Allocation
 	for _, ind := range e.pop {
+		sched.UnpackSlots(ind.seq, &a)
 		s.Population = append(s.Population, GenomeSnapshot{
-			Machine: widen(ind.Alloc.Machine),
-			Order:   widen(ind.Alloc.Order),
+			Machine: widen(a.Machine),
+			Order:   widen(a.Order),
 		})
 	}
 	return s
@@ -51,34 +54,34 @@ func (e *Engine) Restore(s *Snapshot) error {
 		return fmt.Errorf("nsga2: snapshot population %d, engine expects %d",
 			len(s.Population), e.cfg.PopulationSize)
 	}
-	// Build the restored population in arena slots; on a validation
-	// error the drawn slots go back and the engine is untouched.
+	// Build the restored population in arena sequences; on a
+	// validation error the drawn sequences go back and the engine is
+	// untouched.
 	pop := make([]Individual, len(s.Population))
+	var alloc sched.Allocation
 	for i, g := range s.Population {
-		alloc := e.arena.getAlloc()
 		var err error
 		alloc.Machine, err = narrowInto(alloc.Machine[:0], g.Machine)
 		if err == nil {
 			alloc.Order, err = narrowInto(alloc.Order[:0], g.Order)
 		}
 		if err == nil {
-			err = e.eval.Validate(alloc)
+			err = e.eval.Validate(&alloc)
 		}
 		if err != nil {
-			for k := 0; k <= i; k++ {
-				e.arena.putAlloc(pop[k].Alloc)
+			for k := 0; k < i; k++ {
+				e.arena.putSeq(pop[k].seq)
 			}
-			e.arena.putAlloc(alloc)
 			return fmt.Errorf("nsga2: snapshot genome %d invalid: %w", i, err)
 		}
-		pop[i] = Individual{Alloc: alloc}
+		pop[i] = Individual{seq: e.pack(&alloc)}
 	}
 	e.evaluateAll(pop)
 	e.rank(pop)
 	// Recycle the replaced population's buffers before swapping in the
 	// restored one.
 	for i := range e.pop {
-		e.arena.putAlloc(e.pop[i].Alloc)
+		e.arena.putSeq(e.pop[i].seq)
 		e.arena.putObjs(e.pop[i].Objectives)
 		e.arena.putContrib(e.pop[i].contrib)
 	}

@@ -19,11 +19,12 @@ import "slices"
 //
 // A machine's bucket is identified by a splitmix fingerprint of its
 // task sequence rather than by a stored copy of the sequence itself:
-// Prepare streams the allocation's execution-order slots once,
-// accumulating each machine's bucket fingerprint while gathering the
-// task sequences machine-major, and inherits the parent row of every
-// machine whose fingerprint matches the parent's. Only the machines
-// whose fingerprint misses get their sequence simulated.
+// Prepare streams the allocation's execution sequence (its packed
+// 32-bit slots, see PackSlot) once, accumulating each machine's bucket
+// fingerprint while gathering the task sequences machine-major, and
+// inherits the row of every machine whose fingerprint matches the
+// parent's, or failing that the other parent's. Only the machines whose
+// fingerprint misses both get their sequence simulated.
 //
 // The kernel here (typedCont, one serial walk per needed machine) is the
 // package's only simulation of a machine queue: the engine, Session, the
@@ -207,18 +208,18 @@ func (p *DeltaPlan) NeedSeq(k int) []int32 {
 // may be shared; each goroutine needs its own DeltaSession.
 type DeltaSession struct {
 	e *Evaluator
-	// slots is the standalone execution-order scratch for the
-	// Allocation-based entry points; engine callers pass their own
-	// per-offspring slot arrays.
-	slots []uint64
+	// slots is the standalone execution-sequence scratch for the
+	// Allocation-based entry points; the engine's genotype already is
+	// one.
+	slots []uint32
 	// fpSeed[m] seeds machine m's bucket fingerprint, so identical
 	// sequences on different machines never share one.
 	fpSeed []uint64
 	// cur is the per-machine gather cursor scratch.
 	cur []int32
 	// counts is the per-machine task-count scratch for the standalone
-	// Allocation-based entry points; engine callers maintain their own
-	// counts as a by-product of order repair.
+	// entry points; the engine's breeding writes its own counts as a
+	// by-product of building each child.
 	counts []int32
 	// plan is the standalone plan for the Allocation-based entry points.
 	plan *DeltaPlan
@@ -236,7 +237,7 @@ func (e *Evaluator) NewDeltaSession() *DeltaSession {
 	nm := e.NumMachines()
 	d := &DeltaSession{
 		e:      e,
-		slots:  make([]uint64, e.NumTasks()),
+		slots:  make([]uint32, e.NumTasks()),
 		fpSeed: make([]uint64, nm),
 		cur:    make([]int32, nm),
 		counts: make([]int32, nm),
@@ -252,37 +253,60 @@ func (e *Evaluator) NewDeltaSession() *DeltaSession {
 func (d *DeltaSession) Evaluator() *Evaluator { return d.e }
 
 // ScatterSlots rewrites slots (length NumTasks) into the allocation's
-// execution-order layout — slots[o] packs the machine assignment and
-// task id of the task scheduled o-th — and histograms the non-dropped
-// task count per machine into counts (length NumMachines). The engine
-// builds both as a by-product of order repair; this is the standalone
-// fallback.
+// execution sequence — slots[o] = PackSlot(machine, task) of the task
+// scheduled o-th — and, when counts is non-nil, histograms the
+// non-dropped task count per machine into counts (length NumMachines).
+// Order must be a permutation; machines must fit the slot (see
+// PackSlot).
 //
 //detlint:hotpath
-func (d *DeltaSession) ScatterSlots(a *Allocation, slots []uint64, counts []int32) {
-	machine, order := a.Machine, a.Order
-	for m := range counts {
-		counts[m] = 0
+func ScatterSlots(a *Allocation, slots []uint32, counts []int32) {
+	for i, m := range a.Machine {
+		slots[a.Order[i]] = PackSlot(m, i)
 	}
-	for i := range machine {
-		m := machine[i]
-		slots[order[i]] = PackSlot(m, i)
+	if counts == nil {
+		return
+	}
+	clear(counts)
+	for _, m := range a.Machine {
 		if m >= 0 {
 			counts[m]++
 		}
 	}
 }
 
-// Prepare streams the execution-order slots once, computing every
+// UnpackSlots is ScatterSlots' inverse: it rewrites a's Machine and
+// Order from an execution sequence, reusing a's backing arrays when
+// they are large enough.
+func UnpackSlots(slots []uint32, a *Allocation) {
+	n := len(slots)
+	if cap(a.Machine) < n {
+		a.Machine = make([]int32, n)
+	}
+	if cap(a.Order) < n {
+		a.Order = make([]int32, n)
+	}
+	a.Machine, a.Order = a.Machine[:n], a.Order[:n]
+	for r, v := range slots {
+		t := SlotTask(v)
+		a.Machine[t] = SlotMachine(v)
+		a.Order[t] = int32(r)
+	}
+}
+
+// Prepare streams the execution sequence once, computing every
 // machine's bucket fingerprint into dst and gathering every machine's
-// task sequence machine-major into the plan, inheriting the parent's
-// contribution row for each machine whose fingerprint matches (any
-// machine when parent is nil, invalid, or dst itself never matches),
-// and listing the remaining machines in plan.Need. counts must hold
-// each machine's non-dropped task count for these slots (a by-product
-// of building them — see ScatterSlots); it is what lets the gather
-// land machine-major in the same walk that computes the fingerprints.
-// The caller simulates each needed machine, then calls Finish.
+// task sequence machine-major into the plan. It inherits the parent's
+// contribution row for each machine whose fingerprint matches the
+// parent's, else alt's row when alt's matches (a parent that is nil,
+// invalid, or dst itself never matches), and lists the remaining
+// machines in plan.Need. The engine passes a child's two parents as
+// parent and alt; the standalone entry points pass at most one. counts
+// must hold each machine's non-dropped task count for these slots (a
+// by-product of building them — see ScatterSlots); it is what lets the
+// gather land machine-major in the same walk that computes the
+// fingerprints. The caller simulates each needed machine, then calls
+// Finish.
 //
 // Inheritance is decided by content, not by dirty-machine flags: an
 // unchanged sequence always reproduces the parent's fingerprint, so it
@@ -292,7 +316,7 @@ func (d *DeltaSession) ScatterSlots(a *Allocation, slots []uint64, counts []int3
 // every population member against a fresh EvaluateFull to rule that out.
 //
 //detlint:hotpath
-func (d *DeltaSession) Prepare(slots []uint64, counts []int32, parent *Contribs, dst *Contribs, plan *DeltaPlan) {
+func (d *DeltaSession) Prepare(slots []uint32, counts []int32, parent, alt, dst *Contribs, plan *DeltaPlan) {
 	nm := len(dst.FP)
 	fp := dst.FP
 	copy(fp, d.fpSeed)
@@ -308,29 +332,36 @@ func (d *DeltaSession) Prepare(slots []uint64, counts []int32, parent *Contribs,
 	plan.seq = plan.seq[:cum]
 	seq := plan.seq
 	for _, v := range slots {
-		m := v >> 32
+		m := v >> SlotTaskBits
 		if m == 0 {
 			continue // dropped task
 		}
-		fp[m-1] = (fp[m-1] ^ (v&0xffffffff + 1)) * FPMul1
-		seq[cur[m-1]] = int32(uint32(v))
+		t := v & SlotTaskMask
+		fp[m-1] = (fp[m-1] ^ uint64(t+1)) * FPMul1
+		seq[cur[m-1]] = int32(t)
 		cur[m-1]++
 	}
 	pv := parent.Valid() && parent != dst
-	plan.parentValid = pv
+	av := alt.Valid() && alt != dst && alt != parent
+	plan.parentValid = pv || av
 	plan.Need = plan.Need[:0]
 	for m := 0; m < nm; m++ {
 		fp[m] = Mix64(fp[m] ^ uint64(uint32(counts[m])))
+		var src *Contribs
 		if pv && fp[m] == parent.FP[m] {
-			dst.Utility[m] = parent.Utility[m]
-			dst.Energy[m] = parent.Energy[m]
-			dst.Busy[m] = parent.Busy[m]
-			dst.Ready[m] = parent.Ready[m]
-			dst.Done[m] = parent.Done[m]
-			d.stats.MachinesInherited++
+			src = parent
+		} else if av && fp[m] == alt.FP[m] {
+			src = alt
+		} else {
+			plan.Need = append(plan.Need, int32(m))
 			continue
 		}
-		plan.Need = append(plan.Need, int32(m))
+		dst.Utility[m] = src.Utility[m]
+		dst.Energy[m] = src.Energy[m]
+		dst.Busy[m] = src.Busy[m]
+		dst.Ready[m] = src.Ready[m]
+		dst.Done[m] = src.Done[m]
+		d.stats.MachinesInherited++
 	}
 }
 
@@ -460,13 +491,13 @@ func (d *DeltaSession) reduce(c *Contribs) Evaluation {
 	return ev
 }
 
-// evaluate is the shared Allocation-based pipeline: scatter, prepare
-// against the given parent, simulate every needed machine, reduce.
+// evaluate is the shared standalone pipeline: prepare an execution
+// sequence and its machine counts against the given parent, simulate
+// every needed machine, reduce.
 //
 //detlint:hotpath
-func (d *DeltaSession) evaluate(a *Allocation, parent *Contribs, dst *Contribs) Evaluation {
-	d.ScatterSlots(a, d.slots, d.counts)
-	d.Prepare(d.slots, d.counts, parent, dst, d.plan)
+func (d *DeltaSession) evaluate(slots []uint32, counts []int32, parent *Contribs, dst *Contribs) Evaluation {
+	d.Prepare(slots, counts, parent, nil, dst, d.plan)
 	d.SimulateAllNeeds(d.plan, dst)
 	return d.Finish(dst, d.plan)
 }
@@ -480,7 +511,22 @@ func (d *DeltaSession) evaluate(a *Allocation, parent *Contribs, dst *Contribs) 
 //detlint:hotpath
 //detlint:pure
 func (d *DeltaSession) EvaluateFull(a *Allocation, dst *Contribs) Evaluation {
-	return d.evaluate(a, nil, dst)
+	ScatterSlots(a, d.slots, d.counts)
+	return d.evaluate(d.slots, d.counts, nil, dst)
+}
+
+// EvaluateSlots is EvaluateFull for an allocation given as its
+// execution sequence (the NSGA-II engine's genotype).
+//
+//detlint:hotpath
+func (d *DeltaSession) EvaluateSlots(slots []uint32, dst *Contribs) Evaluation {
+	clear(d.counts)
+	for _, v := range slots {
+		if m := SlotMachine(v); m >= 0 {
+			d.counts[m]++
+		}
+	}
+	return d.evaluate(slots, d.counts, nil, dst)
 }
 
 // CompletionTimes evaluates the allocation like EvaluateFull and also
@@ -494,8 +540,8 @@ func (d *DeltaSession) CompletionTimes(a *Allocation, dst *Contribs) ([]float64,
 	for i := range times {
 		times[i] = -1
 	}
-	d.ScatterSlots(a, d.slots, d.counts)
-	d.Prepare(d.slots, d.counts, nil, dst, d.plan)
+	ScatterSlots(a, d.slots, d.counts)
+	d.Prepare(d.slots, d.counts, nil, nil, dst, d.plan)
 	for k, m := range d.plan.Need {
 		seq := d.plan.NeedSeq(k)
 		var st kstate
@@ -520,5 +566,6 @@ func (d *DeltaSession) CompletionTimes(a *Allocation, dst *Contribs) ([]float64,
 //
 //detlint:hotpath
 func (d *DeltaSession) EvaluateDelta(a *Allocation, parent *Contribs, dst *Contribs) Evaluation {
-	return d.evaluate(a, parent, dst)
+	ScatterSlots(a, d.slots, d.counts)
+	return d.evaluate(d.slots, d.counts, parent, dst)
 }

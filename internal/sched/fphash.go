@@ -26,12 +26,33 @@ func Mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// The execution-order slot is one uint32: the machine assignment plus
+// one (so Dropped packs to zero) in the high 12 bits, the task id in
+// the low SlotTaskBits bits. An execution sequence (slot array) maps
+// global scheduling position r to PackSlot(machine, task) of the task
+// scheduled r-th; it is both the NSGA-II engine's genotype and the
+// layout the machine-major kernel consumes (DESIGN.md §12).
+const (
+	SlotTaskBits = 20
+	SlotTaskMask = 1<<SlotTaskBits - 1
+	// MaxSlotTasks and MaxSlotMachines bound the instances NewEvaluator
+	// accepts. Each leaves its field's all-ones value unused, so no
+	// valid slot is ^uint32(0).
+	MaxSlotTasks    = SlotTaskMask
+	MaxSlotMachines = 1<<(32-SlotTaskBits) - 2
+)
+
 // PackSlot packs one task's placement into the execution-order slot
-// format the machine-major kernel consumes: machine assignment (shifted
-// so Dropped packs to zero) in the high half, task id in the low half.
-// An execution-order slot array maps global scheduling order o to
-// PackSlot(machine, task) of the task scheduled o-th; dropped tasks are
-// recognized by a zero high half.
-func PackSlot(machine int32, task int) uint64 {
-	return uint64(uint32(machine+1))<<32 | uint64(uint32(task))
+// format. The task must be below MaxSlotTasks and the machine below
+// MaxSlotMachines (or Dropped), which NewEvaluator guarantees for every
+// allocation it validates.
+func PackSlot(machine int32, task int) uint32 {
+	return uint32(machine+1)<<SlotTaskBits | uint32(task)
 }
+
+// SlotMachine returns the machine a slot assigns (Dropped for a
+// dropped task).
+func SlotMachine(v uint32) int32 { return int32(v>>SlotTaskBits) - 1 }
+
+// SlotTask returns the task id a slot holds.
+func SlotTask(v uint32) int { return int(v & SlotTaskMask) }

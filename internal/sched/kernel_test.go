@@ -123,8 +123,8 @@ func (d *DeltaSession) simMachine(m int, tasks []int32, dst *Contribs) {
 // scalarEvaluateFull is EvaluateFull with every needed machine run
 // through the reference loop instead of the production kernel.
 func scalarEvaluateFull(d *DeltaSession, a *Allocation, dst *Contribs) Evaluation {
-	d.ScatterSlots(a, d.slots, d.counts)
-	d.Prepare(d.slots, d.counts, nil, dst, d.plan)
+	ScatterSlots(a, d.slots, d.counts)
+	d.Prepare(d.slots, d.counts, nil, nil, dst, d.plan)
 	for k, m := range d.plan.Need {
 		d.simMachine(int(m), d.plan.NeedSeq(k), dst)
 	}

@@ -6,7 +6,9 @@
 // in the trace it holds the machine instance the task executes on and the
 // task's global scheduling order. Each machine executes its tasks in
 // increasing global order; if the next task has not yet arrived the
-// machine idles until the arrival (§IV-D).
+// machine idles until the arrival (§IV-D). The engine itself stores each
+// chromosome as the equivalent execution sequence of packed slots (see
+// PackSlot, ScatterSlots and UnpackSlots).
 package sched
 
 import (
@@ -50,15 +52,6 @@ func (a *Allocation) Clone() *Allocation {
 		Machine: append([]int32(nil), a.Machine...),
 		Order:   append([]int32(nil), a.Order...),
 	}
-}
-
-// CopyFrom overwrites a with src's genes, reusing a's backing arrays
-// when they have sufficient capacity. Recycled allocations combined with
-// CopyFrom let hot loops (the NSGA-II variation phase) produce offspring
-// without per-generation allocation.
-func (a *Allocation) CopyFrom(src *Allocation) {
-	a.Machine = append(a.Machine[:0], src.Machine...)
-	a.Order = append(a.Order[:0], src.Order...)
 }
 
 // Evaluation is the outcome of simulating an allocation.
@@ -126,11 +119,41 @@ type taskMeta struct {
 	_       int32
 }
 
+// LimitError reports an instance too large for the packed 32-bit
+// execution-order slot (see PackSlot): NewEvaluator refuses it rather
+// than let a task id or machine index wrap into a neighbouring field.
+type LimitError struct {
+	// What names the bounded quantity: "tasks" or "machines".
+	What string
+	// Count is the instance's size, Limit the largest size accepted.
+	Count, Limit int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("sched: %d %s exceed the packed slot limit of %d %s", e.Count, e.What, e.Limit, e.What)
+}
+
+// checkSlotLimits returns a *LimitError when a trace of the given task
+// count or a system of the given machine count cannot be packed.
+func checkSlotLimits(tasks, machines int) error {
+	if tasks > MaxSlotTasks {
+		return &LimitError{What: "tasks", Count: tasks, Limit: MaxSlotTasks}
+	}
+	if machines > MaxSlotMachines {
+		return &LimitError{What: "machines", Count: machines, Limit: MaxSlotMachines}
+	}
+	return nil
+}
+
 // NewEvaluator validates the trace against the system and precomputes
-// per-instance ETC/EEC tables.
+// per-instance ETC/EEC tables. A trace over MaxSlotTasks tasks or a
+// system over MaxSlotMachines machines is refused with a *LimitError.
 func NewEvaluator(sys *hcs.System, trace *workload.Trace) (*Evaluator, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: invalid system: %w", err)
+	}
+	if err := checkSlotLimits(trace.NumTasks(), sys.NumMachines()); err != nil {
+		return nil, err
 	}
 	if err := trace.Validate(sys); err != nil {
 		return nil, fmt.Errorf("sched: invalid trace: %w", err)

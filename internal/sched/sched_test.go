@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -541,29 +543,52 @@ func TestSessionEvaluateZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestAllocationCopyFrom(t *testing.T) {
-	src := &Allocation{Machine: []int32{2, 0, 1}, Order: []int32{1, 2, 0}}
-	dst := NewAllocation(3)
-	dst.CopyFrom(src)
-	for i := range src.Machine {
-		if dst.Machine[i] != src.Machine[i] || dst.Order[i] != src.Order[i] {
-			t.Fatalf("CopyFrom mismatch at %d: %+v vs %+v", i, dst, src)
+// TestSlotLimits pins the packed slot's bounds as structured errors:
+// the machine bound through NewEvaluator on a tiny trace, the task
+// bound through the validation helper NewEvaluator calls (a trace of a
+// million tasks is too slow to build for a unit test).
+func TestSlotLimits(t *testing.T) {
+	withMachines := func(n int) (*hcs.System, *workload.Trace) {
+		sys := tinySystem(t)
+		sys.Machines = make([]hcs.Machine, n)
+		for m := range sys.Machines {
+			sys.Machines[m] = hcs.Machine{ID: m, Type: m % 2}
+		}
+		return sys, tinyTrace(t)
+	}
+	cases := []struct {
+		name  string
+		check func() error
+		what  string // "" when the instance must be accepted
+		count int
+	}{
+		{"machines at limit", func() error { _, err := NewEvaluator(withMachines(MaxSlotMachines)); return err }, "", 0},
+		{"machines over limit", func() error { _, err := NewEvaluator(withMachines(MaxSlotMachines + 1)); return err }, "machines", MaxSlotMachines + 1},
+		{"tasks at limit", func() error { return checkSlotLimits(MaxSlotTasks, 2) }, "", 0},
+		{"tasks over limit", func() error { return checkSlotLimits(MaxSlotTasks+1, 2) }, "tasks", MaxSlotTasks + 1},
+	}
+	for _, tc := range cases {
+		err := tc.check()
+		if tc.what == "" {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		var le *LimitError
+		if !errors.As(err, &le) {
+			t.Errorf("%s: error %v, want a *LimitError", tc.name, err)
+			continue
+		}
+		limit := map[string]int{"machines": MaxSlotMachines, "tasks": MaxSlotTasks}[tc.what]
+		if le.What != tc.what || le.Count != tc.count || le.Limit != limit {
+			t.Errorf("%s: %+v, want %s %d over limit %d", tc.name, *le, tc.what, tc.count, limit)
+		}
+		if !strings.Contains(err.Error(), strconv.Itoa(limit)) {
+			t.Errorf("%s: message %q does not name the limit %d", tc.name, err, limit)
 		}
 	}
-	// Mutating the copy must not touch the source.
-	dst.Machine[0], dst.Order[0] = 9, 9
-	if src.Machine[0] == 9 || src.Order[0] == 9 {
-		t.Fatal("CopyFrom aliases the source")
-	}
-	// Copying a shorter allocation into a longer one shrinks it in place
-	// without reallocating.
-	long := NewAllocation(10)
-	backing := &long.Machine[0]
-	long.CopyFrom(src)
-	if long.Len() != 3 {
-		t.Fatalf("CopyFrom length %d, want 3", long.Len())
-	}
-	if &long.Machine[0] != backing {
-		t.Fatal("CopyFrom reallocated despite sufficient capacity")
+	if MaxSlotTasks != 1048575 || MaxSlotMachines != 4094 {
+		t.Fatalf("slot limits %d tasks / %d machines, want 1048575 / 4094", MaxSlotTasks, MaxSlotMachines)
 	}
 }
