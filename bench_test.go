@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tradeoff/internal/core"
 	"tradeoff/internal/data"
 	"tradeoff/internal/datagen"
 	"tradeoff/internal/experiments"
@@ -397,6 +398,33 @@ func BenchmarkEvaluate4000Evolved(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink = dsess.EvaluateFull(pop[i%len(pop)].Alloc, contribs)
+	}
+	_ = sink
+}
+
+// BenchmarkEvaluateReplay4000 times the standalone replay a caller runs
+// once per returned front point: Framework.Evaluate, Validate plus the
+// kernel on the evaluator's pooled scratch, on a random data-set-3
+// allocation. Warm, it makes 0 allocations.
+func BenchmarkEvaluateReplay4000(b *testing.B) {
+	ds, err := experiments.ByNumber(3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fw, err := core.New(ds.System, ds.Trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := fw.Evaluator().RandomAllocation(rng.New(2))
+	var sink sched.Evaluation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := fw.Evaluate(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = ev
 	}
 	_ = sink
 }

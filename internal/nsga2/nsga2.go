@@ -558,6 +558,9 @@ func New(eval *sched.Evaluator, cfg Config, src *rng.Source) (*Engine, error) {
 		}
 		e.pop = append(e.pop, Individual{seq: e.pack(s)})
 	}
+	// The seeds now live in arena sequences; nothing reads them again,
+	// so the engine does not keep the caller's allocations alive.
+	e.cfg.Seeds = nil
 	var a sched.Allocation
 	for len(e.pop) < cfg.PopulationSize {
 		eval.RandomAllocationInto(&a, src)

@@ -289,6 +289,9 @@ func NewIslandShard(eval *sched.Evaluator, cfg IslandConfig, src *rng.Source, lo
 		}
 		s.engines = append(s.engines, eng)
 	}
+	// Each engine packed its share of the seeds; drop the shard's
+	// reference to them too.
+	s.cfg.Engine.Seeds = nil
 	s.space = s.engines[0].space
 	return s, nil
 }

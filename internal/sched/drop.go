@@ -20,10 +20,12 @@ package sched
 func DropNegligible(e *Evaluator, a *Allocation, minUtility float64) (*Allocation, Evaluation) {
 	e.AllowDropping = true
 	out := a.Clone()
-	sess := e.NewSession()
+	r := e.getReplay()
+	defer e.replays.Put(r)
+	d, c := r.session(e)
 	tasks := e.trace.Tasks
 	for {
-		times, _ := sess.CompletionTimes(out)
+		times, _ := d.CompletionTimes(out, c)
 		changed := false
 		for i, ct := range times {
 			if out.Machine[i] == Dropped || ct < 0 {
@@ -38,5 +40,5 @@ func DropNegligible(e *Evaluator, a *Allocation, minUtility float64) (*Allocatio
 			break
 		}
 	}
-	return out, sess.Evaluate(out)
+	return out, d.EvaluateFull(out, c)
 }

@@ -26,10 +26,13 @@ type GanttRow struct {
 // from CompletionTimes; Start is the later of the task's arrival and
 // the End of the machine's previous task.
 func (e *Evaluator) Gantt(a *Allocation) ([]GanttRow, error) {
-	if err := e.Validate(a); err != nil {
+	r := e.getReplay()
+	defer e.replays.Put(r)
+	if err := e.validate(a, r); err != nil {
 		return nil, err
 	}
-	times, _ := e.NewSession().CompletionTimes(a)
+	d, c := r.session(e)
+	times, _ := d.CompletionTimes(a, c)
 	tasks := e.trace.Tasks
 	var rows []GanttRow
 	for ti, end := range times {

@@ -26,13 +26,16 @@ type MachineReport struct {
 
 // Report simulates the allocation and returns per-machine breakdowns,
 // index-aligned with the system's machine instances. Each row is the
-// machine's contribution row from EvaluateFull.
+// machine's contribution row from EvaluateFull. Only the returned rows
+// are allocated; the replay runs on the evaluator's pooled scratch.
 func (e *Evaluator) Report(a *Allocation) ([]MachineReport, error) {
-	if err := e.Validate(a); err != nil {
+	rp := e.getReplay()
+	defer e.replays.Put(rp)
+	if err := e.validate(a, rp); err != nil {
 		return nil, err
 	}
-	c := e.NewContribs()
-	e.NewDeltaSession().EvaluateFull(a, c)
+	d, c := rp.session(e)
+	d.EvaluateFull(a, c)
 	reports := make([]MachineReport, e.NumMachines())
 	for m := range reports {
 		r := &reports[m]

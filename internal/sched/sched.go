@@ -13,6 +13,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"tradeoff/internal/hcs"
 	"tradeoff/internal/rng"
@@ -71,10 +72,13 @@ type Evaluation struct {
 func (ev Evaluation) EnergyMegajoules() float64 { return ev.Energy / 1e6 }
 
 // Evaluator simulates allocations for a fixed system and trace. Once
-// configured it is read-only and safe for concurrent use; each
-// goroutine evaluates through its own Session or DeltaSession. Every
+// configured its tables are read-only and it is safe for concurrent
+// use: a hot loop evaluates through its own Session or DeltaSession,
+// and the standalone replays (Validate, Evaluate, Report, Gantt,
+// DropNegligible) draw their scratch from the Evaluator's pool. Every
 // evaluation runs the machine-major kernel in delta.go, so all of the
-// Evaluator's replays of one allocation agree bit for bit.
+// Evaluator's replays of one allocation agree bit for bit. An Evaluator
+// must not be copied.
 type Evaluator struct {
 	sys   *hcs.System
 	trace *workload.Trace
@@ -105,6 +109,39 @@ type Evaluator struct {
 	// out of meta because the kernel reads them only for a completion
 	// past the first segment and inside the tail guard.
 	later []utility.Later
+
+	// replays pools the standalone replays' idle scratch (*replay).
+	replays sync.Pool
+}
+
+// replay is one standalone replay's scratch: the DeltaSession and
+// Contribs the kernel fills, and Validate's order-check bitset. Each
+// part is built on first use, so a pool miss costs Validate only the
+// struct and a bitset of one bit per task. Every call overwrites the
+// scratch it uses, so a replay carries no state from one call to the
+// next.
+type replay struct {
+	d    *DeltaSession
+	c    *Contribs
+	seen []uint64
+}
+
+// getReplay takes an idle replay scratch from the pool, or a new one
+// when the pool is empty; the caller puts it back in e.replays once
+// nothing it returns still reads the scratch.
+func (e *Evaluator) getReplay() *replay {
+	if r, ok := e.replays.Get().(*replay); ok {
+		return r
+	}
+	return new(replay)
+}
+
+// session returns the replay's DeltaSession and Contribs.
+func (r *replay) session(e *Evaluator) (*DeltaSession, *Contribs) {
+	if r.d == nil {
+		r.d, r.c = e.NewDeltaSession(), e.NewContribs()
+	}
+	return r.d, r.c
 }
 
 // taskMeta is the per-task record of everything the machine-major
@@ -225,11 +262,24 @@ func (e *Evaluator) Eligible(t int) []int { return e.eligible[t] }
 // evaluator: correct length, machines in range and capable (or Dropped if
 // permitted), and Order a permutation.
 func (e *Evaluator) Validate(a *Allocation) error {
+	r := e.getReplay()
+	err := e.validate(a, r)
+	e.replays.Put(r)
+	return err
+}
+
+// validate is Validate on the given replay scratch.
+func (e *Evaluator) validate(a *Allocation, r *replay) error {
 	n := e.NumTasks()
 	if len(a.Machine) != n || len(a.Order) != n {
 		return fmt.Errorf("sched: allocation covers %d/%d tasks, trace has %d", len(a.Machine), len(a.Order), n)
 	}
-	seen := make([]bool, n)
+	words := (n + 63) / 64
+	if cap(r.seen) < words {
+		r.seen = make([]uint64, words)
+	}
+	seen := r.seen[:words]
+	clear(seen)
 	for i := 0; i < n; i++ {
 		m := a.Machine[i]
 		if m == Dropped {
@@ -249,10 +299,11 @@ func (e *Evaluator) Validate(a *Allocation) error {
 		if o < 0 || o >= n {
 			return fmt.Errorf("sched: task %d order %d out of range", i, o)
 		}
-		if seen[o] {
+		bit := uint64(1) << (o & 63)
+		if seen[o>>6]&bit != 0 {
 			return fmt.Errorf("sched: order %d assigned twice", o)
 		}
-		seen[o] = true
+		seen[o>>6] |= bit
 	}
 	return nil
 }
@@ -331,10 +382,17 @@ func (s *Session) CompletionTimes(a *Allocation) ([]float64, Evaluation) {
 	return s.d.CompletionTimes(a, s.c)
 }
 
-// Evaluate is a convenience that allocates a fresh session per call. Use
-// a Session in hot loops.
+// Evaluate simulates the allocation and returns the objective values,
+// bit-identical to a Session's. It runs on scratch from the evaluator's
+// replay pool, so it is safe for concurrent use and, once the pool is
+// warm, does not allocate. The allocation is not validated and must be
+// valid; call Validate first when the source is untrusted.
 func (e *Evaluator) Evaluate(a *Allocation) Evaluation {
-	return e.NewSession().Evaluate(a)
+	r := e.getReplay()
+	d, c := r.session(e)
+	ev := d.EvaluateFull(a, c)
+	e.replays.Put(r)
+	return ev
 }
 
 // RandomAllocation draws a uniformly random feasible allocation: every
