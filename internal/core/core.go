@@ -223,81 +223,98 @@ func (f *Framework) Optimize(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// FinishFront assembles a Result from a final rank-1 front: it sorts by
-// increasing energy (stably, carrying allocations along), deduplicates
-// identical objective pairs, and applies the shared post-processing
-// (optional ε-archive compaction, UPE region, hypervolume). It is the
-// common tail of every optimization mode — single population, islands,
-// and the distributed island coordinator, whose merged worker fronts
-// enter here so a distributed run's Result is assembled exactly like an
-// in-process one.
+// GenotypeError reports a front individual FinishFront cannot
+// materialize: it carries neither an engine genome nor an allocation.
+type GenotypeError struct {
+	// Index is the individual's position in the front passed in.
+	Index int
+}
+
+func (e *GenotypeError) Error() string {
+	return fmt.Sprintf("core: front individual %d carries neither a genome nor an allocation", e.Index)
+}
+
+// FinishFront assembles a Result from a final rank-1 front. It works on
+// objective points first: it sorts them by increasing energy (stably),
+// drops identical objective pairs and applies the optional ε-archive
+// compaction. Only then does it materialize, through
+// Individual.Allocation, the allocation behind each point it kept, so a
+// front of shared engine genomes costs allocations for the survivors
+// alone. Last it computes the UPE region and hypervolume of the
+// returned front. It is the common tail of every optimization mode —
+// single population, islands, and the distributed island coordinator,
+// whose merged worker fronts enter here so a distributed run's Result
+// is assembled exactly like an in-process one. FinishFront reorders
+// front in place; an individual without a genotype is refused with a
+// *GenotypeError naming its index in front as passed.
 func (f *Framework) FinishFront(front []nsga2.Individual, opts Options) (*Result, error) {
 	if opts.UPETolerance == 0 {
 		opts.UPETolerance = 0.05
 	}
+	for i := range front {
+		if !front[i].HasGenotype() {
+			return nil, &GenotypeError{Index: i}
+		}
+	}
 	sort.SliceStable(front, func(i, j int) bool { return front[i].Objectives[1] < front[j].Objectives[1] })
 	res := &Result{Generations: opts.Generations}
 	seen := make(map[[2]float64]bool, len(front))
-	for _, ind := range front {
+	keep := make([]int, 0, len(front)) // front index behind each res.Front point
+	for i, ind := range front {
 		key := [2]float64{ind.Objectives[0], ind.Objectives[1]}
 		if seen[key] {
 			continue // identical objective pairs add nothing to the front
 		}
 		seen[key] = true
 		res.Front = append(res.Front, analysis.FrontPoint{Utility: ind.Objectives[0], Energy: ind.Objectives[1]})
-		res.Allocations = append(res.Allocations, ind.Alloc)
+		keep = append(keep, i)
 	}
-	if err := finishResult(res, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// finishResult applies the optional ε-archive front compaction, then
-// computes the UPE region and hypervolume of the front actually
-// returned to the caller.
-func finishResult(res *Result, opts Options) error {
 	t0 := opts.PhaseTimer.Start()
-	if err := compactFront(res, opts.ArchiveSize, opts.ArchiveEpsilon); err != nil {
-		return err
+	keep, err := compactFront(res, keep, opts.ArchiveSize, opts.ArchiveEpsilon)
+	if err != nil {
+		return nil, err
 	}
 	if opts.ArchiveSize > 0 {
 		// Archive compaction runs once per run, not per generation, so
 		// it is bracketed here rather than in Engine.Step.
 		opts.PhaseTimer.Record(obs.PhaseArchive, t0)
 	}
+	for _, i := range keep {
+		res.Allocations = append(res.Allocations, front[i].Allocation())
+	}
 	region, err := analysis.AnalyzeUPE(res.Front, opts.UPETolerance)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res.Region = region
 	sp := moea.UtilityEnergySpace()
 	objs := analysis.ToObjectives(res.Front)
 	res.Hypervolume = sp.Hypervolume2D(objs, sp.ReferenceFrom(0.05, objs))
-	return nil
+	return res, nil
 }
 
 // compactFront filters res.Front through a bounded ε-dominance archive
-// of at most size points, carrying each surviving point's allocation
-// along. A no-op when size <= 0. The archive emits points in improving
-// utility order (descending, for the Maximize sense); reversing gives
-// ascending utility, which for mutually nondominated
-// (max-utility, min-energy) points is also ascending energy — the
-// Front sort contract is preserved.
-func compactFront(res *Result, size int, eps []float64) error {
+// of at most size points. keep maps each res.Front point to its index
+// in the front; compactFront returns that mapping for the surviving
+// points. A no-op when size <= 0. The archive emits points in improving utility order
+// (descending, for the Maximize sense); reversing gives ascending
+// utility, which for mutually nondominated (max-utility, min-energy)
+// points is also ascending energy — the Front sort contract is
+// preserved.
+func compactFront(res *Result, keep []int, size int, eps []float64) ([]int, error) {
 	if size <= 0 {
-		return nil
+		return keep, nil
 	}
 	sp := moea.UtilityEnergySpace()
 	switch {
 	case len(eps) == 0:
 		eps = deriveEpsilon(res.Front, size)
 	case len(eps) != sp.Dim():
-		return fmt.Errorf("core: ArchiveEpsilon has %d widths, want %d (utility, energy)", len(eps), sp.Dim())
+		return nil, fmt.Errorf("core: ArchiveEpsilon has %d widths, want %d (utility, energy)", len(eps), sp.Dim())
 	default:
 		for _, e := range eps {
 			if !(e > 0) || math.IsInf(e, 0) {
-				return fmt.Errorf("core: ArchiveEpsilon widths must be positive and finite, got %v", eps)
+				return nil, fmt.Errorf("core: ArchiveEpsilon widths must be positive and finite, got %v", eps)
 			}
 		}
 	}
@@ -307,14 +324,14 @@ func compactFront(res *Result, size int, eps []float64) error {
 	}
 	pts, pays := ar.Points(), ar.Payloads()
 	front := make([]analysis.FrontPoint, len(pts))
-	allocs := make([]*sched.Allocation, len(pts))
+	kept := make([]int, len(pts))
 	for i := range pts {
 		j := len(pts) - 1 - i
 		front[i] = analysis.FrontPoint{Utility: pts[j][0], Energy: pts[j][1]}
-		allocs[i] = res.Allocations[pays[j]]
+		kept[i] = keep[pays[j]]
 	}
-	res.Front, res.Allocations = front, allocs
-	return nil
+	res.Front = front
+	return kept, nil
 }
 
 // deriveEpsilon spreads size ε-boxes across the front's own extent in

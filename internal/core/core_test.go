@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"tradeoff/internal/data"
 	"tradeoff/internal/heuristics"
 	"tradeoff/internal/moea"
+	"tradeoff/internal/nsga2"
 	"tradeoff/internal/rng"
 	"tradeoff/internal/sched"
 	"tradeoff/internal/workload"
@@ -305,6 +307,62 @@ func TestOptimizeArchiveCompaction(t *testing.T) {
 	opts.ArchiveEpsilon = []float64{1, -2}
 	if _, err := f.Optimize(opts); err == nil {
 		t.Fatal("negative ArchiveEpsilon accepted")
+	}
+}
+
+// TestFinishFrontRejectsMissingGenotype: a front individual with
+// neither an engine genome nor an allocation is refused with a
+// *GenotypeError naming its index in the front as passed, before the
+// front is sorted, instead of putting a nil allocation into the Result.
+func TestFinishFrontRejectsMissingGenotype(t *testing.T) {
+	f := newFramework(t, 40)
+	eng, err := nsga2.New(f.Evaluator(), nsga2.Config{PopulationSize: 12}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(3)
+	bare := func(energy float64) nsga2.Individual {
+		return nsga2.Individual{Objectives: []float64{1, energy}, Rank: 1}
+	}
+	cases := []struct {
+		name  string
+		front func() []nsga2.Individual
+		index int // -1: accepted
+	}{
+		{"shared genomes", eng.ParetoFront, -1},
+		{"cloned allocations", func() []nsga2.Individual { return eng.Population()[:3] }, -1},
+		{"only member bare", func() []nsga2.Individual { return []nsga2.Individual{bare(5)} }, 0},
+		{"first bare", func() []nsga2.Individual { return append([]nsga2.Individual{bare(5)}, eng.ParetoFront()...) }, 0},
+		{"last bare, lowest energy", func() []nsga2.Individual {
+			front := eng.ParetoFront()
+			return append(front, bare(-1))
+		}, len(eng.ParetoFront())},
+		{"genome and Alloc both nil among clones", func() []nsga2.Individual {
+			pop := eng.Population()[:4]
+			pop[2].Alloc = nil
+			return pop
+		}, 2},
+	}
+	for _, tc := range cases {
+		res, err := f.FinishFront(tc.front(), Options{Generations: 3})
+		if tc.index < 0 {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for i, a := range res.Allocations {
+				if a == nil {
+					t.Fatalf("%s: allocation %d is nil", tc.name, i)
+				}
+			}
+			continue
+		}
+		var ge *GenotypeError
+		if !errors.As(err, &ge) {
+			t.Fatalf("%s: error %v, want a *GenotypeError", tc.name, err)
+		}
+		if ge.Index != tc.index {
+			t.Fatalf("%s: error names individual %d, want %d", tc.name, ge.Index, tc.index)
+		}
 	}
 }
 

@@ -12,13 +12,15 @@ import (
 // deterministically on the receiving side (Inject re-evaluates,
 // Restore re-ranks).
 
-// toWireIndividual builds the wire image of one individual. The slices
-// alias the individual's buffers: encode reads them synchronously and
-// never retains them.
+// toWireIndividual builds the wire image of one individual through
+// Allocation: an elite clone's slices alias its Alloc, and a front
+// individual, which shares its engine's genome, is materialized here.
+// Encode reads the slices synchronously and never retains them.
 func toWireIndividual(ind *nsga2.Individual) WireIndividual {
+	a := ind.Allocation()
 	return WireIndividual{
-		Machine:    ind.Alloc.Machine,
-		Order:      ind.Alloc.Order,
+		Machine:    a.Machine,
+		Order:      a.Order,
 		Objectives: ind.Objectives,
 	}
 }

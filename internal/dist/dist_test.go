@@ -127,8 +127,7 @@ func sameIndividuals(a, b []nsga2.Individual) bool {
 	}
 	for i := range a {
 		if !reflect.DeepEqual(a[i].Objectives, b[i].Objectives) ||
-			!reflect.DeepEqual(a[i].Alloc.Machine, b[i].Alloc.Machine) ||
-			!reflect.DeepEqual(a[i].Alloc.Order, b[i].Alloc.Order) {
+			!reflect.DeepEqual(a[i].Allocation(), b[i].Allocation()) {
 			return false
 		}
 	}

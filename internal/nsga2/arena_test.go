@@ -5,57 +5,60 @@ import (
 	"unsafe"
 )
 
-// TestArenaChunkSlots pins the genotype growth quantum: byte-bounded by
-// arenaChunkBytes at 4 bytes per execution slot, never below 4
-// sequences, never above the demand hint.
+// TestArenaChunkSlots pins each field's growth quantum: genomes grow
+// one sequence per draw at every task count, while objective vectors
+// and contribution rows are carved a whole batch (the demand hint) at a
+// time.
 func TestArenaChunkSlots(t *testing.T) {
-	ar := &arena{batch: 200}
-	cases := []struct {
-		stride, want int
-	}{
-		{64, 200},                  // tiny genomes: demand hint caps the chunk
-		{4096, 200},                // 4k tasks: byte budget (512) still above hint
-		{204800, 10},               // 200k tasks: 800 KB/sequence ⇒ 10-sequence chunks
-		{1 << 20, 4},               // 1M tasks: 2 fit the budget, floor of 4
-		{arenaChunkBytes * 2, 4},   // absurd stride still yields the floor
-		{arenaChunkBytes / 80, 20}, // exactly 20 sequences of budget
-	}
-	for _, tc := range cases {
-		got := ar.seqChunkSlots(tc.stride)
-		if got != tc.want {
-			t.Fatalf("stride %d: chunk %d sequences, want %d", tc.stride, got, tc.want)
+	for _, tasks := range []int{1, 50, 250, 1000} {
+		eval := newEval(t, tasks)
+		ar := &arena{}
+		ar.init(eval, 2, 200)
+		for draw := 1; draw <= 3; draw++ {
+			q := ar.getSeq()
+			if len(q) != tasks || cap(q) != tasks {
+				t.Fatalf("%d tasks: sequence len/cap %d/%d, want %d/%d", tasks, len(q), cap(q), tasks, tasks)
+			}
+			if ar.seqSlots != draw {
+				t.Fatalf("%d tasks: %d draws own %d sequences, want %d", tasks, draw, ar.seqSlots, draw)
+			}
 		}
-		if bytes := got * tc.stride * seqSlotBytes; got > 4 && bytes > arenaChunkBytes {
-			t.Fatalf("stride %d: chunk %d sequences = %d bytes exceeds budget", tc.stride, got, bytes)
+		ar.getObjs()
+		ar.getContrib()
+		if ar.objSlots != 200 || ar.objChunks != 1 || ar.contribSlots != 200 || ar.contribChunks != 1 {
+			t.Fatalf("%d tasks: first draws carved %d objective / %d contrib slots in %d/%d batches, want 200/200 in 1/1",
+				tasks, ar.objSlots, ar.contribSlots, ar.objChunks, ar.contribChunks)
 		}
 	}
 }
 
-// TestArenaSlotBytes pins the genotype's cost: one 4-byte execution
-// slot per task, with a sequence stride of whole 64-byte lines.
+// TestArenaSlotBytes pins the genotype's cost, one 4-byte execution
+// slot per task, and its alignment: each sequence is its own allocation
+// of whole 64-byte lines, so it starts on a cache line.
 func TestArenaSlotBytes(t *testing.T) {
 	if seqSlotBytes != 4 || unsafe.Sizeof(uint32(0)) != seqSlotBytes {
 		t.Fatalf("arena slot costs %d bytes per task, want 4", seqSlotBytes)
 	}
-	eval := newEval(t, 50)
-	ar := &arena{}
-	ar.init(eval, 2, 10)
-	a, b := ar.getSeq(), ar.getSeq()
-	if len(a) != 50 || cap(a) != 50 {
-		t.Fatalf("sequence len/cap %d/%d, want 50/50", len(a), cap(a))
-	}
-	// Adjacent sequences of one chunk sit one 64-byte-aligned stride
-	// apart: 50 tasks round up to 64 slots = 256 bytes.
-	gap := uintptr(unsafe.Pointer(&a[0])) - uintptr(unsafe.Pointer(&b[0]))
-	if gap != 64*seqSlotBytes {
-		t.Fatalf("sequence stride %d bytes, want %d", gap, 64*seqSlotBytes)
+	for _, tasks := range []int{50, 1000} {
+		eval := newEval(t, tasks)
+		ar := &arena{}
+		ar.init(eval, 2, 10)
+		a, b := ar.getSeq(), ar.getSeq()
+		if len(a) != tasks || cap(a) != tasks {
+			t.Fatalf("%d tasks: sequence len/cap %d/%d, want %d/%d", tasks, len(a), cap(a), tasks, tasks)
+		}
+		for _, q := range [][]uint32{a, b} {
+			if addr := uintptr(unsafe.Pointer(&q[0])); addr%64 != 0 {
+				t.Fatalf("%d tasks: sequence at %#x is not 64-byte aligned", tasks, addr)
+			}
+		}
 	}
 }
 
-// TestArenaChunkedGrowth: drawing past one chunk carves additional
-// chunks without touching existing sequences, recycled sequences are
-// reused before any new chunk is carved, and occupancy tracks draws
-// exactly.
+// TestArenaChunkedGrowth: drawing past the free list allocates one new
+// sequence per draw without touching existing ones, recycled sequences
+// are reused before any new one is allocated, a dropped sequence leaves
+// the arena's count, and occupancy tracks draws exactly.
 func TestArenaChunkedGrowth(t *testing.T) {
 	eval := newEval(t, 50)
 	ar := &arena{}
@@ -71,41 +74,40 @@ func TestArenaChunkedGrowth(t *testing.T) {
 		}
 		drawn = append(drawn, &seqHolder{q, i})
 	}
-	if ar.seqChunks != 3 {
-		t.Fatalf("seqChunks = %d after 25 draws of 10-sequence chunks, want 3", ar.seqChunks)
-	}
-	if ar.seqSlots != 30 {
-		t.Fatalf("seqSlots = %d, want 30", ar.seqSlots)
+	if ar.seqSlots != 25 {
+		t.Fatalf("seqSlots = %d after 25 draws, want 25", ar.seqSlots)
 	}
 	for _, h := range drawn {
 		for k := range h.q {
 			if h.q[k] != uint32(h.stamp) {
-				t.Fatalf("sequence stamped %d reads %d at slot %d: chunks alias or moved",
+				t.Fatalf("sequence stamped %d reads %d at slot %d: sequences alias",
 					h.stamp, h.q[k], k)
 			}
 		}
 	}
 	inUse, total := ar.occupancy()
-	if inUse != 25 || total != 30 {
-		t.Fatalf("occupancy %d/%d, want 25/30", inUse, total)
+	if inUse != 25 || total != 25 {
+		t.Fatalf("occupancy %d/%d, want 25/25", inUse, total)
 	}
-	// Recycle everything, draw the full carved count again: steady state
-	// must not grow.
-	for _, h := range drawn {
+	// Recycle all but one, drop that one, and draw the recycled count
+	// again: steady state must not grow.
+	for _, h := range drawn[1:] {
 		ar.putSeq(h.q)
 	}
-	for i := 0; i < 30; i++ {
+	ar.dropSeq()
+	if inUse, total := ar.occupancy(); inUse != 0 || total != 24 {
+		t.Fatalf("occupancy after recycling 24 and dropping 1 = %d/%d, want 0/24", inUse, total)
+	}
+	for i := 0; i < 24; i++ {
 		ar.getSeq()
 	}
-	if ar.seqChunks != 3 || ar.seqSlots != 30 {
-		t.Fatalf("steady-state redraw grew the arena to %d chunks / %d sequences",
-			ar.seqChunks, ar.seqSlots)
+	if ar.seqSlots != 24 {
+		t.Fatalf("steady-state redraw grew the arena to %d sequences, want 24", ar.seqSlots)
 	}
-	// One more draw crosses the carved capacity: exactly one new chunk.
+	// One more draw crosses the free list: exactly one new sequence.
 	ar.getSeq()
-	if ar.seqChunks != 4 || ar.seqSlots != 40 {
-		t.Fatalf("overflow draw carved %d chunks / %d sequences, want 4/40",
-			ar.seqChunks, ar.seqSlots)
+	if ar.seqSlots != 25 {
+		t.Fatalf("overflow draw left %d sequences, want 25", ar.seqSlots)
 	}
 }
 
@@ -114,18 +116,28 @@ type seqHolder struct {
 	stamp int
 }
 
-// TestArenaEngineChunks: a live engine's first generation carves its
-// steady-state demand in whole chunks and stays flat afterwards.
+// TestArenaEngineChunks: a live engine's first generation allocates its
+// steady-state demand and stays flat afterwards, also when ParetoFront
+// shares genomes that later fall: each dropped genome is replaced by
+// one new allocation, so the arena owns the same number as before.
 func TestArenaEngineChunks(t *testing.T) {
 	eng := newEngine(t, 50, Config{PopulationSize: 12}, 3)
 	eng.Run(3)
-	chunks, slots := eng.arena.seqChunks, eng.arena.seqSlots
-	if chunks == 0 || slots == 0 {
-		t.Fatal("engine carved no arena chunks")
+	slots := eng.arena.seqSlots
+	if slots != 2*12 {
+		t.Fatalf("engine owns %d sequences after 3 generations, want 2N = 24", slots)
 	}
 	eng.Run(10)
-	if eng.arena.seqChunks != chunks || eng.arena.seqSlots != slots {
-		t.Fatalf("steady-state run grew arena %d→%d chunks, %d→%d sequences",
-			chunks, eng.arena.seqChunks, slots, eng.arena.seqSlots)
+	if eng.arena.seqSlots != slots {
+		t.Fatalf("steady-state run grew arena %d→%d sequences", slots, eng.arena.seqSlots)
+	}
+	for i := 0; i < 5; i++ {
+		if len(eng.ParetoFront()) == 0 {
+			t.Fatal("empty front")
+		}
+		eng.Run(10)
+		if eng.arena.seqSlots != slots {
+			t.Fatalf("after sharing a front, arena owns %d sequences, want %d", eng.arena.seqSlots, slots)
+		}
 	}
 }

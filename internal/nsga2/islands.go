@@ -191,8 +191,10 @@ func (is *Islands) FrontPoints() [][]float64 {
 	return out
 }
 
-// ParetoFront returns deep copies of the merged nondominated individuals
-// across all islands, sorted by the first objective in improving order.
+// ParetoFront returns the merged nondominated individuals across all
+// islands, sorted by the first objective in improving order. Like
+// Engine.ParetoFront, each shares its island's genome and has a nil
+// Alloc until Allocation materializes it.
 func (is *Islands) ParetoFront() []Individual {
 	var union []Individual
 	for _, front := range is.shard.Fronts() {

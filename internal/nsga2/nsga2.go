@@ -38,6 +38,7 @@ package nsga2
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,9 +70,13 @@ func (r Ranking) String() string {
 	}
 }
 
-// Individual is one chromosome with its cached evaluation. Individuals
-// the engine returns carry Alloc; inside the engine the genotype lives
-// in seq instead.
+// Individual is one chromosome with its cached evaluation. Inside the
+// engine the genotype is the execution sequence seq and Alloc is nil.
+// An evaluated genome is immutable, so the engine's ParetoFront shares
+// it instead of copying it: a front individual points at its population
+// member's genome, carries its own copy of Objectives, and has a nil
+// Alloc until the caller asks for Allocation. Clone, Population and
+// Elites return individuals that carry Alloc and no genome.
 type Individual struct {
 	Alloc *sched.Allocation
 	// Objectives is {total utility earned, total energy consumed in J}.
@@ -82,24 +87,42 @@ type Individual struct {
 	Crowding float64
 
 	// seq is the engine's genotype, the execution sequence: seq[r] is
-	// sched.PackSlot(machine, task) of the task scheduled r-th.
-	// Engine-internal; Clone materializes Alloc from it.
+	// sched.PackSlot(machine, task) of the task scheduled r-th. Written
+	// once, when the individual is bred, packed or restored; read-only
+	// from its evaluation on.
 	seq []uint32
 	// contrib caches the per-machine contribution rows of the last
 	// machine-major evaluation, letting offspring derived from this
 	// individual inherit clean machines' contributions. Engine-internal;
-	// Clone deliberately drops it.
+	// Clone and ParetoFront drop it.
 	contrib *sched.Contribs
+	// shared marks a population member whose genome ParetoFront handed
+	// out: when it falls, the arena leaves seq to the garbage collector
+	// instead of recycling it under the holder.
+	shared bool
 }
 
-// Clone deep-copies the individual. An engine-internal individual's
-// Alloc is materialized from its execution sequence.
+// Allocation returns the individual's allocation: Alloc when it is set,
+// else a fresh allocation materialized from the shared genome, else nil.
+// Each call on a genome-carrying individual materializes a new copy.
+func (ind Individual) Allocation() *sched.Allocation {
+	if ind.Alloc != nil || ind.seq == nil {
+		return ind.Alloc
+	}
+	a := new(sched.Allocation)
+	sched.UnpackSlots(ind.seq, a)
+	return a
+}
+
+// HasGenotype reports whether the individual carries a genotype, either
+// an Alloc or an engine genome, so that Allocation returns non-nil.
+func (ind Individual) HasGenotype() bool { return ind.Alloc != nil || ind.seq != nil }
+
+// Clone deep-copies the individual into one that carries Alloc and no
+// genome.
 func (ind Individual) Clone() Individual {
-	var alloc *sched.Allocation
-	if ind.seq != nil {
-		alloc = new(sched.Allocation)
-		sched.UnpackSlots(ind.seq, alloc)
-	} else {
+	alloc := ind.Allocation() // fresh from a genome, else Alloc itself
+	if ind.Alloc != nil {
 		alloc = ind.Alloc.Clone()
 	}
 	return Individual{
@@ -297,48 +320,35 @@ func (c *Config) validate() error {
 // chromosomes and objective vectors leave the population each
 // generation, and exactly N are needed for the next offspring batch.
 //
-// Buffers are carved from contiguous structure-of-arrays blocks — one
-// backing slice per field (execution sequences, objectives,
-// contribution rows) — so a population walk streams through memory
-// instead of chasing per-individual allocations. Slot strides are
-// padded to whole cache lines: two slots handed to offspring owned by
-// different workers never share a line, so the parallel breeding
-// fan-out writes into disjoint cache-line-padded regions. Each field
-// grows independently.
-// arenaChunkBytes bounds the genotype growth quantum: one chunk's
-// sequence block stays near this size, so a 10⁶-task engine grows its
-// arena a few slots at a time instead of re-carving 2×population slots
-// (which at that scale would be gigabytes per growth step and would
-// double peak memory across a snapshot restore).
-const arenaChunkBytes = 8 << 20
-
-// seqSlotBytes is a genotype's cost per task: one packed uint32
-// execution slot (sched.PackSlot).
-const seqSlotBytes = 4
-
-// arena recycles the population's SoA storage as a list of fixed-size
-// chunks per field (DESIGN.md §11, §13). Slot s of chunk c addresses the
-// half-open slot range [s·stride, s·stride+numTasks) of chunk c's
-// contiguous sequence block; chunks are append-only, so growth never
-// copies or moves existing field data — only the free stacks' slot
-// headers are extended, one chunk at a time.
+// Objective vectors and contribution rows are carved in batches of the
+// demand hint from contiguous structure-of-arrays blocks, one backing
+// slice per field, with slot strides padded to whole cache lines so two
+// slots handed to offspring owned by different workers never share a
+// line. Genomes are allocated one at a time instead (DESIGN.md §11,
+// §13): ParetoFront shares genomes with its callers, and a shared
+// genome that falls is left to the garbage collector, which can reclaim
+// it only if it is its own allocation rather than a view into a block.
 type arena struct {
 	eval *sched.Evaluator
 	dim  int
-	// batch is the steady-state demand hint (2×population): the upper
-	// bound on slots per chunk, and the exact chunk size for the small
-	// per-slot fields (objectives, contribs) where one chunk is cheap.
+	// batch is the steady-state demand hint (2×population): the chunk
+	// size of the small per-slot fields (objectives, contribs).
 	batch int
 
 	seqs     [][]uint32
 	objs     [][]float64
 	contribs []*sched.Contribs
 
-	// Carved-slot totals per field; in-use = carved − free-list length.
+	// Owned-slot totals per field; in-use = owned − free-list length. A
+	// shared genome the arena lets go of leaves seqSlots (dropSeq).
 	seqSlots, objSlots, contribSlots int
-	// Chunk counts per field, for growth-quantum tests and diagnostics.
-	seqChunks, objChunks, contribChunks int
+	// Batch counts of the carved fields, for growth tests.
+	objChunks, contribChunks int
 }
+
+// seqSlotBytes is a genotype's cost per task: one packed uint32
+// execution slot (sched.PackSlot).
+const seqSlotBytes = 4
 
 func (ar *arena) init(eval *sched.Evaluator, dim, batch int) {
 	ar.eval = eval
@@ -349,40 +359,16 @@ func (ar *arena) init(eval *sched.Evaluator, dim, batch int) {
 	ar.batch = batch
 }
 
-// seqChunkSlots returns the genotype-chunk size for a given slot
-// stride: as many sequences as fit arenaChunkBytes, clamped to
-// [4, batch].
-func (ar *arena) seqChunkSlots(stride int) int {
-	n := arenaChunkBytes / (stride * seqSlotBytes)
-	if n < 4 {
-		n = 4
-	}
-	if n > ar.batch {
-		n = ar.batch
-	}
-	return n
-}
-
-// growSeqs carves one genotype chunk: a contiguous sequence block with
-// 16-slot-aligned strides so sequences never share a cache line, pushed
-// onto the free stack as per-sequence views.
-func (ar *arena) growSeqs() {
-	nt := ar.eval.NumTasks()
-	stride := (nt + 15) / 16 * 16 // 16 uint32 slots per 64-byte line
-	n := ar.seqChunkSlots(stride)
-	back := make([]uint32, n*stride)
-	for s := 0; s < n; s++ {
-		ar.seqs = append(ar.seqs, back[s*stride:s*stride+nt:s*stride+nt])
-	}
-	ar.seqSlots += n
-	ar.seqChunks++
-}
-
-// getSeq returns a recycled execution sequence of NumTasks slots; its
-// contents are stale.
+// getSeq returns an execution sequence of NumTasks slots: a recycled
+// one, whose contents are stale, or else a new allocation. Its capacity
+// is rounded up to 16 slots, a 64-byte line; Go's size classes of 1 KB
+// and up are multiples of 64 bytes, so genomes start on a cache line
+// and no two share one.
 func (ar *arena) getSeq() []uint32 {
 	if len(ar.seqs) == 0 {
-		ar.growSeqs()
+		nt := ar.eval.NumTasks()
+		ar.seqSlots++
+		return make([]uint32, (nt+15)/16*16)[:nt:nt]
 	}
 	k := len(ar.seqs) - 1
 	q := ar.seqs[k]
@@ -395,6 +381,10 @@ func (ar *arena) putSeq(q []uint32) {
 		ar.seqs = append(ar.seqs, q)
 	}
 }
+
+// dropSeq lets go of an in-use genome without recycling it: its holders
+// keep it, and the garbage collector reclaims it after them.
+func (ar *arena) dropSeq() { ar.seqSlots-- }
 
 func (ar *arena) getObjs() []float64 {
 	if len(ar.objs) == 0 {
@@ -634,40 +624,55 @@ func (e *Engine) Population() []Individual {
 	return out
 }
 
-// ParetoFront returns deep copies of the rank-1 individuals, sorted by
-// descending utility.
+// ParetoFront returns the rank-1 individuals, sorted by descending
+// utility. Each one shares its population member's genome, which no
+// later Step, Inject or Restore overwrites, carries its own copy of the
+// objective vector and has a nil Alloc: call Allocation to materialize
+// it.
 func (e *Engine) ParetoFront() []Individual {
-	count := 0
+	count, width := 0, 0
 	for i := range e.pop {
 		if e.pop[i].Rank == 1 {
 			count++
+			width += len(e.pop[i].Objectives)
 		}
 	}
+	objs := make([]float64, width) // every member's objective copy, in one block
 	out := make([]Individual, 0, count)
-	for _, ind := range e.pop {
-		if ind.Rank == 1 {
-			out = append(out, ind.Clone())
+	for i := range e.pop {
+		ind := &e.pop[i]
+		if ind.Rank != 1 {
+			continue
 		}
+		ind.shared = true
+		k := copy(objs, ind.Objectives)
+		out = append(out, Individual{Objectives: objs[:k:k], Rank: ind.Rank, Crowding: ind.Crowding, seq: ind.seq})
+		objs = objs[k:]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Objectives[0], out[j].Objectives[0]
-		if e.space.Senses[0] == moea.Maximize {
-			return a > b
-		}
-		return a < b
-	})
+	sort.Slice(out, func(i, j int) bool { return e.frontBefore(out[i].Objectives, out[j].Objectives) })
 	return out
 }
 
-// FrontPoints returns the rank-1 objective vectors (utility, energy),
-// sorted by descending utility.
+// FrontPoints returns copies of the rank-1 objective vectors (utility,
+// energy), sorted by descending utility. It shares no genome.
 func (e *Engine) FrontPoints() [][]float64 {
-	front := e.ParetoFront()
-	out := make([][]float64, len(front))
-	for i, ind := range front {
-		out[i] = ind.Objectives
+	var out [][]float64
+	for i := range e.pop {
+		if e.pop[i].Rank == 1 {
+			out = append(out, slices.Clone(e.pop[i].Objectives))
+		}
 	}
+	sort.Slice(out, func(i, j int) bool { return e.frontBefore(out[i], out[j]) })
 	return out
+}
+
+// frontBefore reports whether front point a sorts before b: better in
+// the first objective.
+func (e *Engine) frontBefore(a, b []float64) bool {
+	if e.space.Senses[0] == moea.Maximize {
+		return a[0] > b[0]
+	}
+	return a[0] < b[0]
 }
 
 // Elites returns deep copies of the n best individuals under the
@@ -706,7 +711,7 @@ func (e *Engine) Inject(inds []Individual) error {
 		inds = inds[:len(e.pop)]
 	}
 	for i, ind := range inds {
-		if err := e.eval.Validate(ind.Alloc); err != nil {
+		if err := e.eval.Validate(ind.Allocation()); err != nil {
 			return fmt.Errorf("nsga2: injected individual %d invalid: %w", i, err)
 		}
 	}
@@ -714,7 +719,7 @@ func (e *Engine) Inject(inds []Individual) error {
 	for i, ind := range inds {
 		// Pack into arena sequences and leave Objectives nil:
 		// evaluateAll re-evaluates under this engine's problem.
-		clones[i] = Individual{seq: e.pack(ind.Alloc)}
+		clones[i] = Individual{seq: e.pack(ind.Allocation())}
 	}
 	e.evaluateAll(clones)
 	idx := make([]int, len(e.pop))
@@ -729,9 +734,7 @@ func (e *Engine) Inject(inds []Individual) error {
 		return ia.Crowding < ib.Crowding
 	})
 	for i, c := range clones {
-		e.arena.putSeq(e.pop[idx[i]].seq)
-		e.arena.putObjs(e.pop[idx[i]].Objectives)
-		e.arena.putContrib(e.pop[idx[i]].contrib)
+		e.release(&e.pop[idx[i]])
 		e.pop[idx[i]] = c
 	}
 	e.rank(e.pop)
@@ -1301,9 +1304,7 @@ func (e *Engine) selectSurvivors(n int) {
 	// caches of the fallen.
 	for i := range meta {
 		if !picked[i] {
-			e.arena.putSeq(meta[i].seq)
-			e.arena.putObjs(meta[i].Objectives)
-			e.arena.putContrib(meta[i].contrib)
+			e.release(&meta[i])
 			meta[i] = Individual{}
 		}
 	}
@@ -1311,6 +1312,19 @@ func (e *Engine) selectSurvivors(n int) {
 	// Re-rank the survivor population so Rank/Crowding reflect the new
 	// population rather than the meta-population.
 	e.rank(e.pop)
+}
+
+// release returns a fallen population member's buffers to the arena.
+// A genome ParetoFront shared stays with its holders: the arena drops it
+// rather than hand it to the next offspring.
+func (e *Engine) release(ind *Individual) {
+	if ind.shared {
+		e.arena.dropSeq()
+	} else {
+		e.arena.putSeq(ind.seq)
+	}
+	e.arena.putObjs(ind.Objectives)
+	e.arena.putContrib(ind.contrib)
 }
 
 // crowdOrderSorter stably orders group positions by descending crowding

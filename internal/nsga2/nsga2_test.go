@@ -588,7 +588,7 @@ func TestMakespanAndUtilityProblemsDiffer(t *testing.T) {
 	sess := makeEng.eval.NewSession()
 	bestMakeU := math.Inf(-1)
 	for _, ind := range makeEng.ParetoFront() {
-		ev := sess.Evaluate(ind.Alloc)
+		ev := sess.Evaluate(ind.Allocation())
 		bestMakeU = math.Max(bestMakeU, ev.Utility)
 	}
 	bestUtilU := math.Inf(-1)

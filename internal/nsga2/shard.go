@@ -432,9 +432,10 @@ func (s *IslandShard) Baselines() []ShardTick {
 	return out
 }
 
-// Fronts returns each shard island's rank-1 front (deep copies), in
-// global island order. Concatenating all shards' fronts in shard order
-// reproduces the union Islands.ParetoFront builds before merging.
+// Fronts returns each shard island's rank-1 front (Engine.ParetoFront:
+// shared genomes, copied objectives), in global island order.
+// Concatenating all shards' fronts in shard order reproduces the union
+// Islands.ParetoFront builds before merging.
 func (s *IslandShard) Fronts() [][]Individual {
 	out := make([][]Individual, len(s.engines))
 	for i, eng := range s.engines {

@@ -81,9 +81,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	// Recycle the replaced population's buffers before swapping in the
 	// restored one.
 	for i := range e.pop {
-		e.arena.putSeq(e.pop[i].seq)
-		e.arena.putObjs(e.pop[i].Objectives)
-		e.arena.putContrib(e.pop[i].contrib)
+		e.release(&e.pop[i])
 	}
 	e.pop = pop
 	e.generation = s.Generation

@@ -13,6 +13,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"tradeoff/internal/hcs"
@@ -268,7 +269,9 @@ func (e *Evaluator) Validate(a *Allocation) error {
 	return err
 }
 
-// validate is Validate on the given replay scratch.
+// validate is Validate on the given replay scratch. It reads each
+// task's type from the kernel's compact per-task record and capability
+// from the evaluator's ETC rows (Incapable is +Inf).
 func (e *Evaluator) validate(a *Allocation, r *replay) error {
 	n := e.NumTasks()
 	if len(a.Machine) != n || len(a.Order) != n {
@@ -290,8 +293,8 @@ func (e *Evaluator) validate(a *Allocation, r *replay) error {
 			if m < 0 || int(m) >= e.NumMachines() {
 				return fmt.Errorf("sched: task %d assigned machine %d out of range", i, m)
 			}
-			tt := e.trace.Tasks[i].Type
-			if !e.sys.CapableMachine(tt, int(m)) {
+			tt := e.meta[i].ty
+			if math.IsInf(e.etc[tt][m], 1) {
 				return fmt.Errorf("sched: task %d (type %d) assigned incapable machine %d", i, tt, m)
 			}
 		}
