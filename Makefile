@@ -4,8 +4,9 @@ GO ?= go
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
 # BENCH_step.json): generation cost (including the 4000-task and the
-# 50k-task generations), front extraction, and the evaluation kernels.
-BENCH_GATE = BenchmarkStep|BenchmarkTypedStep|BenchmarkParetoFront|BenchmarkEvaluate
+# 50k-task generations), the island ring's step, front extraction, and
+# the evaluation kernels.
+BENCH_GATE = BenchmarkStep|BenchmarkTypedStep|BenchmarkIslands4x25|BenchmarkParetoFront|BenchmarkEvaluate
 
 all: check
 
@@ -33,14 +34,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# One iteration of each Step and Evaluate (kernel) benchmark: catches
-# benchmarks that no longer compile or panic, without paying for a full
-# measurement run. -short keeps the smoke fast: the Step pattern also
+# One iteration of each Step, Evaluate (kernel) and island-ring
+# benchmark: catches benchmarks that no longer compile or panic,
+# without paying for a full measurement run. -short keeps the smoke fast: the Step pattern also
 # matches the scale-slice BenchmarkScaleStep benchmarks, whose
 # 50k/200k-task trace synthesis alone costs tens of seconds and which
 # self-skip under -short.
 bench-smoke:
-	$(GO) test -short -run '^$$' -bench 'Step|Evaluate' -benchtime 1x -benchmem .
+	$(GO) test -short -run '^$$' -bench 'Step|Evaluate|Islands4x25' -benchtime 1x -benchmem .
 
 # Re-measure the gated benchmarks and refresh the canonical baseline at
 # the repo root (BENCH_step.json). -stat median collapses the -count 3
@@ -122,11 +123,13 @@ trace-smoke:
 # Fuzz smoke: ten seconds of coverage-guided fuzzing on each target
 # that holds a hand-derived fast path to its reference: the merge that
 # builds every child from its parents' execution sequences
-# (FuzzRepairOrder) and the kernel's inline utility tiers
+# (FuzzRepairOrder), migrant validation, materialized and packed
+# (FuzzInjectRejectsMalformed), and the kernel's inline utility tiers
 # (FuzzTaskRecordUtility). A failing input lands in the package's
 # testdata/fuzz directory, where plain go test replays it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairOrder$$' -fuzztime 10s ./internal/nsga2
+	$(GO) test -run '^$$' -fuzz '^FuzzInjectRejectsMalformed$$' -fuzztime 10s ./internal/nsga2
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskRecordUtility$$' -fuzztime 10s ./internal/sched
 
 # The end-to-end benchmark (bench/, see bench/README.md) is a module of

@@ -447,7 +447,9 @@ func BenchmarkAblationSelectionTournament(b *testing.B) {
 	}
 }
 
-// Island model vs single population at equal total budget.
+// Island model vs single population at equal total budget. Warm steps
+// allocate nothing, migration ticks included, so the gate holds
+// allocs/op at 0.
 func BenchmarkIslands4x25(b *testing.B) {
 	ds, err := experiments.DataSet1(1)
 	if err != nil {
@@ -460,6 +462,8 @@ func BenchmarkIslands4x25(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	is.Run(50) // size arenas and scratch, build the ring, cross two ticks
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		is.Step()

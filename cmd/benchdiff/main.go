@@ -20,6 +20,11 @@
 // with -stat: mean (the default) or median, the latter shrugging off a
 // single noisy outlier run.
 //
+// A result parsed from plain `go test -bench` text carries a host stamp:
+// the header's CPU and goos/goarch, the run's GOMAXPROCS (the name's
+// suffix) and the Go version benchdiff runs on, which -record keeps.
+// It tells where a baseline was measured; comparisons ignore it.
+//
 // -bench restricts both comparison and recording to benchmarks whose
 // (GOMAXPROCS-stripped) name matches the regexp, so one canonical
 // baseline file can back several Makefile slices: each slice re-runs
@@ -47,6 +52,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,6 +74,9 @@ type Result struct {
 	// HasAllocs distinguishes a measured 0 allocs/op from a run without
 	// -benchmem.
 	HasAllocs bool `json:"has_allocs,omitempty"`
+	// Host stamps where the result was measured (see hostStamp); empty
+	// when the input did not say.
+	Host string `json:"host,omitempty"`
 }
 
 // File is the canonical JSON document -record writes.
@@ -84,6 +93,24 @@ func normalizeName(name string) string {
 		}
 	}
 	return name
+}
+
+// hostStamp describes the measuring host from the `go test -bench`
+// header (header maps "cpu", "goos" and "goarch" to their values) and a
+// raw benchmark name's -GOMAXPROCS suffix. It is empty without a cpu
+// line.
+func hostStamp(header map[string]string, rawName string) string {
+	cpu := header["cpu"]
+	if cpu == "" {
+		return ""
+	}
+	procs := "?"
+	if i := strings.LastIndexByte(rawName, '-'); i > 0 {
+		if _, err := strconv.Atoi(rawName[i+1:]); err == nil {
+			procs = rawName[i+1:]
+		}
+	}
+	return fmt.Sprintf("%s, %s/%s, GOMAXPROCS=%s, %s", cpu, header["goos"], header["goarch"], procs, runtime.Version())
 }
 
 // parseBenchLine parses one `go test -bench` result line, reporting ok =
@@ -200,11 +227,15 @@ func parse(r io.Reader) ([]Result, error) {
 	}
 	var out []Result
 	benchLike := 0 // lines that looked like benchmark results but failed to parse
+	header := make(map[string]string)
 	consume := func(line string) {
 		if res, ok := parseBenchLine(line); ok {
+			res.Host = hostStamp(header, strings.Fields(line)[0])
 			out = append(out, res)
 		} else if strings.HasPrefix(line, "Benchmark") {
 			benchLike++
+		} else if key, val, ok := strings.Cut(line, ": "); ok && (key == "cpu" || key == "goos" || key == "goarch") {
+			header[key] = val
 		}
 	}
 	sc := bufio.NewScanner(strings.NewReader(string(data)))

@@ -38,6 +38,11 @@ func TestParsePlain(t *testing.T) {
 	if res[3].HasAllocs {
 		t.Fatalf("no-benchmem line must have HasAllocs=false: %+v", res[3])
 	}
+	for _, want := range []string{"Intel(R) Xeon(R) Processor @ 2.10GHz", "linux/amd64", "GOMAXPROCS=8", "go1."} {
+		if !strings.Contains(first.Host, want) {
+			t.Fatalf("host stamp %q lacks %q", first.Host, want)
+		}
+	}
 }
 
 func TestParseTest2JSON(t *testing.T) {

@@ -19,6 +19,12 @@ import (
 //     whose module-local callee transitively mutates its receiver
 //     (ModuleIndex.ReceiverMutator).
 //
+// A goroutine body may also be built once and launched later (`go
+// run()` on a prebuilt func value, which spares each launch a closure
+// allocation). A function whose doc comment carries //detlint:goroutines
+// declares that every function literal in its body is such a body;
+// each is checked as a go closure is.
+//
 // Calls into other packages (sync.WaitGroup.Done, atomic.Int64.Add)
 // have no call-graph node and pass silently, which is exactly the
 // escape hatch synchronization primitives need. Writes through locally
@@ -30,18 +36,33 @@ var AnalyzerSharedState = &Analyzer{
 	Run:  runSharedState,
 }
 
+// goroutinesMarker is the doc-comment line that declares a function's
+// literals goroutine bodies.
+const goroutinesMarker = "//detlint:goroutines"
+
 func runSharedState(p *Pass) {
 	if p.Index == nil {
 		return
 	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			if fl, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-				checkGoClosure(p, fl)
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				if x.Body == nil || !declMarker(x.Doc, goroutinesMarker) {
+					return true
+				}
+				ast.Inspect(x.Body, func(n ast.Node) bool {
+					if fl, ok := n.(*ast.FuncLit); ok {
+						checkGoClosure(p, fl)
+						return false
+					}
+					return true
+				})
+				return false
+			case *ast.GoStmt:
+				if fl, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
+					checkGoClosure(p, fl)
+				}
 			}
 			return true
 		})

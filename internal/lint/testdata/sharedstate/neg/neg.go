@@ -37,3 +37,18 @@ func run(items []int) int {
 	}
 	return total
 }
+
+// prebuilt builds goroutine bodies once, to be launched later with
+// go body(); each body writes only its own slot.
+//
+//detlint:goroutines
+func prebuilt(n int) (bodies []func(), out []int) {
+	out = make([]int, n)
+	for i := 0; i < n; i++ {
+		bodies = append(bodies, func() {
+			i := i // the body's own slot
+			out[i] = i
+		})
+	}
+	return bodies, out
+}

@@ -30,3 +30,17 @@ func run(items []int) int {
 	wg.Wait()
 	return total + out[0] + st.n
 }
+
+// prebuilt builds goroutine bodies once, to be launched later with
+// go body(), and the bodies write a captured slot every island shares.
+//
+//detlint:goroutines
+func prebuilt(n int) (bodies []func(), out []int) {
+	out = make([]int, n)
+	for i := 0; i < n; i++ {
+		bodies = append(bodies, func() {
+			out[0] = i
+		})
+	}
+	return bodies, out
+}

@@ -1,6 +1,7 @@
 package nsga2
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -138,6 +139,72 @@ func TestArenaEngineChunks(t *testing.T) {
 		eng.Run(10)
 		if eng.arena.seqSlots != slots {
 			t.Fatalf("after sharing a front, arena owns %d sequences, want %d", eng.arena.seqSlots, slots)
+		}
+	}
+}
+
+// requireArenaInUse asserts that an engine's arena counts exactly its
+// population in use: one genome, one objective vector and one
+// contribution row per member.
+func requireArenaInUse(t *testing.T, eng *Engine, label string) {
+	t.Helper()
+	inUse, total := eng.arena.occupancy()
+	if want := 3 * len(eng.pop); inUse != want || inUse > total {
+		t.Fatalf("%s: arena in use %d of %d slots, want %d", label, inUse, total, want)
+	}
+}
+
+// TestArenaInUseExact: every objective vector the engine holds comes
+// from the arena, so the in-use count stays at three slots per member
+// through New, Step, Inject (of materialized and of packed migrants),
+// shared fronts and Restore, and on every island of a migrating ring.
+func TestArenaInUseExact(t *testing.T) {
+	eng := newEngine(t, 50, Config{PopulationSize: 12}, 3)
+	requireArenaInUse(t, eng, "New")
+	eng.Run(3)
+	requireArenaInUse(t, eng, "Step")
+	donor := newEngine(t, 50, Config{PopulationSize: 12}, 4)
+	for tick := 0; tick < 5; tick++ {
+		if err := eng.Inject(donor.Elites(2)); err != nil {
+			t.Fatal(err)
+		}
+		requireArenaInUse(t, eng, "Inject of clones")
+		packed := donor.newMigrants(3)
+		donor.packElites(packed)
+		if err := eng.Inject(packed); err != nil {
+			t.Fatal(err)
+		}
+		requireArenaInUse(t, eng, "Inject of packed elites")
+		if len(eng.ParetoFront()) == 0 {
+			t.Fatal("empty front")
+		}
+		eng.Run(2)
+		requireArenaInUse(t, eng, "Step after a shared front")
+	}
+	snap := donor.Snapshot()
+	if err := eng.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	requireArenaInUse(t, eng, "Restore")
+
+	is := newIslands(t, 50, IslandConfig{
+		Islands:           4,
+		MigrationInterval: 1,
+		Migrants:          3,
+		Engine:            Config{PopulationSize: 10, Workers: 1},
+	}, 5)
+	for run := 0; run < 4; run++ {
+		is.Run(7)
+		for i, e := range is.shard.engines {
+			requireArenaInUse(t, e, fmt.Sprintf("run %d, island %d", run, i))
+		}
+	}
+	if err := is.Restore(is.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range is.shard.Baselines() {
+		if b.ArenaInUse != 3*10 {
+			t.Fatalf("restored ring island reports %d arena slots in use, want 30", b.ArenaInUse)
 		}
 	}
 }

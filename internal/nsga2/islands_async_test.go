@@ -162,6 +162,36 @@ func TestAsyncIslandsMatchSync(t *testing.T) {
 	}
 }
 
+// TestEveryTickRingMatchesSync: rings of three to five islands that
+// migrate at every generation, run in several Runs, match the barrier
+// reference. Every tick reuses a send buffer three ticks old, so this is
+// the ring's tightest use of the Mailbox ownership rule: under -race, a
+// buffer rewritten while its receiver still injects from it is a
+// reported data race.
+func TestEveryTickRingMatchesSync(t *testing.T) {
+	e := newEval(t, 40)
+	for _, k := range []int{3, 4, 5} {
+		cfg := ringCfg(k, 1, 3, 8, 1)
+		is, err := NewIslands(e, cfg, rng.New(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recorder{}
+		is.SetObserver(rec)
+		for _, n := range []int{1, 7, 4} {
+			is.Run(n)
+		}
+		ref := newBarrierRing(t, e, cfg, 11)
+		ref.run(t, 12)
+		for i, eng := range ref.engines {
+			if !frontsEqual(is.shard.engines[i].FrontPoints(), eng.FrontPoints()) {
+				t.Fatalf("k=%d: island %d front differs from the barrier reference", k, i)
+			}
+		}
+		requireEventsIdentical(t, rec, ref.rec, "every-tick ring vs barrier")
+	}
+}
+
 // TestIslandsStepMatchesRun: stepping one generation at a time, one
 // long Run, and a Run split mid-interval all end in the same state and
 // emit the same events.
@@ -196,9 +226,10 @@ func TestIslandsStepMatchesRun(t *testing.T) {
 }
 
 // TestIslandsStepAllocs: a warm Islands.Step reuses the shard's ring
-// state, so it allocates no more than the retired barrier step did (12
-// per step on 4 islands × 50, one engine worker each). Twenty-five
-// steps span exactly one migration tick at the default interval.
+// state, so it allocates at most 12 times per step on 4 islands × 50,
+// one engine worker each (TestIslandsMigrationAllocs pins it at 0).
+// Twenty-five steps span exactly one migration tick at the default
+// interval.
 func TestIslandsStepAllocs(t *testing.T) {
 	is := newIslands(t, 250, IslandConfig{
 		Islands: 4,
@@ -207,6 +238,29 @@ func TestIslandsStepAllocs(t *testing.T) {
 	is.Run(30) // size arenas and scratch, build the ring, cross a tick
 	if n := testing.AllocsPerRun(25, is.Step); n > 12 {
 		t.Fatalf("warm Islands.Step allocates %v times, want at most 12", n)
+	}
+}
+
+// TestIslandsMigrationAllocs: a warm Islands.Step allocates nothing,
+// migration ticks included: migrants travel as packed genomes in the
+// senders' reused buffers, Inject copies them into arena genomes, and
+// every island runs from a goroutine body built with the ring. At
+// interval 1 every step is a tick; at interval 5 the 25 measured steps
+// hold five.
+func TestIslandsMigrationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race; Inject validates through Validate's pool")
+	}
+	for _, interval := range []int{1, 5} {
+		is := newIslands(t, 250, IslandConfig{
+			Islands:           4,
+			MigrationInterval: interval,
+			Engine:            Config{PopulationSize: 50, Workers: 1},
+		}, 1)
+		is.Run(30) // size arenas and scratch, build the ring, cross ticks
+		if n := testing.AllocsPerRun(25, is.Step); n != 0 {
+			t.Fatalf("interval %d: warm Islands.Step allocates %v times, want 0", interval, n)
+		}
 	}
 }
 

@@ -36,6 +36,7 @@
 package nsga2
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -76,7 +77,9 @@ func (r Ranking) String() string {
 // it instead of copying it: a front individual points at its population
 // member's genome, carries its own copy of Objectives, and has a nil
 // Alloc until the caller asks for Allocation. Clone, Population and
-// Elites return individuals that carry Alloc and no genome.
+// Elites return individuals that carry Alloc and no genome. A migrant
+// on an island ring carries a copy of its genome in its sender's buffer
+// (see Mailbox).
 type Individual struct {
 	Alloc *sched.Allocation
 	// Objectives is {total utility earned, total energy consumed in J}.
@@ -176,24 +179,23 @@ type Problem struct {
 	// matching Space.
 	Objectives func(sched.Evaluation) []float64
 	// FillObjectives, when non-nil, writes the objective vector into dst
-	// (len Space.Dim()), letting the engine recycle objective buffers
-	// instead of allocating each evaluation. Optional; Objectives remains
-	// the fallback and the two must agree.
+	// (len Space.Dim()), sparing the engine one allocation per
+	// evaluation. Optional; without it the engine copies Objectives'
+	// vector into its own buffer, and the two must agree.
 	FillObjectives func(dst []float64, ev sched.Evaluation)
 }
 
-// fill writes the objectives of ev into ind, reusing ind.Objectives when
-// possible.
+// fill writes the objectives of ev into ind.Objectives, an arena slot of
+// capacity dim, so every objective vector the engine holds is one the
+// arena counts.
 func (p *Problem) fill(ind *Individual, ev sched.Evaluation, dim int) {
-	if p.FillObjectives == nil {
-		ind.Objectives = p.Objectives(ev)
-		return
+	o := ind.Objectives[:dim]
+	if p.FillObjectives != nil {
+		p.FillObjectives(o, ev)
+	} else {
+		copy(o, p.Objectives(ev))
 	}
-	if cap(ind.Objectives) < dim {
-		ind.Objectives = make([]float64, dim)
-	}
-	ind.Objectives = ind.Objectives[:dim]
-	p.FillObjectives(ind.Objectives, ev)
+	ind.Objectives = o
 }
 
 // UtilityEnergyProblem is the paper's bi-objective problem: maximize
@@ -462,6 +464,8 @@ type Engine struct {
 	picked     []bool
 	groupOrder []int
 	crowdOrd   crowdOrderSorter
+	popOrd     popOrderSorter
+	injected   []Individual // Inject's packed copies of its migrants
 	workerSrc  []rng.Source // reseeded per offspring pair
 
 	// Per-worker breeding scratch, reused pair after pair. mcounts[2w+c]
@@ -678,20 +682,8 @@ func (e *Engine) frontBefore(a, b []float64) bool {
 // Elites returns deep copies of the n best individuals under the
 // crowded-comparison order (rank ascending, crowding descending).
 func (e *Engine) Elites(n int) []Individual {
-	if n > len(e.pop) {
-		n = len(e.pop)
-	}
-	idx := make([]int, len(e.pop))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := &e.pop[idx[a]], &e.pop[idx[b]]
-		if ia.Rank != ib.Rank {
-			return ia.Rank < ib.Rank
-		}
-		return ia.Crowding > ib.Crowding
-	})
+	n = min(n, len(e.pop))
+	idx := e.popOrder(false)
 	out := make([]Individual, n)
 	for i := 0; i < n; i++ {
 		out[i] = e.pop[idx[i]].Clone()
@@ -699,10 +691,39 @@ func (e *Engine) Elites(n int) []Individual {
 	return out
 }
 
+// newMigrants returns n individuals whose genomes and objective vectors
+// belong to the caller and fit this engine: the buffers packElites
+// fills.
+func (e *Engine) newMigrants(n int) []Individual {
+	out := make([]Individual, n)
+	for i := range out {
+		out[i] = Individual{seq: make([]uint32, e.eval.NumTasks()), Objectives: make([]float64, e.space.Dim())}
+	}
+	return out
+}
+
+// packElites copies the len(dst) best individuals, in Elites' order,
+// into dst's genomes and objective vectors (see newMigrants): Elites
+// without materializing an allocation. len(dst) must not exceed the
+// population.
+//
+//detlint:hotpath
+func (e *Engine) packElites(dst []Individual) {
+	idx := e.popOrder(false)
+	for i := range dst {
+		src := &e.pop[idx[i]]
+		copy(dst[i].seq, src.seq)
+		copy(dst[i].Objectives, src.Objectives)
+	}
+}
+
 // Inject replaces the engine's worst individuals (rank descending,
 // crowding ascending) with copies of the given individuals, re-ranking
-// the population. Injected individuals must be valid for the engine's
-// evaluator; unevaluated ones are evaluated under the engine's problem.
+// the population. Each migrant's genotype is its Alloc when set, else
+// its genome (packed elites, shared front points); it is copied into an
+// arena genome, so Inject keeps no reference to the migrants. Every
+// migrant is validated before the population changes, and re-evaluated
+// under the engine's problem.
 func (e *Engine) Inject(inds []Individual) error {
 	if len(inds) == 0 {
 		return nil
@@ -710,35 +731,59 @@ func (e *Engine) Inject(inds []Individual) error {
 	if len(inds) > len(e.pop) {
 		inds = inds[:len(e.pop)]
 	}
-	for i, ind := range inds {
-		if err := e.eval.Validate(ind.Allocation()); err != nil {
+	for i := range inds {
+		if err := e.validateMigrant(&inds[i]); err != nil {
 			return fmt.Errorf("nsga2: injected individual %d invalid: %w", i, err)
 		}
 	}
-	clones := make([]Individual, len(inds))
-	for i, ind := range inds {
-		// Pack into arena sequences and leave Objectives nil:
-		// evaluateAll re-evaluates under this engine's problem.
-		clones[i] = Individual{seq: e.pack(ind.Allocation())}
-	}
-	e.evaluateAll(clones)
-	idx := make([]int, len(e.pop))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := &e.pop[idx[a]], &e.pop[idx[b]]
-		if ia.Rank != ib.Rank {
-			return ia.Rank > ib.Rank
+	e.injected = e.injected[:0]
+	for i := range inds {
+		q := e.arena.getSeq()
+		if a := inds[i].Alloc; a != nil {
+			sched.ScatterSlots(a, q, nil)
+		} else {
+			copy(q, inds[i].seq)
 		}
-		return ia.Crowding < ib.Crowding
-	})
-	for i, c := range clones {
-		e.release(&e.pop[idx[i]])
-		e.pop[idx[i]] = c
+		e.injected = append(e.injected, Individual{seq: q})
 	}
+	e.evaluateAll(e.injected)
+	victims := e.popOrder(true)
+	for i, c := range e.injected {
+		e.release(&e.pop[victims[i]])
+		e.pop[victims[i]] = c
+	}
+	clear(e.injected)
 	e.rank(e.pop)
 	return nil
+}
+
+// validateMigrant checks a migrant's genotype, Alloc first as in
+// Individual.Allocation.
+func (e *Engine) validateMigrant(ind *Individual) error {
+	switch {
+	case ind.Alloc != nil:
+		return e.eval.Validate(ind.Alloc)
+	case ind.seq != nil:
+		return e.eval.ValidateSlots(ind.seq)
+	default:
+		return errors.New("no genotype")
+	}
+}
+
+// popOrder returns the population's indices stably sorted under the
+// crowded-comparison order, rank ascending then crowding descending,
+// or in the reverse order of both keys when worst is set. The one
+// ranking behind Elites, packElites and Inject's victims; the slice is
+// engine scratch, valid until the next call.
+func (e *Engine) popOrder(worst bool) []int {
+	o := &e.popOrd
+	o.pop, o.worst = e.pop, worst
+	o.idx = o.idx[:0]
+	for i := range e.pop {
+		o.idx = append(o.idx, i)
+	}
+	sort.Stable(o)
+	return o.idx
 }
 
 // Step advances the engine by one generation (Algorithm 1 steps 3–11).
@@ -1199,26 +1244,32 @@ func (e *Engine) fanout(count int, fn func(worker, lo, hi int)) {
 	}
 }
 
-// evaluateAll fully simulates individuals lacking Objectives (seeds,
+// evaluateAll fully simulates freshly packed individuals (seeds,
 // injected, restored) in place, fanning out across the per-worker
-// sessions. Contribution buffers are drawn from the arena serially
-// first (the arena is not goroutine-safe). Results are deterministic
-// because each individual's evaluation is independent of scheduling.
+// sessions. Their objective vectors and contribution buffers are drawn
+// from the arena serially first (the arena is not goroutine-safe).
+// Results are deterministic because each individual's evaluation is
+// independent of scheduling. The serial path calls evaluateRange
+// directly, keeping single-worker injections free of the fan-out's
+// closure allocation.
 func (e *Engine) evaluateAll(inds []Individual) {
 	for i := range inds {
-		if inds[i].Objectives == nil && inds[i].contrib == nil {
-			inds[i].contrib = e.arena.getContrib()
-		}
+		inds[i].Objectives = e.arena.getObjs()
+		inds[i].contrib = e.arena.getContrib()
 	}
-	dim := e.space.Dim()
-	e.fanout(len(inds), func(w, lo, hi int) {
-		sess := e.sessions[w]
-		for i := lo; i < hi; i++ {
-			if inds[i].Objectives == nil {
-				e.problem.fill(&inds[i], sess.EvaluateSlots(inds[i].seq, inds[i].contrib), dim)
-			}
-		}
-	})
+	if e.cfg.Workers <= 1 || len(inds) <= 1 {
+		e.evaluateRange(inds, 0, 0, len(inds))
+		return
+	}
+	e.fanout(len(inds), func(w, lo, hi int) { e.evaluateRange(inds, w, lo, hi) })
+}
+
+// evaluateRange fully simulates inds[lo:hi] on worker w's session.
+func (e *Engine) evaluateRange(inds []Individual, w, lo, hi int) {
+	sess, dim := e.sessions[w], e.space.Dim()
+	for i := lo; i < hi; i++ {
+		e.problem.fill(&inds[i], sess.EvaluateSlots(inds[i].seq, inds[i].contrib), dim)
+	}
 }
 
 // rank computes Rank and Crowding for a population in place.
@@ -1337,3 +1388,23 @@ type crowdOrderSorter struct {
 func (s *crowdOrderSorter) Len() int           { return len(s.order) }
 func (s *crowdOrderSorter) Less(a, b int) bool { return s.dist[s.order[a]] > s.dist[s.order[b]] }
 func (s *crowdOrderSorter) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
+
+// popOrderSorter orders population indices for popOrder.
+type popOrderSorter struct {
+	pop   []Individual
+	idx   []int
+	worst bool
+}
+
+func (s *popOrderSorter) Len() int      { return len(s.idx) }
+func (s *popOrderSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
+func (s *popOrderSorter) Less(a, b int) bool {
+	x, y := &s.pop[s.idx[a]], &s.pop[s.idx[b]]
+	if s.worst {
+		x, y = y, x
+	}
+	if x.Rank != y.Rank {
+		return x.Rank < y.Rank
+	}
+	return x.Crowding > y.Crowding
+}

@@ -2,11 +2,14 @@ package nsga2_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tradeoff/internal/experiments"
+	"tradeoff/internal/heuristics"
 	"tradeoff/internal/nsga2"
 	"tradeoff/internal/rng"
+	"tradeoff/internal/sched"
 )
 
 // TestStepMatchesDirectEvaluation runs the direct-evaluation oracle
@@ -42,5 +45,84 @@ func TestStepMatchesDirectEvaluation(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// groundTruthBounds returns two bounds every allocation on e respects
+// under the paper's execution-only model (no idle power, no dropping):
+// no allocation consumes less energy than the sum over tasks of the
+// smallest eligible EEC, and none earns more utility than the sum over
+// tasks of the TUF at the smallest eligible ETC after arrival, since a
+// task completes no earlier and TUFs never rise.
+func groundTruthBounds(e *sched.Evaluator) (minEnergy, maxUtility float64) {
+	for _, task := range e.Trace().Tasks {
+		eec, etc := math.Inf(1), math.Inf(1)
+		for _, m := range e.Eligible(task.Type) {
+			eec = min(eec, e.EECInstance(task.Type, m))
+			etc = min(etc, e.ETCInstance(task.Type, m))
+		}
+		minEnergy += eec
+		maxUtility += task.TUF.Value(etc)
+	}
+	return minEnergy, maxUtility
+}
+
+// TestFrontsRespectGroundTruthBounds holds fronts to the ground-truth
+// bounds of groundTruthBounds on data sets 1-3, for one population and
+// for a 4-island ring, each seeded with the CLI's four heuristics. The
+// Min Energy seed attains the energy bound and elitism keeps the
+// lowest-energy point, so the front's lowest energy must equal the
+// bound up to summation order; no point may exceed the utility bound.
+// Unlike the mode-agreement tests, a fault shared by every mode fails
+// here.
+func TestFrontsRespectGroundTruthBounds(t *testing.T) {
+	const rel = 1e-12
+	for dsNum := 1; dsNum <= 3; dsNum++ {
+		ds, err := experiments.ByNumber(dsNum, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := ds.Evaluator
+		if e.IdlePowerEnabled() || e.AllowDropping {
+			t.Fatalf("data set %d is not on the execution-only model", dsNum)
+		}
+		minEnergy, maxUtility := groundTruthBounds(e)
+		var seeds []*sched.Allocation
+		for _, h := range heuristics.All {
+			a, err := h.Build(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds = append(seeds, a)
+		}
+		check := func(t *testing.T, front [][]float64) {
+			lowest := math.Inf(1)
+			for _, p := range front {
+				lowest = min(lowest, p[1])
+				if p[0] > maxUtility*(1+rel) {
+					t.Errorf("front point earns utility %v above the bound %v", p[0], maxUtility)
+				}
+			}
+			if math.Abs(lowest-minEnergy) > rel*minEnergy {
+				t.Errorf("lowest front energy %v J, bound %v J (relative gap %.3g)", lowest, minEnergy, (lowest-minEnergy)/minEnergy)
+			}
+		}
+		engCfg := nsga2.Config{PopulationSize: 20, Seeds: seeds}
+		t.Run(fmt.Sprintf("ds%d/single", dsNum), func(t *testing.T) {
+			eng, err := nsga2.New(e, engCfg, rng.New(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Run(30)
+			check(t, eng.FrontPoints())
+		})
+		t.Run(fmt.Sprintf("ds%d/ring", dsNum), func(t *testing.T) {
+			is, err := nsga2.NewIslands(e, nsga2.IslandConfig{Islands: 4, MigrationInterval: 5, Engine: engCfg}, rng.New(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			is.Run(30)
+			check(t, is.FrontPoints())
+		})
 	}
 }

@@ -23,9 +23,18 @@ import (
 // Mailbox is one directed ring edge of the island model: at each
 // logical migration tick the sending island delivers exactly one elite
 // batch and the receiving island consumes exactly one. Implementations
-// must preserve per-edge FIFO order; the in-process implementation
-// buffers one delivery so a fast island can run a full migration
-// interval ahead of its successor.
+// must preserve per-edge FIFO order and hold at most one unconsumed
+// delivery; the in-process implementation buffers that one, so a fast
+// island can run a full migration interval ahead of its successor.
+//
+// Ownership: a delivery's slice, and the genomes and objective vectors
+// of its individuals, stay the sender's. The receiver must be done
+// reading a delivery before its next Recv on the edge. The sender
+// rewrites a delivery only after two later Sends on the edge have
+// returned: the second of them could only return once the receiver had
+// taken the first, so it had finished the delivery before (DESIGN.md
+// §13). A transport that encodes or copies a delivery inside Send
+// leaves the buffers free as soon as Send returns.
 type Mailbox interface {
 	// Send delivers one tick's elites to the edge, blocking while the
 	// previous delivery is still unconsumed.
@@ -53,7 +62,8 @@ func newRingAbort() *ringAbort { return &ringAbort{ch: make(chan struct{})} }
 func (a *ringAbort) trip() { a.once.Do(func() { close(a.ch) }) }
 
 // chanMailbox is the in-process ring edge: a one-deep channel plus the
-// run's abort broadcast.
+// run's abort broadcast. It hands the sender's slice over as is; the
+// Mailbox ownership rule keeps the sender from rewriting it early.
 type chanMailbox struct {
 	ch    chan []Individual
 	abort *ringAbort
@@ -194,30 +204,66 @@ func RingTicks(start, target, interval, migrants, islands int) (firstTick, ntick
 	return firstTick, nticks
 }
 
-// ring is a shard's reusable stepping state: its ring-edge mailboxes
-// and per-island tick records. Every completed Run leaves the mailboxes
-// drained (each tick's send is consumed by the receiver at its own
-// same-numbered tick), so they carry over to the next Run and a warm
-// Islands.Step builds no ring state. A failed Run drops the ring: its
-// abort is tripped and its edges may still hold migrants.
+// migrantBufs is the number of send buffers each island rotates through,
+// one per tick. Three is the fewest the Mailbox ownership rule allows:
+// tick T's buffer is rewritten at tick T+3, after the Send at T+2 has
+// returned.
+const migrantBufs = 3
+
+// ring is a shard's reusable stepping state: its ring-edge mailboxes,
+// per-island tick records and migrant buffers, the current Run's
+// schedule, and one goroutine body per island. Every completed Run
+// leaves the mailboxes drained (each tick's send is consumed by the
+// receiver at its own same-numbered tick), so they carry over to the
+// next Run and a warm Islands.Step allocates nothing. A failed Run drops
+// the ring: its abort is tripped and its edges may still hold migrants.
 type ring struct {
 	abort   *ringAbort
 	in, out []Mailbox
 	recs    [][]ShardTick
 	errs    []error
 	wg      sync.WaitGroup
+
+	// The current Run's schedule, set before the islands start.
+	start, target, firstTick, nticks int
+	// migrants[i][b] is island i's b-th send buffer: the elites it packs
+	// at a tick whose number (generation / interval) is b modulo
+	// migrantBufs. Empty when the ring migrates nothing.
+	migrants [][migrantBufs][]Individual
+	// islands[i] runs island i for the current Run; built with the ring.
+	islands []func()
 }
 
-// newRing wires n islands' interior edges, plus the wrap edge when the
-// shard covers the whole ring; a partial shard's boundary edges are the
-// caller's, set per Run.
-func newRing(n int, whole bool) *ring {
+// newRing wires the shard's interior edges, plus the wrap edge when the
+// shard covers the whole ring (a partial shard's boundary edges are the
+// caller's, set per Run), and builds each island's send buffers and
+// goroutine body.
+//
+// Island i's body advances it from r.start to r.target. At each of the
+// Run's r.nticks logical migration ticks (r.firstTick, then every
+// interval) the island packs the elites of its own post-step,
+// pre-injection state into its send buffer for the tick and sends them
+// into its out edge, then blocks on its in edge and injects what
+// arrives (send-before-receive keeps the ring deadlock-free).
+// recs[i][t] captures the island's counters at its t-th tick.
+//
+// Determinism: island i's population after tick T depends only on its
+// own rng stream and the migrants it received at ticks ≤ T, which are
+// computed from its predecessor's pre-injection state at those ticks —
+// a recursion over deterministic per-island histories that never
+// involves goroutine timing (DESIGN.md §13).
+//
+//detlint:goroutines
+func (s *IslandShard) newRing(whole bool) *ring {
+	n := len(s.engines)
 	r := &ring{
-		abort: newRingAbort(),
-		in:    make([]Mailbox, n),
-		out:   make([]Mailbox, n),
-		recs:  make([][]ShardTick, n),
-		errs:  make([]error, n),
+		abort:    newRingAbort(),
+		in:       make([]Mailbox, n),
+		out:      make([]Mailbox, n),
+		recs:     make([][]ShardTick, n),
+		errs:     make([]error, n),
+		migrants: make([][migrantBufs][]Individual, n),
+		islands:  make([]func(), n),
 	}
 	for i := 0; i+1 < n; i++ {
 		m := newChanMailbox(r.abort)
@@ -226,6 +272,58 @@ func newRing(n int, whole bool) *ring {
 	if whole {
 		m := newChanMailbox(r.abort)
 		r.out[n-1], r.in[0] = m, m
+	}
+	migrates := s.cfg.Migrants > 0 && s.cfg.Islands > 1
+	recs, errs, interval := r.recs, r.errs, s.cfg.MigrationInterval
+	for i, eng := range s.engines {
+		if migrates {
+			for b := range r.migrants[i] {
+				r.migrants[i][b] = eng.newMigrants(min(s.cfg.Migrants, len(eng.pop)))
+			}
+		}
+		r.islands[i] = func() {
+			defer r.wg.Done()
+			i, eng := i, eng // goroutine-local: this body's own slot and engine
+			in, out, gi, bufs := r.in[i], r.out[i], s.lo+i, &r.migrants[i]
+			phase, health := s.phase, s.health
+			tick, t := r.firstTick, 0
+			for g := r.start + 1; g <= r.target; g++ {
+				eng.Step()
+				if t == r.nticks || g != tick {
+					continue
+				}
+				tick += interval
+				// Only the migration work is timed, elite packing and
+				// injection: the ring-edge wait between them lands in the
+				// step's residual, so one island's wait is never counted
+				// on top of its siblings' step phases.
+				t0 := phase.Start()
+				elites := bufs[g/interval%migrantBufs]
+				eng.packElites(elites)
+				busy := phase.Start() - t0
+				health.SetMailboxDepth(gi, out.Depth()+1)
+				if err := out.Send(elites); err != nil {
+					errs[i] = err
+					r.abort.trip()
+					return
+				}
+				inbound, err := in.Recv()
+				if err != nil {
+					errs[i] = err
+					r.abort.trip()
+					return
+				}
+				t1 := phase.Start()
+				if err := eng.Inject(inbound); err != nil {
+					panic(fmt.Sprintf("nsga2: ring migration failed: %v", err))
+				}
+				phase.Add(obs.PhaseMigration, busy+phase.Start()-t1)
+				health.SetMailboxDepth(gi, out.Depth())
+				health.SetTick(gi, g)
+				recs[i][t] = captureShard(eng, len(elites))
+				t++
+			}
+		}
 	}
 	return r
 }
@@ -325,7 +423,7 @@ func (s *IslandShard) Run(generations int, in, out Mailbox) ([][]ShardTick, erro
 		return nil, fmt.Errorf("nsga2: shard [%d, %d) of %d islands needs boundary mailboxes", s.lo, s.hi, s.cfg.Islands)
 	}
 	if s.ring == nil {
-		s.ring = newRing(n, whole)
+		s.ring = s.newRing(whole)
 	}
 	r := s.ring
 	if !whole {
@@ -338,7 +436,8 @@ func (s *IslandShard) Run(generations int, in, out Mailbox) ([][]ShardTick, erro
 		r.recs[i] = r.recs[i][:nticks]
 		r.errs[i] = nil
 	}
-	if err := s.runRing(r, start, target, firstTick, nticks); err != nil {
+	r.start, r.target, r.firstTick, r.nticks = start, target, firstTick, nticks
+	if err := s.runRing(r); err != nil {
 		s.ring = nil
 		return nil, err
 	}
@@ -346,66 +445,15 @@ func (s *IslandShard) Run(generations int, in, out Mailbox) ([][]ShardTick, erro
 	return r.recs, nil
 }
 
-// runRing advances every shard island from start to target on its own
-// goroutine with no per-generation barrier. At each of the run's nticks
-// logical migration ticks (firstTick, then every interval) an island
-// sends the elites of its own post-step, pre-injection state into its
-// out edge, then blocks on its in edge and injects what arrives
-// (send-before-receive keeps the ring deadlock-free). recs[i][t]
-// captures island i's counters at its t-th tick. A mailbox error aborts
-// the whole ring and is reported from the lowest-indexed failing island.
-//
-// Determinism: island i's population after tick T depends only on its
-// own rng stream and the migrants it received at ticks ≤ T, which are
-// computed from its predecessor's pre-injection state at those ticks —
-// a recursion over deterministic per-island histories that never
-// involves goroutine timing (DESIGN.md §13).
-func (s *IslandShard) runRing(r *ring, start, target, firstTick, nticks int) error {
-	recs, errs := r.recs, r.errs
-	r.wg.Add(len(s.engines))
-	for i, eng := range s.engines {
-		go func(i int, eng *Engine) {
-			defer r.wg.Done()
-			in, out, gi := r.in[i], r.out[i], s.lo+i
-			interval, migrants := s.cfg.MigrationInterval, s.cfg.Migrants
-			phase, health := s.phase, s.health
-			tick, t := firstTick, 0
-			for g := start + 1; g <= target; g++ {
-				eng.Step()
-				if t == nticks || g != tick {
-					continue
-				}
-				tick += interval
-				// Only the migration work is timed, elite extraction and
-				// injection: the ring-edge wait between them lands in the
-				// step's residual, so one island's wait is never counted
-				// on top of its siblings' step phases.
-				t0 := phase.Start()
-				elites := eng.Elites(migrants)
-				busy := phase.Start() - t0
-				health.SetMailboxDepth(gi, out.Depth()+1)
-				if err := out.Send(elites); err != nil {
-					errs[i] = err
-					r.abort.trip()
-					return
-				}
-				inbound, err := in.Recv()
-				if err != nil {
-					errs[i] = err
-					r.abort.trip()
-					return
-				}
-				t1 := phase.Start()
-				if err := eng.Inject(inbound); err != nil {
-					panic(fmt.Sprintf("nsga2: ring migration failed: %v", err))
-				}
-				phase.Add(obs.PhaseMigration, busy+phase.Start()-t1)
-				health.SetMailboxDepth(gi, out.Depth())
-				health.SetTick(gi, g)
-				recs[i][t] = captureShard(eng, len(elites))
-				t++
-			}
-		}(i, eng)
+// runRing advances every shard island through the Run r describes, each
+// on its own goroutine (its body from newRing) with no per-generation
+// barrier. A mailbox error aborts the whole ring and is reported from
+// the lowest-indexed failing island.
+func (s *IslandShard) runRing(r *ring) error {
+	errs := r.errs
+	r.wg.Add(len(r.islands))
+	for _, run := range r.islands {
+		go run()
 	}
 	r.wg.Wait()
 	for i, err := range errs {

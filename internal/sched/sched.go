@@ -145,6 +145,17 @@ func (r *replay) session(e *Evaluator) (*DeltaSession, *Contribs) {
 	return r.d, r.c
 }
 
+// bitset returns the replay's cleared bitset of n bits.
+func (r *replay) bitset(n int) []uint64 {
+	words := (n + 63) / 64
+	if cap(r.seen) < words {
+		r.seen = make([]uint64, words)
+	}
+	seen := r.seen[:words]
+	clear(seen)
+	return seen
+}
+
 // taskMeta is the per-task record of everything the machine-major
 // simulation kernel reads for every task: the TUF's tail guard and
 // first segment (utility.Inline), arrival time and task type. Sized and
@@ -277,26 +288,10 @@ func (e *Evaluator) validate(a *Allocation, r *replay) error {
 	if len(a.Machine) != n || len(a.Order) != n {
 		return fmt.Errorf("sched: allocation covers %d/%d tasks, trace has %d", len(a.Machine), len(a.Order), n)
 	}
-	words := (n + 63) / 64
-	if cap(r.seen) < words {
-		r.seen = make([]uint64, words)
-	}
-	seen := r.seen[:words]
-	clear(seen)
+	seen := r.bitset(n)
 	for i := 0; i < n; i++ {
-		m := a.Machine[i]
-		if m == Dropped {
-			if !e.AllowDropping {
-				return fmt.Errorf("sched: task %d dropped but dropping is not enabled", i)
-			}
-		} else {
-			if m < 0 || int(m) >= e.NumMachines() {
-				return fmt.Errorf("sched: task %d assigned machine %d out of range", i, m)
-			}
-			tt := e.meta[i].ty
-			if math.IsInf(e.etc[tt][m], 1) {
-				return fmt.Errorf("sched: task %d (type %d) assigned incapable machine %d", i, tt, m)
-			}
+		if err := e.checkMachine(i, a.Machine[i]); err != nil {
+			return err
 		}
 		o := int(a.Order[i])
 		if o < 0 || o >= n {
@@ -307,6 +302,64 @@ func (e *Evaluator) validate(a *Allocation, r *replay) error {
 			return fmt.Errorf("sched: order %d assigned twice", o)
 		}
 		seen[o>>6] |= bit
+	}
+	return nil
+}
+
+// ValidateSlots makes Validate's checks on a packed execution sequence
+// (see PackSlot): one slot per task, every task scheduled exactly once,
+// and each task's machine in range and capable, or Dropped if permitted.
+// It walks the slots once with Validate's pooled bitset and allocates
+// nothing while the pool holds a scratch.
+func (e *Evaluator) ValidateSlots(slots []uint32) error {
+	r := e.getReplay()
+	err := e.validateSlots(slots, r)
+	e.replays.Put(r)
+	return err
+}
+
+// validateSlots is ValidateSlots on the given replay scratch; the bitset
+// marks tasks seen, since a sequence of NumTasks slots is a permutation
+// exactly when no task appears twice.
+func (e *Evaluator) validateSlots(slots []uint32, r *replay) error {
+	n := e.NumTasks()
+	if len(slots) != n {
+		return fmt.Errorf("sched: execution sequence covers %d tasks, trace has %d", len(slots), n)
+	}
+	seen := r.bitset(n)
+	for pos, v := range slots {
+		t := SlotTask(v)
+		if t >= n {
+			return fmt.Errorf("sched: slot %d holds task %d out of range", pos, t)
+		}
+		if err := e.checkMachine(t, SlotMachine(v)); err != nil {
+			return err
+		}
+		bit := uint64(1) << (t & 63)
+		if seen[t>>6]&bit != 0 {
+			return fmt.Errorf("sched: task %d scheduled twice", t)
+		}
+		seen[t>>6] |= bit
+	}
+	return nil
+}
+
+// checkMachine checks task i's machine assignment m: in range and
+// capable of the task's type (Incapable is +Inf in the ETC rows), or
+// Dropped while dropping is enabled.
+func (e *Evaluator) checkMachine(i int, m int32) error {
+	if m == Dropped {
+		if !e.AllowDropping {
+			return fmt.Errorf("sched: task %d dropped but dropping is not enabled", i)
+		}
+		return nil
+	}
+	if m < 0 || int(m) >= e.NumMachines() {
+		return fmt.Errorf("sched: task %d assigned machine %d out of range", i, m)
+	}
+	tt := e.meta[i].ty
+	if math.IsInf(e.etc[tt][m], 1) {
+		return fmt.Errorf("sched: task %d (type %d) assigned incapable machine %d", i, tt, m)
 	}
 	return nil
 }

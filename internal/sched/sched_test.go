@@ -196,6 +196,50 @@ func TestValidateRejectsBadAllocations(t *testing.T) {
 	}
 }
 
+// TestValidateSlotsRejectsBadSequences: the packed-sequence walk accepts
+// every valid allocation's execution sequence and rejects each way a
+// sequence can be malformed, with Validate's message wherever the
+// fault is a machine assignment.
+func TestValidateSlotsRejectsBadSequences(t *testing.T) {
+	e := newEval(t)
+	good := &Allocation{Machine: []int32{0, 1, 0}, Order: []int32{2, 0, 1}}
+	slots := make([]uint32, 3)
+	ScatterSlots(good, slots, nil)
+	if err := e.ValidateSlots(slots); err != nil {
+		t.Fatalf("valid sequence rejected: %v", err)
+	}
+	dropped := []uint32{PackSlot(0, 0), PackSlot(Dropped, 1), PackSlot(0, 2)}
+	cases := []struct {
+		name  string
+		slots []uint32
+	}{
+		{"wrong length", []uint32{PackSlot(0, 0), PackSlot(0, 1)}},
+		{"task out of range", []uint32{PackSlot(0, 0), PackSlot(0, 1), PackSlot(0, 7)}},
+		{"task twice", []uint32{PackSlot(0, 0), PackSlot(0, 1), PackSlot(1, 1)}},
+		{"machine out of range", []uint32{PackSlot(0, 0), PackSlot(9, 1), PackSlot(0, 2)}},
+		{"drop not permitted", dropped},
+	}
+	for _, c := range cases {
+		if err := e.ValidateSlots(c.slots); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	// A machine fault reads as Validate's on the same allocation.
+	for _, m := range []int32{9, Dropped} {
+		bad := good.Clone()
+		bad.Machine[1] = m
+		ScatterSlots(bad, slots, nil)
+		want, got := e.Validate(bad), e.ValidateSlots(slots)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("machine %d: ValidateSlots %v, Validate %v", m, got, want)
+		}
+	}
+	e.AllowDropping = true
+	if err := e.ValidateSlots(dropped); err != nil {
+		t.Errorf("permitted drop rejected: %v", err)
+	}
+}
+
 func TestValidateRejectsIncapableAssignment(t *testing.T) {
 	// Build a system with a special-purpose machine and verify Validate
 	// rejects assigning a general task to it.
@@ -229,6 +273,11 @@ func TestValidateRejectsIncapableAssignment(t *testing.T) {
 	bad := &Allocation{Machine: []int32{1, 1}, Order: []int32{0, 1}}
 	if err := e.Validate(bad); err == nil {
 		t.Fatal("general-purpose task on special-purpose machine accepted")
+	}
+	slots := make([]uint32, 2)
+	ScatterSlots(bad, slots, nil)
+	if err := e.ValidateSlots(slots); err == nil {
+		t.Fatal("packed sequence with an incapable machine accepted")
 	}
 	good := &Allocation{Machine: []int32{0, 1}, Order: []int32{0, 1}}
 	if err := e.Validate(good); err != nil {
