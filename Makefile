@@ -113,9 +113,14 @@ dist-smoke:
 # End-to-end telemetry smoke: run a short traced optimization through
 # cmd/tradeoff and a traced multi-engine study (the ablation) through
 # cmd/experiments, then validate each JSONL trace with cmd/tracecheck.
+# A trace times its phases without -phase-profile too: the plain traced
+# run must record a nonzero phase_ns entry.
 trace-smoke:
 	$(GO) run ./cmd/tradeoff -generations 20 -pop 20 -tasks 60 -phase-profile -trace /tmp/trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/trace_smoke.jsonl
+	$(GO) run ./cmd/tradeoff -generations 20 -pop 20 -tasks 60 -trace /tmp/trace_smoke_plain.jsonl > /dev/null
+	$(GO) run ./cmd/tracecheck /tmp/trace_smoke_plain.jsonl
+	@grep -q '"phase_ns":\[[0-9,]*[1-9]' /tmp/trace_smoke_plain.jsonl || { echo "trace-smoke: -trace without -phase-profile wrote all-zero phase_ns"; exit 1; }
 	$(GO) run ./cmd/tracestat -json /tmp/trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/experiments -ablation 1 -scale 0.02 -pop 20 -phase-profile -trace /tmp/exp_trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/exp_trace_smoke.jsonl
@@ -125,12 +130,18 @@ trace-smoke:
 # builds every child from its parents' execution sequences
 # (FuzzRepairOrder), migrant validation, materialized and packed
 # (FuzzInjectRejectsMalformed), and the kernel's inline utility tiers
-# (FuzzTaskRecordUtility). A failing input lands in the package's
-# testdata/fuzz directory, where plain go test replays it.
+# (FuzzTaskRecordUtility); and on the two external decoders, a
+# -loadtrace trace (FuzzDecodeTrace) and a -system HCS description
+# (FuzzSystemJSON), each through to an evaluation. The decoders' inputs
+# are large, and minimizing each new one can take the whole budget, so
+# their minimization is capped at 5 s. A failing input lands in the
+# package's testdata/fuzz directory, where plain go test replays it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairOrder$$' -fuzztime 10s ./internal/nsga2
 	$(GO) test -run '^$$' -fuzz '^FuzzInjectRejectsMalformed$$' -fuzztime 10s ./internal/nsga2
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskRecordUtility$$' -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s -fuzzminimizetime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSystemJSON$$' -fuzztime 10s -fuzzminimizetime 5s ./internal/core
 
 # The end-to-end benchmark (bench/, see bench/README.md) is a module of
 # its own, so the root go test ./... never builds it. Vet and test it

@@ -251,22 +251,12 @@ type (
 	MigrationEvent = obs.MigrationEvent
 	// RunEvent summarizes one completed experiment run.
 	RunEvent = obs.RunEvent
-	// MetricsRegistry is a typed metric registry with Prometheus-text and
-	// JSON exposition.
-	MetricsRegistry = obs.Registry
 	// TraceWriter streams telemetry events as JSONL.
 	TraceWriter = obs.TraceWriter
 	// Clock supplies nanosecond timestamps to a TraceWriter; inject a
 	// fixed clock for byte-identical traces.
 	Clock = obs.Clock
 )
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewMetricsObserver registers the standard instrument set on r and
-// returns the observer that feeds it.
-func NewMetricsObserver(r *MetricsRegistry) Observer { return obs.NewMetrics(r) }
 
 // NewTraceWriter returns an observer that appends one JSON object per
 // telemetry event to w, timestamped by clock (nil stamps 0).

@@ -208,16 +208,15 @@ func benchStep(b *testing.B, n int) {
 	}
 }
 
-// Steady-state generation cost with the full telemetry chain attached:
-// metrics observer plus JSONL trace writer (to io.Discard) plus the
-// phase profiler on a live clock. All record paths recycle their
-// buffers and the profiler is fixed-slot atomic adds, so the observed
-// loop stays allocation-free too; the delta against
-// BenchmarkStepPop100 is the whole per-generation price of telemetry.
+// Steady-state generation cost with what -trace attaches: the JSONL
+// trace writer (to io.Discard) plus the phase profiler on a live clock.
+// The writer recycles its buffer and the profiler is fixed-slot atomic
+// adds, so the observed loop stays allocation-free too; the delta
+// against BenchmarkStepPop100 is the whole per-generation price of
+// telemetry.
 func BenchmarkStepObserved(b *testing.B) {
 	eng := ablationEngine(b, nil)
-	reg := obs.NewRegistry()
-	eng.SetObserver(obs.Combine(obs.NewMetrics(reg), obs.NewTraceWriter(io.Discard, nil)))
+	eng.SetObserver(obs.NewTraceWriter(io.Discard, nil))
 	eng.SetPhaseTimer(obs.NewPhaseTimer(func() int64 { return time.Now().UnixNano() }))
 	eng.Step() // size the arena, scratch, and telemetry buffers before measuring
 	b.ReportAllocs()
@@ -228,17 +227,15 @@ func BenchmarkStepObserved(b *testing.B) {
 }
 
 // Steady-state generation cost with a flight recorder in the observer
-// chain (alongside the metrics and trace members of
-// BenchmarkStepObserved). The ring deep-copies every event into
+// chain (alongside the trace writer of BenchmarkStepObserved). The ring deep-copies every event into
 // slot-owned storage, so after the slots grow to the working set the
 // wrap-around steady state recycles rather than reallocates. Named
 // outside the benchdiff gate: the recorder is an opt-in diagnostic,
 // not part of the pinned telemetry baseline.
 func BenchmarkObservedWithFlightRecorder(b *testing.B) {
 	eng := ablationEngine(b, nil)
-	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(64, func() int64 { return time.Now().UnixNano() })
-	eng.SetObserver(obs.Combine(obs.NewMetrics(reg), obs.NewTraceWriter(io.Discard, nil), fr))
+	eng.SetObserver(obs.Combine(obs.NewTraceWriter(io.Discard, nil), fr))
 	for i := 0; i < 65; i++ {
 		eng.Step() // grow the ring slots past one full wrap before measuring
 	}

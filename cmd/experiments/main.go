@@ -16,8 +16,9 @@
 // is active.
 //
 // -trace streams per-generation JSONL telemetry to a file (per-run
-// records for -repeats) and -metrics-addr serves the run's metric
-// registry as Prometheus text on /metrics; neither changes any result.
+// records for -repeats), each generation record with its phase
+// breakdown; -phase-profile also prints a per-phase summary after the
+// run. Neither changes any result.
 // -cpuprofile and -memprofile write pprof profiles of the whole
 // invocation.
 package main
@@ -56,7 +57,6 @@ var (
 	repeats     = flag.Int("repeats", 0, "statistical repeats study on data set 1-3")
 	runs        = flag.Int("runs", 5, "runs per variant for -repeats")
 	tracePath   = flag.String("trace", "", "stream per-generation JSONL telemetry to this file")
-	metricsAddr = flag.String("metrics-addr", "", "serve Prometheus-text metrics on this address (e.g. :9090)")
 	phaseProf   = flag.Bool("phase-profile", false, "time the engines' generation phases and print a summary after the run")
 	flightRec   = flag.Int("flight-recorder", 0, "retain the last N telemetry events for SIGUSR1/panic dumps (0 = off)")
 	flightDump  = flag.String("flight-dump", "", "write flight-recorder dumps to this file (default stderr)")
@@ -77,7 +77,6 @@ func main() {
 	// only ever see the injected obs.Clock.
 	tel, err := telemetry.Setup(telemetry.Config{
 		TracePath:      *tracePath,
-		MetricsAddr:    *metricsAddr,
 		PhaseProfile:   *phaseProf,
 		FlightRecorder: *flightRec,
 		Clock:          func() int64 { return time.Now().UnixNano() },
@@ -86,9 +85,6 @@ func main() {
 		fatal(err)
 	}
 	telSession = tel
-	if url := tel.MetricsURL(); url != "" {
-		fmt.Println("serving metrics at", url)
-	}
 	if fr := tel.FlightRecorder(); fr != nil {
 		stop := telemetry.WatchFlightSignal("experiments", fr, *flightDump)
 		defer stop()
@@ -100,9 +96,9 @@ func main() {
 		}()
 	}
 	dispatch(tel.Observer(), tel.PhaseTimer())
-	if pt := tel.PhaseTimer(); pt != nil {
+	if *phaseProf {
 		fmt.Println("\nphase profile:")
-		if err := pt.WriteSummary(os.Stdout); err != nil {
+		if err := tel.PhaseTimer().WriteSummary(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}

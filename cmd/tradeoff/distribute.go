@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
-	"time"
 
 	"tradeoff/internal/core"
 	"tradeoff/internal/dist"
@@ -52,7 +51,6 @@ func serveIslandWorker(fw *core.Framework, opts core.Options, worker, workers in
 		Config:   cfg,
 		Seed:     opts.RandomSeed,
 		Observer: tel.Observer(),
-		Clock:    func() int64 { return time.Now().UnixNano() },
 	})
 }
 
@@ -76,8 +74,7 @@ func runDistributed(fw *core.Framework, opts core.Options, workers int, tel *tel
 	if err != nil {
 		return nil, err
 	}
-	board := tel.DistBoard(workers)
-	procs, err := dist.StartWorkers(workers, board.AddBytes, func(w int) *exec.Cmd {
+	procs, err := dist.StartWorkers(workers, nil, func(w int) *exec.Cmd {
 		args := append(append([]string{}, os.Args[1:]...), "-island-worker", strconv.Itoa(w))
 		cmd := exec.Command(exe, args...)
 		cmd.Stdout = os.Stderr // the parent owns stdout; worker prints go to stderr
@@ -105,7 +102,6 @@ func runDistributed(fw *core.Framework, opts core.Options, workers int, tel *tel
 		PopulationSize:    ncfg.Engine.PopulationSize,
 		NumMachines:       fw.Evaluator().NumMachines(),
 		Observer:          opts.Observer,
-		Board:             board,
 	})
 	if err != nil {
 		kill()

@@ -8,18 +8,16 @@
 //	tradeoff [-dataset 1|2|3] [-generations 2000] [-pop 100] \
 //	         [-seeds min-energy,max-utility] [-seed 1] \
 //	         [-csv front.csv] [-svg front.svg] [-system system.json] \
-//	         [-trace run.jsonl] [-metrics-addr :9090] \
+//	         [-trace run.jsonl] [-phase-profile] \
 //	         [-cpuprofile cpu.pprof]
 //
 // -trace streams one JSON object per generation (front points,
-// convergence indicators, evaluation counters) to a file; -metrics-addr
-// serves the run's metric registry as Prometheus text on /metrics and
-// JSON on /metrics.json. Neither changes the optimization result.
+// convergence indicators, evaluation counters, and the generation's
+// phase breakdown) to a file without changing the optimization result.
 //
 // -phase-profile times the engine's generation phases (selection,
-// variation, evaluation, sort, archive, migration)
-// and prints a per-phase summary after the run; with -trace the
-// per-generation phase breakdown lands in each generation record.
+// variation, evaluation, sort, archive, migration) and prints a
+// per-phase summary after the run.
 // -flight-recorder N retains the last N telemetry events in memory;
 // SIGUSR1 (and a run-aborting panic) dumps them as trace JSONL to the
 // -flight-dump path (stderr when unset). None of these change results.
@@ -99,7 +97,6 @@ func main() {
 		archiveEps  = flag.String("archive-eps", "", "comma-separated ε widths utility,energy for -archive (empty = derived from the front extent)")
 		machines    = flag.Bool("machines", false, "print the per-machine breakdown of the efficient-region allocation")
 		tracePath   = flag.String("trace", "", "stream per-generation JSONL telemetry to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus-text metrics on this address (e.g. :9090)")
 		phaseProf   = flag.Bool("phase-profile", false, "time the engine's generation phases and print a summary after the run")
 		flightRec   = flag.Int("flight-recorder", 0, "retain the last N telemetry events for SIGUSR1/panic dumps (0 = off)")
 		flightDump  = flag.String("flight-dump", "", "write flight-recorder dumps to this file (default stderr)")
@@ -128,18 +125,12 @@ func main() {
 	// The wall clock enters here, at the command layer; internal packages
 	// only ever see the injected obs.Clock.
 	traceOut := *tracePath
-	metricsOut := *metricsAddr
-	if *islandWork >= 0 {
-		// Worker processes stream their own trace next to the parent's;
-		// the single metrics endpoint stays with the parent.
-		if traceOut != "" {
-			traceOut = fmt.Sprintf("%s.w%d", traceOut, *islandWork)
-		}
-		metricsOut = ""
+	if *islandWork >= 0 && traceOut != "" {
+		// Worker processes stream their own trace next to the parent's.
+		traceOut = fmt.Sprintf("%s.w%d", traceOut, *islandWork)
 	}
 	tel, err := telemetry.Setup(telemetry.Config{
 		TracePath:      traceOut,
-		MetricsAddr:    metricsOut,
 		PhaseProfile:   *phaseProf,
 		FlightRecorder: *flightRec,
 		Clock:          func() int64 { return time.Now().UnixNano() },
@@ -148,9 +139,6 @@ func main() {
 		fatal(err)
 	}
 	telSession = tel
-	if url := tel.MetricsURL(); url != "" {
-		fmt.Println("serving metrics at", url)
-	}
 	if fr := tel.FlightRecorder(); fr != nil {
 		stop := telemetry.WatchFlightSignal("tradeoff", fr, *flightDump)
 		defer stop()
@@ -251,7 +239,6 @@ func main() {
 		ArchiveEpsilon:    eps,
 		Observer:          tel.Observer(),
 		PhaseTimer:        tel.PhaseTimer(),
-		IslandBoard:       tel.IslandBoard(*islands),
 	}
 	if *islandWork >= 0 {
 		// Distributed worker mode: serve our island shard over the
@@ -395,9 +382,9 @@ func main() {
 		}
 		fmt.Println("wrote", *svgPath)
 	}
-	if pt := tel.PhaseTimer(); pt != nil {
+	if *phaseProf {
 		fmt.Println("\nphase profile:")
-		if err := pt.WriteSummary(os.Stdout); err != nil {
+		if err := tel.PhaseTimer().WriteSummary(os.Stdout); err != nil {
 			fatal(err)
 		}
 	}

@@ -130,10 +130,6 @@ type Options struct {
 	// island migration). Profiling never consumes
 	// randomness or changes results; see internal/obs.
 	PhaseTimer *obs.PhaseTimer
-	// IslandBoard, when non-nil, receives per-island health gauges
-	// (mailbox depth, tick, tick skew) from island
-	// runs. Only meaningful with Islands > 1; see internal/obs.
-	IslandBoard *obs.IslandBoard
 }
 
 // Result is the outcome of one optimization run.
@@ -393,7 +389,6 @@ func (f *Framework) optimizeIslands(opts Options, seeds []*sched.Allocation) (*R
 	}
 	is.SetObserver(opts.Observer)
 	is.SetPhaseTimer(opts.PhaseTimer)
-	is.SetHealth(opts.IslandBoard)
 	if opts.Resume != nil {
 		if err := is.Restore(opts.Resume); err != nil {
 			return nil, err

@@ -28,8 +28,7 @@ type CoordinatorConfig struct {
 	// from-ascending order, then one aggregated "islands" stats event —
 	// bit-identical to the in-process island model's sequence.
 	Observer obs.Observer
-	// Board, when non-nil, receives wire byte, round-trip, and stall
-	// telemetry.
+	// Board, when non-nil, counts wire round trips.
 	Board *obs.DistBoard
 }
 
@@ -264,7 +263,6 @@ func (c *Coordinator) Run(generations int) error {
 					w, t, len(rep.Ticks[t]), c.hi[w]-c.lo[w]))
 			}
 		}
-		c.cfg.Board.ObserveStall(w, float64(rep.StallNanos)/1e9)
 	}
 	c.gen += generations
 

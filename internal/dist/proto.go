@@ -88,13 +88,10 @@ type WireRun struct {
 }
 
 // WireReport ends a worker's run: recorded shards per tick per shard
-// island (global order), plus the wall time the worker spent blocked on
-// boundary-edge wire waits.
+// island (global order).
 type WireReport struct {
 	// Ticks[t][i] is shard island i's counters at logical tick t.
 	Ticks [][]WireShardTick
-	// StallNanos is the worker's total boundary-edge wait time.
-	StallNanos int64
 }
 
 // WireFront carries each shard island's rank-1 front, in global island
@@ -420,7 +417,6 @@ func (e *Encoder) EncodeReport(m *WireReport) error {
 			e.buf = appendTick(e.buf, &m.Ticks[t][i])
 		}
 	}
-	e.buf = appendU64(e.buf, uint64(m.StallNanos))
 	return e.writeFrame(MsgReport)
 }
 
@@ -436,7 +432,6 @@ func DecodeReport(payload []byte) (*WireReport, error) {
 	for t := range m.Ticks {
 		m.Ticks[t] = readTicks(r)
 	}
-	m.StallNanos = int64(r.u64())
 	if err := r.finish(MsgReport); err != nil {
 		return nil, err
 	}

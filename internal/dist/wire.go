@@ -27,7 +27,7 @@ import (
 
 // WireVersion is the protocol version carried in every MsgHello; the
 // parent refuses workers speaking a different version.
-const WireVersion = 3
+const WireVersion = 4
 
 // MaxFrame bounds a frame's payload length. Far above any real
 // migration payload, it keeps a corrupt or adversarial length prefix
@@ -52,7 +52,7 @@ const (
 	// logical tick (worker → parent → destination worker).
 	MsgElites
 	// MsgReport ends a worker's run: per-tick per-island counter
-	// shards plus the worker's wire-stall time.
+	// shards.
 	MsgReport
 	// MsgFrontReq asks a worker for its islands' rank-1 fronts.
 	MsgFrontReq

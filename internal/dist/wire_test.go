@@ -121,7 +121,6 @@ func TestWireRoundTrips(t *testing.T) {
 			{{FullEvals: 1}, {FullEvals: 2}},
 			{{FullEvals: 3, Migrants: 2}, {MachinesInherited: 4}},
 		},
-		StallNanos: 12345,
 	}
 	front := &WireFront{Fronts: [][]WireIndividual{
 		{{Machine: []int32{1}, Order: []int32{0}, Objectives: []float64{0.5, 2}}},
@@ -291,7 +290,7 @@ func TestWireTruncatedPayloads(t *testing.T) {
 			func(p []byte) error { _, err := DecodeElites(p); return err }},
 		{"report", MsgReport,
 			func(e *Encoder) error {
-				return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{FullEvals: 9}}}, StallNanos: 5})
+				return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{FullEvals: 9}}}})
 			},
 			func(p []byte) error { _, err := DecodeReport(p); return err }},
 		{"front", MsgFront,
@@ -445,7 +444,7 @@ func FuzzWireCodec(f *testing.F) {
 		}})
 	})
 	seed(func(e *Encoder) error {
-		return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{FullEvals: 1}, {DeltaEvals: 2}}}, StallNanos: 7})
+		return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{{FullEvals: 1}, {DeltaEvals: 2}}}})
 	})
 	seed(func(e *Encoder) error { return e.EncodeControl(MsgFrontReq) })
 	seed(func(e *Encoder) error {

@@ -41,16 +41,6 @@ type WorkerEnv struct {
 	// events (worker-local trace); the parent emits the authoritative
 	// full-ring telemetry stream.
 	Observer obs.Observer
-	// Clock, when non-nil, times boundary-edge stalls for the report.
-	Clock obs.Clock
-}
-
-// nowNanos reads the optional clock.
-func nowNanos(c obs.Clock) int64 {
-	if c == nil {
-		return 0
-	}
-	return c()
 }
 
 // wireInEdge is the shard's inbound boundary Mailbox: island Lo's
@@ -59,15 +49,12 @@ func nowNanos(c obs.Clock) int64 {
 // connection's read side until the run ends.
 type wireInEdge struct {
 	conn       *Conn
-	clock      obs.Clock
 	expectFrom int32
 	tick       int32
-	stall      int64
 }
 
 //detlint:hotpath
 func (e *wireInEdge) Recv() ([]nsga2.Individual, error) {
-	t0 := nowNanos(e.clock)
 	typ, payload, err := e.conn.Next()
 	if err == io.EOF {
 		return nil, frameErr(0, MsgElites, "connection closed mid-run: %w", ErrTruncated)
@@ -87,7 +74,6 @@ func (e *wireInEdge) Recv() ([]nsga2.Individual, error) {
 			m.Tick, m.From, e.tick, e.expectFrom)
 	}
 	e.tick++
-	e.stall += nowNanos(e.clock) - t0
 	return fromWireElites(m), nil
 }
 
@@ -95,34 +81,26 @@ func (e *wireInEdge) Send([]nsga2.Individual) error {
 	return fmt.Errorf("dist: inbound boundary edge cannot send")
 }
 
-func (e *wireInEdge) Depth() int { return 0 }
-
 // wireOutEdge is the shard's outbound boundary Mailbox: island Hi-1's
 // successor edge, written straight onto the worker socket (the
 // coordinator forwards to the owning worker).
 type wireOutEdge struct {
-	conn  *Conn
-	clock obs.Clock
-	from  int32
-	tick  int32
-	stall int64
+	conn *Conn
+	from int32
+	tick int32
 }
 
 //detlint:hotpath
 func (e *wireOutEdge) Send(elites []nsga2.Individual) error {
-	t0 := nowNanos(e.clock)
 	m := toWireElites(int(e.tick), int(e.from), elites)
 	err := e.conn.SendElites(&m)
 	e.tick++
-	e.stall += nowNanos(e.clock) - t0
 	return err
 }
 
 func (e *wireOutEdge) Recv() ([]nsga2.Individual, error) {
 	return nil, fmt.Errorf("dist: outbound boundary edge cannot receive")
 }
-
-func (e *wireOutEdge) Depth() int { return 0 }
 
 // ServeWorker builds the worker's island shard, performs the handshake,
 // and serves the coordinator's control loop until MsgExit or stream
@@ -229,7 +207,7 @@ func serveWorker(conn *Conn, env WorkerEnv) error {
 
 // runShard executes one MsgRun: it runs the shard with wire-backed
 // boundary edges, emits the worker-local migration events, and reports
-// the per-tick counter shards and stall time back to the parent.
+// the per-tick counter shards back to the parent.
 func runShard(conn *Conn, env WorkerEnv, shard *nsga2.IslandShard, generations int) error {
 	cfg := env.Config
 	k := cfg.Islands
@@ -237,12 +215,9 @@ func runShard(conn *Conn, env WorkerEnv, shard *nsga2.IslandShard, generations i
 	start := shard.Generation()
 	firstTick, nticks := nsga2.RingTicks(start, start+generations, cfg.MigrationInterval, cfg.Migrants, k)
 	var in, out nsga2.Mailbox
-	var inE *wireInEdge
-	var outE *wireOutEdge
 	if nticks > 0 && !(lo == 0 && hi == k) {
-		inE = &wireInEdge{conn: conn, clock: env.Clock, expectFrom: int32((lo - 1 + k) % k)}
-		outE = &wireOutEdge{conn: conn, clock: env.Clock, from: int32(hi - 1)}
-		in, out = inE, outE
+		in = &wireInEdge{conn: conn, expectFrom: int32((lo - 1 + k) % k)}
+		out = &wireOutEdge{conn: conn, from: int32(hi - 1)}
 	}
 	recs, err := shard.Run(generations, in, out)
 	if err != nil {
@@ -267,9 +242,6 @@ func runShard(conn *Conn, env WorkerEnv, shard *nsga2.IslandShard, generations i
 		for li := 0; li < hi-lo; li++ {
 			rep.Ticks[t][li] = tickToWire(recs[li][t])
 		}
-	}
-	if inE != nil {
-		rep.StallNanos = inE.stall + outE.stall
 	}
 	return conn.SendReport(rep)
 }

@@ -115,14 +115,6 @@ func (is *Islands) SetPhaseTimer(t *obs.PhaseTimer) {
 	}
 }
 
-// SetHealth attaches (or, with nil, detaches) the island health board.
-// Each island updates its mailbox-depth and tick gauges at every
-// migration tick; gauges are monitoring data, outside the deterministic
-// telemetry stream.
-func (is *Islands) SetHealth(b *obs.IslandBoard) {
-	is.shard.health = b
-}
-
 // sumShards sums every island's current counters.
 func (is *Islands) sumShards() ShardTick {
 	var agg ShardTick

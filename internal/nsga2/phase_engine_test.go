@@ -245,7 +245,6 @@ func TestIslandsPhaseTimerDoesNotChangeResults(t *testing.T) {
 		}, 3)
 		if timed {
 			is.SetPhaseTimer(obs.NewPhaseTimer(tickClock(11)))
-			is.SetHealth(obs.NewIslandBoard(obs.NewRegistry(), 2))
 		}
 		is.Run(12)
 		return is.FrontPoints()

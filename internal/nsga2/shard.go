@@ -41,9 +41,6 @@ type Mailbox interface {
 	Send(elites []Individual) error
 	// Recv blocks until the predecessor's same-tick elites arrive.
 	Recv() ([]Individual, error)
-	// Depth reports currently queued deliveries, for health gauges only
-	// (0 when the transport cannot observe its queue).
-	Depth() int
 }
 
 // errRingAborted is the secondary failure islands observe when another
@@ -92,8 +89,6 @@ func (m *chanMailbox) Recv() ([]Individual, error) {
 		return nil, errRingAborted
 	}
 }
-
-func (m *chanMailbox) Depth() int { return len(m.ch) }
 
 // ShardTick is one island's cumulative counters captured at a logical
 // migration tick (or the cross-island sum of them). The flat exported
@@ -284,8 +279,8 @@ func (s *IslandShard) newRing(whole bool) *ring {
 		r.islands[i] = func() {
 			defer r.wg.Done()
 			i, eng := i, eng // goroutine-local: this body's own slot and engine
-			in, out, gi, bufs := r.in[i], r.out[i], s.lo+i, &r.migrants[i]
-			phase, health := s.phase, s.health
+			in, out, bufs := r.in[i], r.out[i], &r.migrants[i]
+			phase := s.phase
 			tick, t := r.firstTick, 0
 			for g := r.start + 1; g <= r.target; g++ {
 				eng.Step()
@@ -301,7 +296,6 @@ func (s *IslandShard) newRing(whole bool) *ring {
 				elites := bufs[g/interval%migrantBufs]
 				eng.packElites(elites)
 				busy := phase.Start() - t0
-				health.SetMailboxDepth(gi, out.Depth()+1)
 				if err := out.Send(elites); err != nil {
 					errs[i] = err
 					r.abort.trip()
@@ -318,8 +312,6 @@ func (s *IslandShard) newRing(whole bool) *ring {
 					panic(fmt.Sprintf("nsga2: ring migration failed: %v", err))
 				}
 				phase.Add(obs.PhaseMigration, busy+phase.Start()-t1)
-				health.SetMailboxDepth(gi, out.Depth())
-				health.SetTick(gi, g)
 				recs[i][t] = captureShard(eng, len(elites))
 				t++
 			}
@@ -340,11 +332,9 @@ type IslandShard struct {
 	lo, hi     int
 	space      moea.Space
 	generation int
-	// phase is the shared phase profiler and health the island health
-	// board, both nil unless the in-process island model attaches them
-	// (distributed workers run without).
-	phase  *obs.PhaseTimer
-	health *obs.IslandBoard
+	// phase is the shared phase profiler, nil unless the in-process
+	// island model attaches one (distributed workers run without).
+	phase *obs.PhaseTimer
 	// ring is built by the first Run and reused until a Run fails.
 	ring *ring
 }

@@ -1,56 +1,26 @@
 package obs
 
-import "strconv"
-
-// DistBoard is the wire-level health surface of a distributed island
-// run (internal/dist): total bytes moved over the worker sockets in
-// both directions, total coordinator round trips (forwarded migration
-// frames and request/reply control exchanges), and a per-worker
-// histogram of boundary-edge stall time — the wall time a worker's
-// islands spent blocked on wire sends and receives during a run. Like
-// IslandBoard, the worker count is frozen at construction, every
-// update is atomic, and a nil *DistBoard is a no-op.
+// DistBoard counts the wire traffic of a distributed island run
+// (internal/dist): total bytes moved over the worker sockets in both
+// directions, and total coordinator round trips (forwarded migration
+// frames and request/reply control exchanges). Every update is atomic,
+// and a nil *DistBoard is a no-op.
 type DistBoard struct {
 	bytes      *Counter
 	roundtrips *Counter
-	stall      []*Histogram
 }
 
-// distStallBounds buckets per-run worker stall time in seconds.
-var distStallBounds = []float64{
-	0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 30,
-}
-
-// NewDistBoard registers wire health metrics for the given worker
-// count on r: tradeoff_dist_bytes_total, tradeoff_dist_roundtrips_total
-// and tradeoff_dist_worker<w>_stall_seconds. Returns nil (the no-op
-// board) when r is nil or workers < 1.
+// NewDistBoard registers the wire counters dist_bytes_total and
+// dist_roundtrips_total on r. The worker count only gates the board:
+// it returns nil (the no-op board) when r is nil or workers < 1.
 func NewDistBoard(r *Registry, workers int) *DistBoard {
 	if r == nil || workers < 1 {
 		return nil
 	}
-	b := &DistBoard{
-		bytes: r.Counter("tradeoff_dist_bytes_total",
-			"bytes moved over the distributed-island worker sockets, both directions"),
-		roundtrips: r.Counter("tradeoff_dist_roundtrips_total",
-			"coordinator round trips: forwarded migration frames and control request/reply exchanges"),
+	return &DistBoard{
+		bytes:      r.Counter("dist_bytes_total"),
+		roundtrips: r.Counter("dist_roundtrips_total"),
 	}
-	for w := 0; w < workers; w++ {
-		idx := strconv.Itoa(w)
-		b.stall = append(b.stall, r.Histogram(
-			"tradeoff_dist_worker"+idx+"_stall_seconds",
-			"per-run wall time worker "+idx+"'s islands spent blocked on boundary-edge wire waits",
-			distStallBounds))
-	}
-	return b
-}
-
-// Workers returns the board's worker count (0 for the nil board).
-func (b *DistBoard) Workers() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.stall)
 }
 
 // AddBytes counts n wire bytes (sent or received).
@@ -71,15 +41,6 @@ func (b *DistBoard) AddRoundtrip() {
 		return
 	}
 	b.roundtrips.Inc()
-}
-
-// ObserveStall records worker w's boundary-edge stall time for one run,
-// in seconds. Out-of-range w is ignored.
-func (b *DistBoard) ObserveStall(w int, seconds float64) {
-	if b == nil || w < 0 || w >= len(b.stall) {
-		return
-	}
-	b.stall[w].Observe(seconds)
 }
 
 // WireBytes returns the total counted wire bytes.

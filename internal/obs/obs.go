@@ -1,7 +1,8 @@
-// Package obs is the framework's observability layer: a typed metrics
-// registry (counters, gauges, fixed-bucket histograms), an Observer hook
+// Package obs is the framework's observability layer: an Observer hook
 // interface the NSGA-II engine and the experiment runners report into, a
-// per-generation convergence-indicator kernel, and a JSONL trace writer.
+// per-generation convergence-indicator kernel, a JSONL trace writer (the
+// one channel run data leaves a run through), the phase profiler and the
+// flight recorder.
 //
 // The layer is built to the same standards the compute kernels are held
 // to (DESIGN.md §9–10): it is stdlib-only, it never reads ambient state
@@ -14,9 +15,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
-	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -26,120 +24,34 @@ import (
 // counting clocks so traces stay byte-identical across repeats.
 type Clock func() int64
 
-// metricKind discriminates the registry's exposition sections.
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	default:
-		return fmt.Sprintf("metricKind(%d)", int(k))
-	}
-}
-
-// metric is one registered instrument, exposition-ready.
-type metric struct {
-	kind metricKind
-	name string
-	help string
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
-}
-
-// Registry holds named metrics and renders them in Prometheus text
-// format or as an expvar-style JSON document. Registration is
-// mutex-guarded; the returned instruments record lock-free via atomics
-// and are safe for concurrent use. Exposition order is registration
-// order, so rendered output is deterministic.
+// Registry owns named counters. Its only user is DistBoard, whose wire
+// byte and round-trip totals the end-to-end benchmark reads back; run
+// telemetry itself goes to the trace (DESIGN.md §10).
 type Registry struct {
-	mu      sync.Mutex
-	byName  map[string]bool
-	metrics []metric
+	mu       sync.Mutex
+	counters map[string]*Counter
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]bool)}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
-// register validates and records one instrument under its name.
-func (r *Registry) register(m metric) {
-	if !validMetricName(m.name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", m.name))
-	}
+// Counter registers and returns a counter under name. Registering a name
+// twice panics.
+func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.byName[m.name] {
-		panic(fmt.Sprintf("obs: metric %q registered twice", m.name))
+	if r.counters[name] != nil {
+		panic(fmt.Sprintf("obs: counter %q registered twice", name))
 	}
-	r.byName[m.name] = true
-	r.metrics = append(r.metrics, m)
-}
-
-// validMetricName reports whether name matches the Prometheus metric
-// name grammar [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validMetricName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Counter registers and returns a monotonically increasing counter.
-func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
-	r.register(metric{kind: kindCounter, name: name, help: help, c: c})
+	r.counters[name] = c
 	return c
 }
 
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(metric{kind: kindGauge, name: name, help: help, g: g})
-	return g
-}
-
-// Histogram registers and returns a fixed-bucket histogram. Bounds are
-// inclusive upper bounds and must be strictly ascending; an implicit
-// +Inf bucket is appended.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not ascending at %d", name, i))
-		}
-	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
-	r.register(metric{kind: kindHistogram, name: name, help: help, h: h})
-	return h
-}
-
-// Counter is a monotonically increasing counter. The zero value is
-// ready; a nil *Counter is a no-op, so call sites stay branch-cheap
-// when metrics are disabled.
+// Counter is a monotonically increasing counter, safe for concurrent
+// use. The zero value is ready; a nil *Counter is a no-op.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -165,200 +77,4 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value-wins float64 gauge. A nil *Gauge is a no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-//
-//detlint:hotpath
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the last stored value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram is a fixed-bucket histogram with atomic bucket counts and a
-// CAS-accumulated sum. A nil *Histogram is a no-op. Bucket layout is
-// frozen at registration, so Observe never allocates.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
-	sum    atomic.Uint64   // float64 bits
-	count  atomic.Uint64
-}
-
-// Observe records one sample.
-//
-//detlint:hotpath
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// BucketCounts returns the per-bucket counts (the last entry is the
-// +Inf bucket).
-func (h *Histogram) BucketCounts() []uint64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
-// formatFloat renders a float the way both expositions expect:
-// shortest-round-trip decimal, stable across runs.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WritePrometheus renders every registered metric in Prometheus text
-// exposition format, in registration order.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	metrics := append([]metric(nil), r.metrics...)
-	r.mu.Unlock()
-	for _, m := range metrics {
-		if m.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.kind); err != nil {
-			return err
-		}
-		var err error
-		switch m.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.c.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.g.Value()))
-		case kindHistogram:
-			var cum uint64
-			counts := m.h.BucketCounts()
-			for i, b := range m.h.bounds {
-				cum += counts[i]
-				if _, err = fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.name, formatFloat(b), cum); err != nil {
-					return err
-				}
-			}
-			cum += counts[len(counts)-1]
-			if _, err = fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", m.name, cum); err != nil {
-				return err
-			}
-			if _, err = fmt.Fprintf(w, "%s_sum %s\n", m.name, formatFloat(m.h.Sum())); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "%s_count %d\n", m.name, m.h.Count())
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSON renders every registered metric as one expvar-style JSON
-// object, in registration order (JSON objects are unordered to parsers,
-// but the rendered bytes are deterministic). Histograms render as
-// {"buckets": [...upper bounds...], "counts": [...], "sum": s,
-// "count": n}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	r.mu.Lock()
-	metrics := append([]metric(nil), r.metrics...)
-	r.mu.Unlock()
-	buf := make([]byte, 0, 256)
-	buf = append(buf, '{')
-	for i, m := range metrics {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendQuote(buf, m.name)
-		buf = append(buf, ':')
-		switch m.kind {
-		case kindCounter:
-			buf = strconv.AppendUint(buf, m.c.Value(), 10)
-		case kindGauge:
-			buf = appendJSONFloat(buf, m.g.Value())
-		case kindHistogram:
-			buf = append(buf, `{"buckets":[`...)
-			for j, b := range m.h.bounds {
-				if j > 0 {
-					buf = append(buf, ',')
-				}
-				buf = appendJSONFloat(buf, b)
-			}
-			buf = append(buf, `],"counts":[`...)
-			for j, c := range m.h.BucketCounts() {
-				if j > 0 {
-					buf = append(buf, ',')
-				}
-				buf = strconv.AppendUint(buf, c, 10)
-			}
-			buf = append(buf, `],"sum":`...)
-			buf = appendJSONFloat(buf, m.h.Sum())
-			buf = append(buf, `,"count":`...)
-			buf = strconv.AppendUint(buf, m.h.Count(), 10)
-			buf = append(buf, '}')
-		}
-	}
-	buf = append(buf, '}', '\n')
-	_, err := w.Write(buf)
-	return err
-}
-
-// appendJSONFloat appends a float as a JSON value; NaN and infinities,
-// which JSON cannot carry, render as null.
-func appendJSONFloat(b []byte, v float64) []byte {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return append(b, "null"...)
-	}
-	// JSON numbers may not use Go's shortest 'g' exponent forms like
-	// "1e+06"? They may — JSON accepts e-notation. Keep 'g'.
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -182,7 +182,7 @@ type RunEvent struct {
 
 // Multi fans every event out to each member observer in order. A nil or
 // empty Multi is a valid no-op observer, and nil members are skipped —
-// a hand-built Multi{metrics, nil, trace} fans out to the two live
+// a hand-built Multi{trace, nil, flight} fans out to the two live
 // members (Combine drops the nils up front instead).
 type Multi []Observer
 

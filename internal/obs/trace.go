@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -218,4 +219,13 @@ func (t *TraceWriter) ObserveRun(r RunEvent) {
 	t.buf = append(t.buf, `,"front_size":`...)
 	t.buf = strconv.AppendInt(t.buf, int64(r.FrontSize), 10)
 	t.emit()
+}
+
+// appendJSONFloat appends a float as a JSON value in shortest round-trip
+// form; NaN and infinities, which JSON cannot carry, render as null.
+func appendJSONFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

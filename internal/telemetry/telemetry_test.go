@@ -1,11 +1,8 @@
 package telemetry
 
 import (
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"tradeoff/internal/obs"
@@ -32,7 +29,7 @@ func TestSetupDisabled(t *testing.T) {
 	if s.Observer() != nil {
 		t.Fatal("zero config must yield a nil observer")
 	}
-	if s.Registry() != nil || s.MetricsURL() != "" {
+	if s.PhaseTimer() != nil || s.FlightRecorder() != nil {
 		t.Fatal("zero config opened a sink")
 	}
 	if err := s.Close(); err != nil {
@@ -55,6 +52,9 @@ func TestSetupTraceFile(t *testing.T) {
 	if o == nil {
 		t.Fatal("trace config yielded no observer")
 	}
+	if s.PhaseTimer() == nil {
+		t.Fatal("a traced session must time phases without -phase-profile")
+	}
 	o.ObserveGeneration(sampleGeneration())
 	o.ObserveMigration(obs.MigrationEvent{Generation: 5, From: 0, To: 1, Count: 2})
 	if err := s.Close(); err != nil {
@@ -71,52 +71,6 @@ func TestSetupTraceFile(t *testing.T) {
 	}
 	if sum.Generations != 1 || sum.Migrations != 1 {
 		t.Fatalf("summary %+v", sum)
-	}
-}
-
-func TestSetupMetricsServer(t *testing.T) {
-	s, err := Setup(Config{MetricsAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Registry() == nil {
-		t.Fatal("metrics config yielded no registry")
-	}
-	s.Observer().ObserveGeneration(sampleGeneration())
-
-	url := s.MetricsURL()
-	if !strings.HasPrefix(url, "http://127.0.0.1:") {
-		t.Fatalf("metrics URL %q", url)
-	}
-	get := func(u string) string {
-		resp, err := http.Get(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", u, resp.StatusCode)
-		}
-		return string(body)
-	}
-	text := get(url)
-	if !strings.Contains(text, "tradeoff_generations_total 1") {
-		t.Fatalf("/metrics missing generation counter:\n%s", text)
-	}
-	jsonBody := get(strings.TrimSuffix(url, "/metrics") + "/metrics.json")
-	if !strings.Contains(jsonBody, "\"tradeoff_generations_total\":1") {
-		t.Fatalf("/metrics.json missing generation counter:\n%s", jsonBody)
-	}
-}
-
-func TestSetupBadAddr(t *testing.T) {
-	if _, err := Setup(Config{MetricsAddr: "definitely:not:an:addr"}); err == nil {
-		t.Fatal("bad metrics address accepted")
 	}
 }
 

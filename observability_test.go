@@ -14,9 +14,9 @@ import (
 
 // TestObserverBitIdenticalAcrossDataSets is the acceptance test for the
 // telemetry layer's central invariant: attaching the full observer
-// chain (metrics registry + JSONL trace writer) must leave every data
-// set's evolution bit-for-bit unchanged — same allocations, objectives,
-// ranks, and crowding, in the same order.
+// chain (the JSONL trace writer) must leave every data set's evolution
+// bit-for-bit unchanged — same allocations, objectives, ranks, and
+// crowding, in the same order.
 func TestObserverBitIdenticalAcrossDataSets(t *testing.T) {
 	for _, tc := range []struct {
 		dsNum, pop, gens int
@@ -39,7 +39,6 @@ func TestObserverBitIdenticalAcrossDataSets(t *testing.T) {
 		plain := newEngine()
 		observed := newEngine()
 		observed.SetObserver(obs.Combine(
-			obs.NewMetrics(obs.NewRegistry()),
 			obs.NewTraceWriter(io.Discard, nil),
 		))
 		plain.Run(tc.gens)
