@@ -130,15 +130,21 @@ trace-smoke:
 # builds every child from its parents' execution sequences
 # (FuzzRepairOrder), migrant validation, materialized and packed
 # (FuzzInjectRejectsMalformed), and the kernel's inline utility tiers
-# (FuzzTaskRecordUtility); and on the two external decoders, a
-# -loadtrace trace (FuzzDecodeTrace) and a -system HCS description
-# (FuzzSystemJSON), each through to an evaluation. The decoders' inputs
-# are large, and minimizing each new one can take the whole budget, so
-# their minimization is capped at 5 s. A failing input lands in the
-# package's testdata/fuzz directory, where plain go test replays it.
+# (FuzzTaskRecordUtility); on the wire codec, whose elites decode into
+# reused buffers on the hot path and must match a fresh decode
+# (FuzzWireCodec); and on the external decoders, an islands snapshot
+# through to a restored run (FuzzIslandsSnapshotRestore), a -loadtrace
+# trace (FuzzDecodeTrace) and a -system HCS description
+# (FuzzSystemJSON), each through to an evaluation. The trace and
+# system inputs are large, and minimizing each new one can take the
+# whole budget, so their minimization is capped at 5 s. A failing input
+# lands in the package's testdata/fuzz directory, where plain go test
+# replays it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRepairOrder$$' -fuzztime 10s ./internal/nsga2
 	$(GO) test -run '^$$' -fuzz '^FuzzInjectRejectsMalformed$$' -fuzztime 10s ./internal/nsga2
+	$(GO) test -run '^$$' -fuzz '^FuzzIslandsSnapshotRestore$$' -fuzztime 10s ./internal/nsga2
+	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzTaskRecordUtility$$' -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s -fuzzminimizetime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSystemJSON$$' -fuzztime 10s -fuzzminimizetime 5s ./internal/core

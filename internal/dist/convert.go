@@ -12,10 +12,11 @@ import (
 // deterministically on the receiving side (Inject re-evaluates,
 // Restore re-ranks).
 
-// toWireIndividual builds the wire image of one individual through
-// Allocation: an elite clone's slices alias its Alloc, and a front
-// individual, which shares its engine's genome, is materialized here.
-// Encode reads the slices synchronously and never retains them.
+// toWireIndividual builds the wire image of one front individual
+// through Allocation: a front individual, which shares its engine's
+// genome, is materialized here. Encode reads the slices synchronously
+// and never retains them. The per-tick migration path does not come
+// here: the wire edges encode from reused buffers (worker.go).
 func toWireIndividual(ind *nsga2.Individual) WireIndividual {
 	a := ind.Allocation()
 	return WireIndividual{
@@ -33,25 +34,6 @@ func fromWireIndividual(w *WireIndividual) nsga2.Individual {
 		Alloc:      &sched.Allocation{Machine: w.Machine, Order: w.Order},
 		Objectives: w.Objectives,
 	}
-}
-
-// toWireElites builds one migration payload from elite clones.
-func toWireElites(tick, from int, elites []nsga2.Individual) WireElites {
-	m := WireElites{Tick: int32(tick), From: int32(from)}
-	m.Inds = make([]WireIndividual, len(elites))
-	for i := range elites {
-		m.Inds[i] = toWireIndividual(&elites[i])
-	}
-	return m
-}
-
-// fromWireElites materializes a received migration payload.
-func fromWireElites(m *WireElites) []nsga2.Individual {
-	out := make([]nsga2.Individual, len(m.Inds))
-	for i := range m.Inds {
-		out[i] = fromWireIndividual(&m.Inds[i])
-	}
-	return out
 }
 
 // tickToWire flattens an engine counter shard onto the wire.

@@ -49,7 +49,19 @@ type Coordinator struct {
 	// last emitted stats event, seeded from the handshake baselines.
 	aggBase nsga2.ShardTick
 	failed  error
+	// relay[w] holds the buffers worker w's reader decodes its boundary
+	// frames into, reused across ticks and runs (see relayBufs).
+	relay [][relayBufs]WireElites
 }
+
+// relayBufs is the number of decode buffers each reader rotates through,
+// one per relayed frame. Every frame worker w sends goes to the same
+// destination writer, over a one-deep queue that the writer drains in
+// order and encodes synchronously. Once the reader has queued frame k+2,
+// the writer has taken frame k+1, so it has finished encoding frame k
+// and the reader may decode frame k+3 into frame k's buffer. Three is
+// the fewest this allows (DESIGN.md §15).
+const relayBufs = 3
 
 // NewCoordinator performs the handshake over the given worker
 // connections (in worker order) and verifies the shard geometry:
@@ -66,7 +78,7 @@ func NewCoordinator(conns []*Conn, cfg CoordinatorConfig) (*Coordinator, error) 
 	case cfg.Migrants < 0:
 		return nil, fmt.Errorf("dist: migrants %d, want >= 0", cfg.Migrants)
 	}
-	c := &Coordinator{cfg: cfg, conns: conns}
+	c := &Coordinator{cfg: cfg, conns: conns, relay: make([][relayBufs]WireElites, len(conns))}
 	for w, conn := range conns {
 		payload, err := conn.expectReply(MsgHello)
 		if err != nil {
@@ -183,7 +195,8 @@ func (c *Coordinator) Run(generations int) error {
 		readers.Add(1)
 		go func(w int, conn *Conn) {
 			defer readers.Done()
-			for {
+			bufs := &c.relay[w]
+			for k := 0; ; {
 				typ, payload, err := conn.Next()
 				if err != nil {
 					rerrs[w] = fmt.Errorf("dist: worker %d: %w", w, err)
@@ -192,8 +205,9 @@ func (c *Coordinator) Run(generations int) error {
 				}
 				switch typ {
 				case MsgElites:
-					m, err := DecodeElites(payload)
-					if err != nil {
+					m := &bufs[k%relayBufs]
+					k++
+					if err := DecodeElitesInto(payload, m); err != nil {
 						rerrs[w] = fmt.Errorf("dist: worker %d: %w", w, err)
 						tearOnce.Do(tear)
 						return

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -135,35 +136,47 @@ func appendIndividual(b []byte, ind *WireIndividual) []byte {
 	return b
 }
 
-// readInt32s decodes a u32-counted run of int32 values.
-func readInt32s(r *wireReader) []int32 {
+// readInt32s decodes a u32-counted run of int32 values into dst,
+// reusing its capacity; a nil dst gets a fresh slice.
+//
+//detlint:hotpath
+func readInt32s(r *wireReader, dst []int32) []int32 {
 	n := int(r.u32())
 	if r.short || n < 0 || n > r.remaining()/4 {
 		r.short = true
-		return nil
+		return dst[:0]
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.u32())
+	if dst == nil || cap(dst) < n {
+		dst = make([]int32, n)
 	}
-	return out
+	dst = dst[:n]
+	b := r.buf[r.off : r.off+4*n]
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	r.off += 4 * n
+	return dst
 }
 
-// readIndividual decodes one chromosome.
-func readIndividual(r *wireReader) WireIndividual {
-	var ind WireIndividual
-	ind.Machine = readInt32s(r)
-	ind.Order = readInt32s(r)
+// readIndividual decodes one chromosome into ind, reusing the capacity
+// of its slices.
+//
+//detlint:hotpath
+func readIndividual(r *wireReader, ind *WireIndividual) {
+	ind.Machine = readInt32s(r, ind.Machine)
+	ind.Order = readInt32s(r, ind.Order)
 	n := int(r.u32())
 	if r.short || n < 0 || n > r.remaining()/8 {
 		r.short = true
-		return ind
+		return
 	}
-	ind.Objectives = make([]float64, n)
+	if ind.Objectives == nil || cap(ind.Objectives) < n {
+		ind.Objectives = make([]float64, n)
+	}
+	ind.Objectives = ind.Objectives[:n]
 	for i := range ind.Objectives {
 		ind.Objectives[i] = math.Float64frombits(r.u64())
 	}
-	return ind
 }
 
 // tickSlots is the number of fixed u64 slots in one encoded counter
@@ -242,8 +255,8 @@ func readSegment(r *wireReader) WireSegment {
 	}
 	s.Genomes = make([]WireGenome, n)
 	for i := range s.Genomes {
-		s.Genomes[i].Machine = readInt32s(r)
-		s.Genomes[i].Order = readInt32s(r)
+		s.Genomes[i].Machine = readInt32s(r, nil)
+		s.Genomes[i].Order = readInt32s(r, nil)
 	}
 	return s
 }
@@ -382,29 +395,44 @@ func (e *Encoder) EncodeElites(m *WireElites) error {
 	return e.writeFrame(MsgElites)
 }
 
-// DecodeElites parses a MsgElites payload. Per-tick hot path: the
-// returned individuals are freshly allocated (they outlive the frame
-// buffer and are injected into an engine arena).
-//
-//detlint:hotpath
+// DecodeElites parses a MsgElites payload into freshly allocated
+// individuals.
 func DecodeElites(payload []byte) (*WireElites, error) {
-	r := &wireReader{buf: payload}
-	m := &WireElites{Tick: int32(r.u32()), From: int32(r.u32())}
-	n := int(r.u32())
-	if r.short || n < 0 || n > r.remaining()/12 {
-		return nil, (&wireReader{buf: payload, short: true}).finish(MsgElites)
-	}
-	m.Inds = make([]WireIndividual, n)
-	for i := range m.Inds {
-		m.Inds[i] = readIndividual(r)
-	}
-	if err := r.finish(MsgElites); err != nil {
+	m := &WireElites{}
+	if err := DecodeElitesInto(payload, m); err != nil {
 		return nil, err
 	}
-	if m.Tick < 0 || m.From < 0 {
-		return nil, badPayload(MsgElites, "tick %d from island %d", m.Tick, m.From)
-	}
 	return m, nil
+}
+
+// DecodeElitesInto parses a MsgElites payload into m, reusing the
+// capacity of m.Inds and of each individual's slices, so decoding a
+// steady stream of same-sized migrations allocates nothing. This is the
+// per-tick hot path of both wire edges and the coordinator's relay. On
+// error m's contents are unspecified.
+//
+//detlint:hotpath
+func DecodeElitesInto(payload []byte, m *WireElites) error {
+	r := &wireReader{buf: payload}
+	m.Tick, m.From = int32(r.u32()), int32(r.u32())
+	n := int(r.u32())
+	if r.short || n < 0 || n > r.remaining()/12 {
+		return (&wireReader{buf: payload, short: true}).finish(MsgElites)
+	}
+	if m.Inds == nil || cap(m.Inds) < n {
+		m.Inds = make([]WireIndividual, n)
+	}
+	m.Inds = m.Inds[:n]
+	for i := range m.Inds {
+		readIndividual(r, &m.Inds[i])
+	}
+	if err := r.finish(MsgElites); err != nil {
+		return err
+	}
+	if m.Tick < 0 || m.From < 0 {
+		return badPayload(MsgElites, "tick %d from island %d", m.Tick, m.From)
+	}
+	return nil
 }
 
 // EncodeReport writes a worker's end-of-run report.
@@ -420,7 +448,9 @@ func (e *Encoder) EncodeReport(m *WireReport) error {
 	return e.writeFrame(MsgReport)
 }
 
-// DecodeReport parses a MsgReport payload.
+// DecodeReport parses a MsgReport payload. Every tick's shards share
+// one backing array, sized by the payload, so a report costs the same
+// few allocations however many ticks it carries.
 func DecodeReport(payload []byte) (*WireReport, error) {
 	r := &wireReader{buf: payload}
 	m := &WireReport{}
@@ -429,8 +459,20 @@ func DecodeReport(payload []byte) (*WireReport, error) {
 		return nil, (&wireReader{buf: payload, short: true}).finish(MsgReport)
 	}
 	m.Ticks = make([][]WireShardTick, n)
+	// No payload holds more shards than this, so appends never move flat
+	// and each tick's subslice stays valid.
+	flat := make([]WireShardTick, 0, r.remaining()/(tickSlots*8))
 	for t := range m.Ticks {
-		m.Ticks[t] = readTicks(r)
+		c := int(r.u32())
+		if r.short || c < 0 || c > r.remaining()/(tickSlots*8) {
+			r.short = true
+			break
+		}
+		lo := len(flat)
+		for i := 0; i < c; i++ {
+			flat = append(flat, readTick(r))
+		}
+		m.Ticks[t] = flat[lo:len(flat):len(flat)]
 	}
 	if err := r.finish(MsgReport); err != nil {
 		return nil, err
@@ -480,7 +522,7 @@ func DecodeFront(payload []byte) (*WireFront, error) {
 		}
 		m.Fronts[f] = make([]WireIndividual, c)
 		for i := range m.Fronts[f] {
-			m.Fronts[f][i] = readIndividual(r)
+			readIndividual(r, &m.Fronts[f][i])
 		}
 	}
 	if err := r.finish(MsgFront); err != nil {

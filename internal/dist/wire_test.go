@@ -422,7 +422,9 @@ func TestWireBadPayloads(t *testing.T) {
 // FuzzWireCodec drives the full decode surface with arbitrary bytes.
 // Every outcome must be a clean io.EOF, a structured *WireError, or a
 // successfully decoded message that re-encodes to an identical frame
-// (the round-trip property that makes the wire deterministic).
+// (the round-trip property that makes the wire deterministic). Elites
+// also decode into a dirty reused target, which must match the fresh
+// decode.
 func FuzzWireCodec(f *testing.F) {
 	// Seed with one valid frame of every message type plus mutation bait.
 	seed := func(fn func(e *Encoder) error) {
@@ -505,9 +507,26 @@ func FuzzWireCodec(f *testing.F) {
 				reenc = func(e *Encoder) error { return e.EncodeRun(m) }
 			case MsgElites:
 				m, err := DecodeElites(payload)
+				// The hot paths decode into reused targets: a dirty one
+				// must accept and reject exactly what a fresh decode
+				// does, and hold the same message, bit for bit (NaN
+				// objectives included), so it re-encodes to the frame.
+				reused := dirtyElites()
+				rerr := DecodeElitesInto(payload, reused)
+				if (err == nil) != (rerr == nil) {
+					t.Fatalf("fresh decode error %v, reused decode error %v", err, rerr)
+				}
 				if err != nil {
 					requireWireError(t, err)
+					requireWireError(t, rerr)
 					return
+				}
+				var rbuf bytes.Buffer
+				if err := NewEncoder(&rbuf, nil).EncodeElites(reused); err != nil {
+					t.Fatalf("re-encode reused decode: %v", err)
+				}
+				if !bytes.Equal(rbuf.Bytes()[5:], payload) {
+					t.Fatalf("reused decode %+v re-encodes differently from the frame", reused)
 				}
 				reenc = func(e *Encoder) error { return e.EncodeElites(m) }
 			case MsgReport:

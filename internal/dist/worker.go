@@ -47,10 +47,21 @@ type WorkerEnv struct {
 // predecessor edge, read straight off the worker socket. During a run
 // only MsgElites frames arrive, in tick order, so the edge owns the
 // connection's read side until the run ends.
+//
+// Each delivery is decoded into the edge's own buffers, reused at every
+// tick: msg holds the decoded slices, and inds[i].Alloc points at
+// allocs[i], whose slices alias msg.Inds[i]'s. Under the Mailbox rule
+// the island is done with a delivery before its next Recv (Inject
+// copies the migrants into arena genomes), so one set of buffers is
+// enough.
 type wireInEdge struct {
 	conn       *Conn
 	expectFrom int32
 	tick       int32
+
+	msg    WireElites
+	allocs []sched.Allocation
+	inds   []nsga2.Individual
 }
 
 //detlint:hotpath
@@ -65,8 +76,8 @@ func (e *wireInEdge) Recv() ([]nsga2.Individual, error) {
 	if typ != MsgElites {
 		return nil, frameErr(e.conn.dec.Frame(), typ, "awaiting elites mid-run: %w", ErrUnexpectedMessage)
 	}
-	m, err := DecodeElites(payload)
-	if err != nil {
+	m := &e.msg
+	if err := DecodeElitesInto(payload, m); err != nil {
 		return nil, err
 	}
 	if m.From != e.expectFrom || m.Tick != e.tick {
@@ -74,7 +85,18 @@ func (e *wireInEdge) Recv() ([]nsga2.Individual, error) {
 			m.Tick, m.From, e.tick, e.expectFrom)
 	}
 	e.tick++
-	return fromWireElites(m), nil
+	n := len(m.Inds)
+	if cap(e.allocs) < n {
+		e.allocs = make([]sched.Allocation, n)
+		e.inds = make([]nsga2.Individual, n)
+	}
+	e.allocs, e.inds = e.allocs[:n], e.inds[:n]
+	for i := range m.Inds {
+		w := &m.Inds[i]
+		e.allocs[i] = sched.Allocation{Machine: w.Machine, Order: w.Order}
+		e.inds[i] = nsga2.Individual{Alloc: &e.allocs[i], Objectives: w.Objectives}
+	}
+	return e.inds, nil
 }
 
 func (e *wireInEdge) Send([]nsga2.Individual) error {
@@ -84,16 +106,35 @@ func (e *wireInEdge) Send([]nsga2.Individual) error {
 // wireOutEdge is the shard's outbound boundary Mailbox: island Hi-1's
 // successor edge, written straight onto the worker socket (the
 // coordinator forwards to the owning worker).
+//
+// Send unpacks each elite into the edge's reused allocs and encodes msg,
+// whose slices alias them, before it returns. It keeps no reference to
+// the elites, so under the Mailbox rule the island's send buffers are
+// free again as soon as Send returns.
 type wireOutEdge struct {
 	conn *Conn
 	from int32
 	tick int32
+
+	msg    WireElites
+	allocs []sched.Allocation
 }
 
 //detlint:hotpath
 func (e *wireOutEdge) Send(elites []nsga2.Individual) error {
-	m := toWireElites(int(e.tick), int(e.from), elites)
-	err := e.conn.SendElites(&m)
+	n := len(elites)
+	if cap(e.allocs) < n {
+		e.allocs = make([]sched.Allocation, n)
+		e.msg.Inds = make([]WireIndividual, n)
+	}
+	e.allocs, e.msg.Inds = e.allocs[:n], e.msg.Inds[:n]
+	e.msg.Tick, e.msg.From = e.tick, e.from
+	for i := range elites {
+		a := &e.allocs[i]
+		elites[i].AllocationInto(a)
+		e.msg.Inds[i] = WireIndividual{Machine: a.Machine, Order: a.Order, Objectives: elites[i].Objectives}
+	}
+	err := e.conn.SendElites(&e.msg)
 	e.tick++
 	return err
 }

@@ -165,9 +165,16 @@ func BuildMaxUtilityPerEnergy(e *sched.Evaluator) *sched.Allocation {
 // stage two. Traces are sorted by arrival, so for tasks i < j of one type
 // a_i <= a_j, and on every machine max(ready, a_i) + etc <= max(ready,
 // a_j) + etc because IEEE addition is monotone: i's best completion is
-// never later than j's, and the index tie-break prefers i. Each step
-// therefore runs stage one on the heads alone, for O(n·types·machines)
-// in total rather than the naive O(n²·machines), with the same result.
+// never later than j's, and the index tie-break prefers i.
+//
+// Each head's stage-one result is cached and recomputed only when it can
+// change: for the picked type, whose head moved on, and for every type
+// whose best machine was the one just loaded. Mapping a task only raises
+// that one machine's ready time, which can only raise completion times
+// on it, so every other type's best machine keeps beating it — a
+// machine that lost a tie still comes later in Eligible order. A step
+// costs O(types) for stage two plus O(machines) per recomputed head,
+// with the same result as recomputing every head.
 func BuildMinMin(e *sched.Evaluator) *sched.Allocation {
 	n := e.NumTasks()
 	a := sched.NewAllocation(n)
@@ -180,35 +187,51 @@ func BuildMinMin(e *sched.Evaluator) *sched.Allocation {
 		byType[tasks[i].Type] = append(byType[tasks[i].Type], i)
 	}
 	head := make([]int, len(byType))
+	// bestM[t], bestC[t] are stage one's result for type t's head.
+	bestM := make([]int, len(byType))
+	bestC := make([]float64, len(byType))
+	stageOne := func(t int) {
+		i := byType[t][head[t]]
+		bestM[t] = -1
+		for _, m := range e.Eligible(t) {
+			start := ready[m]
+			if tasks[i].Arrival > start {
+				start = tasks[i].Arrival
+			}
+			c := start + e.ETCInstance(t, m)
+			if bestM[t] == -1 || c < bestC[t] {
+				bestM[t], bestC[t] = m, c
+			}
+		}
+	}
+	for t, idx := range byType {
+		if len(idx) > 0 {
+			stageOne(t)
+		}
+	}
 
 	for step := 0; step < n; step++ {
-		pick, pickType, pickM, pickC := -1, -1, -1, 0.0
+		// Stage two: heads are visited by type, not by index.
+		pick, pickType := -1, -1
 		for t, idx := range byType {
 			if head[t] == len(idx) {
 				continue
 			}
 			i := idx[head[t]]
-			// Stage one for the head.
-			bestM, bestC := -1, 0.0
-			for _, m := range e.Eligible(t) {
-				start := ready[m]
-				if tasks[i].Arrival > start {
-					start = tasks[i].Arrival
-				}
-				c := start + e.ETCInstance(t, m)
-				if bestM == -1 || c < bestC {
-					bestM, bestC = m, c
-				}
-			}
-			// Stage two: heads are visited by type, not by index.
-			if pick == -1 || bestC < pickC || (bestC == pickC && i < pick) {
-				pick, pickType, pickM, pickC = i, t, bestM, bestC
+			if pick == -1 || bestC[t] < bestC[pickType] || (bestC[t] == bestC[pickType] && i < pick) {
+				pick, pickType = i, t
 			}
 		}
+		pickM := bestM[pickType]
 		a.Machine[pick] = int32(pickM)
 		a.Order[pick] = int32(step)
-		ready[pickM] = pickC
+		ready[pickM] = bestC[pickType]
 		head[pickType]++
+		for t, idx := range byType {
+			if head[t] < len(idx) && (t == pickType || bestM[t] == pickM) {
+				stageOne(t)
+			}
+		}
 	}
 	return a
 }

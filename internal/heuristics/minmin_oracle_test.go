@@ -87,6 +87,19 @@ func TestTwoStageMinFirstMatchesMinMin(t *testing.T) {
 			})
 		}
 	}
+	// A scale instance has datagen's synthetic system, with far more
+	// task types, so far more heads per step, than the paper's data sets.
+	scale := 2000
+	if testing.Short() {
+		scale = 1000
+	}
+	t.Run(fmt.Sprintf("scale%d", scale), func(t *testing.T) {
+		ds, err := experiments.ScaleDataSet(scale, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesNaive(t, ds.Evaluator)
+	})
 	grouped := func(n, group int, gap float64) []float64 {
 		out := make([]float64, n)
 		for i := range out {

@@ -117,6 +117,24 @@ func (ind Individual) Allocation() *sched.Allocation {
 	return a
 }
 
+// AllocationInto writes the individual's allocation into a, reusing its
+// slices' capacity as sched.UnpackSlots does: Allocation without the
+// fresh copy. An individual without a genotype leaves a empty.
+//
+//detlint:hotpath
+func (ind Individual) AllocationInto(a *sched.Allocation) {
+	if ind.seq != nil && ind.Alloc == nil {
+		sched.UnpackSlots(ind.seq, a)
+		return
+	}
+	a.Machine = a.Machine[:0]
+	a.Order = a.Order[:0]
+	if ind.Alloc != nil {
+		a.Machine = append(a.Machine, ind.Alloc.Machine...)
+		a.Order = append(a.Order, ind.Alloc.Order...)
+	}
+}
+
 // HasGenotype reports whether the individual carries a genotype, either
 // an Alloc or an engine genome, so that Allocation returns non-nil.
 func (ind Individual) HasGenotype() bool { return ind.Alloc != nil || ind.seq != nil }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"tradeoff/internal/data"
+	"tradeoff/internal/datagen"
 	"tradeoff/internal/experiments"
 	"tradeoff/internal/heuristics"
 	"tradeoff/internal/nsga2"
@@ -68,23 +70,57 @@ func groundTruthBounds(e *sched.Evaluator) (minEnergy, maxUtility float64) {
 }
 
 // TestFrontsRespectGroundTruthBounds holds fronts to the ground-truth
-// bounds of groundTruthBounds on data sets 1-3, for one population and
-// for a 4-island ring, each seeded with the CLI's four heuristics. The
-// Min Energy seed attains the energy bound and elitism keeps the
-// lowest-energy point, so the front's lowest energy must equal the
-// bound up to summation order; no point may exceed the utility bound.
-// Unlike the mode-agreement tests, a fault shared by every mode fails
-// here.
+// bounds of groundTruthBounds on data sets 1-3 and on two random
+// instances, a small scale data set and a heavily loaded datagen
+// instance with its own system, for one population and for a 4-island
+// ring, each seeded with the CLI's four heuristics. The Min Energy seed
+// attains the energy bound and elitism keeps the lowest-energy point,
+// so the front's lowest energy must equal the bound up to summation
+// order; no point may exceed the utility bound. Unlike the
+// mode-agreement tests, a fault shared by every mode fails here. The
+// random instances run 10 generations under -short, else 30.
 func TestFrontsRespectGroundTruthBounds(t *testing.T) {
 	const rel = 1e-12
+	type instance struct {
+		name string
+		eval *sched.Evaluator
+		gens int
+	}
+	var instances []instance
 	for dsNum := 1; dsNum <= 3; dsNum++ {
 		ds, err := experiments.ByNumber(dsNum, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := ds.Evaluator
+		instances = append(instances, instance{fmt.Sprintf("ds%d", dsNum), ds.Evaluator, 30})
+	}
+	randomGens := 30
+	if testing.Short() {
+		randomGens = 10
+	}
+	scale, err := experiments.ScaleDataSet(600, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances = append(instances, instance{"scale600", scale.Evaluator, randomGens})
+	cfg := datagen.Default()
+	cfg.NewTaskTypes, cfg.SpecialMachineTypes = 12, 2
+	cfg.SpecialCounts = []int{2, 1}
+	cfg.PowerClasses = datagen.DefaultPowerClasses()
+	sys, tr, err := datagen.Instance(data.RealSystem(), cfg, 400, 90, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sched.NewEvaluator(sys, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances = append(instances, instance{"datagen400", gen, randomGens})
+
+	for _, inst := range instances {
+		e := inst.eval
 		if e.IdlePowerEnabled() || e.AllowDropping {
-			t.Fatalf("data set %d is not on the execution-only model", dsNum)
+			t.Fatalf("%s is not on the execution-only model", inst.name)
 		}
 		minEnergy, maxUtility := groundTruthBounds(e)
 		var seeds []*sched.Allocation
@@ -108,20 +144,20 @@ func TestFrontsRespectGroundTruthBounds(t *testing.T) {
 			}
 		}
 		engCfg := nsga2.Config{PopulationSize: 20, Seeds: seeds}
-		t.Run(fmt.Sprintf("ds%d/single", dsNum), func(t *testing.T) {
+		t.Run(inst.name+"/single", func(t *testing.T) {
 			eng, err := nsga2.New(e, engCfg, rng.New(7))
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.Run(30)
+			eng.Run(inst.gens)
 			check(t, eng.FrontPoints())
 		})
-		t.Run(fmt.Sprintf("ds%d/ring", dsNum), func(t *testing.T) {
+		t.Run(inst.name+"/ring", func(t *testing.T) {
 			is, err := nsga2.NewIslands(e, nsga2.IslandConfig{Islands: 4, MigrationInterval: 5, Engine: engCfg}, rng.New(7))
 			if err != nil {
 				t.Fatal(err)
 			}
-			is.Run(30)
+			is.Run(inst.gens)
 			check(t, is.FrontPoints())
 		})
 	}

@@ -107,3 +107,29 @@ func TestFrontPointsSharesNothing(t *testing.T) {
 		t.Fatal("FrontPoints returned the population's own objective vector")
 	}
 }
+
+// TestAllocationIntoMatchesAllocation: AllocationInto writes what
+// Allocation returns, for a genome-sharing front individual and for an
+// Alloc-carrying clone, into a reused allocation whose stale contents
+// and capacity it overwrites without allocating; an individual without
+// a genotype leaves it empty.
+func TestAllocationIntoMatchesAllocation(t *testing.T) {
+	eng := newEngine(t, 40, Config{PopulationSize: 12}, 3)
+	eng.Run(3)
+	front := eng.ParetoFront()
+	inds := []Individual{front[0], front[0].Clone(), front[len(front)-1]}
+	dst := sched.NewAllocation(55) // longer than the genomes, stale order
+	for i, ind := range inds {
+		ind.AllocationInto(dst)
+		if !reflect.DeepEqual(dst, ind.Allocation()) {
+			t.Fatalf("individual %d: AllocationInto wrote %+v, Allocation returns %+v", i, dst, ind.Allocation())
+		}
+		if n := testing.AllocsPerRun(10, func() { ind.AllocationInto(dst) }); n != 0 {
+			t.Fatalf("individual %d: AllocationInto into a sized allocation allocates %v times", i, n)
+		}
+	}
+	Individual{}.AllocationInto(dst)
+	if len(dst.Machine) != 0 || len(dst.Order) != 0 {
+		t.Fatalf("an individual without a genotype wrote %+v", dst)
+	}
+}

@@ -78,17 +78,18 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniformly distributed uint64 in [0, n) using Lemire's
-// nearly-divisionless rejection method. It panics if n == 0.
+// Uint64n returns a uniformly distributed uint64 in [0, n) by rejection
+// sampling: a draw below 2^64 mod n is drawn again, which removes the
+// modulo bias. That bound is below n, so it is computed (one more
+// division) only for a draw below n, which is rare unless n is near
+// 2^64. It panics if n == 0.
 func (s *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
 	}
-	// Rejection sampling on the top bits avoids modulo bias.
-	threshold := -n % n
 	for {
 		v := s.Uint64()
-		if v >= threshold {
+		if v >= n || v >= -n%n {
 			return v % n
 		}
 	}

@@ -103,6 +103,37 @@ func TestUint64nUniform(t *testing.T) {
 	}
 }
 
+// TestUint64nMatchesEagerThreshold holds Uint64n to the rejection rule
+// that computes the threshold 2^64 mod n before every draw: the same
+// values from the same stream, so every seeded run is unchanged. The n
+// cover 1, powers of two (threshold 0), 2^63+1 (about half the draws
+// rejected), 2^64-1, and the task and population counts used here.
+func TestUint64nMatchesEagerThreshold(t *testing.T) {
+	eager := func(s *Source, n uint64) uint64 {
+		threshold := -n % n
+		for {
+			if v := s.Uint64(); v >= threshold {
+				return v % n
+			}
+		}
+	}
+	ns := []uint64{1, 2, 3, 7, 60, 100, 250, 1000, 4000, 10000, 50000, 200000, 1 << 63, 1<<63 + 1, 3 << 62, math.MaxUint64}
+	for k := 0; k < 64; k++ {
+		ns = append(ns, 1<<k)
+	}
+	for _, n := range ns {
+		got, want := New(n), New(n)
+		for i := 0; i < 2000; i++ {
+			if g, w := got.Uint64n(n), eager(want, n); g != w {
+				t.Fatalf("n=%d draw %d: Uint64n %d, eager threshold %d", n, i, g, w)
+			}
+		}
+		if got.State() != want.State() {
+			t.Fatalf("n=%d: streams consumed different draw counts", n)
+		}
+	}
+}
+
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(7)
 	const n = 200000
