@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"tradeoff/internal/hcs"
 	"tradeoff/internal/rng"
+	"tradeoff/internal/sched"
 	"tradeoff/internal/workload"
 )
 
@@ -58,9 +60,44 @@ func requireValidEvaluation(t *testing.T, sys *hcs.System, tr *workload.Trace, s
 	}
 }
 
+// requireSharingInvisible evaluates a random allocation drawn from seed
+// on tr, whose tasks may share functions, and on a copy in which every
+// task has a function of its own, and fails unless the objectives and
+// every completion time agree bit for bit.
+func requireSharingInvisible(t *testing.T, sys *hcs.System, tr *workload.Trace, seed uint64) {
+	t.Helper()
+	own := &workload.Trace{Window: tr.Window, Tasks: slices.Clone(tr.Tasks)}
+	for i := range own.Tasks {
+		own.Tasks[i].TUF = own.Tasks[i].TUF.Clone()
+	}
+	es, err := sched.NewEvaluator(sys, tr)
+	if err != nil {
+		return
+	}
+	eo, err := sched.NewEvaluator(sys, own)
+	if err != nil {
+		t.Fatalf("the unshared copy fails where the decoded trace builds: %v", err)
+	}
+	a := es.RandomAllocation(rng.New(seed))
+	ts, evS := es.NewSession().CompletionTimes(a)
+	to, evO := eo.NewSession().CompletionTimes(a)
+	for _, p := range [][2]float64{{evS.Utility, evO.Utility}, {evS.Energy, evO.Energy}, {evS.Makespan, evO.Makespan}} {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			t.Fatalf("decoded trace evaluates to %+v, its unshared copy to %+v", evS, evO)
+		}
+	}
+	for i := range ts {
+		if math.Float64bits(ts[i]) != math.Float64bits(to[i]) {
+			t.Fatalf("task %d completes at %v on the decoded trace, %v on its unshared copy", i, ts[i], to[i])
+		}
+	}
+}
+
 // FuzzDecodeTrace feeds arbitrary bytes to workload.DecodeTrace against
 // a fixed system, then builds the framework and evaluates a random
-// allocation of whatever trace decoded.
+// allocation of whatever trace decoded. The decoded trace shares its
+// bit-identical TUFs, so it must also evaluate exactly as a copy in
+// which every task has a function of its own.
 func FuzzDecodeTrace(f *testing.F) {
 	sys := fuzzSystem()
 	tr, err := workload.Generate(sys, workload.GenConfig{NumTasks: 5, Window: 300}, rng.New(3))
@@ -76,12 +113,19 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add([]byte(`{"Tasks":[{"ID":0,"Type":7,"Arrival":0}],"Window":10}`), uint64(3))
 	f.Add([]byte(`{"Tasks":[],"Window":-1}`), uint64(4))
 	f.Add([]byte(`not json`), uint64(5))
+	// Tasks 0 and 2 decode bit-identical and share; task 1's tail is
+	// -0, so it keeps a function of its own.
+	f.Add([]byte(`{"Tasks":[`+
+		`{"ID":0,"Type":1,"Arrival":0,"TUF":{"Priority":3,"Segments":[{"Duration":50,"StartFrac":1,"EndFrac":0.5,"Shape":1}],"TailFrac":0}},`+
+		`{"ID":1,"Type":1,"Arrival":1,"TUF":{"Priority":3,"Segments":[{"Duration":50,"StartFrac":1,"EndFrac":0.5,"Shape":1}],"TailFrac":-0}},`+
+		`{"ID":2,"Type":1,"Arrival":2,"TUF":{"Priority":3,"Segments":[{"Duration":50,"StartFrac":1,"EndFrac":0.5,"Shape":1}],"TailFrac":0}}],"Window":10}`), uint64(6))
 	f.Fuzz(func(t *testing.T, raw []byte, seed uint64) {
 		tr, err := workload.DecodeTrace(raw, sys)
 		if err != nil {
 			return
 		}
 		requireValidEvaluation(t, sys, tr, seed)
+		requireSharingInvisible(t, sys, tr, seed)
 	})
 }
 

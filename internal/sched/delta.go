@@ -402,12 +402,13 @@ type kstate struct {
 
 // typedCont advances machine m's walk over tasks, continuing from (and
 // updating) the carried state. It indexes the machine's ETC/EEC rows by
-// each task's type and resolves each task's utility in four tiers:
-// past the TUF's tail guard, the stored tail value; inside a Constant
-// or Linear first segment, that segment's interpolation from the
-// task's record; past it, for a TUF of at most three Constant or Linear
-// segments, segments 2–3 (or the tail) from the task's side record;
-// anything else, Table.Value. Every floating-point operation that
+// each task's type and resolves each task's utility in four tiers,
+// picked by the thresholds in the task's record and computed from its
+// function's record: past the TUF's tail guard, the stored tail value;
+// inside a Constant or Linear first segment, that segment's
+// interpolation; past it, for a TUF of at most three Constant or Linear
+// segments, segments 2–3 (or the tail); anything else, Table.Value on
+// the function's entry. Every floating-point operation that
 // reaches an accumulator is the same operation in the same order as a
 // plain per-task walk (the reference loop in the package tests):
 // additions stay sequential, and the first three tiers compute exactly
@@ -418,7 +419,7 @@ type kstate struct {
 func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 	e := d.e
 	etcRow, eecRow := e.etcT[m], e.eecT[m]
-	meta, later := e.meta, e.later
+	meta, funcs := e.meta, e.funcs
 	ready, busy, util, energy := st.ready, st.busy, st.util, st.energy
 	for _, ti := range tasks {
 		mt := &meta[ti]
@@ -439,21 +440,21 @@ func (d *DeltaSession) typedCont(m int, tasks []int32, st *kstate) {
 		// here: el >= 0 because completion = max(ready, arrival) + ETC
 		// and hcs validates ETC > 0.
 		el := completion - arr
-		if el >= mt.TailT {
-			util += mt.TailV
-		} else if el < mt.Dur0 {
-			util += float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0)))
-		} else if lt := &later[ti]; !lt.Walk {
-			t := el - mt.Dur0
-			if t < lt.Dur1 {
-				util += float64(mt.Prio * (lt.Start1 + lt.Aux1*(t/lt.Dur1)))
-			} else if t -= lt.Dur1; t < lt.Dur2 {
-				util += float64(mt.Prio * (lt.Start2 + lt.Aux2*(t/lt.Dur2)))
+		if fm := &funcs[mt.fn]; el >= mt.tailT {
+			util += fm.TailV
+		} else if el < mt.dur0 {
+			util += float64(fm.Prio * (fm.Start0 + fm.Aux0*(el/mt.dur0)))
+		} else if !fm.Walk {
+			t := el - mt.dur0
+			if t < fm.Dur1 {
+				util += float64(fm.Prio * (fm.Start1 + fm.Aux1*(t/fm.Dur1)))
+			} else if t -= fm.Dur1; t < fm.Dur2 {
+				util += float64(fm.Prio * (fm.Start2 + fm.Aux2*(t/fm.Dur2)))
 			} else {
-				util += mt.TailV
+				util += fm.TailV
 			}
 		} else {
-			util += e.tufs.Value(int(ti), el)
+			util += e.tufs.Value(int(mt.fn), el)
 		}
 		energy += eecRow[ty]
 	}

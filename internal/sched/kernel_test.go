@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tradeoff/internal/data"
+	"tradeoff/internal/hcs"
 	"tradeoff/internal/rng"
 	"tradeoff/internal/utility"
 	"tradeoff/internal/workload"
@@ -63,10 +64,12 @@ func degenerateTUF(t *testing.T, src *rng.Source) *utility.Function {
 	return f
 }
 
-// kernelEval builds an evaluator over the real system with n tasks whose
-// TUFs are replaced by randomized shapes; degenerateFrac of the tasks
-// receive a degenerate (single-segment or zero-penalty) function.
-func kernelEval(t *testing.T, n int, seed uint64, degenerateFrac float64) *Evaluator {
+// kernelTrace returns the real system and an n-task trace whose TUFs
+// are replaced by randomized shapes; degenerateFrac of the tasks
+// receive a degenerate (single-segment or zero-penalty) function, and
+// sharedFrac of them, instead of a function of their own, the function
+// of a uniformly drawn earlier task.
+func kernelTrace(t *testing.T, n int, seed uint64, degenerateFrac, sharedFrac float64) (*hcs.System, *workload.Trace) {
 	t.Helper()
 	sys := data.RealSystem()
 	tr, err := workload.Generate(sys, workload.GenConfig{NumTasks: n, Window: 600}, rng.New(seed))
@@ -75,13 +78,23 @@ func kernelEval(t *testing.T, n int, seed uint64, degenerateFrac float64) *Evalu
 	}
 	src := rng.New(seed ^ 0x9e3779b97f4a7c15)
 	for i := range tr.Tasks {
-		if src.Bool(degenerateFrac) {
+		switch {
+		case sharedFrac > 0 && i > 0 && src.Bool(sharedFrac):
+			tr.Tasks[i].TUF = tr.Tasks[src.Intn(i)].TUF
+		case src.Bool(degenerateFrac):
 			tr.Tasks[i].TUF = degenerateTUF(t, src)
-		} else {
+		default:
 			tr.Tasks[i].TUF = randomTUF(t, src)
 		}
 	}
-	e, err := NewEvaluator(sys, tr)
+	return sys, tr
+}
+
+// kernelEval builds an evaluator over kernelTrace's system and trace,
+// every task with a function of its own.
+func kernelEval(t *testing.T, n int, seed uint64, degenerateFrac float64) *Evaluator {
+	t.Helper()
+	e, err := NewEvaluator(kernelTrace(t, n, seed, degenerateFrac, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

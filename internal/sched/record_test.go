@@ -47,53 +47,59 @@ func fuzzTUF(src *rng.Source, nseg, shapes uint8, flat bool, tailFrac float64) (
 }
 
 // recordUtility resolves task ti's utility at elapsed time el with the
-// kernel's four tiers, written as in typedCont, and reports which tier
-// answered: 1 the tail guard, 2 the inline first segment, 3 the inline
-// segments 2–3 (or the tail past them), 4 the Table.Value fallback.
+// kernel's four tiers, written as in typedCont: the thresholds from the
+// task's record pick the tier, the values come from its function's
+// record. It reports which tier answered: 1 the tail guard, 2 the
+// first segment, 3 segments 2–3 (or the tail past them), 4 the
+// Table.Value fallback on the function's entry.
 func recordUtility(e *Evaluator, ti int, el float64) (float64, int) {
-	mt, lt := &e.meta[ti], &e.later[ti]
+	mt := &e.meta[ti]
+	fm := &e.funcs[mt.fn]
 	switch {
-	case el >= mt.TailT:
-		return mt.TailV, 1
-	case el < mt.Dur0:
-		return float64(mt.Prio * (mt.Start0 + mt.Aux0*(el/mt.Dur0))), 2
-	case !lt.Walk:
-		t := el - mt.Dur0
-		if t < lt.Dur1 {
-			return float64(mt.Prio * (lt.Start1 + lt.Aux1*(t/lt.Dur1))), 3
+	case el >= mt.tailT:
+		return fm.TailV, 1
+	case el < mt.dur0:
+		return float64(fm.Prio * (fm.Start0 + fm.Aux0*(el/mt.dur0))), 2
+	case !fm.Walk:
+		t := el - mt.dur0
+		if t < fm.Dur1 {
+			return float64(fm.Prio * (fm.Start1 + fm.Aux1*(t/fm.Dur1))), 3
 		}
-		if t -= lt.Dur1; t < lt.Dur2 {
-			return float64(mt.Prio * (lt.Start2 + lt.Aux2*(t/lt.Dur2))), 3
+		if t -= fm.Dur1; t < fm.Dur2 {
+			return float64(fm.Prio * (fm.Start2 + fm.Aux2*(t/fm.Dur2))), 3
 		}
-		return mt.TailV, 3
+		return fm.TailV, 3
 	}
-	return e.tufs.Value(ti, el), 4
+	return e.tufs.Value(int(mt.fn), el), 4
 }
 
-// kernelUtility runs task 0 alone through typedCont on machine 0, with
+// kernelUtility runs task ti alone through typedCont on machine 0, with
 // the machine busy until el - ETC after the task's arrival, so the task
 // completes about el after it. It returns the elapsed time the kernel
 // computed and the utility it added.
-func kernelUtility(e *Evaluator, el float64) (float64, float64) {
-	arr := e.meta[0].arrival
-	st := kstate{ready: arr + (el - e.ETCInstance(e.Trace().Tasks[0].Type, 0))}
-	e.NewDeltaSession().typedCont(0, []int32{0}, &st)
+func kernelUtility(e *Evaluator, ti int, el float64) (float64, float64) {
+	arr := e.meta[ti].arrival
+	st := kstate{ready: arr + (el - e.ETCInstance(e.Trace().Tasks[ti].Type, 0))}
+	e.NewDeltaSession().typedCont(0, []int32{int32(ti)}, &st)
 	return st.ready - arr, st.util
 }
 
-// FuzzTaskRecordUtility checks the kernel's per-task records against the
-// compiled table and the uncompiled function, bit for bit, at the edges
-// of each tier (0, the end of each of the first three segments and the
-// tail guard, the floats just below each, and the margin between the
-// horizon and the guard) and at uniform draws up to 1.2 × horizon. It
-// also checks that each elapsed time takes the tier it should: the tail
-// guard past every segment with margin, the inline first segment inside
-// a Constant or Linear one, the inline segments 2–3 everywhere else for
-// a TUF of at most three Constant or Linear segments, and Table.Value
-// everywhere else for a TUF with an Exponential segment or more than
-// three segments. Last, it runs the kernel itself near each probe and
-// holds it to the mirror and to Table.Value at the elapsed time the
-// kernel computed.
+// FuzzTaskRecordUtility checks the kernel's task and function records
+// against the compiled table and the uncompiled function, bit for bit,
+// at the edges of each tier (0, the end of each of the first three
+// segments and the tail guard, the floats just below each, and the
+// margin between the horizon and the guard) and at uniform draws up to
+// 1.2 × horizon. The fuzzed function sits on two tasks, and an equal
+// but separate copy on a third: the first two must share one function
+// record, the third must get its own, and all three must resolve every
+// probe identically. It also checks that each elapsed time takes the
+// tier it should: the tail guard past every segment with margin, the
+// first segment inside a Constant or Linear one, segments 2–3
+// everywhere else for a TUF of at most three Constant or Linear
+// segments, and Table.Value everywhere else for a TUF with an
+// Exponential segment or more than three segments. Last, it runs the
+// kernel itself on each task near each probe and holds it to the
+// mirror and to Function.Value at the elapsed time the kernel computed.
 func FuzzTaskRecordUtility(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(utility.Exponential), false, 0.3)                   // Exponential first
 	f.Add(uint64(2), uint8(0), uint8(utility.Constant), false, 0.0)                      // a single Constant segment
@@ -114,27 +120,36 @@ func FuzzTaskRecordUtility(f *testing.F) {
 		if sys.ETC, err = hcs.MatrixFromRows([][]float64{{1e-6, 1e-6}, {1e-6, 1e-6}}); err != nil {
 			t.Fatal(err)
 		}
-		tr := &workload.Trace{Window: 100, Tasks: []workload.Task{{Type: 1, Arrival: 7, TUF: fn}}}
+		tr := &workload.Trace{Window: 100, Tasks: []workload.Task{
+			{ID: 0, Type: 1, Arrival: 7, TUF: fn},
+			{ID: 1, Type: 1, Arrival: 7, TUF: fn},
+			{ID: 2, Type: 1, Arrival: 7, TUF: fn.Clone()},
+		}}
 		e, err := NewEvaluator(sys, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mt := &e.meta[0]
-		if mt.arrival != 7 || mt.ty != 1 {
-			t.Fatalf("record arrival %v type %d, want 7 and 1", mt.arrival, mt.ty)
+		for ti, want := range []int32{0, 0, 1} {
+			if mt := &e.meta[ti]; mt.arrival != 7 || mt.ty != 1 || mt.fn != want {
+				t.Fatalf("task %d record arrival %v type %d function %d, want 7, 1 and %d", ti, mt.arrival, mt.ty, mt.fn, want)
+			}
 		}
+		if len(e.funcs) != 2 || e.tufs.Len() != 2 {
+			t.Fatalf("%d function records and %d table entries for 2 distinct functions", len(e.funcs), e.tufs.Len())
+		}
+		mt := &e.meta[0]
 		walk := len(fn.Segments) > 3
 		for _, sg := range fn.Segments {
 			walk = walk || sg.Shape == utility.Exponential
 		}
-		if e.later[0].Walk != walk {
-			t.Fatalf("side record Walk %v for %d segments %v, want %v", e.later[0].Walk, len(fn.Segments), fn.Segments, walk)
+		if e.funcs[0].Walk != walk {
+			t.Fatalf("function record Walk %v for %d segments %v, want %v", e.funcs[0].Walk, len(fn.Segments), fn.Segments, walk)
 		}
 		seg0 := fn.Segments[0]
 		horizon := fn.Horizon()
 		// The midpoint between the horizon and the tail guard falls off
 		// every segment without reaching the guard.
-		els := []float64{0, mt.TailT, math.Nextafter(mt.TailT, 0), horizon + (mt.TailT-horizon)/2}
+		els := []float64{0, mt.tailT, math.Nextafter(mt.tailT, 0), horizon + (mt.tailT-horizon)/2}
 		var end float64
 		for k := 0; k < len(fn.Segments) && k < 3; k++ {
 			end += fn.Segments[k].Duration
@@ -145,6 +160,11 @@ func FuzzTaskRecordUtility(f *testing.F) {
 		}
 		for _, el := range els {
 			got, tier := recordUtility(e, 0, el)
+			for ti := 1; ti < 3; ti++ {
+				if other, otherTier := recordUtility(e, ti, el); math.Float64bits(other) != math.Float64bits(got) || otherTier != tier {
+					t.Fatalf("el=%v: task %d %v (tier %d), task 0 %v (tier %d)", el, ti, other, otherTier, got, tier)
+				}
+			}
 			if want := e.tufs.Value(0, el); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("el=%v tier %d: record %v, Table.Value %v", el, tier, got, want)
 			}
@@ -166,10 +186,12 @@ func FuzzTaskRecordUtility(f *testing.F) {
 			case walk && tier != 4:
 				t.Fatalf("el=%v past the first of %v took tier %d, want Table.Value", el, fn.Segments, tier)
 			}
-			elK, got := kernelUtility(e, el)
-			mirror, tier := recordUtility(e, 0, elK)
-			if want := e.tufs.Value(0, elK); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(mirror) {
-				t.Fatalf("el=%v: kernel %v, mirror %v (tier %d), Table.Value %v", elK, got, mirror, tier, want)
+			for ti := 0; ti < 3; ti++ {
+				elK, got := kernelUtility(e, ti, el)
+				mirror, tier := recordUtility(e, ti, elK)
+				if want := fn.Value(elK); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(mirror) {
+					t.Fatalf("task %d el=%v: kernel %v, mirror %v (tier %d), Function.Value %v", ti, elK, got, mirror, tier, want)
+				}
 			}
 		}
 	})

@@ -102,14 +102,14 @@ type Evaluator struct {
 	eligible [][]int
 
 	// tufs holds the compiled time-utility functions, one table entry
-	// per task, bit-identical to Task.TUF.Value.
+	// per distinct *utility.Function of the trace, bit-identical to
+	// Task.TUF.Value. Entry k is funcs[k]'s function.
 	tufs *utility.Table
 	// meta is the per-task record the simulation kernel reads.
 	meta []taskMeta
-	// later holds each task's TUF segments 2–3 (utility.Later), kept
-	// out of meta because the kernel reads them only for a completion
-	// past the first segment and inside the tail guard.
-	later []utility.Later
+	// funcs is the per-function record: what the kernel reads of a
+	// task's TUF once the task record's thresholds have picked a tier.
+	funcs []funcMeta
 
 	// replays pools the standalone replays' idle scratch (*replay).
 	replays sync.Pool
@@ -156,16 +156,23 @@ func (r *replay) bitset(n int) []uint64 {
 	return seen
 }
 
-// taskMeta is the per-task record of everything the machine-major
-// simulation kernel reads for every task: the TUF's tail guard and
-// first segment (utility.Inline), arrival time and task type. Sized and
-// padded to 64 bytes, one cache line, so the kernel touches one line
-// per task on its common path.
+// taskMeta is the 32-byte per-task record the machine-major simulation
+// kernel reads for every task: arrival time, the two thresholds of the
+// task's TUF that pick its utility tier (utility.Inline's TailT and
+// Dur0), task type, and the index of the TUF's funcMeta and table
+// entry. Two records share a cache line.
 type taskMeta struct {
-	utility.Inline
-	arrival float64
-	ty      int32
-	_       int32
+	arrival, tailT, dur0 float64
+	ty, fn               int32
+}
+
+// funcMeta is the per-function record: the values of a compiled TUF
+// that the kernel reads once a task's thresholds have picked the tier,
+// namely utility.Inline's tail value, priority, and first-segment
+// start and aux, and utility.Later's segments 2–3 and Walk flag.
+type funcMeta struct {
+	TailV, Prio, Start0, Aux0 float64
+	utility.Later
 }
 
 // LimitError reports an instance too large for the packed 32-bit
@@ -232,17 +239,35 @@ func NewEvaluator(sys *hcs.System, trace *workload.Trace) (*Evaluator, error) {
 			e.eecT[m][t] = e.eec[t][m]
 		}
 	}
-	n := trace.NumTasks()
-	e.tufs = utility.NewTable(n, 2*n)
-	e.meta = make([]taskMeta, n)
-	e.later = make([]utility.Later, n)
+	// Number the distinct functions by first use; first[k] is the
+	// first task carrying function k.
+	e.meta = make([]taskMeta, trace.NumTasks())
+	index := make(map[*utility.Function]int32)
+	var first []int32
+	segs := 0
 	for i := range trace.Tasks {
 		task := &trace.Tasks[i]
-		if _, err := e.tufs.Add(task.TUF); err != nil {
+		fn, ok := index[task.TUF]
+		if !ok {
+			fn = int32(len(first))
+			index[task.TUF] = fn
+			first = append(first, int32(i))
+			segs += len(task.TUF.Segments)
+		}
+		e.meta[i] = taskMeta{arrival: task.Arrival, ty: int32(task.Type), fn: fn}
+	}
+	e.tufs = utility.NewTable(len(first), segs)
+	e.funcs = make([]funcMeta, len(first))
+	for k, i := range first {
+		if _, err := e.tufs.Add(trace.Tasks[i].TUF); err != nil {
 			return nil, fmt.Errorf("sched: task %d TUF: %w", i, err)
 		}
-		e.meta[i] = taskMeta{Inline: e.tufs.Inline(i), arrival: task.Arrival, ty: int32(task.Type)}
-		e.later[i] = e.tufs.Later(i)
+		in := e.tufs.Inline(k)
+		e.funcs[k] = funcMeta{TailV: in.TailV, Prio: in.Prio, Start0: in.Start0, Aux0: in.Aux0, Later: e.tufs.Later(k)}
+	}
+	for i := range e.meta {
+		in := e.tufs.Inline(int(e.meta[i].fn))
+		e.meta[i].tailT, e.meta[i].dur0 = in.TailT, in.Dur0
 	}
 	return e, nil
 }

@@ -40,6 +40,52 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeTraceSharesTUFs: JSON writes one copy of a TUF per task,
+// and decoding shares the bit-identical copies again, so a decoded
+// generated trace has the original's sharing.
+func TestDecodeTraceSharesTUFs(t *testing.T) {
+	sys := data.RealSystem()
+	tr, err := Generate(sys, GenConfig{NumTasks: 300, Window: 900}, rng.New(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := EncodeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeTrace(raw, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, m := distinctTUFs(tr), distinctTUFs(back); n != m || n >= tr.NumTasks() {
+		t.Fatalf("decoded trace has %d distinct TUFs, original %d over %d tasks", m, n, tr.NumTasks())
+	}
+	for i := range tr.Tasks {
+		for j := range tr.Tasks[:i] {
+			if (tr.Tasks[i].TUF == tr.Tasks[j].TUF) != (back.Tasks[i].TUF == back.Tasks[j].TUF) {
+				t.Fatalf("tasks %d and %d: sharing differs after decoding", j, i)
+			}
+		}
+	}
+
+	// Sharing compares bits: a tail of -0 equals 0 but keeps its own
+	// function.
+	tuf := func(tail string) string {
+		return `{"Priority":3,"Segments":[{"Duration":50,"StartFrac":1,"EndFrac":0.5,"Shape":1}],"TailFrac":` + tail + `}`
+	}
+	raw = []byte(`{"Window":10,"Tasks":[` +
+		`{"ID":0,"Type":1,"Arrival":0,"TUF":` + tuf("0") + `},` +
+		`{"ID":1,"Type":1,"Arrival":1,"TUF":` + tuf("-0") + `},` +
+		`{"ID":2,"Type":1,"Arrival":2,"TUF":` + tuf("0") + `}]}`)
+	back, err = DecodeTrace(raw, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := back.Tasks; ts[0].TUF != ts[2].TUF || ts[0].TUF == ts[1].TUF {
+		t.Fatal("want tasks 0 and 2 to share a function and task 1 to keep its own")
+	}
+}
+
 func TestDecodeTraceRejectsCorruption(t *testing.T) {
 	sys := data.RealSystem()
 	tr, err := Generate(sys, GenConfig{NumTasks: 10, Window: 900}, rng.New(62))

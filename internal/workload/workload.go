@@ -24,7 +24,9 @@ type Task struct {
 	// Arrival is the arrival time in seconds from the trace start.
 	Arrival float64
 	// TUF is the task's time-utility function, evaluated at
-	// completion − arrival.
+	// completion − arrival. Tasks may share one function (generated,
+	// cloned and decoded traces do, one per distinct TUF), so treat it
+	// as read-only: Clone it before editing.
 	TUF *utility.Function
 }
 
@@ -50,7 +52,8 @@ func (tr *Trace) MaxUtility() float64 {
 
 // Validate checks trace invariants against a system: tasks sorted by
 // arrival with dense IDs, arrivals within [0, Window], valid task types,
-// and a valid TUF on every task.
+// and a valid TUF on every task. A TUF that several tasks share is
+// validated once, at its first task.
 func (tr *Trace) Validate(sys *hcs.System) error {
 	if tr.Window <= 0 {
 		return fmt.Errorf("workload: window %v, want > 0", tr.Window)
@@ -59,6 +62,7 @@ func (tr *Trace) Validate(sys *hcs.System) error {
 		return fmt.Errorf("workload: trace has no tasks")
 	}
 	prev := math.Inf(-1)
+	checked := make(map[*utility.Function]bool)
 	for i := range tr.Tasks {
 		t := &tr.Tasks[i]
 		if t.ID != i {
@@ -77,18 +81,29 @@ func (tr *Trace) Validate(sys *hcs.System) error {
 		if t.TUF == nil {
 			return fmt.Errorf("workload: task %d has no TUF", i)
 		}
+		if checked[t.TUF] {
+			continue
+		}
 		if err := t.TUF.Validate(); err != nil {
 			return fmt.Errorf("workload: task %d TUF invalid: %w", i, err)
 		}
+		checked[t.TUF] = true
 	}
 	return nil
 }
 
-// Clone returns a deep copy of the trace (TUFs are cloned too).
+// Clone returns a deep copy of the trace. Each distinct TUF is cloned
+// once, so tasks that share a function in the original share its copy.
 func (tr *Trace) Clone() *Trace {
 	c := &Trace{Window: tr.Window, Tasks: make([]Task, len(tr.Tasks))}
+	clones := make(map[*utility.Function]*utility.Function)
 	for i, t := range tr.Tasks {
-		c.Tasks[i] = Task{ID: t.ID, Type: t.Type, Arrival: t.Arrival, TUF: t.TUF.Clone()}
+		f, ok := clones[t.TUF]
+		if !ok {
+			f = t.TUF.Clone()
+			clones[t.TUF] = f
+		}
+		c.Tasks[i] = Task{ID: t.ID, Type: t.Type, Arrival: t.Arrival, TUF: f}
 	}
 	return c
 }
@@ -111,7 +126,8 @@ const (
 
 // TUFPolicy assigns a time-utility function to a freshly generated task.
 type TUFPolicy interface {
-	// NewTUF returns the TUF for a task of the given type.
+	// NewTUF returns the TUF for a task of the given type. It may
+	// return one function for several tasks; see Task.TUF.
 	NewTUF(src *rng.Source, taskType int) *utility.Function
 }
 
@@ -223,6 +239,11 @@ type PriorityClass struct {
 // horizons to the task type's average execution time so that utility
 // decays on the timescale the task actually runs at. This mirrors how the
 // ESSC parameters are policy decisions set per task class (§IV-B1).
+//
+// A trace holds at most classes × levels × shapes functions per task
+// type, so NewTUF builds each distinct (priority, horizon, shape) once
+// and returns that one function for every task that draws it. A
+// DefaultTUFPolicy is not safe for concurrent use.
 type DefaultTUFPolicy struct {
 	Classes []PriorityClass
 	// AvgExec holds the mean execution time of each task type across its
@@ -230,6 +251,18 @@ type DefaultTUFPolicy struct {
 	AvgExec []float64
 	// UrgencyLevels scale the decay horizon: horizon = level × AvgExec.
 	UrgencyLevels []float64
+
+	// weights is the class-weight scratch NewTUF hands src.Pick.
+	weights []float64
+	// shared holds the function built for each distinct draw.
+	shared map[tufKey]*utility.Function
+}
+
+// tufKey identifies one default-policy function: the bits of its
+// priority and horizon, and its characteristic-class shape.
+type tufKey struct {
+	priority, horizon uint64
+	shape             int
 }
 
 // NewDefaultTUFPolicy builds the default policy for a system.
@@ -261,21 +294,30 @@ func NewDefaultTUFPolicy(sys *hcs.System) *DefaultTUFPolicy {
 	return p
 }
 
-// NewTUF implements TUFPolicy.
+// NewTUF implements TUFPolicy. It returns the same function for every
+// task that draws the same priority, horizon and shape.
 func (p *DefaultTUFPolicy) NewTUF(src *rng.Source, taskType int) *utility.Function {
-	weights := make([]float64, len(p.Classes))
+	if cap(p.weights) < len(p.Classes) {
+		p.weights = make([]float64, len(p.Classes))
+	}
+	weights := p.weights[:len(p.Classes)]
 	for i, c := range p.Classes {
 		weights[i] = c.Weight
 	}
 	class := p.Classes[src.Pick(weights)]
 	level := p.UrgencyLevels[src.Intn(len(p.UrgencyLevels))]
 	horizon := level * p.AvgExec[taskType]
+	shape := src.Intn(3)
+	key := tufKey{priority: math.Float64bits(class.Priority), horizon: math.Float64bits(horizon), shape: shape}
+	if f, ok := p.shared[key]; ok {
+		return f
+	}
 
 	// Three characteristic-class shapes, echoing Fig. 1's interval
 	// structure: plateaus, a grace period with linear decay, or a pure
 	// linear ramp.
 	var segs []utility.Segment
-	switch src.Intn(3) {
+	switch shape {
 	case 0: // three plateaus then zero
 		segs = []utility.Segment{
 			{Duration: horizon * 0.25, StartFrac: 1, EndFrac: 1, Shape: utility.Constant},
@@ -296,5 +338,9 @@ func (p *DefaultTUFPolicy) NewTUF(src *rng.Source, taskType int) *utility.Functi
 	if err != nil {
 		panic(fmt.Sprintf("workload: default TUF invalid: %v", err))
 	}
+	if p.shared == nil {
+		p.shared = make(map[tufKey]*utility.Function)
+	}
+	p.shared[key] = f
 	return f
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"tradeoff/internal/data"
@@ -163,13 +165,94 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// distinctTUFs counts a trace's distinct TUF pointers.
+func distinctTUFs(tr *Trace) int {
+	seen := make(map[*utility.Function]bool)
+	for _, task := range tr.Tasks {
+		seen[task.TUF] = true
+	}
+	return len(seen)
+}
+
+// TestCloneDeep: a clone copies each distinct TUF once, so it keeps the
+// original's sharing without sharing a function with the original, and
+// editing the clone leaves the original alone.
 func TestCloneDeep(t *testing.T) {
-	tr := genTrace(t, 10, 900, UniformArrivals)
+	tr := genTrace(t, 300, 900, UniformArrivals)
 	c := tr.Clone()
+	if n, m := distinctTUFs(tr), distinctTUFs(c); n != m || n >= tr.NumTasks() {
+		t.Fatalf("clone has %d distinct TUFs, original %d over %d tasks", m, n, tr.NumTasks())
+	}
+	orig := make(map[*utility.Function]bool)
+	for _, task := range tr.Tasks {
+		orig[task.TUF] = true
+	}
+	for i, task := range c.Tasks {
+		if orig[task.TUF] {
+			t.Fatalf("clone task %d shares its TUF with the original", i)
+		}
+	}
+	for i := range tr.Tasks {
+		for j := range tr.Tasks[:i] {
+			if (tr.Tasks[i].TUF == tr.Tasks[j].TUF) != (c.Tasks[i].TUF == c.Tasks[j].TUF) {
+				t.Fatalf("tasks %d and %d: sharing differs between original and clone", j, i)
+			}
+		}
+	}
 	c.Tasks[0].Arrival = 1e9
 	c.Tasks[0].TUF.Priority = 1e9
-	if tr.Tasks[0].Arrival == 1e9 || tr.Tasks[0].TUF.Priority == 1e9 {
+	c.Tasks[0].TUF.Segments[0].Duration = 1e9
+	if tr.Tasks[0].Arrival == 1e9 || tr.Tasks[0].TUF.Priority == 1e9 || tr.Tasks[0].TUF.Segments[0].Duration == 1e9 {
 		t.Fatal("Clone aliases original")
+	}
+}
+
+// TestDefaultTUFPolicySharesFunctions: one policy returns the same
+// function for every repeat of a (priority, horizon, shape), and it
+// consumes the same draws and builds the same function values as a
+// fresh policy that has shared nothing yet.
+func TestDefaultTUFPolicySharesFunctions(t *testing.T) {
+	sys := data.RealSystem()
+	p := NewDefaultTUFPolicy(sys)
+	shared, fresh := rng.New(9), rng.New(9)
+	byValue := make(map[string]*utility.Function)
+	for i := 0; i < 2000; i++ {
+		ty := i % sys.NumTaskTypes()
+		f := p.NewTUF(shared, ty)
+		g := NewDefaultTUFPolicy(sys).NewTUF(fresh, ty)
+		if *shared != *fresh {
+			t.Fatalf("draw %d: shared policy consumed different draws", i)
+		}
+		if !reflect.DeepEqual(f, g) {
+			t.Fatalf("draw %d: shared function %+v, fresh %+v", i, f, g)
+		}
+		key := fmt.Sprint(*f)
+		if prev, ok := byValue[key]; ok && prev != f {
+			t.Fatalf("draw %d: equal functions %+v not shared", i, *f)
+		}
+		byValue[key] = f
+	}
+	if limit := len(p.Classes) * len(p.UrgencyLevels) * 3 * sys.NumTaskTypes(); len(byValue) > limit {
+		t.Fatalf("%d distinct functions, at most %d possible", len(byValue), limit)
+	}
+}
+
+// TestDefaultTUFPolicyNewTUFAllocs: repeating a built (class, level,
+// shape) allocates nothing, not even the class weights.
+func TestDefaultTUFPolicyNewTUFAllocs(t *testing.T) {
+	p := NewDefaultTUFPolicy(data.RealSystem())
+	base := *rng.New(11)
+	src := new(rng.Source)
+	*src = base
+	f := p.NewTUF(src, 3)
+	allocs := testing.AllocsPerRun(100, func() {
+		*src = base
+		if p.NewTUF(src, 3) != f {
+			t.Fatal("repeated draw returned a new function")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("repeated NewTUF allocates %v times, want 0", allocs)
 	}
 }
 
