@@ -112,18 +112,18 @@ dist-smoke:
 
 # End-to-end telemetry smoke: run a short traced optimization through
 # cmd/tradeoff and a traced multi-engine study (the ablation) through
-# cmd/experiments, then validate each JSONL trace with cmd/tracecheck.
-# A trace times its phases without -phase-profile too: the plain traced
-# run must record a nonzero phase_ns entry.
+# cmd/experiments, then validate and analyze each JSONL trace with
+# cmd/tracestat. A trace times its phases without -phase-profile too:
+# the plain traced run must record a nonzero phase_ns entry.
 trace-smoke:
 	$(GO) run ./cmd/tradeoff -generations 20 -pop 20 -tasks 60 -phase-profile -trace /tmp/trace_smoke.jsonl > /dev/null
-	$(GO) run ./cmd/tracecheck /tmp/trace_smoke.jsonl
+	$(GO) run ./cmd/tracestat /tmp/trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/tradeoff -generations 20 -pop 20 -tasks 60 -trace /tmp/trace_smoke_plain.jsonl > /dev/null
-	$(GO) run ./cmd/tracecheck /tmp/trace_smoke_plain.jsonl
+	$(GO) run ./cmd/tracestat /tmp/trace_smoke_plain.jsonl > /dev/null
 	@grep -q '"phase_ns":\[[0-9,]*[1-9]' /tmp/trace_smoke_plain.jsonl || { echo "trace-smoke: -trace without -phase-profile wrote all-zero phase_ns"; exit 1; }
 	$(GO) run ./cmd/tracestat -json /tmp/trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/experiments -ablation 1 -scale 0.02 -pop 20 -phase-profile -trace /tmp/exp_trace_smoke.jsonl > /dev/null
-	$(GO) run ./cmd/tracecheck /tmp/exp_trace_smoke.jsonl
+	$(GO) run ./cmd/tracestat /tmp/exp_trace_smoke.jsonl > /dev/null
 
 # Fuzz smoke: ten seconds of coverage-guided fuzzing on each target
 # that holds a hand-derived fast path to its reference: the merge that

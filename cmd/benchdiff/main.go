@@ -23,7 +23,9 @@
 // A result parsed from plain `go test -bench` text carries a host stamp:
 // the header's CPU and goos/goarch, the run's GOMAXPROCS (the name's
 // suffix) and the Go version benchdiff runs on, which -record keeps.
-// It tells where a baseline was measured; comparisons ignore it.
+// A compare refuses (exit 6) when a benchmark both inputs hold carries
+// a stamp in each and the stamps differ: timings from two hosts do not
+// compare. A result without a stamp compares as usual.
 //
 // -bench restricts both comparison and recording to benchmarks whose
 // (GOMAXPROCS-stripped) name matches the regexp, so one canonical
@@ -41,6 +43,7 @@
 //	3  unreadable input (e.g. missing baseline file)
 //	4  malformed input (Benchmark lines present but none parsed)
 //	5  empty input (no benchmark data at all)
+//	6  baseline and candidate measured on different hosts
 package main
 
 import (
@@ -345,6 +348,21 @@ func ratio(oldV, newV float64) string {
 
 // compare returns the regressions of new against old under the
 // threshold (e.g. 0.10 allows 10% slack on ns/op and allocs/op).
+// crossHost returns the first benchmark, in candidate order, that both
+// inputs hold with different host stamps.
+func crossHost(oldRes, newRes []Result) (o, n Result, found bool) {
+	oldBy := make(map[string]Result, len(oldRes))
+	for _, r := range oldRes {
+		oldBy[r.Name] = r
+	}
+	for _, n := range newRes {
+		if o, ok := oldBy[n.Name]; ok && o.Host != "" && n.Host != "" && o.Host != n.Host {
+			return o, n, true
+		}
+	}
+	return Result{}, Result{}, false
+}
+
 func compare(oldRes, newRes []Result, threshold float64) []Regression {
 	oldBy := make(map[string]Result, len(oldRes))
 	for _, r := range oldRes {
@@ -572,6 +590,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff: candidate:", err)
 		return exitCodeFor(err)
+	}
+	if o, n, ok := crossHost(oldRes, newRes); ok {
+		fmt.Fprintf(stderr, "benchdiff: %s: baseline measured on %q, candidate on %q; measure both on one host\n", n.Name, o.Host, n.Host)
+		return 6
 	}
 	regs := compare(oldRes, newRes, *threshold)
 	if *jsonOut {

@@ -477,3 +477,42 @@ func TestBuildDiff(t *testing.T) {
 		t.Fatalf("OnlyOld must have no new side: %+v", doc.Benchmarks[2])
 	}
 }
+
+// TestRunCrossHostRefused: a baseline and a candidate stamped with
+// different hosts do not compare (exit 6, even in -json mode); the same
+// host, or a side without a stamp, compares as usual.
+func TestRunCrossHostRefused(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stamped := func(cpu, ns string) string {
+		return "goos: linux\ngoarch: amd64\ncpu: " + cpu + "\nBenchmarkA-8 10 " + ns + " ns/op\n"
+	}
+	hostA := write("a.txt", stamped("CPU A", "1000"))
+	hostAFast := write("a_fast.txt", stamped("CPU A", "900"))
+	hostB := write("b.txt", stamped("CPU B", "900"))
+	bare := write("bare.txt", "BenchmarkA-8 10 900 ns/op\n")
+	for _, tc := range []struct {
+		args     []string
+		wantCode int
+	}{
+		{[]string{hostA, hostB}, 6},
+		{[]string{"-json", hostA, hostB}, 6},
+		{[]string{hostA, hostAFast}, 0},
+		{[]string{hostA, bare}, 0},
+		{[]string{bare, hostB}, 0},
+	} {
+		var out, errOut strings.Builder
+		if code := run(tc.args, &out, &errOut); code != tc.wantCode {
+			t.Fatalf("%v: exit %d, want %d; stderr: %s", tc.args, code, tc.wantCode, errOut.String())
+		}
+		if tc.wantCode == 6 && !strings.Contains(errOut.String(), `"CPU A`) {
+			t.Fatalf("%v: stderr %q does not name the hosts", tc.args, errOut.String())
+		}
+	}
+}

@@ -1,8 +1,8 @@
-// Command tracestat analyzes a JSONL telemetry trace produced by the
-// -trace flag of cmd/tradeoff or cmd/experiments (any schema version
-// v1–v4): phase-time rollups from -phase-profile runs, per-label
-// hypervolume trajectories with convergence-stall detection, fitness-
-// cache hit-rate trends, and island migration summaries.
+// Command tracestat validates and analyzes a JSONL telemetry trace
+// produced by the -trace flag of cmd/tradeoff or cmd/experiments (any
+// schema version v1–v5): phase-time rollups, per-label hypervolume
+// trajectories with convergence-stall detection, and island migration
+// summaries.
 //
 // Usage:
 //
@@ -22,16 +22,21 @@
 // parent's authoritative trace alone; merging both would count the
 // shared events twice.)
 //
-// Each trace is validated first (the same schema rules as tracecheck);
-// analysis of valid traces prints a text report, or the full analysis
-// as JSON with -json. Exit status mirrors tracecheck: 0 on success, 1
-// for an invalid trace, 2 for usage or I/O errors — plus 3 when
-// -fail-on-stall is set and a hypervolume plateau of at least
-// -stall-window generations was detected.
+// Every record is validated against its schema version's rules:
+// required fields per record type, per-label generation numbers
+// strictly increasing, counts within range. The first violation is
+// reported as "tracestat: FILE:LINE: TYPE record: ..." (FILE is "stdin"
+// when no file is given, and names the failing file when several are)
+// and exits 1. Analysis of valid traces prints a text report, or the
+// full analysis as JSON with -json. Exit status: 0 on success, 1 for
+// an invalid trace, 2 for usage or I/O errors, 3 when -fail-on-stall is
+// set and a hypervolume plateau of at least -stall-window generations
+// was detected.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,27 +57,39 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var ins []io.Reader
-	name := "stdin"
-	if fs.NArg() == 0 {
-		ins = []io.Reader{stdin}
-	} else {
-		for _, arg := range fs.Args() {
-			f, err := os.Open(arg)
-			if err != nil {
-				fmt.Fprintln(stderr, "tracestat:", err)
-				return 2
-			}
-			defer f.Close()
-			ins = append(ins, f)
-		}
-		name = strings.Join(fs.Args(), ", ")
+	names := fs.Args()
+	if len(names) == 0 {
+		names, ins = []string{"stdin"}, []io.Reader{stdin}
 	}
+	for _, arg := range fs.Args() {
+		f, err := os.Open(arg)
+		if err != nil {
+			fmt.Fprintln(stderr, "tracestat:", err)
+			return 2
+		}
+		defer f.Close()
+		ins = append(ins, f)
+	}
+	name := strings.Join(names, ", ")
 	an, err := obs.AnalyzeTraces(ins, obs.AnalyzeOptions{
 		StallWindow: *stallWindow,
 		StallTol:    *stallTol,
 	})
 	if err != nil {
-		fmt.Fprintf(stderr, "tracestat: %s: %v\n", name, err)
+		failed := names[0]
+		var ie *obs.InputError
+		if errors.As(err, &ie) {
+			failed, err = names[ie.Index], ie.Err
+		}
+		var te *obs.TraceError
+		switch {
+		case errors.As(err, &te) && te.RecordType != "":
+			fmt.Fprintf(stderr, "tracestat: %s:%d: %s record: %v\n", failed, te.Line, te.RecordType, te.Err)
+		case errors.As(err, &te):
+			fmt.Fprintf(stderr, "tracestat: %s:%d: %v\n", failed, te.Line, te.Err)
+		default:
+			fmt.Fprintf(stderr, "tracestat: %s: %v\n", failed, err)
+		}
 		return 1
 	}
 	if *jsonOut {
@@ -116,9 +133,6 @@ func writeText(w io.Writer, name string, an *obs.TraceAnalysis) {
 			stalled = "   <- stalled"
 		}
 		fmt.Fprintf(w, "  plateau: max %d, %d open at end of trace%s\n", l.MaxPlateau, l.EndPlateau, stalled)
-		if l.CacheHitEarly >= 0 || l.CacheHitLate >= 0 {
-			fmt.Fprintf(w, "  cache hit rate: %.3f early -> %.3f late\n", l.CacheHitEarly, l.CacheHitLate)
-		}
 	}
 	if is := an.Islands; is != nil {
 		fmt.Fprintf(w, "\nislands: %d island(s), %d migration tick(s), %d migrant(s), tick skew %d\n",

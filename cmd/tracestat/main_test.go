@@ -10,9 +10,9 @@ import (
 	"tradeoff/internal/obs"
 )
 
-// genLine renders a v4 generation record with the given label, gen,
-// hypervolume, cache hit rate, and a uniform per-phase time.
-func genLine(label string, gen int, hv, hitRate float64, phaseNS int64) string {
+// genLine renders a v5 generation record with the given label, gen,
+// hypervolume, and a uniform per-phase time.
+func genLine(label string, gen int, hv float64, phaseNS int64) string {
 	var phases strings.Builder
 	for p := 0; p < obs.NumPhases; p++ {
 		if p > 0 {
@@ -20,16 +20,16 @@ func genLine(label string, gen int, hv, hitRate float64, phaseNS int64) string {
 		}
 		fmt.Fprintf(&phases, "%d", phaseNS)
 	}
-	return fmt.Sprintf(`{"v":4,"type":"generation","ts":%d,"label":%q,"gen":%d,"pop":4,"full_evals":4,"delta_evals":0,"machines_simulated":8,"machines_inherited":0,"cache_hits":8,"cache_misses":2,"cache_hit_rate":%g,"cache_evictions":0,"machine_cache_hits":4,"machine_cache_misses":1,"machine_cache_hit_rate":0.8,"typed_tasks":10,"typed_runs":5,"arena_occupancy":0.5,"phase_ns":[%s],"dirty_mean":1,"dirty_max":2,"machines":2,"front_size":1,"hv":%g,"eps":0,"spread":0,"front":[[10,2]]}`,
-		gen, label, gen, hitRate, phases.String(), hv) + "\n"
+	return fmt.Sprintf(`{"v":5,"type":"generation","ts":%d,"label":%q,"gen":%d,"pop":4,"full_evals":4,"delta_evals":0,"machines_simulated":8,"machines_inherited":0,"arena_occupancy":0.5,"phase_ns":[%s],"machines":2,"front_size":1,"hv":%g,"eps":0,"spread":0,"front":[[10,2]]}`,
+		gen, label, gen, phases.String(), hv) + "\n"
 }
 
 func sampleTrace() string {
 	var b strings.Builder
 	// Label "a": improves every generation. Label "b": flat after gen 1.
 	for g := 1; g <= 8; g++ {
-		b.WriteString(genLine("a", g, float64(g), 0.1*float64(g), 1000))
-		b.WriteString(genLine("b", g, 1.0, 0.5, 0))
+		b.WriteString(genLine("a", g, float64(g), 1000))
+		b.WriteString(genLine("b", g, 1.0, 0))
 	}
 	b.WriteString(`{"type":"migration","ts":100,"gen":4,"from":0,"to":1,"count":3}` + "\n")
 	b.WriteString(`{"type":"migration","ts":101,"gen":4,"from":1,"to":0,"count":2}` + "\n")
@@ -52,7 +52,6 @@ func TestRunText(t *testing.T) {
 		"label a: generations 1-8 (8 record(s))",
 		"hypervolume 1 -> 8 (best 8 at generation 8)",
 		"label b:",
-		"cache hit rate:",
 		"islands: 2 island(s), 2 migration tick(s), 6 migrant(s), tick skew 4",
 		"island 0: 4 migrant(s) sent, last tick at generation 8",
 		"island 1: 2 migrant(s) sent, last tick at generation 4",
@@ -92,7 +91,7 @@ func TestRunJSON(t *testing.T) {
 func TestRunStall(t *testing.T) {
 	var b strings.Builder
 	for g := 1; g <= 10; g++ {
-		b.WriteString(genLine("flat", g, 1.0, 0.5, 0))
+		b.WriteString(genLine("flat", g, 1.0, 0))
 	}
 	trace := b.String()
 
@@ -117,7 +116,7 @@ func TestRunStall(t *testing.T) {
 func TestRunNoStallExitZero(t *testing.T) {
 	var b strings.Builder
 	for g := 1; g <= 10; g++ {
-		b.WriteString(genLine("up", g, float64(g), 0.5, 0))
+		b.WriteString(genLine("up", g, float64(g), 0))
 	}
 	var out, errb strings.Builder
 	if code := run([]string{"-stall-window", "5", "-fail-on-stall"}, strings.NewReader(b.String()), &out, &errb); code != 0 {
@@ -166,8 +165,8 @@ func TestRunMultiFile(t *testing.T) {
 	// and the generation records split across the files too.
 	var w0, w1 strings.Builder
 	for g := 1; g <= 8; g++ {
-		w0.WriteString(genLine("a", g, float64(g), 0.1*float64(g), 1000))
-		w1.WriteString(genLine("b", g, 1.0, 0.5, 0))
+		w0.WriteString(genLine("a", g, float64(g), 1000))
+		w1.WriteString(genLine("b", g, 1.0, 0))
 	}
 	w0.WriteString(`{"type":"migration","ts":100,"gen":4,"from":0,"to":1,"count":3}` + "\n")
 	w0.WriteString(`{"type":"migration","ts":102,"gen":8,"from":0,"to":1,"count":1}` + "\n")
@@ -202,7 +201,7 @@ func TestRunMultiFile(t *testing.T) {
 }
 
 // TestRunMultiFileInvalid: a validation failure in a later file names
-// the offending trace by position.
+// the offending file and line.
 func TestRunMultiFileInvalid(t *testing.T) {
 	dir := t.TempDir()
 	good, bad := dir+"/good.jsonl", dir+"/bad.jsonl"
@@ -216,8 +215,8 @@ func TestRunMultiFileInvalid(t *testing.T) {
 	if code := run([]string{good, bad}, nil, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr %q)", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "trace 2:") {
-		t.Fatalf("stderr %q does not name the failing trace", errb.String())
+	if !strings.Contains(errb.String(), "tracestat: "+bad+":1: invalid JSON") {
+		t.Fatalf("stderr %q does not name the failing file and line", errb.String())
 	}
 }
 
@@ -229,5 +228,104 @@ func TestRunSecondFileMissing(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{path, "/does/not/exist.jsonl"}, nil, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
+	}
+}
+
+// legacyTrace is a v1 trace (records without a "v" field) holding one
+// record of each type.
+const legacyTrace = `{"type":"generation","ts":1,"label":"ds1/x","gen":1,"pop":4,"full_evals":4,"delta_evals":0,"machines_simulated":8,"machines_inherited":0,"dirty_mean":1,"dirty_max":2,"machines":2,"front_size":1,"hv":3.5,"eps":0,"spread":0,"front":[[10,2]]}
+{"type":"migration","ts":2,"gen":5,"from":0,"to":1,"count":3}
+{"type":"run","ts":3,"dataset":"ds1","variant":"random","run":0,"seed":1,"hv":4,"max_utility":10,"front_size":1}
+`
+
+func TestRunStdin(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run(nil, strings.NewReader(legacyTrace), &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb.String())
+	}
+	if want := "stdin: 1 generation, 1 migration, 1 run record(s)\n"; !strings.HasPrefix(out.String(), want) {
+		t.Fatalf("stdout %q, want prefix %q", out.String(), want)
+	}
+}
+
+func TestRunFileLegacy(t *testing.T) {
+	path := t.TempDir() + "/trace.jsonl"
+	if err := os.WriteFile(path, []byte(legacyTrace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb strings.Builder
+	if code := run([]string{path}, nil, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb.String())
+	}
+	if want := path + ": 1 generation, 1 migration, 1 run record(s)\n"; !strings.HasPrefix(out.String(), want) {
+		t.Fatalf("stdout %q, want prefix %q", out.String(), want)
+	}
+}
+
+func TestRunMissingFileNamesPath(t *testing.T) {
+	path := t.TempDir() + "/absent.jsonl"
+	var out, errb strings.Builder
+	if code := run([]string{path}, nil, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "tracestat: ") || !strings.Contains(errb.String(), path) {
+		t.Fatalf("stderr %q, want the missing path", errb.String())
+	}
+}
+
+func TestRunViolations(t *testing.T) {
+	cases := []struct {
+		name  string
+		trace string
+	}{
+		{"empty", ""},
+		{"garbage", "not json\n"},
+		{"bad type", `{"type":"nope","ts":1}` + "\n"},
+		{"non-increasing gen", strings.Repeat(genLine("a", 1, 0, 0), 2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb strings.Builder
+			if code := run(nil, strings.NewReader(tc.trace), &out, &errb); code != 1 {
+				t.Fatalf("exit %d, want 1 (stderr %q)", code, errb.String())
+			}
+		})
+	}
+}
+
+func TestRunReportsLineAndRecordType(t *testing.T) {
+	trace := legacyTrace + `{"type":"migration","ts":9,"gen":5,"from":0}` + "\n"
+	var out, errb strings.Builder
+	if code := run(nil, strings.NewReader(trace), &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "tracestat: stdin:4: migration record:") {
+		t.Fatalf("stderr %q, want line and record type", errb.String())
+	}
+}
+
+func TestRunReportsLineForUnparseable(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run(nil, strings.NewReader("not json\n"), &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "tracestat: stdin:1:") {
+		t.Fatalf("stderr %q, want line number", errb.String())
+	}
+}
+
+// TestRunNamesFailingFile: a schema violation in a file reports the
+// file, the line and the record type.
+func TestRunNamesFailingFile(t *testing.T) {
+	path := t.TempDir() + "/bad.jsonl"
+	if err := os.WriteFile(path, []byte(strings.Repeat(genLine("a", 1, 0, 0), 2)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb strings.Builder
+	if code := run([]string{path}, nil, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if want := "tracestat: " + path + ":2: generation record: generation 1"; !strings.Contains(errb.String(), want) {
+		t.Fatalf("stderr %q, want %q", errb.String(), want)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -11,6 +12,7 @@ import (
 	"tradeoff/internal/analysis"
 	"tradeoff/internal/core"
 	"tradeoff/internal/heuristics"
+	"tradeoff/internal/obs"
 )
 
 // runMainEnv, when set to 1, makes the test binary run the command's
@@ -77,6 +79,55 @@ func TestArchiveFlagBoundsCSV(t *testing.T) {
 	}
 	if got := rows("-archive", "3"); got < 1 || got > 3 {
 		t.Fatalf("-archive 3 wrote %d front rows, want 1..3", got)
+	}
+}
+
+// TestTraceWritesSchemaV5 drives the real command with -trace: every
+// generation record is stamped with the current schema version, carries
+// none of the fields v5 retired, and the trace validates.
+func TestTraceWritesSchemaV5(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	cmd := exec.Command(exe, "-tasks", "30", "-generations", "3", "-pop", "8", "-trace", path)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["type"] != "generation" {
+			continue
+		}
+		gens++
+		if rec["v"] != 5.0 {
+			t.Fatalf("record v=%v, want 5: %s", rec["v"], line)
+		}
+		for _, k := range []string{
+			"cache_hits", "cache_misses", "cache_hit_rate",
+			"machine_cache_hits", "machine_cache_misses", "machine_cache_hit_rate",
+			"typed_tasks", "typed_runs", "dirty_mean", "dirty_max",
+		} {
+			if _, ok := rec[k]; ok {
+				t.Fatalf("generation record carries retired field %s: %s", k, line)
+			}
+		}
+	}
+	if gens != 3 {
+		t.Fatalf("%d generation records, want 3", gens)
+	}
+	if _, err := obs.ValidateTrace(strings.NewReader(string(data))); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,8 +3,8 @@ package nsga2
 import "testing"
 
 // TestBreedingScratchIsPerWorker pins the fused pipeline's footprint:
-// after a warm Step the engine holds two machine histograms and dirty
-// rows and one DeltaPlan per breeding worker (at most one worker per
+// after a warm Step the engine holds two machine histograms and one
+// DeltaPlan per breeding worker (at most one worker per
 // pair), not one per offspring. Children are merged straight into their
 // own arena sequences, so no per-worker slot rows exist.
 func TestBreedingScratchIsPerWorker(t *testing.T) {
@@ -16,9 +16,9 @@ func TestBreedingScratchIsPerWorker(t *testing.T) {
 		eng := newEngine(t, 40, Config{PopulationSize: tc.pop, Workers: tc.workers}, 5)
 		eng.SetObserver(&recorder{})
 		eng.Run(2)
-		if len(eng.mcounts) != 2*tc.want || len(eng.dirty) != 2*tc.want {
-			t.Fatalf("workers=%d pop=%d: %d histograms, %d dirty rows, want %d each",
-				tc.workers, tc.pop, len(eng.mcounts), len(eng.dirty), 2*tc.want)
+		if len(eng.mcounts) != 2*tc.want {
+			t.Fatalf("workers=%d pop=%d: %d histograms, want %d",
+				tc.workers, tc.pop, len(eng.mcounts), 2*tc.want)
 		}
 		if len(eng.plans) != tc.want {
 			t.Fatalf("workers=%d pop=%d: %d plans, want %d", tc.workers, tc.pop, len(eng.plans), tc.want)

@@ -75,23 +75,14 @@ func checkReranked(before, after []int32) error {
 // checkMerge holds mergePair, on parents p1 and p2 (orders are
 // permutations, machines in [-1, machines)) and the segment [i, j], to
 // the reference: copy the parents, swap machines and orders over the
-// segment, rerank each child's order, scatter. The merged sequences,
-// their histograms and the dirty rows (the machines of every segment
-// gene in either parent) must all match.
+// segment, rerank each child's order, scatter. The merged sequences and
+// their histograms must both match.
 func checkMerge(p1, p2 *sched.Allocation, i, j, machines int) error {
 	n := p1.Len()
 	c1, c2 := p1.Clone(), p2.Clone()
 	for g := i; g <= j; g++ {
 		c1.Machine[g], c2.Machine[g] = c2.Machine[g], c1.Machine[g]
 		c1.Order[g], c2.Order[g] = c2.Order[g], c1.Order[g]
-	}
-	wantDirty := make([]bool, machines)
-	for g := i; g <= j; g++ {
-		for _, m := range []int32{c1.Machine[g], c2.Machine[g]} {
-			if m >= 0 {
-				wantDirty[m] = true
-			}
-		}
 	}
 	for _, c := range []*sched.Allocation{c1, c2} {
 		before := append([]int32(nil), c.Order...)
@@ -105,8 +96,7 @@ func checkMerge(p1, p2 *sched.Allocation, i, j, machines int) error {
 	for m := range h1 {
 		h1[m], h2[m] = 7, 7 // stale histograms: the merge must reset them
 	}
-	d1, d2 := make([]bool, machines), make([]bool, machines)
-	mergePair(packed(p1), packed(p2), got1, got2, h1, h2, i, j, d1, d2)
+	mergePair(packed(p1), packed(p2), got1, got2, h1, h2, i, j)
 	for k, c := range []struct {
 		got  []uint32
 		h    []int32
@@ -119,9 +109,6 @@ func checkMerge(p1, p2 *sched.Allocation, i, j, machines int) error {
 			return fmt.Errorf("segment [%d,%d]: child %d histogram %v, reference %v", i, j, k+1, c.h[1:], want[1:])
 		}
 	}
-	if !reflect.DeepEqual(d1, wantDirty) || !reflect.DeepEqual(d2, wantDirty) {
-		return fmt.Errorf("segment [%d,%d]: dirty rows %v / %v, want %v", i, j, d1, d2, wantDirty)
-	}
 	return nil
 }
 
@@ -130,22 +117,15 @@ func checkMerge(p1, p2 *sched.Allocation, i, j, machines int) error {
 func checkMutate(a *sched.Allocation, g int, m int32, x, y, machines int) error {
 	seq := packed(a)
 	h := refHistogram(a, machines)
-	dirty := make([]bool, machines)
 	want := a.Clone()
-	old := want.Machine[g]
 	want.Machine[g] = m
 	want.Order[x], want.Order[y] = want.Order[y], want.Order[x]
-	mutateSeq(seq, h, g, m, x, y, dirty)
+	mutateSeq(seq, h, g, m, x, y)
 	if w := packed(want); !reflect.DeepEqual(seq, w) {
 		return fmt.Errorf("mutation g=%d m=%d x=%d y=%d: sequence %v, reference %v", g, m, x, y, seq, w)
 	}
 	if w := refHistogram(want, machines); !reflect.DeepEqual(h[1:], w[1:]) {
 		return fmt.Errorf("mutation g=%d m=%d x=%d y=%d: histogram %v, reference %v", g, m, x, y, h[1:], w[1:])
-	}
-	for _, mm := range []int32{old, m, want.Machine[x], want.Machine[y]} {
-		if mm >= 0 && !dirty[mm] {
-			return fmt.Errorf("mutation g=%d m=%d x=%d y=%d: machine %d not flagged", g, m, x, y, mm)
-		}
 	}
 	return nil
 }

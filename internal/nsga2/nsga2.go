@@ -504,14 +504,6 @@ type Engine struct {
 	// the fused breeding bracket is split between the two phases.
 	varyNs, evalNs []int64
 
-	// Dirty-machine telemetry, written only while an observer is
-	// attached (evaluation does not consume the flags — fingerprint
-	// matching decides inheritance by content): dirty[2w+c] is worker
-	// w's flag row for its current child c, dirtyN[i] offspring i's
-	// flagged-machine count.
-	dirty  [][]bool
-	dirtyN []int
-
 	// Observer state (see observe.go). observer is nil when telemetry is
 	// disabled — the only cost then is one nil check per Step.
 	observer  obs.Observer
@@ -604,18 +596,11 @@ func (e *Engine) ensureScratch() {
 	e.points = make([][]float64, 0, 2*n)
 	e.picked = make([]bool, 2*n)
 	e.groupOrder = make([]int, 0, 2*n)
-	e.dirtyN = make([]int, n)
 	// The breeding fan-out runs at most one worker per pair, and each
 	// worker holds two children at once: a pair is bred, then both
 	// children are evaluated before the worker moves on.
 	workers := max(1, min(e.cfg.Workers, n/2))
 	rows := 2 * workers
-	stride := (nm + 63) / 64 * 64 // whole cache lines per row
-	dirtyBack := make([]bool, rows*stride)
-	e.dirty = make([][]bool, rows)
-	for i := range e.dirty {
-		e.dirty[i] = dirtyBack[i*stride : i*stride+nm : i*stride+nm]
-	}
 	cntStride := (nm + 16) / 16 * 16 // nm+1 int32, 16 per 64-byte line
 	cntBack := make([]int32, rows*cntStride)
 	e.mcounts = make([][]int32, rows)
@@ -1011,21 +996,13 @@ func (e *Engine) recordBreeding(start int64) {
 // recycled buffers on worker w: crossover with order repair, then
 // per-child mutation coin flips, all drawn from the pair's own stream.
 // Alongside each child's execution sequence it writes the child's
-// machine histogram into the worker's scratch and, while an observer is
-// attached, the dirty-machine telemetry: which machines each child's
-// variation may have touched relative to its parent.
+// machine histogram into the worker's scratch.
 //
 //detlint:hotpath
 func (e *Engine) varyPair(k, w int, src *rng.Source) {
 	p1, p2 := e.parents[2*k].seq, e.parents[2*k+1].seq
 	c1, c2 := e.offspring[2*k].seq, e.offspring[2*k+1].seq
 	h1, h2 := e.mcounts[2*w], e.mcounts[2*w+1]
-	var d1, d2 []bool
-	if e.observer != nil {
-		d1, d2 = e.dirty[2*w], e.dirty[2*w+1]
-		clear(d1)
-		clear(d2)
-	}
 	n := len(c1)
 	i := src.Intn(n)
 	j := src.Intn(n)
@@ -1035,25 +1012,13 @@ func (e *Engine) varyPair(k, w int, src *rng.Source) {
 	if e.cfg.Repair == ShuffleRepair {
 		e.shuffleInto(w, p1, p2, c1, c2, h1, h2, i, j, src)
 	} else {
-		mergePair(p1, p2, c1, c2, h1, h2, i, j, d1, d2)
+		mergePair(p1, p2, c1, c2, h1, h2, i, j)
 	}
 	if src.Bool(e.cfg.MutationRate) {
-		e.mutateWith(c1, h1, src, d1)
+		e.mutateWith(c1, h1, src)
 	}
 	if src.Bool(e.cfg.MutationRate) {
-		e.mutateWith(c2, h2, src, d2)
-	}
-	if d1 != nil {
-		n1, n2 := 0, 0
-		for m := range d1 {
-			if d1[m] {
-				n1++
-			}
-			if d2[m] {
-				n2++
-			}
-		}
-		e.dirtyN[2*k], e.dirtyN[2*k+1] = n1, n2
+		e.mutateWith(c2, h2, src)
 	}
 }
 
@@ -1072,15 +1037,8 @@ func (e *Engine) varyPair(k, w int, src *rng.Source) {
 // lower task first when it takes both) is that repair in one
 // sequential pass.
 //
-// When d1 is non-nil, the machines of the segment genes the merge
-// emits are flagged in both d1 and d2: a machine either gains the
-// segment tasks it now hosts or loses the ones the swap moved to the
-// sibling. A machine with no segment genes keeps its task set, and the
-// merge keeps the relative order of genes outside the segment, so its
-// sequence is unchanged.
-//
 //detlint:hotpath
-func mergePair(p1, p2, c1, c2 []uint32, h1, h2 []int32, i, j int, d1, d2 []bool) {
+func mergePair(p1, p2, c1, c2 []uint32, h1, h2 []int32, i, j int) {
 	const bits, mask = sched.SlotTaskBits, sched.SlotTaskMask
 	clear(h1)
 	clear(h2)
@@ -1091,14 +1049,6 @@ func mergePair(p1, p2, c1, c2 []uint32, h1, h2 []int32, i, j int, d1, d2 []bool)
 		b := p2[r]
 		inA := a&mask-lo <= span
 		inB := b&mask-lo <= span
-		if d1 != nil {
-			if inA {
-				flagDirty(a, d1, d2)
-			}
-			if inB {
-				flagDirty(b, d1, d2)
-			}
-		}
 		switch {
 		case inA == inB: // each child takes one gene at r
 			if inA {
@@ -1129,16 +1079,6 @@ func mergePair(p1, p2, c1, c2 []uint32, h1, h2 []int32, i, j int, d1, d2 []bool)
 	}
 }
 
-// flagDirty marks slot v's machine in both dirty rows (nothing for a
-// dropped task).
-//
-//detlint:hotpath
-func flagDirty(v uint32, d1, d2 []bool) {
-	if m := sched.SlotMachine(v); m >= 0 {
-		d1[m], d2[m] = true, true
-	}
-}
-
 // shuffleInto is ShuffleRepair's crossover on worker w: it materializes
 // both parents as allocations, swaps their machines over [i, j], draws
 // each child a fresh random order, and scatters the children into c1
@@ -1162,25 +1102,22 @@ func (e *Engine) shuffleInto(w int, p1, p2, c1, c2 []uint32, h1, h2 []int32, i, 
 // orders of two random genes.
 //
 //detlint:hotpath
-func (e *Engine) mutateWith(seq []uint32, h []int32, src *rng.Source, dirty []bool) {
+func (e *Engine) mutateWith(seq []uint32, h []int32, src *rng.Source) {
 	n := len(seq)
 	g := src.Intn(n)
 	el := e.eval.Eligible(e.eval.Trace().Tasks[g].Type)
 	m := int32(el[src.Intn(len(el))])
 	x, y := src.Intn(n), src.Intn(n)
-	mutateSeq(seq, h, g, m, x, y, dirty)
+	mutateSeq(seq, h, g, m, x, y)
 }
 
 // mutateSeq moves gene g to machine m, then swaps the scheduling
 // positions of genes x and y, patching seq and h in place. One scan
 // finds the three genes' positions; the machine patch comes first, so
-// when g is x or y the swap carries its new machine. When dirty is
-// non-nil it flags the machines the edit may have touched: g's old and
-// new machine, plus the hosts of x and y (an order swap only reorders
-// those two tasks within their own machines).
+// when g is x or y the swap carries its new machine.
 //
 //detlint:hotpath
-func mutateSeq(seq []uint32, h []int32, g int, m int32, x, y int, dirty []bool) {
+func mutateSeq(seq []uint32, h []int32, g int, m int32, x, y int) {
 	pg, px, py := -1, -1, -1
 	for r, v := range seq {
 		t := sched.SlotTask(v)
@@ -1202,19 +1139,6 @@ func mutateSeq(seq []uint32, h []int32, g int, m int32, x, y int, dirty []bool) 
 	h[old>>sched.SlotTaskBits]--
 	h[m+1]++
 	seq[px], seq[py] = seq[py], seq[px]
-	if dirty == nil {
-		return
-	}
-	if om := sched.SlotMachine(old); om >= 0 {
-		dirty[om] = true
-	}
-	dirty[m] = true
-	if mx := sched.SlotMachine(seq[px]); mx >= 0 {
-		dirty[mx] = true
-	}
-	if my := sched.SlotMachine(seq[py]); my >= 0 {
-		dirty[my] = true
-	}
 }
 
 // fanout partitions [0, count) across the configured workers and invokes

@@ -316,14 +316,14 @@ func TestRepairOrderIdentityOnPermutation(t *testing.T) {
 				t.Fatal(err)
 			}
 			c1, c2 := make([]uint32, n), make([]uint32, n)
-			mergePair(packed(p), packed(p), c1, c2, make([]int32, 3), make([]int32, 3), i, j, nil, nil)
+			mergePair(packed(p), packed(p), c1, c2, make([]int32, 3), make([]int32, 3), i, j)
 			if want := packed(p); !reflect.DeepEqual(c1, want) || !reflect.DeepEqual(c2, want) {
 				t.Fatalf("segment [%d,%d]: self-merge changed the parent: %v, %v, want %v", i, j, c1, c2, want)
 			}
 		}
 	}
 	c1, c2 := make([]uint32, n), make([]uint32, n)
-	mergePair(packed(p), packed(q), c1, c2, make([]int32, 3), make([]int32, 3), 0, n-1, nil, nil)
+	mergePair(packed(p), packed(q), c1, c2, make([]int32, 3), make([]int32, 3), 0, n-1)
 	if !reflect.DeepEqual(c1, packed(q)) || !reflect.DeepEqual(c2, packed(p)) {
 		t.Fatalf("whole-chromosome swap: children %v, %v, want the parents exchanged", c1, c2)
 	}
@@ -342,7 +342,7 @@ func TestCrossoverProducesValidChildren(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		mergePair(p1, p2, s1, s2, h1, h2, lo, hi, nil, nil)
+		mergePair(p1, p2, s1, s2, h1, h2, lo, hi)
 		for k, s := range [][]uint32{s1, s2} {
 			var c sched.Allocation
 			sched.UnpackSlots(s, &c)
@@ -357,29 +357,16 @@ func TestMutationProducesValidAllocations(t *testing.T) {
 	eng := newEngine(t, 30, Config{PopulationSize: 10}, 14)
 	e := eng.eval
 	a := e.RandomAllocation(eng.src)
-	dirty := make([]bool, e.NumMachines())
 	seq := packed(a)
 	counts := refHistogram(a, e.NumMachines())
 	for trial := 0; trial < 200; trial++ {
-		for m := range dirty {
-			dirty[m] = false
-		}
-		eng.mutateWith(seq, counts, eng.src, dirty)
+		eng.mutateWith(seq, counts, eng.src)
 		sched.UnpackSlots(seq, a)
 		if err := e.Validate(a); err != nil {
 			t.Fatalf("mutated allocation invalid: %v", err)
 		}
 		if want := refHistogram(a, e.NumMachines()); !reflect.DeepEqual(counts[1:], want[1:]) {
 			t.Fatalf("mutated histogram %v, want %v", counts[1:], want[1:])
-		}
-		n := 0
-		for _, d := range dirty {
-			if d {
-				n++
-			}
-		}
-		if n == 0 || n > 4 {
-			t.Fatalf("mutation dirtied %d machines, want 1..4", n)
 		}
 	}
 }

@@ -93,8 +93,7 @@ func (e *Engine) gatherFront() [][]float64 {
 // notifyGeneration assembles and emits the per-generation telemetry
 // event: the sorted rank-1 front, this generation's evaluation-kernel
 // work (cumulative session counters diffed against the previous
-// snapshot), the dirty-machine distribution the variation phase
-// recorded, and the convergence indicators. Everything lives in
+// snapshot) and the convergence indicators. Everything lives in
 // engine-owned recycled buffers; the event is valid only during the
 // ObserveGeneration call.
 //
@@ -130,7 +129,6 @@ func (e *Engine) notifyGeneration() {
 		ArenaSlots:        arenaSlots,
 		MachinesSimulated: int(gen.MachinesSimulated),
 		MachinesInherited: int(gen.MachinesInherited),
-		DirtyCounts:       e.dirtyN,
 		NumMachines:       e.eval.NumMachines(),
 		PhaseNanos:        phases,
 		Indicators:        ind,

@@ -23,7 +23,6 @@ func (r *recorder) ObserveGeneration(g obs.GenerationStats) {
 		front[i] = append([]float64(nil), p...)
 	}
 	g.Front = nil
-	g.DirtyCounts = append([]int(nil), g.DirtyCounts...)
 	r.gens = append(r.gens, g)
 	r.fronts = append(r.fronts, front)
 }
@@ -73,14 +72,6 @@ func TestObserverGenerationEvents(t *testing.T) {
 		}
 		if g.NumMachines != machines {
 			t.Fatalf("event %d: NumMachines %d, want %d", i, g.NumMachines, machines)
-		}
-		if len(g.DirtyCounts) != 10 {
-			t.Fatalf("event %d: %d dirty counts, want one per offspring", i, len(g.DirtyCounts))
-		}
-		for _, d := range g.DirtyCounts {
-			if d < 0 || d > machines {
-				t.Fatalf("event %d: dirty count %d outside [0, %d]", i, d, machines)
-			}
 		}
 		front := rec.fronts[i]
 		if len(front) == 0 || g.Indicators.FrontSize != len(front) {

@@ -29,9 +29,9 @@ func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
 }
 
 // TraceAnalysis is the offline rollup of one JSONL trace (any schema
-// version v1–v4): record counts, the cross-trace phase-time rollup,
-// per-label convergence and cache trends, and the island migration
-// summary. Produced by AnalyzeTrace, rendered by cmd/tracestat.
+// version v1–v5): record counts, the cross-trace phase-time rollup,
+// per-label convergence, and the island migration summary. Produced by
+// AnalyzeTrace, rendered by cmd/tracestat.
 type TraceAnalysis struct {
 	Records TraceSummary    `json:"records"`
 	Phases  []PhaseStat     `json:"phases,omitempty"`
@@ -53,9 +53,7 @@ type PhaseStat struct {
 }
 
 // LabelAnalysis summarizes one label's generation records: counter
-// range, hypervolume trajectory with plateau detection, and the fitness-
-// cache hit-rate trend (mean over the first vs last quartile of its
-// records, -1 when the trace predates cache telemetry).
+// range and hypervolume trajectory with plateau detection.
 type LabelAnalysis struct {
 	Label       string `json:"label"`
 	Generations int    `json:"generations"`
@@ -74,12 +72,6 @@ type LabelAnalysis struct {
 	MaxPlateau int  `json:"max_plateau"`
 	EndPlateau int  `json:"end_plateau"`
 	Stalled    bool `json:"stalled"`
-
-	// CacheHitEarly and CacheHitLate are the mean fitness-cache hit
-	// rates over the label's first and last quartile of records (-1
-	// when no record carried cache telemetry).
-	CacheHitEarly float64 `json:"cache_hit_early"`
-	CacheHitLate  float64 `json:"cache_hit_late"`
 }
 
 // IslandSummary aggregates a trace's migration records.
@@ -104,19 +96,13 @@ type IslandStat struct {
 	LastGen  int `json:"last_gen"`
 }
 
-// labelState accumulates one label's streaming analysis.
-type labelState struct {
-	out      LabelAnalysis
-	hitRates []float64 // per-record hit rate, -1 when the record has none
-}
-
 // traceAnalyzer accumulates the streaming analysis across one or more
 // traces.
 type traceAnalyzer struct {
 	opts        AnalyzeOptions
 	an          *TraceAnalysis
 	phaseTotals PhaseTotals
-	labels      map[string]*labelState
+	labels      map[string]*LabelAnalysis
 	labelOrder  []string
 	islands     map[int]*IslandStat
 	migTicks    map[int]bool
@@ -126,7 +112,7 @@ func newTraceAnalyzer(opts AnalyzeOptions) *traceAnalyzer {
 	return &traceAnalyzer{
 		opts:     opts.withDefaults(),
 		an:       &TraceAnalysis{},
-		labels:   make(map[string]*labelState),
+		labels:   make(map[string]*LabelAnalysis),
 		islands:  make(map[int]*IslandStat),
 		migTicks: make(map[int]bool),
 	}
@@ -139,34 +125,30 @@ func (a *traceAnalyzer) consume(rec *traceRecord) {
 		if rec.Label != nil {
 			label = *rec.Label
 		}
-		st := a.labels[label]
-		if st == nil {
-			st = &labelState{}
-			st.out.Label = label
-			st.out.FirstGen = *rec.Gen
-			st.out.HVFirst = *rec.HV
-			st.out.HVBest = *rec.HV
-			st.out.BestGen = *rec.Gen
-			a.labels[label] = st
+		l := a.labels[label]
+		if l == nil {
+			l = &LabelAnalysis{
+				Label:    label,
+				FirstGen: *rec.Gen,
+				HVFirst:  *rec.HV,
+				HVBest:   *rec.HV,
+				BestGen:  *rec.Gen,
+			}
+			a.labels[label] = l
 			a.labelOrder = append(a.labelOrder, label)
 		}
-		st.out.Generations++
-		st.out.LastGen = *rec.Gen
-		st.out.HVLast = *rec.HV
-		if *rec.HV-st.out.HVBest > a.opts.StallTol*maxf(absf(st.out.HVBest), 1) {
-			st.out.HVBest = *rec.HV
-			st.out.BestGen = *rec.Gen
-			st.out.EndPlateau = 0
-		} else if st.out.Generations > 1 {
-			st.out.EndPlateau++
-			if st.out.EndPlateau > st.out.MaxPlateau {
-				st.out.MaxPlateau = st.out.EndPlateau
+		l.Generations++
+		l.LastGen = *rec.Gen
+		l.HVLast = *rec.HV
+		if *rec.HV-l.HVBest > a.opts.StallTol*maxf(absf(l.HVBest), 1) {
+			l.HVBest = *rec.HV
+			l.BestGen = *rec.Gen
+			l.EndPlateau = 0
+		} else if l.Generations > 1 {
+			l.EndPlateau++
+			if l.EndPlateau > l.MaxPlateau {
+				l.MaxPlateau = l.EndPlateau
 			}
-		}
-		if rec.CacheHitRate != nil {
-			st.hitRates = append(st.hitRates, *rec.CacheHitRate)
-		} else {
-			st.hitRates = append(st.hitRates, -1)
 		}
 		if rec.PhaseNS != nil {
 			nonzero := false
@@ -215,13 +197,12 @@ func (a *traceAnalyzer) finish() *TraceAnalysis {
 	}
 
 	for _, label := range a.labelOrder {
-		st := a.labels[label]
-		st.out.Stalled = st.out.MaxPlateau >= a.opts.StallWindow
-		if st.out.Stalled {
+		l := a.labels[label]
+		l.Stalled = l.MaxPlateau >= a.opts.StallWindow
+		if l.Stalled {
 			an.Stalled = true
 		}
-		st.out.CacheHitEarly, st.out.CacheHitLate = hitRateTrend(st.hitRates)
-		an.Labels = append(an.Labels, st.out)
+		an.Labels = append(an.Labels, *l)
 	}
 
 	if len(a.islands) > 0 {
@@ -255,8 +236,7 @@ func (a *traceAnalyzer) finish() *TraceAnalysis {
 // AnalyzeTrace validates and analyzes a JSONL trace in one pass. The
 // trace must satisfy the same schema rules as ValidateTrace (the first
 // violation is returned as a *TraceError); v1–v3 records simply lack
-// the fields later analytics use, so phase rollups and cache trends
-// degrade gracefully on old traces.
+// phase_ns, so they add nothing to the phase rollup.
 func AnalyzeTrace(r io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) {
 	return AnalyzeTraces([]io.Reader{r}, opts)
 }
@@ -267,15 +247,15 @@ func AnalyzeTrace(r io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) {
 // migration summaries aggregate across files: per-island migrant counts
 // sum, Ticks is the union of migration generations, and TickSkew spans
 // the merged ring, exposing an island left behind by a straggling
-// worker no matter whose trace recorded it. Validation errors carry the
-// failing reader's index.
+// worker no matter whose trace recorded it. With several readers, a
+// failure is an *InputError naming the failing reader.
 func AnalyzeTraces(rs []io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) {
 	a := newTraceAnalyzer(opts)
 	for i, r := range rs {
 		sum, err := scanTrace(r, func(_ int, rec *traceRecord) { a.consume(rec) })
 		if err != nil {
 			if len(rs) > 1 {
-				return nil, fmt.Errorf("trace %d: %w", i+1, err)
+				return nil, &InputError{Index: i, Err: err}
 			}
 			return nil, err
 		}
@@ -286,33 +266,19 @@ func AnalyzeTraces(rs []io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) 
 	return a.finish(), nil
 }
 
-// hitRateTrend returns the mean cache hit rate over the first and last
-// quartile of the per-record rates (at least one record each), ignoring
-// records without cache telemetry. Either mean is -1 when its quartile
-// holds no rated record.
-func hitRateTrend(rates []float64) (early, late float64) {
-	q := len(rates) / 4
-	if q < 1 {
-		q = 1
-	}
-	mean := func(part []float64) float64 {
-		sum, n := 0.0, 0
-		for _, r := range part {
-			if r >= 0 {
-				sum += r
-				n++
-			}
-		}
-		if n == 0 {
-			return -1
-		}
-		return sum / float64(n)
-	}
-	if len(rates) == 0 {
-		return -1, -1
-	}
-	return mean(rates[:q]), mean(rates[len(rates)-q:])
+// InputError locates a failure in one of AnalyzeTraces' readers: Index
+// is the reader's 0-based position, Err the failure (a *TraceError for
+// a schema violation).
+type InputError struct {
+	Index int
+	Err   error
 }
+
+// Error renders "trace N: ..." with the 1-based reader position.
+func (e *InputError) Error() string { return fmt.Sprintf("trace %d: %v", e.Index+1, e.Err) }
+
+// Unwrap returns the underlying failure.
+func (e *InputError) Unwrap() error { return e.Err }
 
 func maxf(a, b float64) float64 {
 	if a > b {

@@ -2,20 +2,20 @@ package obs
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
 
 // analysisGeneration builds a minimal valid GenerationStats for trace
-// analytics: label, generation, hypervolume, cache hit rate (hits out of
-// 10 lookups), and a uniform per-phase time.
-func analysisGeneration(label string, gen int, hv float64, hits int, phaseNS int64) GenerationStats {
+// analytics: label, generation, hypervolume, and a uniform per-phase
+// time.
+func analysisGeneration(label string, gen int, hv float64, phaseNS int64) GenerationStats {
 	g := GenerationStats{
 		Label: label, Generation: gen, Population: 4,
-		Front:     [][]float64{{10, 2}},
-		CacheHits: hits, CacheMisses: 10 - hits,
-		DirtyCounts: []int{1}, NumMachines: 4,
-		Indicators: Indicators{Hypervolume: hv, FrontSize: 1},
+		Front:       [][]float64{{10, 2}},
+		NumMachines: 4,
+		Indicators:  Indicators{Hypervolume: hv, FrontSize: 1},
 	}
 	for p := range g.PhaseNanos {
 		g.PhaseNanos[p] = phaseNS
@@ -26,8 +26,8 @@ func analysisGeneration(label string, gen int, hv float64, hits int, phaseNS int
 func TestAnalyzeTracePhaseRollup(t *testing.T) {
 	var sb strings.Builder
 	tw := NewTraceWriter(&sb, nil)
-	tw.ObserveGeneration(analysisGeneration("a", 1, 1, 5, 100))
-	tw.ObserveGeneration(analysisGeneration("a", 2, 2, 5, 300))
+	tw.ObserveGeneration(analysisGeneration("a", 1, 1, 100))
+	tw.ObserveGeneration(analysisGeneration("a", 2, 2, 300))
 	if err := tw.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAnalyzeTracePhaseRollup(t *testing.T) {
 func TestAnalyzeTraceUnprofiledHasNoPhases(t *testing.T) {
 	var sb strings.Builder
 	tw := NewTraceWriter(&sb, nil)
-	tw.ObserveGeneration(analysisGeneration("a", 1, 1, 5, 0))
+	tw.ObserveGeneration(analysisGeneration("a", 1, 1, 0))
 	if err := tw.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestAnalyzeTraceStallDetection(t *testing.T) {
 	// "grows" improves every record; "flat" improves once, then holds
 	// for 6 records and briefly recovers below tolerance.
 	for g := 1; g <= 8; g++ {
-		tw.ObserveGeneration(analysisGeneration("grows", g, float64(g), 5, 0))
+		tw.ObserveGeneration(analysisGeneration("grows", g, float64(g), 0))
 	}
 	for g := 1; g <= 8; g++ {
 		hv := 5.0
 		if g == 8 {
 			hv = 5.0001 // within StallTol of best: still no improvement
 		}
-		tw.ObserveGeneration(analysisGeneration("flat", g, hv, 5, 0))
+		tw.ObserveGeneration(analysisGeneration("flat", g, hv, 0))
 	}
 	if err := tw.Err(); err != nil {
 		t.Fatal(err)
@@ -119,46 +119,31 @@ func TestAnalyzeTraceStallDetection(t *testing.T) {
 	}
 }
 
-func TestAnalyzeTraceCacheHitTrend(t *testing.T) {
-	var sb strings.Builder
-	tw := NewTraceWriter(&sb, nil)
-	// 8 records: hit rates 0.1, 0.2, ..., 0.8 → quartile = 2 records.
-	for g := 1; g <= 8; g++ {
-		tw.ObserveGeneration(analysisGeneration("a", g, float64(g), g, 0))
-	}
-	if err := tw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	an, err := AnalyzeTrace(strings.NewReader(sb.String()), AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := an.Labels[0]
-	if absf(l.CacheHitEarly-0.15) > 1e-12 || absf(l.CacheHitLate-0.75) > 1e-12 {
-		t.Fatalf("hit trend %g -> %g, want 0.15 -> 0.75", l.CacheHitEarly, l.CacheHitLate)
-	}
-}
-
-func TestAnalyzeTraceLegacyTraceHasNoCacheTrend(t *testing.T) {
-	// v1 records carry no cache telemetry: the trend degrades to -1.
-	v1 := `{"type":"generation","ts":1,"label":"a","gen":1,"pop":4,"full_evals":4,"delta_evals":0,"machines_simulated":8,"machines_inherited":0,"dirty_mean":1,"dirty_max":2,"machines":2,"front_size":1,"hv":3.5,"eps":0,"spread":0,"front":[[10,2]]}` + "\n"
-	an, err := AnalyzeTrace(strings.NewReader(v1), AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := an.Labels[0]
-	if l.CacheHitEarly != -1 || l.CacheHitLate != -1 {
-		t.Fatalf("v1 hit trend %g -> %g, want -1 -> -1", l.CacheHitEarly, l.CacheHitLate)
-	}
-	if an.ProfiledGenerations != 0 {
-		t.Fatalf("v1 trace profiled %d generations, want 0", an.ProfiledGenerations)
+// TestAnalyzeTraceLegacyVersions: a record of every schema version
+// before v5 still analyzes; only the v4 record carries phase times.
+func TestAnalyzeTraceLegacyVersions(t *testing.T) {
+	for i, rec := range legacyGenerations() {
+		an, err := AnalyzeTrace(strings.NewReader(rec), AnalyzeOptions{})
+		if err != nil {
+			t.Fatalf("v%d: %v", i+1, err)
+		}
+		if len(an.Labels) != 1 || an.Labels[0].Label != "x" || an.Labels[0].HVLast != 1 {
+			t.Fatalf("v%d: labels %+v", i+1, an.Labels)
+		}
+		want := 0
+		if i == 3 {
+			want = 1
+		}
+		if an.ProfiledGenerations != want {
+			t.Fatalf("v%d trace profiled %d generations, want %d", i+1, an.ProfiledGenerations, want)
+		}
 	}
 }
 
 func TestAnalyzeTraceIslands(t *testing.T) {
 	var sb strings.Builder
 	tw := NewTraceWriter(&sb, nil)
-	tw.ObserveGeneration(analysisGeneration("islands", 5, 1, 5, 0))
+	tw.ObserveGeneration(analysisGeneration("islands", 5, 1, 0))
 	tw.ObserveMigration(MigrationEvent{Generation: 5, From: 0, To: 1, Count: 2})
 	tw.ObserveMigration(MigrationEvent{Generation: 5, From: 1, To: 2, Count: 2})
 	tw.ObserveMigration(MigrationEvent{Generation: 5, From: 2, To: 0, Count: 2})
@@ -196,5 +181,21 @@ func TestAnalyzeTraceRejectsInvalid(t *testing.T) {
 	var te *TraceError
 	if !errors.As(err, &te) || te.Line != 1 {
 		t.Fatalf("err %v, want *TraceError at line 1", err)
+	}
+}
+
+// TestAnalyzeTracesNamesFailingInput: with several readers, a failure
+// is an *InputError carrying the failing reader's position and, inside
+// it, the *TraceError.
+func TestAnalyzeTracesNamesFailingInput(t *testing.T) {
+	good := legacyGenerations()[0]
+	_, err := AnalyzeTraces([]io.Reader{strings.NewReader(good), strings.NewReader(good + "garbage\n")}, AnalyzeOptions{})
+	var ie *InputError
+	if !errors.As(err, &ie) || ie.Index != 1 {
+		t.Fatalf("err %v, want *InputError for reader 1", err)
+	}
+	var te *TraceError
+	if !errors.As(err, &te) || te.Line != 2 {
+		t.Fatalf("err %v, want *TraceError at line 2", err)
 	}
 }

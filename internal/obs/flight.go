@@ -32,16 +32,15 @@ const (
 	flightRun
 )
 
-// flightSlot is one retained event. For generation events, front/coord
-// and dirty are the slot-owned deep-copy buffers gen's borrowed Front
-// and DirtyCounts views are re-pointed into.
+// flightSlot is one retained event. For generation events, front and
+// coord are the slot-owned deep-copy buffers gen's borrowed Front view
+// is re-pointed into.
 type flightSlot struct {
 	kind  flightKind
 	ts    int64
 	gen   GenerationStats
 	front [][]float64
 	coord []float64
-	dirty []int
 	mig   MigrationEvent
 	run   RunEvent
 }
@@ -73,9 +72,9 @@ func (f *FlightRecorder) push() *flightSlot {
 }
 
 // ObserveGeneration implements Observer: deep-copies g into the next
-// ring slot. The engine's borrowed Front and DirtyCounts buffers are
-// copied into slot storage sized to the largest event the slot has
-// seen, so wrap-around recycles rather than reallocates.
+// ring slot. The engine's borrowed Front buffer is copied into slot
+// storage sized to the largest event the slot has seen, so wrap-around
+// recycles rather than reallocates.
 func (f *FlightRecorder) ObserveGeneration(g GenerationStats) {
 	f.mu.Lock()
 	s := f.push()
@@ -99,11 +98,6 @@ func (f *FlightRecorder) ObserveGeneration(g GenerationStats) {
 	}
 	s.coord, s.front = coord, front
 	s.gen.Front = front
-	if cap(s.dirty) < len(g.DirtyCounts) {
-		s.dirty = make([]int, 0, len(g.DirtyCounts))
-	}
-	s.dirty = append(s.dirty[:0], g.DirtyCounts...)
-	s.gen.DirtyCounts = s.dirty
 	f.mu.Unlock()
 }
 
@@ -146,8 +140,8 @@ func (f *FlightRecorder) TotalObserved() uint64 {
 // Dump writes the retained events, oldest first, as trace JSONL —
 // exactly the records a TraceWriter attached alongside the recorder
 // would have emitted for those events, stamped with their original
-// capture timestamps — so a dump validates with ValidateTrace /
-// cmd/tracecheck and analyzes with cmd/tracestat. Dump does not
+// capture timestamps — so a dump validates with ValidateTrace and
+// validates and analyzes with cmd/tracestat. Dump does not
 // consume the ring: repeated dumps replay the same window.
 func (f *FlightRecorder) Dump(w io.Writer) error {
 	f.mu.Lock()

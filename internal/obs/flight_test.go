@@ -64,13 +64,11 @@ func TestFlightRecorderDeepCopiesBorrowedBuffers(t *testing.T) {
 	fr := NewFlightRecorder(2, nil)
 	g := sampleGeneration(1)
 	front := [][]float64{{10, 2}, {8, 1}}
-	dirty := []int{1, 2, 3}
-	g.Front, g.DirtyCounts = front, dirty
+	g.Front = front
 	fr.ObserveGeneration(g)
 	// The engine recycles its buffers after the call; the slot must not
 	// see the mutation.
 	front[0][0] = -99
-	dirty[0] = -99
 	var sb strings.Builder
 	if err := fr.Dump(&sb); err != nil {
 		t.Fatal(err)

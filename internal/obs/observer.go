@@ -22,8 +22,8 @@ type Observer interface {
 	ObserveRun(r RunEvent)
 }
 
-// GenerationStats is the per-generation telemetry payload. Front and
-// DirtyCounts are borrowed buffers owned by the engine.
+// GenerationStats is the per-generation telemetry payload. Front is a
+// borrowed buffer owned by the engine.
 type GenerationStats struct {
 	// Label identifies the emitting engine ("" for a plain engine,
 	// "island3" style labels under the island model, dataset/config
@@ -44,8 +44,9 @@ type GenerationStats struct {
 	// CacheHits and CacheMisses are retired and always 0. They counted
 	// the whole-chromosome fitness cache's lookups, which was removed
 	// because its hit ratio stayed below 2% on the benchmark workloads
-	// (DESIGN.md §11). Kept so consumers that read them, and the v4
-	// trace schema's cache fields, stay valid.
+	// (DESIGN.md §11). The trace no longer writes them (schema v5); they
+	// stay only because the end-to-end benchmark (bench/layers.go) still
+	// reads them, and go with its next change.
 	CacheHits   int
 	CacheMisses int
 	// ArenaInUse and ArenaSlots describe the population arena's
@@ -58,24 +59,19 @@ type GenerationStats struct {
 	MachinesSimulated int
 	MachinesInherited int
 	// MachineCacheHits and MachineCacheMisses are retired and always 0,
-	// like CacheHits: they counted the machine-bucket cache's lookups,
-	// removed because its lookups cost more than its hits saved
-	// (DESIGN.md §12).
+	// and benchmark-only, like CacheHits: they counted the machine-bucket
+	// cache's lookups, removed because its lookups cost more than its
+	// hits saved (DESIGN.md §12).
 	MachineCacheHits   int
 	MachineCacheMisses int
-	// TypedTasks and TypedRuns are retired and always 0, like
-	// CacheHits: they counted the tasks and same-type runs the typed
-	// kernel walked, but the kernel loads each task's ETC/EEC cell
-	// regardless of runs, so the ratio measured nothing it saved
-	// (DESIGN.md §12). Kept so consumers that read them, and the trace
-	// schema's typed fields, stay valid.
+	// TypedTasks and TypedRuns are retired and always 0, and
+	// benchmark-only, like CacheHits: they counted the tasks and
+	// same-type runs the typed kernel walked, but the kernel loads each
+	// task's ETC/EEC cell regardless of runs, so the ratio measured
+	// nothing it saved (DESIGN.md §12).
 	TypedTasks int
 	TypedRuns  int
-	// DirtyCounts[i] is the number of machines touched by variation for
-	// offspring i (the dirty-machine distribution). Borrowed.
-	DirtyCounts []int
-	// NumMachines is the machine count of the problem instance, the
-	// upper bound for each DirtyCounts entry.
+	// NumMachines is the machine count of the problem instance.
 	NumMachines int
 	// PhaseNanos[p] is the nanoseconds Engine.Step spent in phase
 	// Phase(p) this generation — all zero when no PhaseTimer is
@@ -95,26 +91,6 @@ func (g *GenerationStats) PhaseTotalNanos() int64 {
 		sum += ns
 	}
 	return sum
-}
-
-// CacheHitRate returns the generation's fitness-cache hit fraction,
-// hits / (hits + misses), or 0 when the cache saw no lookups (always,
-// since the cache was retired).
-func (g *GenerationStats) CacheHitRate() float64 {
-	if n := g.CacheHits + g.CacheMisses; n > 0 {
-		return float64(g.CacheHits) / float64(n)
-	}
-	return 0
-}
-
-// MachineCacheHitRate returns the generation's machine-bucket cache hit
-// fraction, hits / (hits + misses), or 0 when the level saw no lookups
-// (always, since the level was retired).
-func (g *GenerationStats) MachineCacheHitRate() float64 {
-	if n := g.MachineCacheHits + g.MachineCacheMisses; n > 0 {
-		return float64(g.MachineCacheHits) / float64(n)
-	}
-	return 0
 }
 
 // ArenaOccupancy returns the in-use fraction of the population arena's

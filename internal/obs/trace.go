@@ -19,10 +19,16 @@ import (
 //	v4: generation records gain phase_ns, a NumPhases-length array of
 //	    per-phase step nanoseconds indexed by Phase (all zero when no
 //	    PhaseTimer was attached).
+//	v5: generation records drop ten retired fields: cache_hits,
+//	    cache_misses, cache_hit_rate, machine_cache_hits,
+//	    machine_cache_misses, machine_cache_hit_rate, typed_tasks and
+//	    typed_runs, which read 0 once their mechanisms were removed,
+//	    and dirty_mean/dirty_max, an upper bound on the machines
+//	    variation touched that machines_simulated/machines_inherited
+//	    count exactly.
 //
-// The cache_*, machine_cache_* and typed_* fields are retired and always
-// written as 0; they stay so every v2–v4 reader keeps validating.
-const TraceSchemaVersion = 4
+// ValidateTrace keeps reading v1–v4 records under their own rules.
+const TraceSchemaVersion = 5
 
 // TraceWriter is an Observer that appends one JSON object per event to
 // an io.Writer (JSONL). Records are hand-encoded with strconv into a
@@ -79,8 +85,8 @@ func (t *TraceWriter) emit() {
 }
 
 // ObserveGeneration implements Observer: emits a "generation" record
-// with evaluation-kernel counters, dirty-machine summary, convergence
-// indicators, and the full front point list.
+// with evaluation-kernel counters, arena occupancy, phase times,
+// convergence indicators, and the full front point list.
 //
 //detlint:hotpath
 func (t *TraceWriter) ObserveGeneration(g GenerationStats) {
@@ -106,22 +112,6 @@ func (t *TraceWriter) ObserveGeneration(g GenerationStats) {
 	t.buf = strconv.AppendInt(t.buf, int64(g.MachinesSimulated), 10)
 	t.buf = append(t.buf, `,"machines_inherited":`...)
 	t.buf = strconv.AppendInt(t.buf, int64(g.MachinesInherited), 10)
-	t.buf = append(t.buf, `,"cache_hits":`...)
-	t.buf = strconv.AppendInt(t.buf, int64(g.CacheHits), 10)
-	t.buf = append(t.buf, `,"cache_misses":`...)
-	t.buf = strconv.AppendInt(t.buf, int64(g.CacheMisses), 10)
-	t.buf = append(t.buf, `,"cache_hit_rate":`...)
-	t.buf = appendJSONFloat(t.buf, g.CacheHitRate())
-	t.buf = append(t.buf, `,"machine_cache_hits":`...)
-	t.buf = strconv.AppendInt(t.buf, int64(g.MachineCacheHits), 10)
-	t.buf = append(t.buf, `,"machine_cache_misses":`...)
-	t.buf = strconv.AppendInt(t.buf, int64(g.MachineCacheMisses), 10)
-	t.buf = append(t.buf, `,"machine_cache_hit_rate":`...)
-	t.buf = appendJSONFloat(t.buf, g.MachineCacheHitRate())
-	t.buf = append(t.buf, `,"typed_tasks":`...)
-	t.buf = strconv.AppendInt(t.buf, int64(g.TypedTasks), 10)
-	t.buf = append(t.buf, `,"typed_runs":`...)
-	t.buf = strconv.AppendInt(t.buf, int64(g.TypedRuns), 10)
 	t.buf = append(t.buf, `,"arena_occupancy":`...)
 	t.buf = appendJSONFloat(t.buf, g.ArenaOccupancy())
 	t.buf = append(t.buf, `,"phase_ns":[`...)
@@ -132,22 +122,6 @@ func (t *TraceWriter) ObserveGeneration(g GenerationStats) {
 		t.buf = strconv.AppendInt(t.buf, ns, 10)
 	}
 	t.buf = append(t.buf, ']')
-	dirtyMax := 0
-	dirtySum := 0
-	for _, d := range g.DirtyCounts {
-		dirtySum += d
-		if d > dirtyMax {
-			dirtyMax = d
-		}
-	}
-	dirtyMean := 0.0
-	if len(g.DirtyCounts) > 0 {
-		dirtyMean = float64(dirtySum) / float64(len(g.DirtyCounts))
-	}
-	t.buf = append(t.buf, `,"dirty_mean":`...)
-	t.buf = appendJSONFloat(t.buf, dirtyMean)
-	t.buf = append(t.buf, `,"dirty_max":`...)
-	t.buf = strconv.AppendInt(t.buf, int64(dirtyMax), 10)
 	t.buf = append(t.buf, `,"machines":`...)
 	t.buf = strconv.AppendInt(t.buf, int64(g.NumMachines), 10)
 	t.buf = append(t.buf, `,"front_size":`...)

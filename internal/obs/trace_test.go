@@ -26,9 +26,9 @@ func sampleGeneration(gen int) GenerationStats {
 		MachinesSimulated: 6, MachinesInherited: 12,
 		MachineCacheHits: 4, MachineCacheMisses: 6,
 		TypedTasks: 20, TypedRuns: 8,
-		DirtyCounts: []int{0, 1, 2, 3}, NumMachines: 6,
-		PhaseNanos: PhaseTotals{100, 200, 300, 400, 500, 600, 700, 800},
-		Indicators: Indicators{Hypervolume: 38.5, Epsilon: -0.5, Spread: 0.1, FrontSize: 2},
+		NumMachines: 6,
+		PhaseNanos:  PhaseTotals{100, 200, 300, 400, 500, 600, 700, 800},
+		Indicators:  Indicators{Hypervolume: 38.5, Epsilon: -0.5, Spread: 0.1, FrontSize: 2},
 	}
 }
 
@@ -60,16 +60,18 @@ func TestTraceWriterRecordsParseAndRoundTrip(t *testing.T) {
 		"ts": 1000.0, "label": "ds1", "gen": 1.0,
 		"pop": 4.0, "full_evals": 1.0, "delta_evals": 2.0,
 		"machines_simulated": 6.0, "machines_inherited": 12.0,
-		"cache_hits": 1.0, "cache_misses": 3.0,
-		"cache_hit_rate": 0.25, "arena_occupancy": 0.75,
-		"machine_cache_hits": 4.0, "machine_cache_misses": 6.0,
-		"machine_cache_hit_rate": 0.4,
-		"typed_tasks":            20.0, "typed_runs": 8.0,
-		"dirty_mean": 1.5, "dirty_max": 3.0, "machines": 6.0,
+		"arena_occupancy": 0.75, "machines": 6.0,
 		"front_size": 2.0, "hv": 38.5, "eps": -0.5, "spread": 0.1,
 	} {
 		if first[k] != want {
 			t.Fatalf("generation record %s = %v, want %v", k, first[k], want)
+		}
+	}
+	// v5 drops the retired fields, though the sample sets the retired
+	// struct fields the benchmark still reads.
+	for _, k := range retiredFields {
+		if _, ok := first[k]; ok {
+			t.Fatalf("generation record carries retired field %s: %s", k, lines[0])
 		}
 	}
 	phases, ok := first["phase_ns"].([]any)
@@ -168,7 +170,7 @@ func TestValidateTraceRejections(t *testing.T) {
 // (no "v" field) still validate, and unknown versions are rejected —
 // as are stamped records missing the fields their version introduced.
 func TestTraceSchemaVersion(t *testing.T) {
-	if TraceSchemaVersion != 4 {
+	if TraceSchemaVersion != 5 {
 		t.Fatalf("TraceSchemaVersion = %d; update this test alongside a schema bump", TraceSchemaVersion)
 	}
 	var sb strings.Builder
@@ -187,23 +189,17 @@ func TestTraceSchemaVersion(t *testing.T) {
 		}
 	}
 
-	v1 := `{"type":"generation","ts":1,"label":"x","gen":1,"pop":4,"full_evals":1,"delta_evals":3,"machines_simulated":0,"machines_inherited":0,"dirty_mean":0,"dirty_max":0,"machines":6,"front_size":1,"hv":1,"eps":0,"spread":0,"front":[[1,2]]}` + "\n"
-	if _, err := ValidateTrace(strings.NewReader(v1)); err != nil {
-		t.Fatalf("legacy v1 record rejected: %v", err)
+	legacy := legacyGenerations()
+	for i, rec := range legacy {
+		if _, err := ValidateTrace(strings.NewReader(rec)); err != nil {
+			t.Fatalf("well-formed v%d record rejected: %v", i+1, err)
+		}
 	}
-	v2 := strings.Replace(v1, `"ts":1`, `"v":2,"ts":1,"cache_hits":2,"cache_misses":2,"cache_hit_rate":0.5,"arena_occupancy":0.5`, 1)
-	if _, err := ValidateTrace(strings.NewReader(v2)); err != nil {
-		t.Fatalf("well-formed v2 record rejected: %v", err)
-	}
-	v3 := strings.Replace(v2, `"v":2`,
-		`"v":3,"machine_cache_hits":4,"machine_cache_misses":6,"machine_cache_hit_rate":0.4,"typed_tasks":20,"typed_runs":8`, 1)
-	if _, err := ValidateTrace(strings.NewReader(v3)); err != nil {
-		t.Fatalf("well-formed v3 record rejected: %v", err)
-	}
-	v4 := strings.Replace(v3, `"v":3`,
-		`"v":4,"phase_ns":[1,2,3,4,5,6,7,8]`, 1)
-	if _, err := ValidateTrace(strings.NewReader(v4)); err != nil {
-		t.Fatalf("well-formed v4 record rejected: %v", err)
+	v1, v2, v3, v4 := legacy[0], legacy[1], legacy[2], legacy[3]
+	// v5: v4 without the retired fields.
+	v5 := `{"type":"generation","v":5,"ts":1,"label":"x","gen":1,"pop":4,"full_evals":1,"delta_evals":3,"machines_simulated":0,"machines_inherited":0,"arena_occupancy":0.5,"phase_ns":[1,2,3,4,5,6,7,8],"machines":6,"front_size":1,"hv":1,"eps":0,"spread":0,"front":[[1,2]]}` + "\n"
+	if _, err := ValidateTrace(strings.NewReader(v5)); err != nil {
+		t.Fatalf("well-formed v5 record rejected: %v", err)
 	}
 	cases := []struct {
 		name, in, wantErr string
@@ -221,6 +217,9 @@ func TestTraceSchemaVersion(t *testing.T) {
 		{"v4 missing phase_ns", strings.Replace(v3, `"v":3`, `"v":4`, 1), "missing phase_ns"},
 		{"v4 short phase_ns", strings.Replace(v4, `"phase_ns":[1,2,3,4,5,6,7,8]`, `"phase_ns":[1,2]`, 1), "phase_ns has 2 entries"},
 		{"v4 negative phase_ns", strings.Replace(v4, `"phase_ns":[1,2,3,4,5,6,7,8]`, `"phase_ns":[1,2,-3,4,5,6,7,8]`, 1), "negative phase_ns"},
+		{"v4 missing dirty_max", strings.Replace(v4, `"dirty_max":0,`, ``, 1), "missing required fields"},
+		{"v5 missing arena_occupancy", strings.Replace(v5, `"arena_occupancy":0.5,`, ``, 1), "missing arena_occupancy"},
+		{"v5 missing phase_ns", strings.Replace(v5, `"phase_ns":[1,2,3,4,5,6,7,8],`, ``, 1), "missing phase_ns"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,6 +232,26 @@ func TestTraceSchemaVersion(t *testing.T) {
 			}
 		})
 	}
+}
+
+// retiredFields are the generation-record fields schema v5 dropped.
+var retiredFields = []string{
+	"cache_hits", "cache_misses", "cache_hit_rate",
+	"machine_cache_hits", "machine_cache_misses", "machine_cache_hit_rate",
+	"typed_tasks", "typed_runs", "dirty_mean", "dirty_max",
+}
+
+// legacyGenerations returns one well-formed generation record for each
+// schema version before v5, v1 (no "v" field) through v4, each built
+// from the one before.
+func legacyGenerations() [4]string {
+	v1 := `{"type":"generation","ts":1,"label":"x","gen":1,"pop":4,"full_evals":1,"delta_evals":3,"machines_simulated":0,"machines_inherited":0,"dirty_mean":0,"dirty_max":0,"machines":6,"front_size":1,"hv":1,"eps":0,"spread":0,"front":[[1,2]]}` + "\n"
+	v2 := strings.Replace(v1, `"ts":1`, `"v":2,"ts":1,"cache_hits":2,"cache_misses":2,"cache_hit_rate":0.5,"arena_occupancy":0.5`, 1)
+	v3 := strings.Replace(v2, `"v":2`,
+		`"v":3,"machine_cache_hits":4,"machine_cache_misses":6,"machine_cache_hit_rate":0.4,"typed_tasks":20,"typed_runs":8`, 1)
+	v4 := strings.Replace(v3, `"v":3`,
+		`"v":4,"phase_ns":[1,2,3,4,5,6,7,8]`, 1)
+	return [4]string{v1, v2, v3, v4}
 }
 
 // TestTraceErrorStructure pins the structured validation-error

@@ -80,10 +80,11 @@ type traceRecord struct {
 // ValidateTrace reads a JSONL trace and checks every record against the
 // TraceWriter schema: required fields present per record type,
 // generation counters strictly increasing per label, evaluation counts
-// consistent with the population, dirty-machine summaries within the
-// machine count, and front payloads matching their declared size. It
-// returns a summary of the record counts, or the first violation as a
-// *TraceError carrying its 1-based line number and record type.
+// consistent with the population, the fields each schema version
+// carries (v1–v4 dirty-machine summaries within the machine count), and
+// front payloads matching their declared size. It returns a summary of
+// the record counts, or the first violation as a *TraceError carrying
+// its 1-based line number and record type.
 func ValidateTrace(r io.Reader) (TraceSummary, error) {
 	return scanTrace(r, nil)
 }
@@ -164,12 +165,15 @@ func scanTrace(r io.Reader, visit func(line int, rec *traceRecord)) (TraceSummar
 }
 
 func validateGeneration(rec *traceRecord, lastGen map[string]int) error {
+	v := 1 // records without a "v" field are v1
+	if rec.V != nil {
+		v = *rec.V
+	}
 	if rec.Label == nil || rec.Gen == nil || rec.Pop == nil ||
 		rec.FullEvals == nil || rec.DeltaEvals == nil ||
-		rec.MachinesSimulated == nil || rec.MachinesInherited == nil ||
-		rec.DirtyMean == nil || rec.DirtyMax == nil || rec.Machines == nil ||
+		rec.MachinesSimulated == nil || rec.MachinesInherited == nil || rec.Machines == nil ||
 		rec.FrontSize == nil || rec.HV == nil || rec.Eps == nil || rec.Spread == nil ||
-		rec.Front == nil {
+		rec.Front == nil || (v <= 4 && (rec.DirtyMean == nil || rec.DirtyMax == nil)) {
 		return fmt.Errorf("missing required fields")
 	}
 	if *rec.Pop <= 0 {
@@ -181,11 +185,10 @@ func validateGeneration(rec *traceRecord, lastGen map[string]int) error {
 	if *rec.MachinesSimulated < 0 || *rec.MachinesInherited < 0 {
 		return fmt.Errorf("negative machine counts")
 	}
-	if rec.V != nil {
-		// v2 additions: memoization and arena health.
-		if rec.CacheHits == nil || rec.CacheMisses == nil ||
-			rec.CacheHitRate == nil || rec.ArenaOccupancy == nil {
-			return fmt.Errorf("v%d generation record missing cache_hits/cache_misses/cache_hit_rate/arena_occupancy", *rec.V)
+	if v >= 2 && v <= 4 {
+		// v2 additions, dropped in v5: fitness memoization.
+		if rec.CacheHits == nil || rec.CacheMisses == nil || rec.CacheHitRate == nil {
+			return fmt.Errorf("v%d generation record missing cache_hits/cache_misses/cache_hit_rate", v)
 		}
 		if *rec.CacheHits < 0 || *rec.CacheMisses < 0 {
 			return fmt.Errorf("negative cache counters")
@@ -193,15 +196,22 @@ func validateGeneration(rec *traceRecord, lastGen map[string]int) error {
 		if *rec.CacheHitRate < 0 || *rec.CacheHitRate > 1 {
 			return fmt.Errorf("cache_hit_rate %g outside [0,1]", *rec.CacheHitRate)
 		}
+	}
+	if v >= 2 {
+		// v2 addition: arena health.
+		if rec.ArenaOccupancy == nil {
+			return fmt.Errorf("v%d generation record missing arena_occupancy", v)
+		}
 		if *rec.ArenaOccupancy < 0 || *rec.ArenaOccupancy > 1 {
 			return fmt.Errorf("arena_occupancy %g outside [0,1]", *rec.ArenaOccupancy)
 		}
 	}
-	if rec.V != nil && *rec.V >= 3 {
-		// v3 additions: machine-bucket memoization and typed-kernel work.
+	if v == 3 || v == 4 {
+		// v3 additions, dropped in v5: machine-bucket memoization and
+		// typed-kernel work.
 		if rec.MCacheHits == nil || rec.MCacheMisses == nil || rec.MCacheHitRate == nil ||
 			rec.TypedTasks == nil || rec.TypedRuns == nil {
-			return fmt.Errorf("v%d generation record missing machine_cache_hits/machine_cache_misses/machine_cache_hit_rate/typed_tasks/typed_runs", *rec.V)
+			return fmt.Errorf("v%d generation record missing machine_cache_hits/machine_cache_misses/machine_cache_hit_rate/typed_tasks/typed_runs", v)
 		}
 		if *rec.MCacheHits < 0 || *rec.MCacheMisses < 0 {
 			return fmt.Errorf("negative machine-cache counters")
@@ -216,10 +226,10 @@ func validateGeneration(rec *traceRecord, lastGen map[string]int) error {
 			return fmt.Errorf("typed_runs %d exceeds typed_tasks %d", *rec.TypedRuns, *rec.TypedTasks)
 		}
 	}
-	if rec.V != nil && *rec.V >= 4 {
+	if v >= 4 {
 		// v4 additions: the per-phase step-time breakdown.
 		if rec.PhaseNS == nil {
-			return fmt.Errorf("v%d generation record missing phase_ns", *rec.V)
+			return fmt.Errorf("v%d generation record missing phase_ns", v)
 		}
 		if len(rec.PhaseNS) != NumPhases {
 			return fmt.Errorf("phase_ns has %d entries, want %d", len(rec.PhaseNS), NumPhases)
@@ -230,11 +240,14 @@ func validateGeneration(rec *traceRecord, lastGen map[string]int) error {
 			}
 		}
 	}
-	if *rec.Machines > 0 && *rec.DirtyMax > *rec.Machines {
-		return fmt.Errorf("dirty_max %d exceeds machine count %d", *rec.DirtyMax, *rec.Machines)
-	}
-	if *rec.DirtyMean < 0 || float64(*rec.DirtyMax) < *rec.DirtyMean {
-		return fmt.Errorf("dirty_mean %g outside [0, dirty_max=%d]", *rec.DirtyMean, *rec.DirtyMax)
+	if v <= 4 {
+		// v1–v4 dirty-machine summary, dropped in v5.
+		if *rec.Machines > 0 && *rec.DirtyMax > *rec.Machines {
+			return fmt.Errorf("dirty_max %d exceeds machine count %d", *rec.DirtyMax, *rec.Machines)
+		}
+		if *rec.DirtyMean < 0 || float64(*rec.DirtyMax) < *rec.DirtyMean {
+			return fmt.Errorf("dirty_mean %g outside [0, dirty_max=%d]", *rec.DirtyMean, *rec.DirtyMax)
+		}
 	}
 	if *rec.FrontSize != len(rec.Front) {
 		return fmt.Errorf("front_size %d does not match %d front points", *rec.FrontSize, len(rec.Front))
