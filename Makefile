@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record dist-smoke trace-smoke fuzz-smoke bench-test check
+.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record trace-smoke fuzz-smoke bench-test check
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
 # BENCH_step.json): generation cost (including the 4000-task and the
@@ -99,17 +99,6 @@ bench-dist-record:
 	$(GO) test -run '^$$' -bench BenchmarkDist -benchtime 300ms -count 3 -benchmem ./internal/dist | tee /tmp/bench_dist.txt
 	$(GO) run ./cmd/benchdiff -stat median -record BENCH_dist.json /tmp/bench_dist.txt
 
-# Distributed end-to-end smoke: the same short run once in-process and
-# once across two worker processes (with -race on the binary), then a
-# bit-for-bit diff of the CSV fronts. Worker traces land next to the
-# parent trace as /tmp/dist_smoke.jsonl.w0/.w1 for post-mortems.
-dist-smoke:
-	$(GO) build -race -o /tmp/tradeoff_dist_smoke ./cmd/tradeoff
-	/tmp/tradeoff_dist_smoke -dataset 1 -tasks 60 -generations 20 -pop 16 -islands 4 -migration-interval 5 -csv /tmp/dist_smoke_inproc.csv > /dev/null
-	/tmp/tradeoff_dist_smoke -dataset 1 -tasks 60 -generations 20 -pop 16 -islands 4 -migration-interval 5 -distribute 2 -trace /tmp/dist_smoke.jsonl -csv /tmp/dist_smoke_dist.csv > /dev/null
-	cmp /tmp/dist_smoke_inproc.csv /tmp/dist_smoke_dist.csv
-	$(GO) run ./cmd/tracestat /tmp/dist_smoke.jsonl.w0 /tmp/dist_smoke.jsonl.w1 > /dev/null
-
 # End-to-end telemetry smoke: run a short traced optimization through
 # cmd/tradeoff and a traced multi-engine study (the ablation) through
 # cmd/experiments, then validate and analyze each JSONL trace with
@@ -156,4 +145,4 @@ fuzz-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt lint race bench-test bench-smoke bench-dist dist-smoke trace-smoke fuzz-smoke
+check: build vet fmt lint race bench-test bench-smoke bench-dist trace-smoke fuzz-smoke

@@ -9,29 +9,20 @@
 //	tracestat run.jsonl
 //	tracestat -json < run.jsonl
 //	tracestat -stall-window 100 -fail-on-stall run.jsonl
-//	tracestat run.jsonl.w0 run.jsonl.w1
 //
-// Several trace files merge into one analysis — the shape a distributed
-// run leaves behind: one worker-local trace per -distribute process
-// (suffix .wN), each covering only that worker's island shard.
-// Migration summaries aggregate across files, so the islands section
-// reconstructs the full ring — total migrant counts and the tick skew
-// between islands (max - min last migration generation) — even though
-// no single worker logged every edge; a straggling worker's islands
-// show up as nonzero skew. (Merge the worker traces OR analyze the
-// parent's authoritative trace alone; merging both would count the
-// shared events twice.)
+// It reads one trace per invocation: the file named by its one
+// argument, or stdin when there is none. More than one file argument is
+// a usage error.
 //
 // Every record is validated against its schema version's rules:
 // required fields per record type, per-label generation numbers
 // strictly increasing, counts within range. The first violation is
 // reported as "tracestat: FILE:LINE: TYPE record: ..." (FILE is "stdin"
-// when no file is given, and names the failing file when several are)
-// and exits 1. Analysis of valid traces prints a text report, or the
-// full analysis as JSON with -json. Exit status: 0 on success, 1 for
-// an invalid trace, 2 for usage or I/O errors, 3 when -fail-on-stall is
-// set and a hypervolume plateau of at least -stall-window generations
-// was detected.
+// when no file is given) and exits 1. Analysis of valid traces prints a
+// text report, or the full analysis as JSON with -json. Exit status: 0
+// on success, 1 for an invalid trace, 2 for usage or I/O errors, 3 when
+// -fail-on-stall is set and a hypervolume plateau of at least
+// -stall-window generations was detected.
 package main
 
 import (
@@ -41,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"tradeoff/internal/obs"
 )
@@ -53,42 +43,42 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	stallWindow := fs.Int("stall-window", 50, "generations without hypervolume improvement that flag a stall")
 	stallTol := fs.Float64("stall-tol", 1e-4, "relative hypervolume gain below which a generation counts as no improvement")
 	failOnStall := fs.Bool("fail-on-stall", false, "exit 3 when any label stalled")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: tracestat [flags] [trace.jsonl]")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var ins []io.Reader
-	names := fs.Args()
-	if len(names) == 0 {
-		names, ins = []string{"stdin"}, []io.Reader{stdin}
-	}
-	for _, arg := range fs.Args() {
-		f, err := os.Open(arg)
+	name, in := "stdin", stdin
+	switch fs.NArg() {
+	case 0:
+	case 1:
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
 			fmt.Fprintln(stderr, "tracestat:", err)
 			return 2
 		}
 		defer f.Close()
-		ins = append(ins, f)
+		name, in = fs.Arg(0), f
+	default:
+		fmt.Fprintf(stderr, "tracestat: %d trace files given, want at most one\n", fs.NArg())
+		fs.Usage()
+		return 2
 	}
-	name := strings.Join(names, ", ")
-	an, err := obs.AnalyzeTraces(ins, obs.AnalyzeOptions{
+	an, err := obs.AnalyzeTrace(in, obs.AnalyzeOptions{
 		StallWindow: *stallWindow,
 		StallTol:    *stallTol,
 	})
 	if err != nil {
-		failed := names[0]
-		var ie *obs.InputError
-		if errors.As(err, &ie) {
-			failed, err = names[ie.Index], ie.Err
-		}
 		var te *obs.TraceError
 		switch {
 		case errors.As(err, &te) && te.RecordType != "":
-			fmt.Fprintf(stderr, "tracestat: %s:%d: %s record: %v\n", failed, te.Line, te.RecordType, te.Err)
+			fmt.Fprintf(stderr, "tracestat: %s:%d: %s record: %v\n", name, te.Line, te.RecordType, te.Err)
 		case errors.As(err, &te):
-			fmt.Fprintf(stderr, "tracestat: %s:%d: %v\n", failed, te.Line, te.Err)
+			fmt.Fprintf(stderr, "tracestat: %s:%d: %v\n", name, te.Line, te.Err)
 		default:
-			fmt.Fprintf(stderr, "tracestat: %s: %v\n", failed, err)
+			fmt.Fprintf(stderr, "tracestat: %s: %v\n", name, err)
 		}
 		return 1
 	}

@@ -155,68 +155,28 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
-// TestRunMultiFile: several trace files — the shape a distributed run
-// leaves behind as per-worker .wN traces — merge into one analysis with
-// migration summaries aggregated across files.
-func TestRunMultiFile(t *testing.T) {
+// TestRunTooManyArgs: tracestat reads one trace per invocation, so two
+// file arguments are a usage error (exit 2) that prints the usage line,
+// even when both files hold valid traces.
+func TestRunTooManyArgs(t *testing.T) {
 	dir := t.TempDir()
-	// Worker 0 owns island 0 and logs its outbound edges; worker 1 owns
-	// island 1. Together they reconstruct sampleTrace's migration set,
-	// and the generation records split across the files too.
-	var w0, w1 strings.Builder
-	for g := 1; g <= 8; g++ {
-		w0.WriteString(genLine("a", g, float64(g), 1000))
-		w1.WriteString(genLine("b", g, 1.0, 0))
-	}
-	w0.WriteString(`{"type":"migration","ts":100,"gen":4,"from":0,"to":1,"count":3}` + "\n")
-	w0.WriteString(`{"type":"migration","ts":102,"gen":8,"from":0,"to":1,"count":1}` + "\n")
-	w1.WriteString(`{"type":"migration","ts":101,"gen":4,"from":1,"to":0,"count":2}` + "\n")
-	p0, p1 := dir+"/trace.jsonl.w0", dir+"/trace.jsonl.w1"
-	if err := os.WriteFile(p0, []byte(w0.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p1, []byte(w1.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errb strings.Builder
-	if code := run([]string{p0, p1}, nil, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, errb.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		p0 + ", " + p1 + ": 16 generation, 3 migration, 0 run record(s)",
-		"label a:",
-		"label b:",
-		// Same ring totals as the single-file sampleTrace analysis:
-		// migrant counts sum and tick skew spans the merged ring.
-		"islands: 2 island(s), 2 migration tick(s), 6 migrant(s), tick skew 4",
-		"island 0: 4 migrant(s) sent, last tick at generation 8",
-		"island 1: 2 migrant(s) sent, last tick at generation 4",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
+	a, b := dir+"/a.jsonl", dir+"/b.jsonl"
+	for _, p := range []string{a, b} {
+		if err := os.WriteFile(p, []byte(sampleTrace()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestRunMultiFileInvalid: a validation failure in a later file names
-// the offending file and line.
-func TestRunMultiFileInvalid(t *testing.T) {
-	dir := t.TempDir()
-	good, bad := dir+"/good.jsonl", dir+"/bad.jsonl"
-	if err := os.WriteFile(good, []byte(sampleTrace()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bad, []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var out, errb strings.Builder
-	if code := run([]string{good, bad}, nil, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr %q)", code, errb.String())
+	if code := run([]string{a, b}, nil, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr %q)", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "tracestat: "+bad+":1: invalid JSON") {
-		t.Fatalf("stderr %q does not name the failing file and line", errb.String())
+	if out.Len() != 0 {
+		t.Fatalf("stdout %q, want nothing", out.String())
+	}
+	for _, want := range []string{"tracestat: 2 trace files given, want at most one", "usage: tracestat [flags] [trace.jsonl]"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Fatalf("stderr %q lacks %q", errb.String(), want)
+		}
 	}
 }
 

@@ -28,8 +28,7 @@
 //
 // -islands runs the island model with ring migration every
 // -migration-interval generations; each island steps on its own
-// goroutine under a logical-clock migration schedule. -distribute N
-// spreads the ring over N worker processes (bit-identical results).
+// goroutine under a logical-clock migration schedule.
 // -archive bounds the reported front to at most N ε-dominance
 // representatives, with box widths from -archive-eps or derived from
 // the front's own extent — essential at 10^5+ tasks, where raw fronts
@@ -89,8 +88,6 @@ func main() {
 		traceCSV    = flag.String("tracecsv", "", "import the trace from a CSV (arrival,task_type[,priority,horizon])")
 		islands     = flag.Int("islands", 0, "run the island model with this many populations (0 = single population)")
 		migInterval = flag.Int("migration-interval", 25, "generations between island ring migrations (with -islands)")
-		distribute  = flag.Int("distribute", 0, "run the islands across this many worker processes (with -islands; bit-identical results)")
-		islandWork  = flag.Int("island-worker", -1, "internal: serve as distributed island worker N over the inherited socket (spawned by -distribute)")
 		snapshotIn  = flag.String("snapshot-in", "", "resume an island run from this snapshot JSON (with -islands)")
 		snapshotOut = flag.String("snapshot-out", "", "write the island run's final state to this snapshot JSON (with -islands)")
 		archiveSize = flag.Int("archive", 0, "bound the reported front to at most this many ε-dominance representatives (0 = full front)")
@@ -105,18 +102,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cpuProf, memProf := *cpuProfile, *memProfile
-	if *islandWork >= 0 {
-		// Worker processes profile into their own files next to the
-		// parent's instead of clobbering them.
-		if cpuProf != "" {
-			cpuProf = fmt.Sprintf("%s.w%d", cpuProf, *islandWork)
-		}
-		if memProf != "" {
-			memProf = fmt.Sprintf("%s.w%d", memProf, *islandWork)
-		}
-	}
-	prof, err := telemetry.StartProfiler(cpuProf, memProf)
+	prof, err := telemetry.StartProfiler(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -124,13 +110,8 @@ func main() {
 
 	// The wall clock enters here, at the command layer; internal packages
 	// only ever see the injected obs.Clock.
-	traceOut := *tracePath
-	if *islandWork >= 0 && traceOut != "" {
-		// Worker processes stream their own trace next to the parent's.
-		traceOut = fmt.Sprintf("%s.w%d", traceOut, *islandWork)
-	}
 	tel, err := telemetry.Setup(telemetry.Config{
-		TracePath:      traceOut,
+		TracePath:      *tracePath,
 		PhaseProfile:   *phaseProf,
 		FlightRecorder: *flightRec,
 		Clock:          func() int64 { return time.Now().UnixNano() },
@@ -195,7 +176,9 @@ func main() {
 		}
 		fmt.Println("wrote", *saveTrace)
 	}
-	if *idleWatts > 0 {
+	if *idleWatts != 0 {
+		// SetIdlePower rejects a negative or non-finite draw, so only
+		// an exact 0 (the default) leaves the extension off.
 		watts := make([]float64, fw.System().NumMachineTypes())
 		for i := range watts {
 			watts[i] = *idleWatts
@@ -240,21 +223,6 @@ func main() {
 		Observer:          tel.Observer(),
 		PhaseTimer:        tel.PhaseTimer(),
 	}
-	if *islandWork >= 0 {
-		// Distributed worker mode: serve our island shard over the
-		// inherited socket and exit. The parent owns stdout and all
-		// result reporting; the worker only streams its own trace.
-		if err := serveIslandWorker(fw, opts, *islandWork, *distribute, tel); err != nil {
-			fatal(err)
-		}
-		if err := tel.Close(); err != nil {
-			fatal(err)
-		}
-		if err := prof.Stop(); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	fmt.Printf("analyzing %s: %d tasks over %.0f s on %d machines\n",
 		name, fw.Trace().NumTasks(), fw.Trace().Window, fw.System().NumMachines())
 	if *snapshotIn != "" {
@@ -270,12 +238,7 @@ func main() {
 		fmt.Printf("resuming from %s at generation %d\n", *snapshotIn, snap.Generation)
 	}
 	opts.CaptureSnapshot = *snapshotOut != ""
-	var res *core.Result
-	if *distribute > 0 {
-		res, err = runDistributed(fw, opts, *distribute, tel)
-	} else {
-		res, err = fw.Optimize(opts)
-	}
+	res, err := fw.Optimize(opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -29,16 +29,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRemovedFlagsRejected pins the removal of the -kernel, -evaluation
-// and -archive-spill switches: there is one simulation kernel, one
-// offspring evaluation path and one in-memory front archive, so all
-// three flags are unknown.
+// TestRemovedFlagsRejected pins the removal of the -kernel, -evaluation,
+// -archive-spill, -distribute and -island-worker switches: there is one
+// simulation kernel, one offspring evaluation path, one in-memory front
+// archive and one island runtime, so all five flags are unknown.
 func TestRemovedFlagsRejected(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{"-kernel", "scalar"}, {"-evaluation", "full"}, {"-archive-spill", "64"}} {
+	for _, args := range [][]string{
+		{"-kernel", "scalar"}, {"-evaluation", "full"}, {"-archive-spill", "64"},
+		{"-distribute", "2"}, {"-island-worker", "0"},
+	} {
 		cmd := exec.Command(exe, append(args, "-generations", "1", "-pop", "4", "-tasks", "10")...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		out, err := cmd.CombinedOutput()
@@ -48,6 +51,38 @@ func TestRemovedFlagsRejected(t *testing.T) {
 		}
 		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
 			t.Fatalf("%v: output lacks %q:\n%s", args, want, out)
+		}
+	}
+}
+
+// TestBadIdlePowerAndWindowRejected drives the real command with idle
+// powers and trace windows the model cannot use: each exits 1 with the
+// validator's message instead of printing a front (or, for idle power,
+// silently running without it). Only an exact -idlewatts 0 is "off".
+func TestBadIdlePowerAndWindowRejected(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-idlewatts", "-5"}, "idle power -5, want finite and >= 0"},
+		{[]string{"-idlewatts", "nan"}, "idle power NaN, want finite and >= 0"},
+		{[]string{"-idlewatts", "inf"}, "idle power +Inf, want finite and >= 0"},
+		{[]string{"-window", "inf"}, "window +Inf, want finite and > 0"},
+		{[]string{"-window", "nan"}, "window NaN, want finite and > 0"},
+	} {
+		cmd := exec.Command(exe, append(tc.args, "-generations", "1", "-pop", "4", "-tasks", "20")...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: want exit 1, got %v:\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Fatalf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
 		}
 	}
 }

@@ -117,8 +117,8 @@ type Options struct {
 	// to never having paused. Only meaningful with Islands > 1.
 	Resume *nsga2.IslandsSnapshot
 	// CaptureSnapshot records the island run's final state in
-	// Result.FinalSnapshot, from which a later run (in-process or
-	// distributed) can resume. Only meaningful with Islands > 1.
+	// Result.FinalSnapshot, from which a later run can resume (see
+	// Resume). Only meaningful with Islands > 1.
 	CaptureSnapshot bool
 	// Observer, when non-nil, receives run telemetry: per-generation
 	// front/indicator/evaluation events from a single-population run, or
@@ -238,9 +238,10 @@ func (e *GenotypeError) Error() string {
 // front of shared engine genomes costs allocations for the survivors
 // alone. Last it computes the UPE region and hypervolume of the
 // returned front. It is the common tail of every optimization mode —
-// single population, islands, and the distributed island coordinator,
-// whose merged worker fronts enter here so a distributed run's Result
-// is assembled exactly like an in-process one. FinishFront reorders
+// single population, islands, and the end-to-end benchmark's
+// distributed island coordinator (internal/dist), whose merged worker
+// fronts enter here so its Result is assembled exactly like an
+// in-process one. FinishFront reorders
 // front in place; an individual without a genotype is refused with a
 // *GenotypeError naming its index in front as passed.
 func (f *Framework) FinishFront(front []nsga2.Individual, opts Options) (*Result, error) {
@@ -351,9 +352,9 @@ func deriveEpsilon(front []analysis.FrontPoint, size int) []float64 {
 
 // IslandConfig builds the nsga2.IslandConfig an island-model run of
 // these Options uses, including seed allocations built from
-// opts.Seeds. Distributed island workers and their coordinator both
-// derive their configuration here, so every process in a distributed
-// run agrees on the exact engine parameters an in-process run would
+// opts.Seeds. The end-to-end benchmark's distributed island workers
+// and their coordinator both derive their configuration here, so every
+// process in a distributed run agrees on the exact engine parameters an in-process run would
 // use — the precondition for bit-identical results.
 func (f *Framework) IslandConfig(opts Options) (nsga2.IslandConfig, error) {
 	var seeds []*sched.Allocation

@@ -32,7 +32,7 @@ func (nopCloser) Close() error { return nil }
 
 // benchElites builds a migration payload of the benchmark's canonical
 // shape: two elites over a 40-task genome, the default migration batch
-// of every -distribute run in this repo's experiments.
+// of an island ring.
 func benchElites(inds, genes int) *WireElites {
 	m := &WireElites{Tick: 3, From: 1, Inds: make([]WireIndividual, inds)}
 	for i := range m.Inds {

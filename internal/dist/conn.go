@@ -39,20 +39,6 @@ func (c *Conn) SendHello(m *WireHello) error {
 	return c.enc.EncodeHello(m)
 }
 
-// SendRestore writes a restore request under the write lock.
-func (c *Conn) SendRestore(m *WireRestore) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.EncodeRestore(m)
-}
-
-// SendRestored writes a restore acknowledgement under the write lock.
-func (c *Conn) SendRestored(m *WireRestored) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.EncodeRestored(m)
-}
-
 // SendRun writes a run request under the write lock.
 func (c *Conn) SendRun(m *WireRun) error {
 	c.wmu.Lock()
@@ -89,13 +75,6 @@ func (c *Conn) SendFront(m *WireFront) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return c.enc.EncodeFront(m)
-}
-
-// SendSnapshot writes a snapshot reply under the write lock.
-func (c *Conn) SendSnapshot(m *WireSnapshot) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.EncodeSnapshot(m)
 }
 
 // SendAbort writes a failure report under the write lock.

@@ -2,15 +2,13 @@ package dist
 
 import (
 	"tradeoff/internal/nsga2"
-	"tradeoff/internal/rng"
 	"tradeoff/internal/sched"
 )
 
 // Conversions between the engine's in-memory types and their wire
 // images. The wire carries genotypes and counters only; objectives ride
 // along for tooling, and everything an engine needs is re-derived
-// deterministically on the receiving side (Inject re-evaluates,
-// Restore re-ranks).
+// deterministically on the receiving side (Inject re-evaluates).
 
 // toWireIndividual builds the wire image of one front individual
 // through Allocation: a front individual, which shares its engine's
@@ -69,78 +67,6 @@ func ticksToWire(ts []nsga2.ShardTick) []WireShardTick {
 	out := make([]WireShardTick, len(ts))
 	for i, t := range ts {
 		out[i] = tickToWire(t)
-	}
-	return out
-}
-
-// ticksFromWire converts a run of wire counter shards.
-func ticksFromWire(ws []WireShardTick) []nsga2.ShardTick {
-	out := make([]nsga2.ShardTick, len(ws))
-	for i, w := range ws {
-		out[i] = tickFromWire(w)
-	}
-	return out
-}
-
-// segmentToWire converts one engine snapshot. The JSON snapshot schema
-// stores genes as []int; the wire narrows them to their int32 gene
-// domain (machine indices and order ranks).
-func segmentToWire(s *nsga2.Snapshot) WireSegment {
-	w := WireSegment{
-		Generation: int64(s.Generation),
-		RngS:       s.RNG.S,
-		RngInc:     s.RNG.Inc,
-	}
-	w.Genomes = make([]WireGenome, len(s.Population))
-	for i, g := range s.Population {
-		w.Genomes[i] = WireGenome{Machine: narrow32(g.Machine), Order: narrow32(g.Order)}
-	}
-	return w
-}
-
-// segmentFromWire rebuilds one engine snapshot.
-func segmentFromWire(w *WireSegment) *nsga2.Snapshot {
-	s := &nsga2.Snapshot{
-		Generation: int(w.Generation),
-		RNG:        rng.State{S: w.RngS, Inc: w.RngInc},
-	}
-	s.Population = make([]nsga2.GenomeSnapshot, len(w.Genomes))
-	for i, g := range w.Genomes {
-		s.Population[i] = nsga2.GenomeSnapshot{Machine: widen32(g.Machine), Order: widen32(g.Order)}
-	}
-	return s
-}
-
-// segmentsToWire converts a shard's snapshots.
-func segmentsToWire(snaps []*nsga2.Snapshot) []WireSegment {
-	out := make([]WireSegment, len(snaps))
-	for i, s := range snaps {
-		out[i] = segmentToWire(s)
-	}
-	return out
-}
-
-// segmentsFromWire rebuilds a shard's snapshots.
-func segmentsFromWire(ws []WireSegment) []*nsga2.Snapshot {
-	out := make([]*nsga2.Snapshot, len(ws))
-	for i := range ws {
-		out[i] = segmentFromWire(&ws[i])
-	}
-	return out
-}
-
-func narrow32(src []int) []int32 {
-	out := make([]int32, len(src))
-	for i, v := range src {
-		out[i] = int32(v)
-	}
-	return out
-}
-
-func widen32(src []int32) []int {
-	out := make([]int, len(src))
-	for i, v := range src {
-		out[i] = int(v)
 	}
 	return out
 }

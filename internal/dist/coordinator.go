@@ -32,8 +32,8 @@ type CoordinatorConfig struct {
 	Board *obs.DistBoard
 }
 
-// Coordinator drives worker shards through handshake, runs, front and
-// snapshot collection, and shutdown. During a run it routes boundary
+// Coordinator drives worker shards through handshake, runs, front
+// collection, and shutdown. During a run it routes boundary
 // migrations: each worker's outbound frames are read by a per-worker
 // reader goroutine and forwarded through a one-deep queue to the
 // destination worker — the queue plus socket buffering gives every
@@ -240,8 +240,7 @@ func (c *Coordinator) Run(generations int) error {
 					}
 					tearOnce.Do(tear)
 					return
-				case MsgHello, MsgRestore, MsgRestored, MsgRun, MsgFrontReq, MsgFront,
-					MsgSnapshotReq, MsgSnapshot, MsgExit:
+				case MsgHello, MsgRun, MsgFrontReq, MsgFront, MsgExit:
 					rerrs[w] = &WireError{Frame: conn.dec.Frame(), Msg: typ,
 						Err: fmt.Errorf("from running worker %d: %w", w, ErrUnexpectedMessage)}
 					tearOnce.Do(tear)
@@ -326,77 +325,6 @@ func (c *Coordinator) Front() ([]nsga2.Individual, error) {
 		union = append(union, frontFromWire(m)...)
 	}
 	return union, nil
-}
-
-// Snapshot collects every worker's snapshot segments into one
-// IslandsSnapshot, interchangeable with the in-process
-// Islands.Snapshot.
-func (c *Coordinator) Snapshot() (*nsga2.IslandsSnapshot, error) {
-	if c.failed != nil {
-		return nil, c.failed
-	}
-	snap := &nsga2.IslandsSnapshot{Generation: c.gen}
-	for w, conn := range c.conns {
-		if err := conn.SendControl(MsgSnapshotReq); err != nil {
-			return nil, c.fail(fmt.Errorf("dist: worker %d: %w", w, err))
-		}
-		payload, err := conn.expectReply(MsgSnapshot)
-		if err != nil {
-			return nil, c.fail(fmt.Errorf("dist: worker %d: %w", w, err))
-		}
-		c.cfg.Board.AddRoundtrip()
-		m, err := DecodeSnapshot(payload)
-		if err != nil {
-			return nil, c.fail(fmt.Errorf("dist: worker %d: %w", w, err))
-		}
-		if int(m.Generation) != c.gen || len(m.Segments) != c.hi[w]-c.lo[w] {
-			return nil, c.fail(fmt.Errorf("dist: worker %d snapshot at generation %d with %d segments, want %d at %d",
-				w, m.Generation, len(m.Segments), c.hi[w]-c.lo[w], c.gen))
-		}
-		snap.Islands = append(snap.Islands, segmentsFromWire(m.Segments)...)
-	}
-	return snap, nil
-}
-
-// Restore pushes an islands snapshot out to the workers (each receives
-// its shard's segments), resyncing the telemetry baselines — the
-// cross-process counterpart of Islands.Restore.
-func (c *Coordinator) Restore(snap *nsga2.IslandsSnapshot) error {
-	if c.failed != nil {
-		return c.failed
-	}
-	if snap == nil || len(snap.Islands) != c.cfg.Islands {
-		return fmt.Errorf("dist: restore needs %d island snapshots", c.cfg.Islands)
-	}
-	var base nsga2.ShardTick
-	for w, conn := range c.conns {
-		if err := conn.SendRestore(&WireRestore{
-			Generation: int64(snap.Generation),
-			Lo:         int32(c.lo[w]),
-			Segments:   segmentsToWire(snap.Islands[c.lo[w]:c.hi[w]]),
-		}); err != nil {
-			return c.fail(fmt.Errorf("dist: worker %d: %w", w, err))
-		}
-		payload, err := conn.expectReply(MsgRestored)
-		if err != nil {
-			return c.fail(fmt.Errorf("dist: worker %d: %w", w, err))
-		}
-		c.cfg.Board.AddRoundtrip()
-		m, err := DecodeRestored(payload)
-		if err != nil {
-			return c.fail(fmt.Errorf("dist: worker %d: %w", w, err))
-		}
-		if len(m.Baselines) != c.hi[w]-c.lo[w] {
-			return c.fail(fmt.Errorf("dist: worker %d acknowledged %d islands, want %d",
-				w, len(m.Baselines), c.hi[w]-c.lo[w]))
-		}
-		for _, b := range m.Baselines {
-			base.Add(tickFromWire(b))
-		}
-	}
-	c.gen = snap.Generation
-	c.aggBase = base
-	return nil
 }
 
 // Close asks every worker to exit (best effort) and closes the

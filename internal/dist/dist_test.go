@@ -184,117 +184,6 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestDistributedSnapshotHandoff proves resume across the process
-// boundary in both directions: distributed → in-process and
-// in-process → distributed must both land exactly where the unbroken
-// in-process run lands.
-func TestDistributedSnapshotHandoff(t *testing.T) {
-	e := newEval(t, 40)
-	cfg := distCfg(4, 5, 2, 8)
-	const seed, pause, total = 7, 7, 18
-
-	full, err := nsga2.NewIslands(e, cfg, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.Run(total)
-	wantFront := full.ParetoFront()
-
-	// Distributed start, in-process finish.
-	cl := startCluster(t, e, cfg, seed, 2, nil, nil)
-	if err := cl.coord.Run(pause); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := cl.coord.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.stop(t)
-	if snap.Generation != pause {
-		t.Fatalf("snapshot at generation %d, want %d", snap.Generation, pause)
-	}
-	resumed, err := nsga2.NewIslands(e, cfg, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	resumed.Run(total - pause)
-	if !sameIndividuals(resumed.ParetoFront(), wantFront) {
-		t.Error("distributed → in-process resume diverged from the unbroken run")
-	}
-
-	// In-process start, distributed finish.
-	head, err := nsga2.NewIslands(e, cfg, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	head.Run(pause)
-	cl = startCluster(t, e, cfg, 1, 3, nil, nil)
-	if err := cl.coord.Restore(head.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.coord.Run(total - pause); err != nil {
-		t.Fatal(err)
-	}
-	union, err := cl.coord.Front()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.stop(t)
-	front := nsga2.MergeFronts(moea.UtilityEnergySpace(), union)
-	if !sameIndividuals(front, wantFront) {
-		t.Error("in-process → distributed resume diverged from the unbroken run")
-	}
-}
-
-// TestDistributedRestoredTelemetry: a restored distributed run must
-// resync its stats baselines, emitting the same tail of events an
-// in-process run restored at the same point emits.
-func TestDistributedRestoredTelemetry(t *testing.T) {
-	e := newEval(t, 30)
-	cfg := distCfg(3, 4, 1, 6)
-	const seed, pause, total = 5, 6, 14
-
-	head, err := nsga2.NewIslands(e, cfg, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	head.Run(pause)
-	snap := head.Snapshot()
-
-	refResumed, err := nsga2.NewIslands(e, cfg, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refResumed.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	refLog := &eventLog{}
-	refResumed.SetObserver(refLog)
-	refResumed.Run(total - pause)
-
-	// Same construction seed as the reference: engine arenas survive
-	// Restore, so post-resume arena occupancy depends on the pre-restore
-	// initial populations (which a real run derives from the same -seed).
-	distLog := &eventLog{}
-	cl := startCluster(t, e, cfg, 2, 2, distLog, nil)
-	if err := cl.coord.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.coord.Run(total - pause); err != nil {
-		t.Fatal(err)
-	}
-	cl.stop(t)
-	if !reflect.DeepEqual(distLog.migs, refLog.migs) {
-		t.Errorf("migration events differ\n got %+v\nwant %+v", distLog.migs, refLog.migs)
-	}
-	if !reflect.DeepEqual(distLog.gens, refLog.gens) {
-		t.Errorf("islands stats differ\n got %+v\nwant %+v", distLog.gens, refLog.gens)
-	}
-}
-
 // TestDistBoardCounters: the wire observability hooks must see traffic.
 func TestDistBoardCounters(t *testing.T) {
 	e := newEval(t, 30)

@@ -3,8 +3,8 @@
 package dist
 
 // Process-boundary tests: workers are this test binary re-executed via
-// StartWorkers, inheriting their socket on fd WorkerFD exactly as
-// cmd/tradeoff workers do. TestMain diverts re-executed copies into
+// StartWorkers, inheriting their socket on fd WorkerFD exactly as the
+// end-to-end benchmark's workers do. TestMain diverts re-executed copies into
 // serveProcWorker before the test framework starts, so the parent test
 // drives real child processes over real socketpairs.
 
@@ -208,66 +208,5 @@ func TestProcDistributedDatasets(t *testing.T) {
 		if !sameIndividuals(nsga2.MergeFronts(moea.UtilityEnergySpace(), union), ref.ParetoFront()) {
 			t.Errorf("dataset %d: front differs from in-process run", dataset)
 		}
-	}
-}
-
-// TestProcSnapshotHandoff: snapshots cross real process boundaries in
-// both directions and land exactly where the unbroken run lands.
-func TestProcSnapshotHandoff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("forks worker processes")
-	}
-	const tasks, seed, pause, total = 40, 7, 7, 18
-	cfg := distCfg(4, 5, 2, 8)
-	e := newEval(t, tasks)
-	full, err := nsga2.NewIslands(e, cfg, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.Run(total)
-	wantFront := full.ParetoFront()
-
-	// Worker processes start the run; an in-process model finishes it.
-	cl := startProcCluster(t, 0, tasks, cfg, seed, 2, nil)
-	if err := cl.coord.Run(pause); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := cl.coord.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.stop(t)
-	resumed, err := nsga2.NewIslands(e, cfg, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	resumed.Run(total - pause)
-	if !sameIndividuals(resumed.ParetoFront(), wantFront) {
-		t.Error("process → in-process resume diverged from the unbroken run")
-	}
-
-	// An in-process model starts the run; worker processes finish it.
-	head, err := nsga2.NewIslands(e, cfg, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	head.Run(pause)
-	cl = startProcCluster(t, 0, tasks, cfg, 1, 3, nil)
-	if err := cl.coord.Restore(head.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.coord.Run(total - pause); err != nil {
-		t.Fatal(err)
-	}
-	union, err := cl.coord.Front()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.stop(t)
-	if !sameIndividuals(nsga2.MergeFronts(moea.UtilityEnergySpace(), union), wantFront) {
-		t.Error("in-process → process resume diverged from the unbroken run")
 	}
 }

@@ -54,35 +54,6 @@ type WireHello struct {
 	Baselines  []WireShardTick
 }
 
-// WireGenome is one chromosome genotype inside a snapshot segment.
-type WireGenome struct {
-	Machine []int32
-	Order   []int32
-}
-
-// WireSegment is one island's engine snapshot: generation counter, rng
-// state, and the full population genotype.
-type WireSegment struct {
-	Generation int64
-	RngS       uint64
-	RngInc     uint64
-	Genomes    []WireGenome
-}
-
-// WireRestore carries snapshot segments to a worker for a
-// cross-process resume: the islands-level generation plus one segment
-// per shard island in global order starting at Lo.
-type WireRestore struct {
-	Generation int64
-	Lo         int32
-	Segments   []WireSegment
-}
-
-// WireRestored acknowledges a restore with post-restore baselines.
-type WireRestored struct {
-	Baselines []WireShardTick
-}
-
 // WireRun starts a run.
 type WireRun struct {
 	Generations int64
@@ -99,13 +70,6 @@ type WireReport struct {
 // order.
 type WireFront struct {
 	Fronts [][]WireIndividual
-}
-
-// WireSnapshot carries a worker's snapshot segments back to the
-// parent, with the shard's islands-level generation counter.
-type WireSnapshot struct {
-	Generation int64
-	Segments   []WireSegment
 }
 
 // WireAbort reports a fatal worker-side error.
@@ -222,59 +186,6 @@ func readTicks(r *wireReader) []WireShardTick {
 	return out
 }
 
-// appendSegment encodes one island snapshot segment.
-func appendSegment(b []byte, s *WireSegment) []byte {
-	b = appendU64(b, uint64(s.Generation))
-	b = appendU64(b, s.RngS)
-	b = appendU64(b, s.RngInc)
-	b = appendU32(b, uint32(len(s.Genomes)))
-	for i := range s.Genomes {
-		g := &s.Genomes[i]
-		b = appendU32(b, uint32(len(g.Machine)))
-		for _, v := range g.Machine {
-			b = appendU32(b, uint32(v))
-		}
-		b = appendU32(b, uint32(len(g.Order)))
-		for _, v := range g.Order {
-			b = appendU32(b, uint32(v))
-		}
-	}
-	return b
-}
-
-// readSegment decodes one island snapshot segment.
-func readSegment(r *wireReader) WireSegment {
-	var s WireSegment
-	s.Generation = int64(r.u64())
-	s.RngS = r.u64()
-	s.RngInc = r.u64()
-	n := int(r.u32())
-	if r.short || n < 0 || n > r.remaining()/8 {
-		r.short = true
-		return s
-	}
-	s.Genomes = make([]WireGenome, n)
-	for i := range s.Genomes {
-		s.Genomes[i].Machine = readInt32s(r, nil)
-		s.Genomes[i].Order = readInt32s(r, nil)
-	}
-	return s
-}
-
-// readSegments decodes a u32-counted run of segments.
-func readSegments(r *wireReader) []WireSegment {
-	n := int(r.u32())
-	if r.short || n < 0 || n > r.remaining()/(3*8+4) {
-		r.short = true
-		return nil
-	}
-	out := make([]WireSegment, n)
-	for i := range out {
-		out[i] = readSegment(r)
-	}
-	return out
-}
-
 // EncodeHello writes the worker handshake.
 func (e *Encoder) EncodeHello(m *WireHello) error {
 	e.begin()
@@ -313,49 +224,6 @@ func DecodeHello(payload []byte) (*WireHello, error) {
 	}
 	if m.Lo < 0 || m.Hi <= m.Lo || m.Hi > m.Islands || len(m.Baselines) != int(m.Hi-m.Lo) {
 		return nil, badPayload(MsgHello, "shard [%d, %d) of %d islands with %d baselines", m.Lo, m.Hi, m.Islands, len(m.Baselines))
-	}
-	return m, nil
-}
-
-// EncodeRestore writes a cross-process restore request.
-func (e *Encoder) EncodeRestore(m *WireRestore) error {
-	e.begin()
-	e.buf = appendU64(e.buf, uint64(m.Generation))
-	e.buf = appendU32(e.buf, uint32(m.Lo))
-	e.buf = appendU32(e.buf, uint32(len(m.Segments)))
-	for i := range m.Segments {
-		e.buf = appendSegment(e.buf, &m.Segments[i])
-	}
-	return e.writeFrame(MsgRestore)
-}
-
-// DecodeRestore parses a MsgRestore payload.
-func DecodeRestore(payload []byte) (*WireRestore, error) {
-	r := &wireReader{buf: payload}
-	m := &WireRestore{Generation: int64(r.u64()), Lo: int32(r.u32())}
-	m.Segments = readSegments(r)
-	if err := r.finish(MsgRestore); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// EncodeRestored writes a restore acknowledgement.
-func (e *Encoder) EncodeRestored(m *WireRestored) error {
-	e.begin()
-	e.buf = appendU32(e.buf, uint32(len(m.Baselines)))
-	for i := range m.Baselines {
-		e.buf = appendTick(e.buf, &m.Baselines[i])
-	}
-	return e.writeFrame(MsgRestored)
-}
-
-// DecodeRestored parses a MsgRestored payload.
-func DecodeRestored(payload []byte) (*WireRestored, error) {
-	r := &wireReader{buf: payload}
-	m := &WireRestored{Baselines: readTicks(r)}
-	if err := r.finish(MsgRestored); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
@@ -481,7 +349,7 @@ func DecodeReport(payload []byte) (*WireReport, error) {
 }
 
 // EncodeControl writes an empty-payload control frame (MsgFrontReq,
-// MsgSnapshotReq, MsgExit).
+// MsgExit).
 func (e *Encoder) EncodeControl(t MsgType) error {
 	e.begin()
 	return e.writeFrame(t)
@@ -526,28 +394,6 @@ func DecodeFront(payload []byte) (*WireFront, error) {
 		}
 	}
 	if err := r.finish(MsgFront); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// EncodeSnapshot writes a worker's snapshot segments.
-func (e *Encoder) EncodeSnapshot(m *WireSnapshot) error {
-	e.begin()
-	e.buf = appendU64(e.buf, uint64(m.Generation))
-	e.buf = appendU32(e.buf, uint32(len(m.Segments)))
-	for i := range m.Segments {
-		e.buf = appendSegment(e.buf, &m.Segments[i])
-	}
-	return e.writeFrame(MsgSnapshot)
-}
-
-// DecodeSnapshot parses a MsgSnapshot payload.
-func DecodeSnapshot(payload []byte) (*WireSnapshot, error) {
-	r := &wireReader{buf: payload}
-	m := &WireSnapshot{Generation: int64(r.u64())}
-	m.Segments = readSegments(r)
-	if err := r.finish(MsgSnapshot); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -5,7 +5,9 @@
 // the ring's boundary edges are carried over the wire by a
 // deterministic, length-framed binary codec. The parent routes elite
 // migrations between workers, aggregates their telemetry shards, and
-// merges their fronts — bit-identical to the in-process run.
+// merges their fronts — bit-identical to the in-process run. Its one
+// caller is the end-to-end benchmark's islands-ds1-dist2 workload (see
+// bench/); every command runs islands in process (nsga2.Islands).
 //
 // Wire format: every frame is
 //
@@ -27,7 +29,7 @@ import (
 
 // WireVersion is the protocol version carried in every MsgHello; the
 // parent refuses workers speaking a different version.
-const WireVersion = 4
+const WireVersion = 5
 
 // MaxFrame bounds a frame's payload length. Far above any real
 // migration payload, it keeps a corrupt or adversarial length prefix
@@ -41,11 +43,6 @@ const (
 	// MsgHello is the worker's handshake: protocol version, shard
 	// range, and per-island telemetry baselines.
 	MsgHello MsgType = iota + 1
-	// MsgRestore carries islands-snapshot segments from parent to
-	// worker for a cross-process resume.
-	MsgRestore
-	// MsgRestored acknowledges a restore with fresh baselines.
-	MsgRestored
 	// MsgRun starts a run of a given number of generations.
 	MsgRun
 	// MsgElites is one boundary ring edge's migration payload at one
@@ -58,10 +55,6 @@ const (
 	MsgFrontReq
 	// MsgFront answers MsgFrontReq.
 	MsgFront
-	// MsgSnapshotReq asks a worker for its islands' snapshot segments.
-	MsgSnapshotReq
-	// MsgSnapshot answers MsgSnapshotReq.
-	MsgSnapshot
 	// MsgAbort reports a fatal worker error to the parent.
 	MsgAbort
 	// MsgExit asks a worker to shut down cleanly.
@@ -76,10 +69,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgHello:
 		return "hello"
-	case MsgRestore:
-		return "restore"
-	case MsgRestored:
-		return "restored"
 	case MsgRun:
 		return "run"
 	case MsgElites:
@@ -90,10 +79,6 @@ func (t MsgType) String() string {
 		return "front-req"
 	case MsgFront:
 		return "front"
-	case MsgSnapshotReq:
-		return "snapshot-req"
-	case MsgSnapshot:
-		return "snapshot"
 	case MsgAbort:
 		return "abort"
 	case MsgExit:

@@ -97,20 +97,10 @@ func sampleHello() *WireHello {
 	}
 }
 
-func sampleSegments() []WireSegment {
-	return []WireSegment{
-		{Generation: 9, RngS: 0xdeadbeef, RngInc: 0x1234,
-			Genomes: []WireGenome{{Machine: []int32{0, 1, 2}, Order: []int32{2, 1, 0}}}},
-		{Generation: 9, RngS: 1, RngInc: 3, Genomes: []WireGenome{}},
-	}
-}
-
 // TestWireRoundTrips covers every message type through a single
 // multi-frame stream.
 func TestWireRoundTrips(t *testing.T) {
 	hello := sampleHello()
-	restore := &WireRestore{Generation: 9, Lo: 2, Segments: sampleSegments()}
-	restored := &WireRestored{Baselines: hello.Baselines}
 	run := &WireRun{Generations: 25}
 	elites := &WireElites{Tick: 0, From: 3, Inds: []WireIndividual{
 		{Machine: []int32{5}, Order: []int32{0}, Objectives: []float64{1.5, -2.25}},
@@ -126,21 +116,16 @@ func TestWireRoundTrips(t *testing.T) {
 		{{Machine: []int32{1}, Order: []int32{0}, Objectives: []float64{0.5, 2}}},
 		{},
 	}}
-	snap := &WireSnapshot{Generation: 9, Segments: sampleSegments()}
 	abort := &WireAbort{Msg: "island 3: boom"}
 
 	raw := encodeFrames(t, func(e *Encoder) error {
 		for _, enc := range []func() error{
 			func() error { return e.EncodeHello(hello) },
-			func() error { return e.EncodeRestore(restore) },
-			func() error { return e.EncodeRestored(restored) },
 			func() error { return e.EncodeRun(run) },
 			func() error { return e.EncodeElites(elites) },
 			func() error { return e.EncodeReport(report) },
 			func() error { return e.EncodeControl(MsgFrontReq) },
 			func() error { return e.EncodeFront(front) },
-			func() error { return e.EncodeControl(MsgSnapshotReq) },
-			func() error { return e.EncodeSnapshot(snap) },
 			func() error { return e.EncodeAbort(abort) },
 			func() error { return e.EncodeControl(MsgExit) },
 		} {
@@ -165,8 +150,8 @@ func TestWireRoundTrips(t *testing.T) {
 	for i := 0; ; i++ {
 		typ, payload, err := dec.Next()
 		if err == io.EOF {
-			if i != 12 {
-				t.Fatalf("stream ended after %d frames, want 12", i)
+			if i != 8 {
+				t.Fatalf("stream ended after %d frames, want 8", i)
 			}
 			break
 		}
@@ -177,12 +162,6 @@ func TestWireRoundTrips(t *testing.T) {
 		case MsgHello:
 			m, err := DecodeHello(payload)
 			check(hello, m, err)
-		case MsgRestore:
-			m, err := DecodeRestore(payload)
-			check(restore, m, err)
-		case MsgRestored:
-			m, err := DecodeRestored(payload)
-			check(restored, m, err)
 		case MsgRun:
 			m, err := DecodeRun(payload)
 			check(run, m, err)
@@ -199,13 +178,6 @@ func TestWireRoundTrips(t *testing.T) {
 		case MsgFront:
 			m, err := DecodeFront(payload)
 			check(front, m, err)
-		case MsgSnapshotReq:
-			if err := DecodeControl(typ, payload); err != nil {
-				t.Fatalf("snapshot-req: %v", err)
-			}
-		case MsgSnapshot:
-			m, err := DecodeSnapshot(payload)
-			check(snap, m, err)
 		case MsgAbort:
 			m, err := DecodeAbort(payload)
 			check(abort, m, err)
@@ -276,11 +248,6 @@ func TestWireTruncatedPayloads(t *testing.T) {
 	}{
 		{"hello", MsgHello, func(e *Encoder) error { return e.EncodeHello(sampleHello()) },
 			func(p []byte) error { _, err := DecodeHello(p); return err }},
-		{"restore", MsgRestore,
-			func(e *Encoder) error {
-				return e.EncodeRestore(&WireRestore{Generation: 1, Lo: 0, Segments: sampleSegments()})
-			},
-			func(p []byte) error { _, err := DecodeRestore(p); return err }},
 		{"elites", MsgElites,
 			func(e *Encoder) error {
 				return e.EncodeElites(&WireElites{Inds: []WireIndividual{
@@ -300,11 +267,6 @@ func TestWireTruncatedPayloads(t *testing.T) {
 				}})
 			},
 			func(p []byte) error { _, err := DecodeFront(p); return err }},
-		{"snapshot", MsgSnapshot,
-			func(e *Encoder) error {
-				return e.EncodeSnapshot(&WireSnapshot{Generation: 2, Segments: sampleSegments()})
-			},
-			func(p []byte) error { _, err := DecodeSnapshot(p); return err }},
 		{"abort", MsgAbort,
 			func(e *Encoder) error { return e.EncodeAbort(&WireAbort{Msg: "bad"}) },
 			func(p []byte) error { _, err := DecodeAbort(p); return err }},
@@ -340,8 +302,10 @@ func TestWireTrailingGarbage(t *testing.T) {
 			func(p []byte) error { _, err := DecodeRun(p); return err }},
 		{"elites", func(e *Encoder) error { return e.EncodeElites(&WireElites{}) },
 			func(p []byte) error { _, err := DecodeElites(p); return err }},
-		{"restored", func(e *Encoder) error { return e.EncodeRestored(&WireRestored{}) },
-			func(p []byte) error { _, err := DecodeRestored(p); return err }},
+		{"report", func(e *Encoder) error { return e.EncodeReport(&WireReport{}) },
+			func(p []byte) error { _, err := DecodeReport(p); return err }},
+		{"front", func(e *Encoder) error { return e.EncodeFront(&WireFront{}) },
+			func(p []byte) error { _, err := DecodeFront(p); return err }},
 		{"control", func(e *Encoder) error { return e.EncodeControl(MsgExit) },
 			func(p []byte) error { return DecodeControl(MsgExit, p) }},
 		{"abort", func(e *Encoder) error { return e.EncodeAbort(&WireAbort{Msg: "x"}) },
@@ -426,7 +390,8 @@ func TestWireBadPayloads(t *testing.T) {
 // also decode into a dirty reused target, which must match the fresh
 // decode.
 func FuzzWireCodec(f *testing.F) {
-	// Seed with one valid frame of every message type plus mutation bait.
+	// Seed with one valid frame of every message type, a multi-frame
+	// stream, edge-case payloads, and mutation bait.
 	seed := func(fn func(e *Encoder) error) {
 		var buf bytes.Buffer
 		if err := fn(NewEncoder(&buf, nil)); err != nil {
@@ -435,10 +400,6 @@ func FuzzWireCodec(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(func(e *Encoder) error { return e.EncodeHello(sampleHello()) })
-	seed(func(e *Encoder) error {
-		return e.EncodeRestore(&WireRestore{Generation: 3, Lo: 1, Segments: sampleSegments()})
-	})
-	seed(func(e *Encoder) error { return e.EncodeRestored(&WireRestored{}) })
 	seed(func(e *Encoder) error { return e.EncodeRun(&WireRun{Generations: 100}) })
 	seed(func(e *Encoder) error {
 		return e.EncodeElites(&WireElites{Tick: 25, From: 3, Inds: []WireIndividual{
@@ -452,12 +413,26 @@ func FuzzWireCodec(f *testing.F) {
 	seed(func(e *Encoder) error {
 		return e.EncodeFront(&WireFront{Fronts: [][]WireIndividual{{{Machine: []int32{9}, Order: []int32{0}, Objectives: []float64{1, 2}}}}})
 	})
-	seed(func(e *Encoder) error { return e.EncodeControl(MsgSnapshotReq) })
-	seed(func(e *Encoder) error {
-		return e.EncodeSnapshot(&WireSnapshot{Generation: 8, Segments: sampleSegments()})
-	})
 	seed(func(e *Encoder) error { return e.EncodeAbort(&WireAbort{Msg: "fuzz"}) })
 	seed(func(e *Encoder) error { return e.EncodeControl(MsgExit) })
+	seed(func(e *Encoder) error {
+		if err := e.EncodeRun(&WireRun{Generations: 5}); err != nil {
+			return err
+		}
+		if err := e.EncodeElites(&WireElites{Tick: 0, From: 1, Inds: []WireIndividual{{Machine: []int32{1}, Order: []int32{0}}}}); err != nil {
+			return err
+		}
+		return e.EncodeControl(MsgExit)
+	})
+	seed(func(e *Encoder) error {
+		return e.EncodeElites(&WireElites{Tick: 1, From: 0, Inds: []WireIndividual{
+			{Machine: []int32{2}, Order: []int32{0}, Objectives: []float64{math.NaN(), math.Inf(-1)}},
+		}})
+	})
+	seed(func(e *Encoder) error {
+		return e.EncodeReport(&WireReport{Ticks: [][]WireShardTick{{}, {{Migrants: 3}}}})
+	})
+	f.Add([]byte{0, 0, 0, 0, byte(numMsgTypes)})
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255, 255, 5})
 
@@ -484,20 +459,6 @@ func FuzzWireCodec(f *testing.F) {
 					return
 				}
 				reenc = func(e *Encoder) error { return e.EncodeHello(m) }
-			case MsgRestore:
-				m, err := DecodeRestore(payload)
-				if err != nil {
-					requireWireError(t, err)
-					return
-				}
-				reenc = func(e *Encoder) error { return e.EncodeRestore(m) }
-			case MsgRestored:
-				m, err := DecodeRestored(payload)
-				if err != nil {
-					requireWireError(t, err)
-					return
-				}
-				reenc = func(e *Encoder) error { return e.EncodeRestored(m) }
 			case MsgRun:
 				m, err := DecodeRun(payload)
 				if err != nil {
@@ -536,7 +497,7 @@ func FuzzWireCodec(f *testing.F) {
 					return
 				}
 				reenc = func(e *Encoder) error { return e.EncodeReport(m) }
-			case MsgFrontReq, MsgSnapshotReq, MsgExit:
+			case MsgFrontReq, MsgExit:
 				if err := DecodeControl(typ, payload); err != nil {
 					requireWireError(t, err)
 					return
@@ -550,13 +511,6 @@ func FuzzWireCodec(f *testing.F) {
 					return
 				}
 				reenc = func(e *Encoder) error { return e.EncodeFront(m) }
-			case MsgSnapshot:
-				m, err := DecodeSnapshot(payload)
-				if err != nil {
-					requireWireError(t, err)
-					return
-				}
-				reenc = func(e *Encoder) error { return e.EncodeSnapshot(m) }
 			case MsgAbort:
 				m, err := DecodeAbort(payload)
 				if err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"tradeoff/internal/nsga2"
-	"tradeoff/internal/obs"
 	"tradeoff/internal/rng"
 	"tradeoff/internal/sched"
 )
@@ -37,10 +36,6 @@ type WorkerEnv struct {
 	Config nsga2.IslandConfig
 	// Seed is the run's shared root rng seed.
 	Seed uint64
-	// Observer, when non-nil, receives this worker's own migration
-	// events (worker-local trace); the parent emits the authoritative
-	// full-ring telemetry stream.
-	Observer obs.Observer
 }
 
 // wireInEdge is the shard's inbound boundary Mailbox: island Lo's
@@ -196,21 +191,6 @@ func serveWorker(conn *Conn, env WorkerEnv) error {
 			return err
 		}
 		switch typ {
-		case MsgRestore:
-			m, err := DecodeRestore(payload)
-			if err != nil {
-				return err
-			}
-			if int(m.Lo) != lo || len(m.Segments) != hi-lo {
-				return badPayload(MsgRestore, "segments [%d, %d) for shard [%d, %d)",
-					m.Lo, int(m.Lo)+len(m.Segments), lo, hi)
-			}
-			if err := shard.Restore(int(m.Generation), segmentsFromWire(m.Segments)); err != nil {
-				return err
-			}
-			if err := conn.SendRestored(&WireRestored{Baselines: ticksToWire(shard.Baselines())}); err != nil {
-				return err
-			}
 		case MsgRun:
 			m, err := DecodeRun(payload)
 			if err != nil {
@@ -227,19 +207,9 @@ func serveWorker(conn *Conn, env WorkerEnv) error {
 			if err := conn.SendFront(&front); err != nil {
 				return err
 			}
-		case MsgSnapshotReq:
-			if err := DecodeControl(typ, payload); err != nil {
-				return err
-			}
-			if err := conn.SendSnapshot(&WireSnapshot{
-				Generation: int64(shard.Generation()),
-				Segments:   segmentsToWire(shard.Snapshots()),
-			}); err != nil {
-				return err
-			}
 		case MsgExit:
 			return DecodeControl(typ, payload)
-		case MsgHello, MsgRestored, MsgElites, MsgReport, MsgFront, MsgSnapshot, MsgAbort:
+		case MsgHello, MsgElites, MsgReport, MsgFront, MsgAbort:
 			return &WireError{Frame: conn.dec.Frame(), Msg: typ,
 				Err: fmt.Errorf("in worker control state: %w", ErrUnexpectedMessage)}
 		}
@@ -247,14 +217,14 @@ func serveWorker(conn *Conn, env WorkerEnv) error {
 }
 
 // runShard executes one MsgRun: it runs the shard with wire-backed
-// boundary edges, emits the worker-local migration events, and reports
-// the per-tick counter shards back to the parent.
+// boundary edges and reports the per-tick counter shards back to the
+// parent, which emits the run's telemetry.
 func runShard(conn *Conn, env WorkerEnv, shard *nsga2.IslandShard, generations int) error {
 	cfg := env.Config
 	k := cfg.Islands
 	lo, hi := shard.Lo(), shard.Hi()
 	start := shard.Generation()
-	firstTick, nticks := nsga2.RingTicks(start, start+generations, cfg.MigrationInterval, cfg.Migrants, k)
+	_, nticks := nsga2.RingTicks(start, start+generations, cfg.MigrationInterval, cfg.Migrants, k)
 	var in, out nsga2.Mailbox
 	if nticks > 0 && !(lo == 0 && hi == k) {
 		in = &wireInEdge{conn: conn, expectFrom: int32((lo - 1 + k) % k)}
@@ -263,19 +233,6 @@ func runShard(conn *Conn, env WorkerEnv, shard *nsga2.IslandShard, generations i
 	recs, err := shard.Run(generations, in, out)
 	if err != nil {
 		return err
-	}
-	if env.Observer != nil {
-		for t := 0; t < nticks; t++ {
-			gen := firstTick + t*cfg.MigrationInterval
-			for li := 0; li < hi-lo; li++ {
-				env.Observer.ObserveMigration(obs.MigrationEvent{
-					Generation: gen,
-					From:       lo + li,
-					To:         (lo + li + 1) % k,
-					Count:      recs[li][t].Migrants,
-				})
-			}
-		}
 	}
 	rep := &WireReport{Ticks: make([][]WireShardTick, nticks)}
 	for t := 0; t < nticks; t++ {

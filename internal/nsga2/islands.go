@@ -141,9 +141,6 @@ func NewIslands(eval *sched.Evaluator, cfg IslandConfig, src *rng.Source) (*Isla
 // Generation returns the number of completed generations.
 func (is *Islands) Generation() int { return is.shard.generation }
 
-// NumIslands returns the island count.
-func (is *Islands) NumIslands() int { return len(is.shard.engines) }
-
 // Step advances every island by one generation, migrating elites around
 // the ring when the generation is a migration tick.
 func (is *Islands) Step() { is.Run(1) }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 )
@@ -238,47 +237,14 @@ func (a *traceAnalyzer) finish() *TraceAnalysis {
 // violation is returned as a *TraceError); v1–v3 records simply lack
 // phase_ns, so they add nothing to the phase rollup.
 func AnalyzeTrace(r io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) {
-	return AnalyzeTraces([]io.Reader{r}, opts)
-}
-
-// AnalyzeTraces merges the analysis of several traces — typically a
-// distributed run's parent trace plus its per-worker traces. Each trace
-// is validated independently; the analysis accumulators are shared, so
-// migration summaries aggregate across files: per-island migrant counts
-// sum, Ticks is the union of migration generations, and TickSkew spans
-// the merged ring, exposing an island left behind by a straggling
-// worker no matter whose trace recorded it. With several readers, a
-// failure is an *InputError naming the failing reader.
-func AnalyzeTraces(rs []io.Reader, opts AnalyzeOptions) (*TraceAnalysis, error) {
 	a := newTraceAnalyzer(opts)
-	for i, r := range rs {
-		sum, err := scanTrace(r, func(_ int, rec *traceRecord) { a.consume(rec) })
-		if err != nil {
-			if len(rs) > 1 {
-				return nil, &InputError{Index: i, Err: err}
-			}
-			return nil, err
-		}
-		a.an.Records.Generations += sum.Generations
-		a.an.Records.Migrations += sum.Migrations
-		a.an.Records.Runs += sum.Runs
+	sum, err := scanTrace(r, func(_ int, rec *traceRecord) { a.consume(rec) })
+	if err != nil {
+		return nil, err
 	}
+	a.an.Records = sum
 	return a.finish(), nil
 }
-
-// InputError locates a failure in one of AnalyzeTraces' readers: Index
-// is the reader's 0-based position, Err the failure (a *TraceError for
-// a schema violation).
-type InputError struct {
-	Index int
-	Err   error
-}
-
-// Error renders "trace N: ..." with the 1-based reader position.
-func (e *InputError) Error() string { return fmt.Sprintf("trace %d: %v", e.Index+1, e.Err) }
-
-// Unwrap returns the underlying failure.
-func (e *InputError) Unwrap() error { return e.Err }
 
 func maxf(a, b float64) float64 {
 	if a > b {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"io"
 	"strings"
 	"testing"
 )
@@ -181,21 +180,5 @@ func TestAnalyzeTraceRejectsInvalid(t *testing.T) {
 	var te *TraceError
 	if !errors.As(err, &te) || te.Line != 1 {
 		t.Fatalf("err %v, want *TraceError at line 1", err)
-	}
-}
-
-// TestAnalyzeTracesNamesFailingInput: with several readers, a failure
-// is an *InputError carrying the failing reader's position and, inside
-// it, the *TraceError.
-func TestAnalyzeTracesNamesFailingInput(t *testing.T) {
-	good := legacyGenerations()[0]
-	_, err := AnalyzeTraces([]io.Reader{strings.NewReader(good), strings.NewReader(good + "garbage\n")}, AnalyzeOptions{})
-	var ie *InputError
-	if !errors.As(err, &ie) || ie.Index != 1 {
-		t.Fatalf("err %v, want *InputError for reader 1", err)
-	}
-	var te *TraceError
-	if !errors.As(err, &te) || te.Line != 2 {
-		t.Fatalf("err %v, want *TraceError at line 2", err)
 	}
 }

@@ -119,15 +119,12 @@ func (f *FlightRecorder) ObserveRun(r RunEvent) {
 	f.mu.Unlock()
 }
 
-// Len returns the number of retained events (at most Cap).
+// Len returns the number of retained events (at most the capacity).
 func (f *FlightRecorder) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.live
 }
-
-// Cap returns the ring capacity.
-func (f *FlightRecorder) Cap() int { return len(f.slots) }
 
 // TotalObserved returns the number of events ever observed;
 // TotalObserved() - Len() of them have been overwritten.

@@ -395,7 +395,7 @@ func (e *Evaluator) checkMachine(i int, m int32) error {
 // model charges only execution energy (Eq. 3); idle power makes energy
 // order-dependent, since allocations that idle machines waiting for
 // arrivals pay for the gaps. Pass nil to disable. The slice must have
-// one entry per machine type, each >= 0.
+// one entry per machine type, each finite and >= 0.
 func (e *Evaluator) SetIdlePower(wattsByType []float64) error {
 	if wattsByType == nil {
 		e.idleWatts = nil
@@ -404,13 +404,14 @@ func (e *Evaluator) SetIdlePower(wattsByType []float64) error {
 	if len(wattsByType) != e.sys.NumMachineTypes() {
 		return fmt.Errorf("sched: %d idle powers for %d machine types", len(wattsByType), e.sys.NumMachineTypes())
 	}
-	perInstance := make([]float64, e.NumMachines())
-	for m := 0; m < e.NumMachines(); m++ {
-		w := wattsByType[e.sys.MachineTypeOf(m)]
-		if w < 0 {
-			return fmt.Errorf("sched: negative idle power %v", w)
+	for _, w := range wattsByType {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("sched: idle power %v, want finite and >= 0", w)
 		}
-		perInstance[m] = w
+	}
+	perInstance := make([]float64, e.NumMachines())
+	for m := range perInstance {
+		perInstance[m] = wattsByType[e.sys.MachineTypeOf(m)]
 	}
 	e.idleWatts = perInstance
 	return nil

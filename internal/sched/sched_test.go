@@ -375,8 +375,13 @@ func TestIdlePowerValidation(t *testing.T) {
 	if err := e.SetIdlePower([]float64{10}); err == nil {
 		t.Error("wrong-length idle power accepted")
 	}
-	if err := e.SetIdlePower([]float64{10, -5}); err == nil {
-		t.Error("negative idle power accepted")
+	for _, w := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := e.SetIdlePower([]float64{10, w}); err == nil {
+			t.Errorf("idle power %v accepted", w)
+		}
+		if e.IdlePowerEnabled() {
+			t.Fatalf("rejected idle power %v enabled the extension", w)
+		}
 	}
 	if err := e.SetIdlePower([]float64{10, 20}); err != nil {
 		t.Fatal(err)

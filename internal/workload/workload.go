@@ -50,13 +50,18 @@ func (tr *Trace) MaxUtility() float64 {
 	return sum
 }
 
+// validWindow reports whether w is a usable trace window: finite and
+// positive. An infinite window puts every arrival at +Inf, and a NaN one
+// compares false against every bound.
+func validWindow(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
 // Validate checks trace invariants against a system: tasks sorted by
 // arrival with dense IDs, arrivals within [0, Window], valid task types,
 // and a valid TUF on every task. A TUF that several tasks share is
 // validated once, at its first task.
 func (tr *Trace) Validate(sys *hcs.System) error {
-	if tr.Window <= 0 {
-		return fmt.Errorf("workload: window %v, want > 0", tr.Window)
+	if !validWindow(tr.Window) {
+		return fmt.Errorf("workload: window %v, want finite and > 0", tr.Window)
 	}
 	if len(tr.Tasks) == 0 {
 		return fmt.Errorf("workload: trace has no tasks")
@@ -149,8 +154,8 @@ func Generate(sys *hcs.System, cfg GenConfig, src *rng.Source) (*Trace, error) {
 	if cfg.NumTasks <= 0 {
 		return nil, fmt.Errorf("workload: NumTasks %d, want > 0", cfg.NumTasks)
 	}
-	if cfg.Window <= 0 {
-		return nil, fmt.Errorf("workload: Window %v, want > 0", cfg.Window)
+	if !validWindow(cfg.Window) {
+		return nil, fmt.Errorf("workload: window %v, want finite and > 0", cfg.Window)
 	}
 	weights := cfg.TypeWeights
 	if weights == nil {

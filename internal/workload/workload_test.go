@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tradeoff/internal/data"
@@ -62,8 +63,11 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(sys, GenConfig{NumTasks: 0, Window: 10}, src); err == nil {
 		t.Error("NumTasks=0 accepted")
 	}
-	if _, err := Generate(sys, GenConfig{NumTasks: 5, Window: 0}, src); err == nil {
-		t.Error("Window=0 accepted")
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Generate(sys, GenConfig{NumTasks: 5, Window: w}, src)
+		if want := fmt.Sprintf("window %v, want finite and > 0", w); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Window=%v: err %v, want %q", w, err, want)
+		}
 	}
 	if _, err := Generate(sys, GenConfig{NumTasks: 5, Window: 10, TypeWeights: []float64{1}}, src); err == nil {
 		t.Error("mismatched TypeWeights accepted")
@@ -153,10 +157,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("nil TUF accepted")
 	}
 
-	tr = fresh()
-	tr.Window = 0
-	if err := tr.Validate(sys); err == nil {
-		t.Error("zero window accepted")
+	for _, w := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr = fresh()
+		tr.Window = w
+		if err := tr.Validate(sys); err == nil || !strings.Contains(err.Error(), "want finite and > 0") {
+			t.Errorf("window %v: err %v, want a window error", w, err)
+		}
 	}
 
 	empty := &Trace{Window: 10}
