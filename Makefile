@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record trace-smoke fuzz-smoke bench-test check
+.PHONY: all build vet fmt lint test race bench-smoke bench-record bench-diff bench-evaluate bench-scale bench-scale-record bench-dist bench-dist-record trace-smoke examples-smoke fuzz-smoke bench-test check
 
 # Benchmarks guarded by the >10% regression gate (cmd/benchdiff against
 # BENCH_step.json): generation cost (including the 4000-task and the
@@ -114,6 +114,13 @@ trace-smoke:
 	$(GO) run ./cmd/experiments -ablation 1 -scale 0.02 -pop 20 -phase-profile -trace /tmp/exp_trace_smoke.jsonl > /dev/null
 	$(GO) run ./cmd/tracestat /tmp/exp_trace_smoke.jsonl > /dev/null
 
+# Examples smoke: run every program under examples/ and fail on the
+# first non-zero exit. Some library paths have no other non-test caller
+# (dvfs's OptimizeWeighted and ExtendFront run only in
+# examples/dvfsfront), so this is where a broken one shows.
+examples-smoke:
+	@for d in examples/*/; do echo "run $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # Fuzz smoke: ten seconds of coverage-guided fuzzing on each target
 # that holds a hand-derived fast path to its reference: the merge that
 # builds every child from its parents' execution sequences
@@ -145,4 +152,4 @@ fuzz-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt lint race bench-test bench-smoke bench-dist trace-smoke fuzz-smoke
+check: build vet fmt lint race bench-test bench-smoke bench-dist trace-smoke examples-smoke fuzz-smoke

@@ -101,6 +101,10 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	// core.Options reads an unset (zero) interval as the default of 25.
+	if *migInterval < 1 {
+		fatal(fmt.Errorf("migration interval %d, want >= 1", *migInterval))
+	}
 
 	prof, err := telemetry.StartProfiler(*cpuProfile, *memProfile)
 	if err != nil {

@@ -60,20 +60,46 @@ func TestRemovedFlagsRejected(t *testing.T) {
 // validator's message instead of printing a front (or, for idle power,
 // silently running without it). Only an exact -idlewatts 0 is "off".
 func TestBadIdlePowerAndWindowRejected(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
+	requireRejected(t, []rejectCase{
 		{[]string{"-idlewatts", "-5"}, "idle power -5, want finite and >= 0"},
 		{[]string{"-idlewatts", "nan"}, "idle power NaN, want finite and >= 0"},
 		{[]string{"-idlewatts", "inf"}, "idle power +Inf, want finite and >= 0"},
 		{[]string{"-window", "inf"}, "window +Inf, want finite and > 0"},
 		{[]string{"-window", "nan"}, "window NaN, want finite and > 0"},
-	} {
+	})
+}
+
+// TestMeaninglessNumbersRejected drives the real command with values
+// that mean nothing: a NaN mutation rate or UPE tolerance, which a
+// range check of the form x < lo || x > hi lets through, a negative
+// archive size and a zero migration interval. Each exits 1 with the
+// validator's message, rather than running as if the value were in
+// range, "off" or the default.
+func TestMeaninglessNumbersRejected(t *testing.T) {
+	requireRejected(t, []rejectCase{
+		{[]string{"-mutation", "nan"}, "mutation rate NaN outside [0,1]"},
+		{[]string{"-upe-tolerance", "nan"}, "tolerance NaN outside [0,1)"},
+		{[]string{"-archive", "-3"}, "ArchiveSize -3, want >= 0"},
+		{[]string{"-islands", "2", "-migration-interval", "0"}, "migration interval 0, want >= 1"},
+	})
+}
+
+// rejectCase is one command line the command must refuse, and the
+// message it must print.
+type rejectCase struct {
+	args []string
+	want string
+}
+
+// requireRejected runs the command on a tiny instance with each case's
+// arguments and requires exit 1 with the case's message.
+func requireRejected(t *testing.T, cases []rejectCase) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
 		cmd := exec.Command(exe, append(tc.args, "-generations", "1", "-pop", "4", "-tasks", "20")...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		out, err := cmd.CombinedOutput()

@@ -74,7 +74,7 @@ func AnalyzeUPE(points []FrontPoint, tolerance float64) (UPERegion, error) {
 	if len(points) == 0 {
 		return UPERegion{}, fmt.Errorf("analysis: empty front")
 	}
-	if tolerance < 0 || tolerance >= 1 {
+	if !(tolerance >= 0 && tolerance < 1) { // NaN fails too
 		return UPERegion{}, fmt.Errorf("analysis: tolerance %v outside [0,1)", tolerance)
 	}
 	sorted := append([]FrontPoint(nil), points...)

@@ -83,6 +83,9 @@ func TestAnalyzeUPEErrors(t *testing.T) {
 	if _, err := AnalyzeUPE(kneeFront(), 1); err == nil {
 		t.Error("tolerance 1 accepted")
 	}
+	if _, err := AnalyzeUPE(kneeFront(), math.NaN()); err == nil {
+		t.Error("NaN tolerance accepted")
+	}
 }
 
 func TestAnalyzeUPESinglePoint(t *testing.T) {

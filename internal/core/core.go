@@ -103,9 +103,9 @@ type Options struct {
 	// ArchiveSize, when > 0, bounds the returned front: the final
 	// rank-1 points are filtered through an ε-dominance archive keeping
 	// at most ArchiveSize well-spread representatives (with their
-	// allocations). Region and Hypervolume describe the compacted
-	// front. Essential at 10^5+ tasks, where raw fronts can hold
-	// thousands of near-duplicate points.
+	// allocations); it must not be negative. Region and Hypervolume
+	// describe the compacted front. Essential at 10^5+ tasks, where raw
+	// fronts can hold thousands of near-duplicate points.
 	ArchiveSize int
 	// ArchiveEpsilon gives the per-objective ε box widths
 	// (utility, energy) for ArchiveSize; empty derives each width from
@@ -157,6 +157,9 @@ type Result struct {
 func (f *Framework) Optimize(opts Options) (*Result, error) {
 	if opts.Generations <= 0 {
 		return nil, fmt.Errorf("core: Generations %d, want > 0", opts.Generations)
+	}
+	if opts.ArchiveSize < 0 {
+		return nil, fmt.Errorf("core: ArchiveSize %d, want >= 0", opts.ArchiveSize)
 	}
 	if opts.RandomSeed == 0 {
 		opts.RandomSeed = 1

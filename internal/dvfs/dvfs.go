@@ -9,10 +9,12 @@
 // choice, and provides a scalarized coordinate-descent optimizer that,
 // sweeping the utility-vs-energy weight, turns any fixed NSGA-II
 // allocation into a family of DVFS-refined solutions — extending the
-// Pareto front beyond what machine assignment alone can reach. When the
-// base evaluator charges idle power (sched.Evaluator.SetIdlePower), so
-// does this one, over each machine's idle time at the stretched
-// execution times; at uniform P0 the two evaluations are bit-identical.
+// Pareto front beyond what machine assignment alone can reach.
+// Evaluation runs on the sched kernel, with P-state p of task type t as
+// the virtual type t·S+p (sched.Evaluator.Variants). When the base
+// evaluator charges idle power (sched.Evaluator.SetIdlePower), so does
+// this one, over each machine's idle time at the stretched execution
+// times; at uniform P0 the two evaluations are bit-identical.
 package dvfs
 
 import (
@@ -53,20 +55,20 @@ func DefaultProfile() Profile {
 	}
 }
 
-// Validate checks profile invariants.
+// Validate checks profile invariants; NaN fails every check.
 func (p Profile) Validate() error {
 	if len(p.States) == 0 {
 		return fmt.Errorf("dvfs: profile has no P-states")
 	}
 	for i, st := range p.States {
-		if !(st.Freq > 0) {
-			return fmt.Errorf("dvfs: state %d frequency %v, want > 0", i, st.Freq)
+		if !(st.Freq > 0) || math.IsInf(st.Freq, 1) {
+			return fmt.Errorf("dvfs: state %d frequency %v, want finite and > 0", i, st.Freq)
 		}
 	}
-	if p.Alpha < 1 {
-		return fmt.Errorf("dvfs: alpha %v, want >= 1", p.Alpha)
+	if !(p.Alpha >= 1) || math.IsInf(p.Alpha, 1) {
+		return fmt.Errorf("dvfs: alpha %v, want finite and >= 1", p.Alpha)
 	}
-	if p.StaticFrac < 0 || p.StaticFrac >= 1 {
+	if !(p.StaticFrac >= 0 && p.StaticFrac < 1) {
 		return fmt.Errorf("dvfs: static fraction %v outside [0,1)", p.StaticFrac)
 	}
 	return nil
@@ -87,12 +89,15 @@ func (p Profile) powerScale(i int) float64 {
 func (p Profile) EnergyScale(i int) float64 { return p.timeScale(i) * p.powerScale(i) }
 
 // Evaluator evaluates DVFS-extended allocations against a base
-// scheduling evaluator.
+// scheduling evaluator. It owns one evaluation session, so like a
+// sched.Session it is not safe for concurrent use.
 type Evaluator struct {
 	base    *sched.Evaluator
 	profile Profile
-	tScale  []float64
-	eScale  []float64
+	// virt is base with P-states as variants; sess and c evaluate on it.
+	virt *sched.VariantEvaluator
+	sess *sched.DeltaSession
+	c    *sched.Contribs
 }
 
 // NewEvaluator wraps a sched.Evaluator with a DVFS profile.
@@ -100,12 +105,13 @@ func NewEvaluator(base *sched.Evaluator, profile Profile) (*Evaluator, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{base: base, profile: profile}
+	tScale := make([]float64, len(profile.States))
+	eScale := make([]float64, len(profile.States))
 	for i := range profile.States {
-		e.tScale = append(e.tScale, profile.timeScale(i))
-		e.eScale = append(e.eScale, profile.EnergyScale(i))
+		tScale[i], eScale[i] = profile.timeScale(i), profile.EnergyScale(i)
 	}
-	return e, nil
+	virt := base.Variants(tScale, eScale)
+	return &Evaluator{base: base, profile: profile, virt: virt, sess: virt.NewDeltaSession(), c: virt.NewContribs()}, nil
 }
 
 // Profile returns the evaluator's DVFS profile.
@@ -135,54 +141,20 @@ func (e *Evaluator) Validate(a *sched.Allocation, pstates []int) error {
 }
 
 // Evaluate simulates the allocation with per-task P-states, charging
-// idle power as the base evaluator does. It sums utility and energy per
-// machine in queue order, then over machines in index order, the
-// reduction the base evaluator's kernel uses, so at uniform P0 the
-// result equals the base evaluation bit for bit. The kernel itself
-// reads each task's type-indexed record and has no per-task scale;
-// DESIGN.md §12 ("One simulator") says why this walk stays separate.
+// idle power as the base evaluator does. Neither the allocation nor the
+// states are validated; call Validate first on untrusted input.
 func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluation {
-	base := e.base
-	n, nm := base.NumTasks(), base.NumMachines()
-	seq := make([]int, n)
-	for i := 0; i < n; i++ {
-		seq[a.Order[i]] = i
+	for i, ps := range pstates {
+		e.virt.SetVariant(i, ps)
 	}
-	ready := make([]float64, nm)
-	busy := make([]float64, nm)
-	util := make([]float64, nm)
-	energy := make([]float64, nm)
-	done := make([]int, nm)
-	tasks := base.Trace().Tasks
-	for _, ti := range seq {
-		m := a.Machine[ti]
-		if m == sched.Dropped {
-			continue
-		}
-		task := &tasks[ti]
-		ps := pstates[ti]
-		start := ready[m]
-		if task.Arrival > start {
-			start = task.Arrival
-		}
-		exec := base.ETCInstance(task.Type, int(m)) * e.tScale[ps]
-		completion := start + exec
-		ready[m] = completion
-		busy[m] += exec
-		util[m] += task.TUF.Value(completion - task.Arrival)
-		energy[m] += base.EECInstance(task.Type, int(m)) * e.eScale[ps]
-		done[m]++
-	}
-	var ev sched.Evaluation
-	for m := 0; m < nm; m++ {
-		ev.Utility += util[m]
-		ev.Energy += energy[m]
-		if ready[m] > ev.Makespan {
-			ev.Makespan = ready[m]
-		}
-		ev.Completed += done[m]
-	}
-	ev.Energy += base.IdleEnergy(ready, busy)
+	return e.evaluate(a)
+}
+
+// evaluate simulates the allocation at the current P-states and adds the
+// base's idle energy, read per call so a later SetIdlePower takes effect.
+func (e *Evaluator) evaluate(a *sched.Allocation) sched.Evaluation {
+	ev := e.sess.EvaluateFull(a, e.c)
+	ev.Energy += e.base.IdleEnergy(e.c.Ready, e.c.Busy)
 	return ev
 }
 
@@ -191,12 +163,11 @@ func (e *Evaluator) Evaluate(a *sched.Allocation, pstates []int) sched.Evaluatio
 // trade-off of a fixed assignment.
 func (e *Evaluator) SweepUniform(a *sched.Allocation) []sched.Evaluation {
 	out := make([]sched.Evaluation, e.NumStates())
-	ps := make([]int, a.Len())
 	for s := range out {
-		for i := range ps {
-			ps[i] = s
+		for i := 0; i < a.Len(); i++ {
+			e.virt.SetVariant(i, s)
 		}
-		out[s] = e.Evaluate(a, ps)
+		out[s] = e.evaluate(a)
 	}
 	return out
 }
@@ -219,15 +190,15 @@ func (e *Evaluator) OptimizeWeighted(a *sched.Allocation, lambda float64, rounds
 				if s == cur {
 					continue
 				}
-				pstates[i] = s
-				ev := e.Evaluate(a, pstates)
+				e.virt.SetVariant(i, s)
+				ev := e.evaluate(a)
 				if sc := ev.Utility - lambda*ev.Energy; sc > score {
 					score, best, cur = sc, ev, s
 					improved = true
-				} else {
-					pstates[i] = cur
 				}
 			}
+			pstates[i] = cur
+			e.virt.SetVariant(i, cur)
 		}
 		if !improved {
 			break

@@ -37,6 +37,11 @@ func TestProfileValidate(t *testing.T) {
 		{States: []PState{{Freq: 1}}, Alpha: 0.5},
 		{States: []PState{{Freq: 1}}, Alpha: 3, StaticFrac: 1},
 		{States: []PState{{Freq: 1}}, Alpha: 3, StaticFrac: -0.1},
+		{States: []PState{{Freq: 1}}, Alpha: math.NaN()},
+		{States: []PState{{Freq: 1}}, Alpha: math.Inf(1)},
+		{States: []PState{{Freq: 1}}, Alpha: 3, StaticFrac: math.NaN()},
+		{States: []PState{{Freq: math.Inf(1)}}, Alpha: 3},
+		{States: []PState{{Freq: math.NaN()}}, Alpha: 3},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
@@ -84,6 +89,132 @@ func TestEvaluateFullSpeedMatchesBase(t *testing.T) {
 		if got, want := e.Evaluate(a, ps), base.Evaluate(a); got != want {
 			t.Fatalf("idle power %v: P0 evaluation %+v, base %+v", watts != nil, got, want)
 		}
+	}
+}
+
+// walkEvaluate is the reference for TestEvaluateMatchesWalk, a plain
+// task-major walk independent of the sched kernel: it simulates the
+// allocation in global order, scaling each task's ETC and EEC by its
+// P-state's factors, sums per machine in queue order, then over
+// machines in index order, and charges the base evaluator's idle power.
+func walkEvaluate(e *Evaluator, a *sched.Allocation, pstates []int) sched.Evaluation {
+	base := e.Base()
+	n, nm := base.NumTasks(), base.NumMachines()
+	seq := make([]int, n)
+	for i := 0; i < n; i++ {
+		seq[a.Order[i]] = i
+	}
+	ready := make([]float64, nm)
+	busy := make([]float64, nm)
+	util := make([]float64, nm)
+	energy := make([]float64, nm)
+	done := make([]int, nm)
+	tasks := base.Trace().Tasks
+	for _, ti := range seq {
+		m := a.Machine[ti]
+		if m == sched.Dropped {
+			continue
+		}
+		task := &tasks[ti]
+		ps := pstates[ti]
+		start := ready[m]
+		if task.Arrival > start {
+			start = task.Arrival
+		}
+		exec := base.ETCInstance(task.Type, int(m)) * e.profile.timeScale(ps)
+		completion := start + exec
+		ready[m] = completion
+		busy[m] += exec
+		util[m] += task.TUF.Value(completion - task.Arrival)
+		energy[m] += base.EECInstance(task.Type, int(m)) * e.profile.EnergyScale(ps)
+		done[m]++
+	}
+	var ev sched.Evaluation
+	for m := 0; m < nm; m++ {
+		ev.Utility += util[m]
+		ev.Energy += energy[m]
+		if ready[m] > ev.Makespan {
+			ev.Makespan = ready[m]
+		}
+		ev.Completed += done[m]
+	}
+	ev.Energy += base.IdleEnergy(ready, busy)
+	return ev
+}
+
+// requireMatchesWalk holds Evaluate to walkEvaluate with == on every
+// allocation, at trials random per-task P-states each drawn from src,
+// with the base evaluator's idle power off and then on. It leaves idle
+// power off.
+func requireMatchesWalk(t *testing.T, e *Evaluator, allocs []*sched.Allocation, trials int, src *rng.Source) {
+	t.Helper()
+	base := e.Base()
+	idle := make([]float64, base.System().NumMachineTypes())
+	for i := range idle {
+		idle[i] = 20 + 7*float64(i)
+	}
+	defer base.SetIdlePower(nil)
+	for _, watts := range [][]float64{nil, idle} {
+		if err := base.SetIdlePower(watts); err != nil {
+			t.Fatal(err)
+		}
+		for k, a := range allocs {
+			ps := make([]int, a.Len())
+			for trial := 0; trial < trials; trial++ {
+				for i := range ps {
+					ps[i] = src.Intn(e.NumStates())
+				}
+				if got, want := e.Evaluate(a, ps), walkEvaluate(e, a, ps); got != want {
+					t.Fatalf("idle power %v, allocation %d, trial %d: kernel %+v, walk %+v", watts != nil, k, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateMatchesWalk holds the kernel evaluation of P-states as
+// virtual task types to the task-major walk, bit for bit, on random
+// allocations (some with dropped tasks) at random per-task P-states,
+// and OptimizeWeighted's result, whose trials each move one task's
+// state, to the walk at the states it returns. Data set 3's
+// special-purpose machines are covered by the external test.
+func TestEvaluateMatchesWalk(t *testing.T) {
+	e, base := newDVFS(t, 800)
+	src := rng.New(6)
+	var allocs []*sched.Allocation
+	for k := 0; k < 10; k++ {
+		a := base.RandomAllocation(src)
+		if k%2 == 1 {
+			for d := 0; d < 40; d++ {
+				a.Machine[src.Intn(a.Len())] = sched.Dropped
+			}
+		}
+		allocs = append(allocs, a)
+	}
+	requireMatchesWalk(t, e, allocs, 20, src)
+
+	a := heuristics.BuildMaxUtility(base)
+	for _, lambda := range []float64{1e-5, 1e-4} {
+		ps, ev := e.OptimizeWeighted(a, lambda, 2)
+		if want := walkEvaluate(e, a, ps); ev != want {
+			t.Fatalf("λ=%v: OptimizeWeighted %+v, walk at its states %+v", lambda, ev, want)
+		}
+	}
+}
+
+// TestDVFSEvaluateAllocs: a warm Evaluate runs on the evaluator's own
+// session and allocates nothing. Unlike the pooled sched replays it
+// draws no scratch from a sync.Pool, so the count repeats under -race
+// and the test runs there too.
+func TestDVFSEvaluateAllocs(t *testing.T) {
+	e, base := newDVFS(t, 250)
+	a := base.RandomAllocation(rng.New(7))
+	ps := make([]int, a.Len())
+	for i := range ps {
+		ps[i] = i % e.NumStates()
+	}
+	if n := testing.AllocsPerRun(20, func() { e.Evaluate(a, ps) }); n != 0 {
+		t.Fatalf("warm Evaluate allocates %v times, want 0", n)
 	}
 }
 

@@ -193,13 +193,8 @@ type Problem struct {
 	Name string
 	// Space declares the per-objective optimization senses.
 	Space moea.Space
-	// Objectives maps a schedule evaluation to an objective vector
-	// matching Space.
-	Objectives func(sched.Evaluation) []float64
-	// FillObjectives, when non-nil, writes the objective vector into dst
-	// (len Space.Dim()), sparing the engine one allocation per
-	// evaluation. Optional; without it the engine copies Objectives'
-	// vector into its own buffer, and the two must agree.
+	// FillObjectives writes the objective vector of a schedule
+	// evaluation, matching Space, into dst (len Space.Dim()).
 	FillObjectives func(dst []float64, ev sched.Evaluation)
 }
 
@@ -207,13 +202,8 @@ type Problem struct {
 // capacity dim, so every objective vector the engine holds is one the
 // arena counts.
 func (p *Problem) fill(ind *Individual, ev sched.Evaluation, dim int) {
-	o := ind.Objectives[:dim]
-	if p.FillObjectives != nil {
-		p.FillObjectives(o, ev)
-	} else {
-		copy(o, p.Objectives(ev))
-	}
-	ind.Objectives = o
+	ind.Objectives = ind.Objectives[:dim]
+	p.FillObjectives(ind.Objectives, ev)
 }
 
 // UtilityEnergyProblem is the paper's bi-objective problem: maximize
@@ -222,9 +212,6 @@ func UtilityEnergyProblem() *Problem {
 	return &Problem{
 		Name:  "utility-energy",
 		Space: moea.UtilityEnergySpace(),
-		Objectives: func(ev sched.Evaluation) []float64 {
-			return []float64{ev.Utility, ev.Energy}
-		},
 		FillObjectives: func(dst []float64, ev sched.Evaluation) {
 			dst[0], dst[1] = ev.Utility, ev.Energy
 		},
@@ -237,9 +224,6 @@ func MakespanEnergyProblem() *Problem {
 	return &Problem{
 		Name:  "makespan-energy",
 		Space: moea.NewSpace(moea.Minimize, moea.Minimize),
-		Objectives: func(ev sched.Evaluation) []float64 {
-			return []float64{ev.Makespan, ev.Energy}
-		},
 		FillObjectives: func(dst []float64, ev sched.Evaluation) {
 			dst[0], dst[1] = ev.Makespan, ev.Energy
 		},
@@ -311,7 +295,7 @@ func (c *Config) validate() error {
 	if c.PopulationSize < 2 || c.PopulationSize%2 != 0 {
 		return fmt.Errorf("nsga2: population size %d, want even and >= 2", c.PopulationSize)
 	}
-	if c.MutationRate < 0 || c.MutationRate > 1 {
+	if !(c.MutationRate >= 0 && c.MutationRate <= 1) { // NaN fails too
 		return fmt.Errorf("nsga2: mutation rate %v outside [0,1]", c.MutationRate)
 	}
 	if c.Workers < 0 {
@@ -534,7 +518,7 @@ func New(eval *sched.Evaluator, cfg Config, src *rng.Source) (*Engine, error) {
 	if problem == nil {
 		problem = UtilityEnergyProblem()
 	}
-	if problem.Objectives == nil || problem.Space.Dim() < 2 {
+	if problem.FillObjectives == nil || problem.Space.Dim() < 2 {
 		return nil, fmt.Errorf("nsga2: problem %q needs an objective function and >= 2 senses", problem.Name)
 	}
 	e := &Engine{

@@ -41,11 +41,12 @@ func newEngine(t testing.TB, tasks int, cfg Config, seed uint64) *Engine {
 func TestConfigValidation(t *testing.T) {
 	e := newEval(t, 10)
 	cases := []Config{
-		{PopulationSize: 3},                      // odd
-		{PopulationSize: -4},                     // negative
-		{PopulationSize: 10, MutationRate: 1.5},  // bad rate
-		{PopulationSize: 10, MutationRate: -0.5}, // bad rate
-		{PopulationSize: 10, Workers: -1},        // bad workers
+		{PopulationSize: 3},                            // odd
+		{PopulationSize: -4},                           // negative
+		{PopulationSize: 10, MutationRate: 1.5},        // bad rate
+		{PopulationSize: 10, MutationRate: -0.5},       // bad rate
+		{PopulationSize: 10, MutationRate: math.NaN()}, // NaN rate
+		{PopulationSize: 10, Workers: -1},              // bad workers
 		{PopulationSize: 10, Ranking: Ranking(9)},
 		{PopulationSize: 10, Repair: Repair(9)},
 	}

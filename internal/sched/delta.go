@@ -29,7 +29,8 @@ import "slices"
 // The kernel here (typedCont, one serial walk per needed machine) is the
 // package's only simulation of a machine queue: the engine, Session, the
 // Evaluator's Evaluate, Report, Gantt and DropNegligible all replay an
-// allocation through it (DESIGN.md §12, "One simulator").
+// allocation through it, and so does internal/dvfs, on an evaluator from
+// Variants (DESIGN.md §12, "One simulator").
 
 // Contribs caches the outcome of one allocation's machine-major
 // simulation: per-machine objective contributions plus each machine's

@@ -14,6 +14,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"tradeoff/internal/hcs"
@@ -270,6 +271,42 @@ func NewEvaluator(sys *hcs.System, trace *workload.Trace) (*Evaluator, error) {
 		e.meta[i].tailT, e.meta[i].dur0 = in.TailT, in.Dur0
 	}
 	return e, nil
+}
+
+// VariantEvaluator is an Evaluator in which variant p of task type t is
+// the virtual type t·S+p; Evaluator.Variants builds one.
+type VariantEvaluator struct {
+	*Evaluator
+	s int
+}
+
+// Variants derives from e an evaluator whose machine rows hold, for
+// virtual type t·S+p (S = len(tScale)), ETC·tScale[p] and EEC·eScale[p]
+// of type t; every task starts at variant 0. It shares e's trace and
+// TUFs, charges no idle power, serves session evaluation only, and is
+// not safe for concurrent use while SetVariant writes its task records.
+func (e *Evaluator) Variants(tScale, eScale []float64) *VariantEvaluator {
+	s, nt := len(tScale), e.sys.NumTaskTypes()
+	v := &Evaluator{sys: e.sys, trace: e.trace, tufs: e.tufs, funcs: e.funcs, meta: slices.Clone(e.meta)}
+	v.etcT, v.eecT = make([][]float64, len(e.etcT)), make([][]float64, len(e.eecT))
+	for m := range v.etcT {
+		v.etcT[m], v.eecT[m] = make([]float64, nt*s), make([]float64, nt*s)
+		for t := 0; t < nt; t++ {
+			for p := 0; p < s; p++ {
+				v.etcT[m][t*s+p] = e.etc[t][m] * tScale[p]
+				v.eecT[m][t*s+p] = e.eec[t][m] * eScale[p]
+			}
+		}
+	}
+	for i := range v.meta {
+		v.meta[i].ty *= int32(s)
+	}
+	return &VariantEvaluator{v, s}
+}
+
+// SetVariant puts task i at variant p of its type.
+func (v *VariantEvaluator) SetVariant(i, p int) {
+	v.meta[i].ty = int32(v.trace.Tasks[i].Type*v.s + p)
 }
 
 // System returns the evaluator's system.
